@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from . import conical, eisenstein, emzv, genus0, mgf
+from . import eisenstein, emzv, genus0, mgf
 from .laurent import LaurentPoly
 from .numkernel import PrecisionCtx, bernoulli_number
 from .qseries import GuardError, QTauSeries, eval_at
@@ -96,6 +96,7 @@ def parse_tau(text: str) -> mp.mpc:
 
 def parse_matrix(text: str):
     """Parse a conical matrix given inline as JSON rows or as @path."""
+    from . import conical  # lazy: conical pulls in scipy.special
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
             text = fh.read()
@@ -317,6 +318,8 @@ def _cmd_mgf(args) -> int:
 
 
 def _cmd_conical(args) -> int:
+    from . import conical
+
     t0 = time.monotonic()
     ctx = _ctx(args)
     params = _clean_params(args)
@@ -445,6 +448,8 @@ def _verify_mgf(ctx: PrecisionCtx) -> list:
 
 
 def _verify_conical(ctx: PrecisionCtx) -> list:
+    from . import conical
+
     checks = []
     A = conical.ConeMatrix.mzv_staircase((1, 2))
     val = conical.zeta_A(A, cutoff=200, ctx=ctx)

@@ -16,7 +16,6 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.special import psi as _psi, polygamma as _polygamma, zeta as _hurwitz
-from scipy.stats import qmc
 
 from .numkernel import PrecisionCtx
 
@@ -236,6 +235,40 @@ def zeta_A(A: ConeMatrix, cutoff: int = 200, ctx: PrecisionCtx | None = None,
 # integral representation
 
 
+def _halton(d: int, n: int, seed: int) -> np.ndarray:
+    """First n points of the Owen-scrambled Halton sequence in [0,1)^d
+    (Owen, arXiv:1706.02808, Algorithm 1), bit-identical to
+    ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed).random(n)``.
+
+    Base b (the i-th prime) gets ceil(54/log2 b) - 1 digit permutations, as
+    many as a float64 point can resolve, drawn in base order from one
+    ``default_rng(seed)`` stream."""
+    rng = np.random.default_rng(seed)
+    bases = []
+    k = 2
+    while len(bases) < d:
+        if all(k % p for p in bases):
+            bases.append(k)
+        k += 1
+    out = np.empty((n, d))
+    for i, b in enumerate(bases):
+        perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q = np.arange(n)
+        col = np.zeros(n)
+        scale = 1.0 / b
+        for perm in perms:  # every digit, leading zeros included
+            if q[-1]:
+                q, digit = np.divmod(q, b)
+                col += perm[digit] * scale
+            else:  # every index has run out of digits: digit 0 from here on
+                col += perm[0] * scale
+            scale /= b
+        out[:, i] = col
+    return out
+
+
 def zeta_A_integral(A: ConeMatrix, samples: int = 1 << 16,
                     ctx: PrecisionCtx | None = None, with_error: bool = False):
     """Quasi-Monte-Carlo estimate of the integral representation
@@ -252,8 +285,7 @@ def zeta_A_integral(A: ConeMatrix, samples: int = 1 << 16,
     per = max(samples // nbatch, 16)
     means = []
     for b in range(nbatch):
-        h = qmc.Halton(d=r, scramble=True, seed=1234 + b)
-        u = h.random(per)
+        u = _halton(r, per, 1234 + b)
         u = np.clip(u, 1e-12, 1 - 1e-9)
         y = 1.0 - (1.0 - u) ** 2
         jac = np.prod(2.0 * (1.0 - u), axis=1)

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .numkernel import MZVIndex, PrecisionCtx, mzv, zeta_int
 from .laurent import LaurentPoly
@@ -66,6 +65,33 @@ def _parallel_sum(fn, items) -> float:
         return float(sum(run(c) for c in chunks))
     with ThreadPoolExecutor(max_workers=n) as ex:
         return float(sum(ex.map(run, chunks)))
+
+
+@functools.lru_cache(maxsize=None)
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n (the real-input length scipy.fft picks)."""
+    best = 2 * n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real arrays of equal rank via numpy.fft,
+    each axis zero-padded to a 5-smooth length."""
+    shape = [x + y - 1 for x, y in zip(a.shape, b.shape)]
+    fshape = [_next_fast_len(s) for s in shape]
+    axes = list(range(a.ndim))
+    spec = np.fft.rfftn(a, fshape, axes) * np.fft.rfftn(b, fshape, axes)
+    return np.fft.irfftn(spec, fshape, axes)[tuple(slice(0, s) for s in shape)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 overrides, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -115,3 +119,46 @@ def test_determinism(capsys):
     first.pop("elapsed_ms")
     second.pop("elapsed_ms")
     assert first == second
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that sees only ``src`` on its path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+_PRINT_SCIPY = ("import sys\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+
+
+@pytest.mark.parametrize("module", ["ellipsum.cli", "ellipsum.mgf"])
+def test_import_loads_no_scipy(module):
+    proc = _fresh_python(f"import {module}\n{_PRINT_SCIPY}")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_emzv_call_loads_no_scipy():
+    proc = _fresh_python(
+        "import contextlib, io\n"
+        "from ellipsum import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['emzv', 'binf', '--n', '9', '--zeros', '5']) == 0\n"
+        + _PRINT_SCIPY)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_conical_call_imports_conical_lazily():
+    proc = _fresh_python(
+        "import sys\n"
+        "from ellipsum import cli\n"
+        "assert 'ellipsum.conical' not in sys.modules\n"
+        "sys.exit(cli.run(['conical', 'zeta', '--matrix', '[[1],[1]]',"
+        " '--cutoff', '100']))")
+    assert proc.returncode == 0, proc.stderr
+    assert "value" in json.loads(proc.stdout)

@@ -2,8 +2,10 @@
 predicates."""
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+from ellipsum import conical
 from ellipsum.conical import (
     ConeMatrix,
     is_C1s,
@@ -49,6 +51,14 @@ def test_integral_oracle_agrees():
         integral, err = zeta_A_integral(A, samples=1 << 14, ctx=CTX,
                                         with_error=True)
         assert abs(series - integral) < max(10 * err, mp.mpf("1e-3"))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_halton_matches_scipy_qmc(d):
+    qmc = pytest.importorskip("scipy.stats").qmc
+    for seed in range(1234, 1242):
+        ref = qmc.Halton(d=d, scramble=True, seed=seed).random(4096)
+        assert np.array_equal(conical._halton(d, 4096, seed), ref)
 
 
 def test_consecutive_ones_predicate():

@@ -4,8 +4,10 @@ polynomials."""
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+from ellipsum import mgf
 from ellipsum.eisenstein import eis_nonholo
 from ellipsum.mgf import (
     D_lattice,
@@ -97,6 +99,27 @@ def test_R_oracle_values():
             ref = float(2 ** (1 - a - b) * mp.zeta(3 + a + b))
             assert abs(R_structured(1, 1, 1, a, b, cutoff=800) - ref) < 1e-6
             assert abs(R_direct(1, 1, 1, a, b, 400) - ref) < 1e-3
+
+
+@pytest.mark.parametrize("L", [250, 500, 1000, 1010])
+def test_fftconvolve_1d_bit_identical_to_scipy(L):
+    # the _R_at_cutoff correlation shapes; L = 1010 gives full length 3031 = 7*433,
+    # which pads to the 5-smooth 3072
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(L)
+    a, b = rng.random(L + 1), rng.random(2 * L + 1)
+    assert np.array_equal(mgf.fftconvolve(a, b), signal.fftconvolve(a, b))
+
+
+@pytest.mark.parametrize("M", [6, 100, 400])
+def test_fftconvolve_2d_matches_scipy(M):
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(M)
+    a, b = rng.random((2 * M + 1,) * 2), rng.random((2 * M + 1,) * 2)
+    ref = signal.fftconvolve(a, b)
+    got = mgf.fftconvolve(a, b)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_d2pt_weight_two():
