@@ -15,7 +15,6 @@ Conventions:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import re
@@ -28,22 +27,9 @@ import mpmath as mp
 from . import eisenstein, emzv, genus0, mgf
 from .laurent import LaurentPoly
 from .numkernel import PrecisionCtx, bernoulli_number
-from .qseries import GuardError, QTauSeries, eval_at
+from .qseries import GuardError, QTauSeries, auto_q_order, eval_at
 
-__all__ = ["JobSpec", "run", "main"]
-
-
-@dataclasses.dataclass
-class JobSpec:
-    """One CLI invocation: subcommand, raw parameters, precision, series
-    truncation, lattice/sum cutoff and optional output path."""
-
-    command: str
-    parameters: dict
-    precision_digits: int = 30
-    q_order: int | str = "auto"
-    cutoff: int | None = None
-    output: str | None = None
+__all__ = ["run", "main"]
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +80,18 @@ def parse_tau(text: str) -> mp.mpc:
     return v
 
 
+def _conical():
+    from . import conical  # lazy: conical pulls in scipy.special
+    return conical
+
+
 def parse_matrix(text: str):
     """Parse a conical matrix given inline as JSON rows or as @path."""
-    from . import conical  # lazy: conical pulls in scipy.special
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
             text = fh.read()
     rows = json.loads(text)
-    return conical.ConeMatrix(rows)
+    return _conical().ConeMatrix(rows)
 
 
 def parse_graph(spec: str) -> mgf.MultiGraph:
@@ -121,9 +111,7 @@ def parse_graph(spec: str) -> mgf.MultiGraph:
 # ---------------------------------------------------------------------------
 
 def _num_str(x, digits: int) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, int):
+    if isinstance(x, (Fraction, int)):
         return str(x)
     return mp.nstr(mp.mpf(x), digits, strip_zeros=False)
 
@@ -190,21 +178,25 @@ def _exponent_json(e: "genus0.ZetaLinExponent"):
 # result plumbing
 # ---------------------------------------------------------------------------
 
-def _emit(kind: str, payload, *, error_bound, digits: int, params: dict,
-          t0: float, output: str | None) -> int:
-    doc = {
-        kind: payload,
-        "error_bound": _num_str(error_bound, 6) if error_bound is not None else None,
-        "precision_digits": digits,
-        "params": params,
-        "elapsed_ms": round(1000.0 * (time.monotonic() - t0), 3),
-    }
+def _result_json(result, digits: int):
+    """``(kind, payload)`` of a handler result, chosen by its type."""
+    if isinstance(result, LaurentPoly):
+        return "laurent", _laurent_json(result, digits)
+    if isinstance(result, QTauSeries):
+        return "series", _series_json(result, digits)
+    if isinstance(result, genus0.ZetaLinExponent):
+        return "series", _exponent_json(result)
+    if isinstance(result, dict):
+        return "value", result
+    return "value", _value_json(result, digits)
+
+
+def _write(doc: dict, output: str | None) -> None:
     text = json.dumps(doc, indent=2)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
-    return 0
 
 
 def _clean_params(args: argparse.Namespace) -> dict:
@@ -218,203 +210,147 @@ def _clean_params(args: argparse.Namespace) -> dict:
 
 
 def _ctx(args) -> PrecisionCtx:
-    return PrecisionCtx(digits=getattr(args, "prec", 30) or 30)
+    return PrecisionCtx(digits=args.prec or 30)
 
 
 def _q_order_arg(args):
-    q = getattr(args, "q_order", "auto")
-    return None if q in (None, "auto") else int(q)
+    return None if args.q_order in (None, "auto") else int(args.q_order)
+
+
+def _compute(args) -> int:
+    """Run the leaf handler and emit its result in the JSON envelope."""
+    t0 = time.monotonic()
+    ctx = _ctx(args)
+    params = _clean_params(args)
+    # the JSON conversion stays inside workprec: _num_str rounds to the
+    # ambient precision
+    with ctx.workprec():
+        result, bound = args.func(args, ctx)
+        kind, payload = _result_json(result, ctx.digits)
+        doc = {
+            kind: payload,
+            "error_bound": _num_str(bound, 6) if bound is not None else None,
+            "precision_digits": ctx.digits,
+            "params": params,
+            "elapsed_ms": round(1000.0 * (time.monotonic() - t0), 3),
+        }
+    _write(doc, args.output)
+    return 0
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# leaf handlers: (args, ctx) -> (result, error_bound), run under ctx.workprec()
 # ---------------------------------------------------------------------------
 
-def _cmd_emzv(args) -> int:
-    t0 = time.monotonic()
-    ctx = _ctx(args)
-    params = _clean_params(args)
-    with ctx.workprec():
-        if args.emzv_cmd == "a":
-            if args.tau is None:
-                val = emzv.A_depth1(args.n, args.zeros + 1)
-            else:
-                val = emzv.A_depth1(args.n, args.zeros + 1, args.tau, ctx,
-                                    q_order=_q_order_arg(args))
-            return _emit("value", _value_json(val, ctx.digits),
-                         error_bound=ctx.eps, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-        if args.emzv_cmd == "b":
-            val = emzv.B_depth1(args.n, args.zeros + 1, args.tau, ctx,
-                                q_order=_q_order_arg(args))
-            return _emit("value", _value_json(val, ctx.digits),
-                         error_bound=ctx.eps, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-        if args.emzv_cmd == "binf":
-            poly = emzv.B_inf_depth1(args.n, args.zeros)
-            return _emit("laurent", _laurent_json(poly, ctx.digits),
-                         error_bound=ctx.eps, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-        if args.emzv_cmd == "alen2":
-            val = emzv.A_len2(args.n1, args.n2, args.tau, ctx)
-            return _emit("value", _value_json(val, ctx.digits),
-                         error_bound=ctx.eps, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-        if args.emzv_cmd == "hata":
-            val = emzv.hatA(args.r, args.tau, ctx, form=args.form)
-            return _emit("value", _value_json(val, ctx.digits),
-                         error_bound=ctx.eps, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-    raise AssertionError("unreachable")
+def _emzv_a(args, ctx):
+    # without tau, A_depth1 returns the q-series, which has no error bound
+    val = emzv.A_depth1(args.n, args.zeros + 1, args.tau, ctx,
+                        q_order=_q_order_arg(args))
+    return val, ctx.eps if args.tau is not None else None
 
 
-def _cmd_mgf(args) -> int:
-    t0 = time.monotonic()
-    ctx = _ctx(args)
-    params = _clean_params(args)
-    with ctx.workprec():
-        if args.mgf_cmd == "laurent2":
-            poly = mgf.d2pt(args.l[0], ctx)
-            return _emit("laurent", _laurent_json(poly, ctx.digits),
-                         error_bound=ctx.eps, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-        if args.mgf_cmd == "laurent3":
-            l1, l2, l3 = args.l
-            poly = mgf.d3pt(l1, l2, l3, ctx, cutoff=args.cutoff)
-            # structured-sum truncation dominates: empirical O(cutoff^-2) scale
-            bound = 10.0 / args.cutoff**2
-            return _emit("laurent", _laurent_json(poly, ctx.digits),
-                         error_bound=bound, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-        if args.mgf_cmd == "dlattice":
-            g = parse_graph(args.graph)
-            val, bound = mgf.D_lattice(g, args.tau, args.M, ctx, with_bound=True)
-            return _emit("value", _value_json(val, ctx.digits),
-                         error_bound=bound, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-        if args.mgf_cmd == "s":
-            if args.method == "zagier":
-                val = mgf.S_zagier(args.m, args.n, ctx)
-                bound = ctx.eps
-            else:
-                val = mgf.S_direct(args.m, args.n, args.cutoff)
-                bound = 10.0 / args.cutoff
-            return _emit("value", _value_json(val, ctx.digits),
-                         error_bound=bound, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-        if args.mgf_cmd == "r":
-            m1, m2, m3 = args.m
-            if args.method == "structured":
-                val = mgf.R_structured(m1, m2, m3, args.alpha, args.beta,
-                                       cutoff=args.cutoff, ctx=ctx)
-                bound = 10.0 / args.cutoff**2
-            else:
-                val = mgf.R_direct(m1, m2, m3, args.alpha, args.beta, args.cutoff)
-                bound = 10.0 / args.cutoff
-            return _emit("value", _value_json(val, ctx.digits),
-                         error_bound=bound, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-    raise AssertionError("unreachable")
+def _emzv_b(args, ctx):
+    return emzv.B_depth1(args.n, args.zeros + 1, args.tau, ctx,
+                         q_order=_q_order_arg(args)), ctx.eps
 
 
-def _cmd_conical(args) -> int:
-    from . import conical
-
-    t0 = time.monotonic()
-    ctx = _ctx(args)
-    params = _clean_params(args)
-    with ctx.workprec():
-        if args.conical_cmd == "zeta":
-            A = parse_matrix(args.matrix)
-            val, bound = conical.zeta_A(A, cutoff=args.cutoff, ctx=ctx,
-                                        with_bound=True)
-            return _emit("value", _value_json(val, ctx.digits),
-                         error_bound=bound, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-        if args.conical_cmd == "integral":
-            A = parse_matrix(args.matrix)
-            val, err = conical.zeta_A_integral(A, samples=args.samples, ctx=ctx,
-                                               with_error=True)
-            return _emit("value", _value_json(val, ctx.digits),
-                         error_bound=err, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-        if args.conical_cmd == "c1s":
-            A = parse_matrix(args.matrix)
-            ok, witness = conical.is_C1s(A, with_witness=True)
-            payload = {"c1s": bool(ok),
-                       "witness": list(witness) if witness is not None else None}
-            return _emit("value", payload, error_bound=0, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-        if args.conical_cmd == "tu":
-            A = parse_matrix(args.matrix)
-            return _emit("value", {"totally_unimodular": bool(conical.is_TU(A))},
-                         error_bound=0, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-    raise AssertionError("unreachable")
+def _emzv_binf(args, ctx):
+    return emzv.B_inf_depth1(args.n, args.zeros), ctx.eps
 
 
-def _cmd_genus0(args) -> int:
-    t0 = time.monotonic()
-    ctx = _ctx(args)
-    params = _clean_params(args)
-    with ctx.workprec():
-        if args.genus0_cmd == "gamma1p":
-            val = genus0.gamma1p(args.z, ctx)
-            return _emit("value", _value_json(val, ctx.digits),
-                         error_bound=ctx.eps, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-        if args.genus0_cmd == "exponent":
-            if args.which == "open":
-                e = genus0.veneziano_exponent(args.order)
-            elif args.which == "closed":
-                e = genus0.closed_exponent(args.order)
-            else:
-                e = genus0.sv_map_exponent(genus0.veneziano_exponent(args.order))
-            if args.s is not None and args.t is not None:
-                val = e(args.s, args.t, ctx)
-                return _emit("value", _value_json(val, ctx.digits),
-                             error_bound=ctx.eps, digits=ctx.digits,
-                             params=params, t0=t0, output=args.output)
-            return _emit("series", _exponent_json(e), error_bound=0,
-                         digits=ctx.digits, params=params, t0=t0,
-                         output=args.output)
-    raise AssertionError("unreachable")
+def _emzv_alen2(args, ctx):
+    return emzv.A_len2(args.n1, args.n2, args.tau, ctx), ctx.eps
 
 
-def _cmd_eisenstein(args) -> int:
-    t0 = time.monotonic()
-    ctx = _ctx(args)
-    params = _clean_params(args)
-    with ctx.workprec():
-        if args.eis_cmd == "e":
-            q_order = _q_order_arg(args)
-            if q_order is None:
-                from .qseries import auto_q_order
-                q_order = (auto_q_order(args.tau, ctx) if args.tau is not None
-                           else 10)
-            series = eisenstein.eis_E(args.k, q_order)
-            if args.tau is None:
-                return _emit("series", _series_json(series, ctx.digits),
-                             error_bound=None, digits=ctx.digits,
-                             params=params, t0=t0, output=args.output)
-            val = eval_at(series, args.tau, ctx)
-            return _emit("value", _value_json(val, ctx.digits),
-                         error_bound=ctx.eps, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-        if args.eis_cmd == "nonholo":
-            val = eisenstein.eis_nonholo(args.s, args.tau, ctx, mode=args.mode,
-                                         M=args.M)
-            bound = (ctx.eps if args.mode == "cusp"
-                     else 8.0 * math.log(args.M + 1) / args.M ** max(2 * args.s - 2, 1))
-            return _emit("value", _value_json(val, ctx.digits),
-                         error_bound=bound, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-        if args.eis_cmd == "green1":
-            val = eisenstein.green1(args.xi, args.tau, ctx)
-            return _emit("value", _value_json(val, ctx.digits),
-                         error_bound=ctx.eps, digits=ctx.digits,
-                         params=params, t0=t0, output=args.output)
-    raise AssertionError("unreachable")
+def _emzv_hata(args, ctx):
+    return emzv.hatA(args.r, args.tau, ctx, form=args.form), ctx.eps
+
+
+def _mgf_laurent2(args, ctx):
+    return mgf.d2pt(args.l[0], ctx), ctx.eps
+
+
+def _mgf_laurent3(args, ctx):
+    # structured-sum truncation dominates: empirical O(cutoff^-2) scale
+    return mgf.d3pt(*args.l, ctx, cutoff=args.cutoff), 10.0 / args.cutoff**2
+
+
+def _mgf_dlattice(args, ctx):
+    return mgf.D_lattice(parse_graph(args.graph), args.tau, args.M, ctx,
+                         with_bound=True)
+
+
+def _mgf_s(args, ctx):
+    if args.method == "zagier":
+        return mgf.S_zagier(args.m, args.n, ctx), ctx.eps
+    return mgf.S_direct(args.m, args.n, args.cutoff), 10.0 / args.cutoff
+
+
+def _mgf_r(args, ctx):
+    if args.method == "structured":
+        return (mgf.R_structured(*args.m, args.alpha, args.beta,
+                                 cutoff=args.cutoff, ctx=ctx),
+                10.0 / args.cutoff**2)
+    return (mgf.R_direct(*args.m, args.alpha, args.beta, args.cutoff),
+            10.0 / args.cutoff)
+
+
+def _conical_zeta(args, ctx):
+    return _conical().zeta_A(parse_matrix(args.matrix), cutoff=args.cutoff,
+                          ctx=ctx, with_bound=True)
+
+
+def _conical_integral(args, ctx):
+    return _conical().zeta_A_integral(parse_matrix(args.matrix),
+                                   samples=args.samples, ctx=ctx,
+                                   with_error=True)
+
+
+def _conical_c1s(args, ctx):
+    ok, witness = _conical().is_C1s(parse_matrix(args.matrix), with_witness=True)
+    return {"c1s": bool(ok),
+            "witness": list(witness) if witness is not None else None}, 0
+
+
+def _conical_tu(args, ctx):
+    return {"totally_unimodular": bool(_conical().is_TU(parse_matrix(args.matrix)))}, 0
+
+
+def _genus0_gamma1p(args, ctx):
+    return genus0.gamma1p(args.z, ctx), ctx.eps
+
+
+def _genus0_exponent(args, ctx):
+    if args.which == "open":
+        e = genus0.veneziano_exponent(args.order)
+    elif args.which == "closed":
+        e = genus0.closed_exponent(args.order)
+    else:
+        e = genus0.sv_map_exponent(genus0.veneziano_exponent(args.order))
+    if args.s is not None and args.t is not None:
+        return e(args.s, args.t, ctx), ctx.eps
+    return e, 0
+
+
+def _eisenstein_e(args, ctx):
+    q_order = _q_order_arg(args)
+    if q_order is None:
+        q_order = auto_q_order(args.tau, ctx) if args.tau is not None else 10
+    series = eisenstein.eis_E(args.k, q_order)
+    if args.tau is None:
+        return series, None
+    return eval_at(series, args.tau, ctx), ctx.eps
+
+
+def _eisenstein_nonholo(args, ctx):
+    val = eisenstein.eis_nonholo(args.s, args.tau, ctx, mode=args.mode, M=args.M)
+    bound = (ctx.eps if args.mode == "cusp"
+             else 8.0 * math.log(args.M + 1) / args.M ** max(2 * args.s - 2, 1))
+    return val, bound
+
+
+def _eisenstein_green1(args, ctx):
+    return eisenstein.green1(args.xi, args.tau, ctx), ctx.eps
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +384,7 @@ def _verify_mgf(ctx: PrecisionCtx) -> list:
 
 
 def _verify_conical(ctx: PrecisionCtx) -> list:
-    from . import conical
-
+    conical = _conical()
     checks = []
     A = conical.ConeMatrix.mzv_staircase((1, 2))
     val = conical.zeta_A(A, cutoff=200, ctx=ctx)
@@ -509,11 +444,7 @@ def _cmd_verify(args) -> int:
         "precision_digits": ctx.digits,
         "elapsed_ms": round(1000.0 * (time.monotonic() - t0), 3),
     }
-    text = json.dumps(doc, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _write(doc, args.output)
     return 0 if all_pass else 1
 
 
@@ -521,13 +452,17 @@ def _cmd_verify(args) -> int:
 # parser construction
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--prec", type=int, default=30,
+def _leaf(subparsers, name: str, help: str, handler) -> argparse.ArgumentParser:
+    """Add the subcommand ``name`` with the common flags; ``handler`` runs it."""
+    q = subparsers.add_parser(name, help=help, description=help)
+    q.add_argument("--prec", type=int, default=30,
                    help="target precision in decimal digits")
-    p.add_argument("--output", default=None,
+    q.add_argument("--output", default=None,
                    help="also write the JSON result to this path")
-    p.add_argument("--config", default=None,
+    q.add_argument("--config", default=None,
                    help="JSON file whose keys mirror the long flags")
+    q.set_defaults(func=handler)
+    return q
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -542,169 +477,138 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emzv", help="elliptic multiple zeta values")
     ps = p.add_subparsers(dest="emzv_cmd", required=True)
 
-    q = ps.add_parser("a", help="depth-one A-value A(n, 0^zeros; tau)")
+    q = _leaf(ps, "a", "depth-one A-value A(n, 0^zeros; tau)", _emzv_a)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--zeros", type=int, default=0)
     q.add_argument("--tau", type=parse_tau, default=None)
     q.add_argument("--q-order", dest="q_order", default="auto")
-    _add_common(q)
-    q.set_defaults(func=_cmd_emzv)
 
-    q = ps.add_parser("b", help="depth-one B-value B(n, 0^zeros; tau)")
+    q = _leaf(ps, "b", "depth-one B-value B(n, 0^zeros; tau)", _emzv_b)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--zeros", type=int, default=0)
     q.add_argument("--tau", type=parse_tau, required=True)
     q.add_argument("--q-order", dest="q_order", default="auto")
-    _add_common(q)
-    q.set_defaults(func=_cmd_emzv)
 
-    q = ps.add_parser("binf", help="cusp Laurent polynomial of the depth-one "
-                                   "B-value (exact tau-polynomial)")
+    q = _leaf(ps, "binf", "cusp Laurent polynomial of the depth-one "
+                          "B-value (exact tau-polynomial)", _emzv_binf)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--zeros", type=int, default=0)
-    _add_common(q)
-    q.set_defaults(func=_cmd_emzv)
 
-    q = ps.add_parser("alen2", help="length-two value A(n1, n2; tau)")
+    q = _leaf(ps, "alen2", "length-two value A(n1, n2; tau)", _emzv_alen2)
     q.add_argument("--n1", type=int, required=True)
     q.add_argument("--n2", type=int, required=True)
     q.add_argument("--tau", type=parse_tau, required=True)
-    _add_common(q)
-    q.set_defaults(func=_cmd_emzv)
 
-    q = ps.add_parser("hata", help="subtracted value hat-A_{1,r}(tau)")
+    q = _leaf(ps, "hata", "subtracted value hat-A_{1,r}(tau)", _emzv_hata)
     q.add_argument("--r", type=int, required=True)
     q.add_argument("--tau", type=parse_tau, required=True)
     q.add_argument("--form", choices=["direct", "eichler"], default="direct")
-    _add_common(q)
-    q.set_defaults(func=_cmd_emzv)
 
     # mgf --------------------------------------------------------------
     p = sub.add_parser("mgf", help="modular graph functions")
     ps = p.add_subparsers(dest="mgf_cmd", required=True)
 
-    q = ps.add_parser("laurent2", help="zero-mode Laurent polynomial d_l(y) "
-                                       "of the two-vertex banana graph")
+    q = _leaf(ps, "laurent2", "zero-mode Laurent polynomial d_l(y) "
+                              "of the two-vertex banana graph", _mgf_laurent2)
     q.add_argument("--l", type=int, nargs=1, required=True)
-    _add_common(q)
-    q.set_defaults(func=_cmd_mgf)
 
-    q = ps.add_parser("laurent3", help="zero-mode Laurent polynomial "
-                                       "d_{l1,l2,l3}(y) of the three-vertex graph")
+    q = _leaf(ps, "laurent3", "zero-mode Laurent polynomial d_{l1,l2,l3}(y) "
+                              "of the three-vertex graph", _mgf_laurent3)
     q.add_argument("--l", type=int, nargs=3, required=True)
     q.add_argument("--cutoff", type=int, default=2000)
-    _add_common(q)
-    q.set_defaults(func=_cmd_mgf)
 
-    q = ps.add_parser("dlattice", help="truncated lattice sum of a multigraph")
+    q = _leaf(ps, "dlattice", "truncated lattice sum of a multigraph",
+              _mgf_dlattice)
     q.add_argument("--graph", required=True,
                    help="cycle:N | banana:L | inline JSON | @path")
     q.add_argument("--tau", type=parse_tau, required=True)
     q.add_argument("--M", type=int, default=100)
-    _add_common(q)
-    q.set_defaults(func=_cmd_mgf)
 
-    q = ps.add_parser("s", help="constrained two-block sum S(m, n)")
+    q = _leaf(ps, "s", "constrained two-block sum S(m, n)", _mgf_s)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--method", choices=["zagier", "direct"], default="zagier")
     q.add_argument("--cutoff", type=int, default=20000)
-    _add_common(q)
-    q.set_defaults(func=_cmd_mgf)
 
-    q = ps.add_parser("r", help="constrained three-block sum "
-                                "R(m1, m2, m3; alpha, beta)")
+    q = _leaf(ps, "r", "constrained three-block sum "
+                       "R(m1, m2, m3; alpha, beta)", _mgf_r)
     q.add_argument("--m", type=int, nargs=3, required=True)
     q.add_argument("--alpha", type=int, required=True)
     q.add_argument("--beta", type=int, required=True)
     q.add_argument("--method", choices=["structured", "direct"],
                    default="structured")
     q.add_argument("--cutoff", type=int, default=2000)
-    _add_common(q)
-    q.set_defaults(func=_cmd_mgf)
 
     # conical ----------------------------------------------------------
     p = sub.add_parser("conical", help="conical sums over linear forms")
     ps = p.add_subparsers(dest="conical_cmd", required=True)
 
-    q = ps.add_parser("zeta", help="nested-series evaluation of zeta(A)")
+    q = _leaf(ps, "zeta", "nested-series evaluation of zeta(A)", _conical_zeta)
     q.add_argument("--matrix", required=True, help="JSON rows or @path")
     q.add_argument("--cutoff", type=int, default=200)
-    _add_common(q)
-    q.set_defaults(func=_cmd_conical)
 
-    q = ps.add_parser("integral", help="quasi-Monte-Carlo integral "
-                                       "representation of zeta(A)")
+    q = _leaf(ps, "integral", "quasi-Monte-Carlo integral representation of "
+                              "zeta(A); its error_bound is the standard error "
+                              "of 8 batch means, not a bound", _conical_integral)
     q.add_argument("--matrix", required=True, help="JSON rows or @path")
     q.add_argument("--samples", type=int, default=1 << 16)
-    _add_common(q)
-    q.set_defaults(func=_cmd_conical)
 
-    q = ps.add_parser("c1s", help="consecutive-ones test with witness order")
+    q = _leaf(ps, "c1s", "consecutive-ones test with witness order",
+              _conical_c1s)
     q.add_argument("--matrix", required=True, help="JSON rows or @path")
-    _add_common(q)
-    q.set_defaults(func=_cmd_conical)
 
-    q = ps.add_parser("tu", help="total-unimodularity test")
+    q = _leaf(ps, "tu", "total-unimodularity test", _conical_tu)
     q.add_argument("--matrix", required=True, help="JSON rows or @path")
-    _add_common(q)
-    q.set_defaults(func=_cmd_conical)
 
     # genus0 -----------------------------------------------------------
     p = sub.add_parser("genus0", help="genus-zero amplitude expansions")
     ps = p.add_subparsers(dest="genus0_cmd", required=True)
 
-    q = ps.add_parser("gamma1p", help="Gamma(1+z) from its zeta exponential")
+    q = _leaf(ps, "gamma1p", "Gamma(1+z) from its zeta exponential",
+              _genus0_gamma1p)
     q.add_argument("--z", type=parse_complex, required=True)
-    _add_common(q)
-    q.set_defaults(func=_cmd_genus0)
 
-    q = ps.add_parser("exponent", help="open/closed/single-valued amplitude "
-                                       "exponent as exact zeta polynomials")
+    q = _leaf(ps, "exponent", "open/closed/single-valued amplitude "
+                              "exponent as exact zeta polynomials",
+              _genus0_exponent)
     q.add_argument("--which", choices=["open", "closed", "sv"], required=True)
     q.add_argument("--order", type=int, default=11)
     q.add_argument("--s", type=parse_complex, default=None)
     q.add_argument("--t", type=parse_complex, default=None)
-    _add_common(q)
-    q.set_defaults(func=_cmd_genus0)
 
     # eisenstein -------------------------------------------------------
     p = sub.add_parser("eisenstein", help="Eisenstein series and Green function")
     ps = p.add_subparsers(dest="eis_cmd", required=True)
 
-    q = ps.add_parser("e", help="normalized holomorphic Eisenstein series E_k")
+    q = _leaf(ps, "e", "normalized holomorphic Eisenstein series E_k",
+              _eisenstein_e)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--tau", type=parse_tau, default=None)
     q.add_argument("--q-order", dest="q_order", default="auto")
-    _add_common(q)
-    q.set_defaults(func=_cmd_eisenstein)
 
-    q = ps.add_parser("nonholo", help="non-holomorphic Eisenstein series E(s, tau)")
+    q = _leaf(ps, "nonholo", "non-holomorphic Eisenstein series E(s, tau)",
+              _eisenstein_nonholo)
     q.add_argument("--s", type=int, required=True)
     q.add_argument("--tau", type=parse_tau, required=True)
     q.add_argument("--mode", choices=["cusp", "lattice"], default="cusp")
     q.add_argument("--M", type=int, default=100)
-    _add_common(q)
-    q.set_defaults(func=_cmd_eisenstein)
 
-    q = ps.add_parser("green1", help="torus Green function G_1(xi, tau)")
+    q = _leaf(ps, "green1", "torus Green function G_1(xi, tau)",
+              _eisenstein_green1)
     q.add_argument("--xi", type=parse_complex, required=True)
     q.add_argument("--tau", type=parse_tau, required=True)
-    _add_common(q)
-    q.set_defaults(func=_cmd_eisenstein)
 
     # verify -----------------------------------------------------------
-    q = sub.add_parser("verify", help="run the built-in verification suites")
+    q = _leaf(sub, "verify", "run the built-in verification suites", _cmd_verify)
     q.add_argument("--suite", choices=["all", *_SUITES], default="all")
-    _add_common(q)
-    q.set_defaults(func=_cmd_verify)
 
     return parser
 
 
-def _load_config(argv) -> dict:
-    """Pre-scan argv for --config and return its JSON contents (flag keys
-    use underscores, mirroring the long options)."""
+def _with_config(argv) -> list:
+    """``argv`` plus, for each key of the ``--config`` JSON file that argv
+    does not give, ``--key=value`` (``--key v1 v2 ...`` for a list), so
+    that argparse converts, requires and rejects config keys like flags."""
     for i, tok in enumerate(argv):
         if tok == "--config" and i + 1 < len(argv):
             path = argv[i + 1]
@@ -713,33 +617,29 @@ def _load_config(argv) -> dict:
         else:
             continue
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        out = {}
-        for k, v in raw.items():
-            k = k.replace("-", "_")
-            if k == "tau":
-                v = parse_tau(v)
-            elif k in ("z", "s_val", "xi"):
-                v = parse_complex(v)
-            out[k] = v
-        return out
-    return {}
+            config = json.load(fh)
+        extra = []
+        for key, value in config.items():
+            flag = "--" + key.replace("_", "-")
+            if any(t == flag or t.startswith(flag + "=") for t in argv):
+                continue
+            if isinstance(value, list):
+                extra += [flag, *map(str, value)]
+            else:
+                extra.append(f"{flag}={value}")
+        return [*argv, *extra]
+    return list(argv)
 
 
 def run(argv) -> int:
     parser = build_parser()
     try:
-        config = _load_config(argv)
+        argv = _with_config(argv)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"bad config file: {exc}")
     args = parser.parse_args(argv)
-    for k, v in config.items():
-        flag = "--" + k.replace("_", "-")
-        explicit = any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-        if not explicit and hasattr(args, k):
-            setattr(args, k, v)
     try:
-        return args.func(args)
+        return _cmd_verify(args) if args.command == "verify" else _compute(args)
     except (GuardError, ValueError, ZeroDivisionError, OverflowError) as exc:
         print(json.dumps({
             "error": {"type": type(exc).__name__, "message": str(exc)},

@@ -114,24 +114,17 @@ def A_depth1(n: int, r: int, tau=None, ctx: PrecisionCtx | None = None, q_order=
 
 
 def A_depth1_general(s: int, n: int, r: int, tau, ctx: PrecisionCtx | None = None):
-    """General depth-one word with zeros on both sides:
-    A(0^s, n, 0^r) = sum_i (2 pi i)^{s-i} (-1)^i / (s-i)! C(r+i, r) A_{n, r+i+1}."""
+    """General depth-one word with zeros on both sides, A(0^s, n, 0^r; tau)."""
     ctx = ctx or PrecisionCtx()
+    t = as_tau(tau)
     with ctx.workprec():
-        total = mp.mpc(0)
-        for i in range(s + 1):
-            total += (
-                (2j * mp.pi) ** (s - i)
-                * (-1) ** i
-                / mp.factorial(s - i)
-                * mp.binomial(r + i, r)
-                * A_depth1(n, r + i + 1, tau, ctx)
-            )
-        return total
+        word = (0,) * s + (n,) + (0,) * r
+        return eval_at(_A_word_series(word, auto_q_order(t, ctx)), t, ctx)
 
 
 def _A_word_series(word, q_order: int) -> QTauSeries:
-    """Series for words that are all zeros or contain one nonzero entry."""
+    """Series for words that are all zeros or contain one nonzero entry:
+    A(0^s, n, 0^r) = sum_i (2 pi i)^{s-i} (-1)^i / (s-i)! C(r+i, r) A_{n, r+i+1}."""
     word = tuple(word)
     nonzero = [(i, n) for i, n in enumerate(word) if n != 0]
     if not word:

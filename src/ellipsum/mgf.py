@@ -146,17 +146,7 @@ class MultiGraph:
         return len(self.edge_list)
 
     def is_connected(self) -> bool:
-        if self.N == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in range(self.N):
-                if self.mult[u][v] and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.N
+        return self._component_count() <= 1
 
     @property
     def depth(self) -> int:

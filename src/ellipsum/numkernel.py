@@ -293,9 +293,10 @@ def polylog(k: int, z, ctx: PrecisionCtx):
         return +mp.polylog(k, z)
 
 
-def shuffle(w1, w2) -> Counter:
-    """Shuffle product of two binary words as a multiset of words."""
-    w1, w2 = BinaryWord(w1), BinaryWord(w2)
+def _quasi_shuffle(kind, x, y, collide: bool) -> Counter:
+    """Merge two sequences from their outermost (last) entries: the last
+    entry of a merged word comes from either factor or, if ``collide``, is
+    the sum of both last entries."""
 
     @functools.lru_cache(maxsize=None)
     def rec(a: tuple, b: tuple) -> tuple:
@@ -308,35 +309,22 @@ def shuffle(w1, w2) -> Counter:
             out[word + (a[-1],)] += mult
         for word, mult in rec(a, b[:-1]):
             out[word + (b[-1],)] += mult
+        if collide:
+            for word, mult in rec(a[:-1], b[:-1]):
+                out[word + (a[-1] + b[-1],)] += mult
         return tuple(out.items())
 
-    return Counter({BinaryWord(word): mult for word, mult in rec(tuple(w1), tuple(w2))})
+    return Counter({kind(word): mult for word, mult in rec(tuple(kind(x)), tuple(kind(y)))})
+
+
+def shuffle(w1, w2) -> Counter:
+    """Shuffle product of two binary words as a multiset of words."""
+    return _quasi_shuffle(BinaryWord, w1, w2, collide=False)
 
 
 def stuffle(i1, i2) -> Counter:
-    """Stuffle (harmonic) product of two indices as a multiset of indices.
-
-    Recursion merges from the outermost (last) entries: the larger index of a
-    chain may come from either factor or from a collision of both.
-    """
-    i1, i2 = tuple(MZVIndex(i1)), tuple(MZVIndex(i2))
-
-    @functools.lru_cache(maxsize=None)
-    def rec(a: tuple, b: tuple) -> tuple:
-        if not a:
-            return ((b, 1),)
-        if not b:
-            return ((a, 1),)
-        out: Counter = Counter()
-        for idx, mult in rec(a[:-1], b):
-            out[idx + (a[-1],)] += mult
-        for idx, mult in rec(a, b[:-1]):
-            out[idx + (b[-1],)] += mult
-        for idx, mult in rec(a[:-1], b[:-1]):
-            out[idx + (a[-1] + b[-1],)] += mult
-        return tuple(out.items())
-
-    return Counter({MZVIndex(idx): mult for idx, mult in rec(i1, i2)})
+    """Stuffle (harmonic) product of two indices as a multiset of indices."""
+    return _quasi_shuffle(MZVIndex, i1, i2, collide=True)
 
 
 def sv_mzv(idx, ctx: PrecisionCtx):

@@ -1,6 +1,8 @@
 """Command-line interface checks: JSON envelope, exit codes, config
 overrides, determinism."""
 
+import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from ellipsum.cli import parse_complex, parse_tau, run
+from ellipsum.cli import build_parser, parse_complex, parse_tau, run
 from ellipsum.emzv import A_depth1
 from ellipsum.numkernel import PrecisionCtx
 
@@ -26,8 +28,6 @@ def test_parse_tau_and_complex():
     assert parse_complex("2i") == mp.mpc(0, 2)
     assert parse_complex("-0.5+1.25i") == mp.mpc("-0.5", "1.25")
     assert parse_tau("i") == mp.mpc(0, 1)
-    import argparse
-
     with pytest.raises(argparse.ArgumentTypeError):
         parse_tau("1-2i")
 
@@ -71,11 +71,77 @@ def test_guard_violation_exit_code(capsys):
     assert "error" in doc and doc["error"]["type"]
 
 
+# One cheap argv per subcommand (plus the branches with other bounds) and the
+# frozen envelope it must print: (argv, kind, error_bound).
+_TAU = "0.2+1.1i"
+LEAF_CASES = [
+    (["emzv", "a", "--n", "3", "--zeros", "1", "--tau", _TAU], "value", "1.00000e-30"),
+    (["emzv", "a", "--n", "4"], "series", None),
+    (["emzv", "b", "--n", "3", "--zeros", "1", "--tau", _TAU], "value", "1.00000e-30"),
+    (["emzv", "binf", "--n", "9", "--zeros", "5"], "laurent", "1.00000e-30"),
+    (["emzv", "alen2", "--n1", "2", "--n2", "3", "--tau", "i"], "value", "1.00000e-30"),
+    (["emzv", "hata", "--r", "4", "--tau", "i"], "value", "1.00000e-30"),
+    (["mgf", "laurent2", "--l", "2"], "laurent", "1.00000e-30"),
+    (["mgf", "laurent3", "--l", "1", "1", "1", "--cutoff", "100"], "laurent", "0.00100000"),
+    (["mgf", "dlattice", "--graph", "cycle:2", "--tau", "i", "--M", "10"], "value", "0.116689"),
+    (["mgf", "s", "--m", "2", "--n", "1"], "value", "1.00000e-30"),
+    (["mgf", "s", "--m", "2", "--n", "1", "--method", "direct", "--cutoff", "1000"],
+     "value", "0.0100000"),
+    (["mgf", "r", "--m", "1", "1", "2", "--alpha", "1", "--beta", "0", "--cutoff", "200"],
+     "value", "0.000250000"),
+    (["mgf", "r", "--m", "1", "1", "1", "--alpha", "1", "--beta", "1", "--method", "direct",
+      "--cutoff", "100"], "value", "0.100000"),
+    (["conical", "zeta", "--matrix", "[[1,0],[1,1],[0,1]]", "--cutoff", "100"],
+     "value", "0.00307951"),
+    (["conical", "integral", "--matrix", "[[1,0],[1,1],[0,1]]", "--samples", "1024"],
+     "value", "0.0344275"),
+    (["conical", "c1s", "--matrix", "[[1,0,1],[1,1,0],[0,1,1]]"], "value", "0"),
+    (["conical", "tu", "--matrix", "[[1,1,0],[0,1,1]]"], "value", "0"),
+    (["genus0", "gamma1p", "--z", "0.5"], "value", "1.00000e-30"),
+    (["genus0", "exponent", "--which", "open", "--order", "5"], "series", "0"),
+    (["genus0", "exponent", "--which", "sv", "--order", "5", "--s", "0.05", "--t", "0.07"],
+     "value", "1.00000e-30"),
+    (["eisenstein", "e", "--k", "4", "--tau", "i"], "value", "1.00000e-30"),
+    (["eisenstein", "e", "--k", "4"], "series", None),
+    (["eisenstein", "nonholo", "--s", "2", "--tau", "i"], "value", "1.00000e-30"),
+    (["eisenstein", "nonholo", "--s", "2", "--tau", "i", "--mode", "lattice", "--M", "20"],
+     "value", "0.0608904"),
+    (["eisenstein", "green1", "--xi", "0.3+0.1i", "--tau", "i"], "value", "1.00000e-30"),
+]
+
+
+def _leaf_name(argv):
+    return tuple(itertools.takewhile(lambda tok: not tok.startswith("-"), argv))
+
+
+@pytest.mark.parametrize("argv,kind,bound", LEAF_CASES,
+                         ids=[" ".join(c[0]) for c in LEAF_CASES])
+def test_leaf_envelope(capsys, argv, kind, bound):
+    rc, doc = _run_json(capsys, argv)
+    assert rc == 0
+    assert list(doc) == [kind, "error_bound", "precision_digits", "params", "elapsed_ms"]
+    assert doc["error_bound"] == bound
+
+
+def _parser_leaves(parser, prefix=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {prefix}
+    return {leaf for name, p in subs[0].choices.items()
+            for leaf in _parser_leaves(p, prefix + (name,))}
+
+
+def test_every_leaf_has_an_envelope_case():
+    covered = {_leaf_name(argv) for argv, _, _ in LEAF_CASES} | {("verify",)}
+    assert _parser_leaves(build_parser()) == covered
+
+
 def test_verify_suite(capsys):
     rc = run(["verify", "--suite", "genus0"])
     out = capsys.readouterr().out
     doc = json.loads(out)
     assert rc == 0
+    assert list(doc) == ["suite", "checks", "precision_digits", "elapsed_ms"]
     assert all(chk["pass"] for chk in doc["checks"])
 
 
@@ -96,6 +162,30 @@ def test_config_default_and_override(tmp_path, capsys):
     )
     assert rc == 0
     assert doc["precision_digits"] == 33
+    # config values go through argparse: typed like the flags ...
+    cfg.write_text(json.dumps({"s": "0.05", "t": "0.07"}))
+    argv = ["genus0", "exponent", "--which", "open", "--order", "5"]
+    rc, doc = _run_json(capsys, [*argv, "--config", str(cfg)])
+    assert rc == 0
+    assert set(doc["value"]) == {"re", "im"}
+    value = doc["value"]
+    rc, doc = _run_json(capsys, [*argv, "--s", "0.05", "--t", "0.07"])
+    assert doc["value"] == value
+    # ... may supply a required flag, lists included ...
+    cfg.write_text(json.dumps({"tau": "1.4i", "zeros": 1}))
+    rc, doc = _run_json(capsys, ["emzv", "b", "--n", "3", "--config", str(cfg)])
+    assert rc == 0 and doc["params"]["zeros"] == 1
+    cfg.write_text(json.dumps({"matrix": "[[1,1,0],[0,1,1]]"}))
+    rc, doc = _run_json(capsys, ["conical", "tu", "--config", str(cfg)])
+    assert rc == 0 and doc["value"] == {"totally_unimodular": True}
+    cfg.write_text(json.dumps({"l": [1, 1, 1], "cutoff": 100}))
+    rc, doc = _run_json(capsys, ["mgf", "laurent3", "--config", str(cfg)])
+    assert rc == 0 and doc["params"]["l"] == [1, 1, 1]
+    # ... and unknown keys are usage errors
+    cfg.write_text(json.dumps({"precision": 40}))
+    with pytest.raises(SystemExit) as exc:
+        run(["emzv", "a", "--n", "2", "--config", str(cfg)])
+    assert exc.value.code == 2
 
 
 def test_output_file(tmp_path, capsys):
