@@ -26,7 +26,7 @@ import mpmath as mp
 
 from . import eisenstein, emzv, genus0, mgf
 from .laurent import LaurentPoly
-from .numkernel import PrecisionCtx, bernoulli_number
+from .numkernel import PrecisionCtx, _bern
 from .qseries import GuardError, QTauSeries, auto_q_order, eval_at
 
 __all__ = ["run", "main"]
@@ -210,7 +210,7 @@ def _clean_params(args: argparse.Namespace) -> dict:
 
 
 def _ctx(args) -> PrecisionCtx:
-    return PrecisionCtx(digits=args.prec or 30)
+    return PrecisionCtx(digits=args.prec)
 
 
 def _q_order_arg(args):
@@ -362,8 +362,7 @@ def _verify_emzv(ctx: PrecisionCtx) -> list:
     tau = mp.mpc("0.2", "1.1")
     with ctx.workprec():
         lhs = emzv.A_len1(4)
-        b4 = bernoulli_number(4)
-        rhs = 2j * mp.pi * mp.mpf(b4.numerator) / b4.denominator / 24
+        rhs = 2j * mp.pi * _bern(4) / 24
         checks.append(("length-one constant n=4", abs(lhs - rhs), 1e-25))
         a = emzv.A_depth1(3, 2, -1 / tau, ctx)
         b = emzv.B_depth1(3, 2, tau, ctx)
@@ -618,6 +617,8 @@ def _with_config(argv) -> list:
             continue
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("the file must hold a JSON object")
         extra = []
         for key, value in config.items():
             flag = "--" + key.replace("_", "-")
@@ -635,7 +636,7 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         argv = _with_config(argv)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
         parser.error(f"bad config file: {exc}")
     args = parser.parse_args(argv)
     try:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .numkernel import PrecisionCtx, bernoulli_number, bernoulli_periodic, zeta_int
+from .numkernel import PrecisionCtx, _bern, bernoulli_periodic, bernoulli_poly, zeta_int
 from .qseries import GuardError, QTauSeries, Tau, as_tau
 
 __all__ = [
@@ -63,6 +63,18 @@ def _xi_split(xi, tau):
     r = mp.im(xi) / mp.im(tau)
     s = mp.re(xi) - r * mp.re(tau)
     return r, s
+
+
+def _cell_reduce(xi, tau):
+    """Reduce xi to s + r*tau with 0 <= r <= 1/2 and 0 <= s < 1, using
+    xi -> -xi when r lands in the top half of the cell; returns
+    (r, s, flipped)."""
+    r, s = _xi_split(xi, tau)
+    r -= mp.floor(r)
+    s -= mp.floor(s)
+    if r > mp.mpf(1) / 2:
+        return 1 - r, -s - mp.floor(-s), True
+    return r, s, False
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +139,9 @@ def theta(xi, tau, ctx: PrecisionCtx, mode: str = "product"):
 
 
 def theta_prime0(tau, ctx: PrecisionCtx):
-    """d/dxi theta at xi = 0: equals 2 pi i q^{1/8} prod (1-q^j)^3."""
-    tau = _check_tau(tau)
+    """d/dxi theta at xi = 0: equals 2 pi i eta(tau)^3."""
     with ctx.workprec():
-        q = mp.exp(2j * mp.pi * tau)
-        absq = abs(q)
-        eps = mp.mpf(10) ** (-ctx.dps)
-        prod = mp.mpc(1)
-        j = 1
-        while absq**j > eps or j <= 3:
-            prod *= (1 - q**j) ** 3
-            j += 1
-        return 2j * mp.pi * mp.exp(1j * mp.pi * tau / 4) * prod
+        return 2j * mp.pi * eta(tau, ctx) ** 3
 
 
 def eta(tau, ctx: PrecisionCtx):
@@ -226,8 +229,7 @@ def f_n(n: int, xi, tau, ctx: PrecisionCtx):
                     raise GuardError("f_1 series did not converge")
             return total
         sign = (-1) ** n
-        b = bernoulli_number(n)
-        acc = mp.mpf(b.numerator) / b.denominator / n
+        acc = _bern(n) / n
         m = 1
         while True:
             qm = q**m
@@ -247,16 +249,9 @@ def omega_n(n: int, xi, tau, ctx: PrecisionCtx):
     parity (-1)^n under xi -> -xi.  Arbitrary xi via cell reduction."""
     tau = _check_tau(tau)
     with ctx.workprec():
-        xi = mp.mpc(xi)
-        r, s = _xi_split(xi, tau)
-        r -= mp.floor(r)
-        s -= mp.floor(s)
-        sign = 1
-        if r > mp.mpf(1) / 2:
-            # use parity to stay away from the top of the cell
-            sign = (-1) ** n
-            r, s = 1 - r, -s
-            s -= mp.floor(s)
+        r, s, flipped = _cell_reduce(xi, tau)
+        # parity (-1)^n undoes the flip to the lower half of the cell
+        sign = (-1) ** n if flipped else 1
         xired = s + r * tau
         total = mp.mpc(0)
         rk = mp.mpf(1)
@@ -297,8 +292,7 @@ def eis_E(k: int, q_order: int) -> QTauSeries:
     q-coefficients sigma_{k-1}(m) for even k (odd k vanish)."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    b = bernoulli_number(k)
-    const = -mp.mpf(b.numerator) / b.denominator / (2 * mp.factorial(k))
+    const = -_bern(k) / (2 * mp.factorial(k))
     coeffs = {(0, 0): mp.mpc(const)}
     if k % 2 == 0:
         sig = _sigma_table(k - 1, q_order)
@@ -335,14 +329,7 @@ def eis_nonholo(s: int, tau, ctx: PrecisionCtx, mode: str = "cusp", M: int = 100
     with ctx.workprec():
         y = mp.pi * mp.im(tau)
         q = mp.exp(2j * mp.pi * tau)
-        b = bernoulli_number(2 * n)
-        lead = (
-            (-1) ** (n - 1)
-            * mp.mpf(b.numerator)
-            / b.denominator
-            / mp.factorial(2 * n)
-            * (4 * y) ** n
-        )
+        lead = (-1) ** (n - 1) * _bern(2 * n) / mp.factorial(2 * n) * (4 * y) ** n
         sub = (
             4
             * mp.factorial(2 * n - 3)
@@ -415,13 +402,7 @@ def p_part(xi, tau, ctx: PrecisionCtx):
     form for its leading geometric layer."""
     tau = _check_tau(tau)
     with ctx.workprec():
-        xi = mp.mpc(xi)
-        r, s = _xi_split(xi, tau)
-        r -= mp.floor(r)
-        s -= mp.floor(s)
-        if r > mp.mpf(1) / 2:
-            r, s = 1 - r, -s
-            s -= mp.floor(s)
+        r, s, _ = _cell_reduce(xi, tau)
         t1, t2 = mp.re(tau), mp.im(tau)
         xi1 = s + r * t1
         x = r
@@ -536,8 +517,6 @@ def d_ab_average(a: int, b: int, xi, tau, ctx: PrecisionCtx):
             if abs(arg) < eps and layer > 1:
                 break
             layer += 1
-        from .numkernel import bernoulli_poly
-
         total += (
             (-2 * logq) ** r_weight
             / mp.factorial(r_weight + 1)

@@ -14,8 +14,8 @@ import functools
 
 import mpmath as mp
 
-from .numkernel import PrecisionCtx, bernoulli_number, zeta_int
-from .qseries import QTauSeries, eval_at, reg_primitive
+from .numkernel import PrecisionCtx, _bern, zeta_int
+from .qseries import QTauSeries, as_tau, auto_q_order, eval_at, reg_primitive
 from .eisenstein import eis_Gbb, _sigma_table
 
 __all__ = [
@@ -54,8 +54,7 @@ def gamma_inf(nvec, q_order: int) -> QTauSeries:
     k = len(nvec)
     coeff = mp.mpf(1)
     for n in nvec:
-        b = bernoulli_number(n)
-        coeff *= mp.mpf(b.numerator) / b.denominator / mp.factorial(n)
+        coeff *= _bern(n) / mp.factorial(n)
     coeff *= (2j * mp.pi) ** k / mp.factorial(k)
     return QTauSeries(q_order, {(k, 0): coeff})
 
@@ -63,19 +62,15 @@ def gamma_inf(nvec, q_order: int) -> QTauSeries:
 def gammaL0(n: int, k: int, q_order: int) -> QTauSeries:
     """Exponentially suppressed part of the left-aligned depth-one integral
     (k trailing zero-columns, Eisenstein weight n):
-    -(2/(n-1)!) sum_{m,p>=1} m^{n-k-1} p^{-k} q^{mp}."""
+    -(2/(n-1)!) sum_{m,p>=1} m^{n-k-1} p^{-k} q^{mp}, whose q^N coefficient
+    is -(2/(n-1)!) sigma_{n-1}(N) / N^k."""
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     if n % 2 == 1:
         return QTauSeries(q_order, {})
     pref = -2 / mp.factorial(n - 1)
-    coeffs = {}
-    for N in range(1, q_order + 1):
-        acc = mp.mpf(0)
-        for d in range(1, N + 1):
-            if N % d == 0:
-                acc += mp.mpf(d) ** (n - k - 1) * mp.mpf(N // d) ** (-k)
-        coeffs[(0, N)] = pref * acc
+    sig = _sigma_table(n - 1, q_order)
+    coeffs = {(0, N): pref * (mp.mpf(sig[N]) / mp.mpf(N) ** k) for N in range(1, q_order + 1)}
     return QTauSeries(q_order, coeffs)
 
 
@@ -102,8 +97,7 @@ def eichler_E(k: int, q_order: int) -> QTauSeries:
     + sum_{j>=1} sigma_{1-k}(j) q^j."""
     if k < 4 or k % 2 == 1:
         raise ValueError("k must be an even integer >= 4")
-    b = bernoulli_number(k)
-    zeta_neg = -mp.mpf(b.numerator) / b.denominator / k  # zeta(1-k)
+    zeta_neg = -_bern(k) / k  # zeta(1-k)
     coeffs = {
         (k - 1, 0): zeta_neg / 2 * (2j * mp.pi) ** (k - 1) / mp.factorial(k - 1),
         (0, 0): mp.zeta(k - 1) / 2,
@@ -134,13 +128,7 @@ def cocycle_S(k: int) -> CocyclePoly:
     out[(0, k - 2)] = half * z
     out[(k - 2, 0)] = -half * z
     for i in range(1, k // 2):
-        b1 = bernoulli_number(2 * i)
-        b2 = bernoulli_number(k - 2 * i)
-        c = (
-            mp.mpf(b1.numerator) / b1.denominator
-            * mp.mpf(b2.numerator) / b2.denominator
-            / (mp.factorial(2 * i) * mp.factorial(k - 2 * i))
-        )
+        c = _bern(2 * i) * _bern(k - 2 * i) / (mp.factorial(2 * i) * mp.factorial(k - 2 * i))
         key = (2 * i - 1, k - 2 * i - 1)
         out[key] = out.get(key, mp.mpc(0)) - half * (2j * mp.pi) ** (k - 1) * c
     return out
@@ -150,8 +138,6 @@ def b30_reference(tau, ctx: PrecisionCtx):
     """Independent reference value for the modular image of the depth-one,
     length-two series at weight 3: explicit Laurent polynomial plus
     (3/(pi i)) times the right-aligned depth-one q-series of weight 4."""
-    from .qseries import auto_q_order, as_tau
-
     t = as_tau(tau)
     with ctx.workprec():
         tv = t.value

@@ -11,11 +11,12 @@ Word convention: ``(n1, ..., nr)`` labels the iterated integral with the
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 import mpmath as mp
 
-from .numkernel import PrecisionCtx, bernoulli_number, zeta_int
+from .numkernel import PrecisionCtx, _bern, zeta_int
 from .qseries import GuardError, QTauSeries, as_tau, auto_q_order, eval_at, reg_primitive
 from .eisenstein import eis_Gbb, f_n
 from .eisint import eichler_E, gammaL0
@@ -38,18 +39,11 @@ __all__ = [
 ]
 
 
-def _bern(n: int) -> mp.mpf:
-    b = bernoulli_number(n)
-    return mp.mpf(b.numerator) / b.denominator
-
-
 def _gen_binom(a: int, j: int) -> Fraction:
     """Generalized binomial C(a, j) = a (a-1) ... (a-j+1) / j! for integer a."""
     num = 1
     for t in range(j):
         num *= a - t
-    import math
-
     return Fraction(num, math.factorial(j))
 
 
@@ -230,20 +224,15 @@ def A_len2_cordouble(n1: int, n2: int, tau, ctx: PrecisionCtx):
             return -_bern(k) / (2 * mp.factorial(k))
 
         total = -((-1) ** n1) * A_depth1(n1 + n2, 2, tau, ctx)
-        for p in range(1, -(-(n1 - 3) // 2) + 1):
-            total += (
-                2
-                * mp.binomial(n1 + n2 - 2 * p - 2, n2 - 1)
-                * zeta_norm(n1 + n2 - 2 * p - 1)
-                * A_depth1(2 * p + 1, 2, tau, ctx)
-            )
-        for p in range(1, -(-(n2 - 3) // 2) + 1):
-            total -= (
-                2
-                * mp.binomial(n1 + n2 - 2 * p - 2, n1 - 1)
-                * zeta_norm(n1 + n2 - 2 * p - 1)
-                * A_depth1(2 * p + 1, 2, tau, ctx)
-            )
+        for na, nb, sign in ((n1, n2, 1), (n2, n1, -1)):
+            for p in range(1, -(-(na - 3) // 2) + 1):
+                total += (
+                    sign
+                    * 2
+                    * mp.binomial(n1 + n2 - 2 * p - 2, nb - 1)
+                    * zeta_norm(n1 + n2 - 2 * p - 1)
+                    * A_depth1(2 * p + 1, 2, tau, ctx)
+                )
         return total
 
 

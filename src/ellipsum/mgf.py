@@ -11,6 +11,7 @@ assignments conserving momentum at vertices with no zero edge-momentum.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -328,9 +329,11 @@ def _signatures(edges, block):
 
 
 def _shifted(ext, delta, M):
-    """(2M+1)^2 window of an extended (4M+1)^2 grid, centered at +delta."""
+    """(2M+1)^2 window of a larger odd square grid, centered at +delta from
+    the grid's center."""
+    c = (ext.shape[0] - 1) // 2
     dm, dn = delta
-    return ext[2 * M + dm - M : 2 * M + dm + M + 1, 2 * M + dn - M : 2 * M + dn + M + 1]
+    return ext[c + dm - M : c + dm + M + 1, c + dn - M : c + dn + M + 1]
 
 
 def _block_sum_d2(groups, tau, M: int, shifts=None):
@@ -339,6 +342,8 @@ def _block_sum_d2(groups, tau, M: int, shifts=None):
     shifts optionally adds a constant lattice offset (dm, dn) per group
     (used by the depth-3 reduction)."""
     norm2_ext = _momentum_grid(tau, 2 * M)
+    # group weights on the extended grid, one array per edge count
+    weight = {cnt: _group_weight(norm2_ext, cnt) for _, cnt in groups}
     shifts = shifts or {}
 
     sigs = [s for s, _ in groups]
@@ -375,14 +380,8 @@ def _block_sum_d2(groups, tau, M: int, shifts=None):
                         # substitute q -> -q so that c is evaluated on p + q;
                         # the underlying grid is even, only the shift flips
                         dB = (-dB[0], -dB[1])
-                if dA == (0, 0):
-                    A = _group_weight(_momentum_grid(tau, M), groups[i][1])
-                else:
-                    A = _shifted(_group_weight(norm2_ext, groups[i][1]), dA, M)
-                if dB == (0, 0):
-                    B = _group_weight(_momentum_grid(tau, M), groups[j][1])
-                else:
-                    B = _shifted(_group_weight(norm2_ext, groups[j][1]), dB, M)
+                A = _shifted(weight[groups[i][1]], dA, M)
+                B = _shifted(weight[groups[j][1]], dB, M)
                 conv = fftconvolve(A, B)  # indexed by p+q, |.|inf <= 2M
                 if not rest:
                     return float(conv.sum())
@@ -390,17 +389,14 @@ def _block_sum_d2(groups, tau, M: int, shifts=None):
                 dC = shifts.get(k, (0, 0))
                 # c(a*(p+q) + d) = c((p+q) + a*d) by central symmetry
                 dm, dn = a * dC[0], a * dC[1]
-                W = 2 * M + max(abs(dm), abs(dn))
-                Cext = _group_weight(_momentum_grid(tau, W), groups[k][1])
-                Cwin = Cext[
-                    W + dm - 2 * M : W + dm + 2 * M + 1,
-                    W + dn - 2 * M : W + dn + 2 * M + 1,
-                ]
-                return float((conv * Cwin).sum())
+                if (dm, dn) == (0, 0):
+                    Cext = weight[groups[k][1]]
+                else:
+                    W = 2 * M + max(abs(dm), abs(dn))
+                    Cext = _group_weight(_momentum_grid(tau, W), groups[k][1])
+                return float((conv * _shifted(Cext, (dm, dn), 2 * M)).sum())
     # general fallback: loop over q, vectorized in p
-    exts = []
-    for idx, (sig, cnt) in enumerate(groups):
-        exts.append(_group_weight(_momentum_grid(tau, 2 * M), cnt))
+    exts = [weight[cnt] for _, cnt in groups]
     coords = np.arange(-M, M + 1)
     total = 0.0
     p_groups = [(idx, s) for idx, (s, _) in enumerate(groups) if s[1] == 0]
@@ -792,19 +788,8 @@ def _vec_compositions(l, parts):
             for rest in comps(n - first, k - 1):
                 yield (first,) + rest
 
-    per_coord = [list(comps(li, parts)) for li in l]
-    idx = [0] * len(l)
-    while True:
-        yield tuple(tuple(per_coord[i][idx[i]][p] for i in range(len(l))) for p in range(parts))
-        j = len(l) - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < len(per_coord[j]):
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
+    for per_coord in itertools.product(*(comps(li, parts) for li in l)):
+        yield tuple(zip(*per_coord))
 
 
 def _fact_vec(v):
@@ -814,16 +799,24 @@ def _fact_vec(v):
     return out
 
 
+def _multinomial_base(l, a, b, c, m=()):
+    """l! / (a! b! c! m!) (-1)^|b| / 6^|c|, the factor every three-point
+    term carries."""
+    return (
+        mp.mpf(_fact_vec(l))
+        / (_fact_vec(a) * _fact_vec(b) * _fact_vec(c) * _fact_vec(m))
+        * (-1) ** sum(b)
+        / mp.mpf(6) ** sum(c)
+    )
+
+
 def _dA(l, ctx) -> LaurentPoly:
     lsum = sum(l)
     total = mp.mpf(0)
     for a, b, c in _vec_compositions(l, 3):
         lam = 2 * sum(a) + sum(b) + 1
         total += (
-            mp.mpf(_fact_vec(l))
-            / (_fact_vec(a) * _fact_vec(b) * _fact_vec(c))
-            * (-1) ** sum(b)
-            / mp.mpf(6) ** sum(c)
+            _multinomial_base(l, a, b, c)
             * mp.factorial(2 * a[1] + b[1])
             * mp.factorial(2 * a[2] + b[2])
             / mp.factorial(2 * (a[1] + a[2]) + b[1] + b[2] + 1)
@@ -846,13 +839,7 @@ def _dB_ordered(l, cutoff, ctx) -> LaurentPoly:
     for a, b, c, m in _vec_compositions(l, 4):
         if not _m_ok_B(m):
             continue
-        base = (
-            2
-            * mp.mpf(_fact_vec(l))
-            / (_fact_vec(a) * _fact_vec(b) * _fact_vec(c) * _fact_vec(m))
-            * (-1) ** sum(b)
-            / mp.mpf(6) ** sum(c)
-        )
+        base = 2 * _multinomial_base(l, a, b, c, m)
         e_pow = sum(c) - sum(a) - 2
         for u in range(2 * a[2] + b[2] + 1):
             v = 2 * a[2] + b[2] - u
@@ -879,13 +866,7 @@ def _dC_ordered(l, ctx) -> LaurentPoly:
     for a, b, c, m in _vec_compositions(l, 4):
         if m[1] != 0 or m[2] != 0 or m[0] < 2:
             continue
-        base = (
-            2
-            * mp.mpf(_fact_vec(l))
-            / (_fact_vec(a) * _fact_vec(b) * _fact_vec(c) * _fact_vec(m))
-            * (-1) ** sum(b)
-            / mp.mpf(6) ** sum(c)
-        )
+        base = 2 * _multinomial_base(l, a, b, c, m)
         e_pow = sum(c) - sum(a) - 2
         lam = 2 * sum(a) + sum(b) + 1
         for u in range(2 * a[2] + b[2] + 1):

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,15 +135,7 @@ def index_from_word(w) -> MZVIndex:
     w = BinaryWord(w)
     if not w.convergent:
         raise ValueError("word is not convergent (must start with 0, end with 1)")
-    parts: list[int] = []
-    zeros = 0
-    for a in w:
-        if a == 0:
-            zeros += 1
-        else:
-            parts.append(zeros + 1)
-            zeros = 0
-    return MZVIndex(tuple(reversed(parts)))
+    return MZVIndex(tuple(reversed(_word_groups(w))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -165,14 +158,14 @@ def _bernoulli_poly_coeffs(n: int) -> tuple[Fraction, ...]:
     """Coefficients of B_n(x) in increasing powers of x."""
     coeffs = [Fraction(0)] * (n + 1)
     for k in range(n + 1):
-        coeffs[n - k] = Fraction(_binom(n, k)) * bernoulli_number(k)
+        coeffs[n - k] = Fraction(math.comb(n, k)) * bernoulli_number(k)
     return tuple(coeffs)
 
 
-def _binom(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
+def _bern(n: int) -> mp.mpf:
+    """B_n as an mpf at the ambient precision."""
+    b = bernoulli_number(n)
+    return mp.mpf(b.numerator) / b.denominator
 
 
 def bernoulli_poly(n: int, x):
@@ -202,15 +195,8 @@ def zeta_int(n: int, ctx: PrecisionCtx):
         raise ValueError("n must be >= 2")
     with ctx.workprec():
         if n % 2 == 0:
-            b = bernoulli_number(n)
             # zeta(2k) = -B_{2k} (2 pi i)^{2k} / (2 (2k)!)
-            val = (
-                -mp.mpf(b.numerator)
-                / b.denominator
-                * (2 * mp.pi) ** n
-                * (-1) ** (n // 2)
-                / (2 * mp.factorial(n))
-            )
+            val = -_bern(n) * (2 * mp.pi) ** n * (-1) ** (n // 2) / (2 * mp.factorial(n))
         else:
             val = mp.zeta(n)
         return +val

@@ -69,6 +69,10 @@ def test_guard_violation_exit_code(capsys):
     doc = json.loads(out)
     assert rc == 3
     assert "error" in doc and doc["error"]["type"]
+    # a precision below the floor is refused, not replaced by the default
+    rc, doc = _run_json(capsys, ["emzv", "a", "--n", "2", "--tau", "i", "--prec", "0"])
+    assert rc == 3
+    assert doc["error"]["type"] == "ValueError"
 
 
 # One cheap argv per subcommand (plus the branches with other bounds) and the
@@ -186,6 +190,13 @@ def test_config_default_and_override(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["emzv", "a", "--n", "2", "--config", str(cfg)])
     assert exc.value.code == 2
+    # valid JSON that is not an object is a bad config file, not a crash
+    capsys.readouterr()
+    cfg.write_text(json.dumps([1, 2]))
+    with pytest.raises(SystemExit) as exc:
+        run(["emzv", "a", "--n", "2", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "bad config file" in capsys.readouterr().err
 
 
 def test_output_file(tmp_path, capsys):

@@ -84,6 +84,24 @@ def test_S_direct_guards_and_monotone_tail():
     assert vals[0] < vals[1] < vals[2]
 
 
+_K4 = MultiGraph.from_edges(4, [(i, j, 1) for i in range(4) for j in range(i + 1, 4)])
+
+
+@pytest.mark.parametrize("compute,chunk", [
+    (lambda: S_direct(3, 1, 1800), mgf._CHUNK),
+    (lambda: S_direct(4, 1, 150), mgf._CHUNK),
+    # 13 rows at M = 6 fit in one default chunk; smaller chunks split them
+    (lambda: D_lattice(_K4, mp.mpc(0, 1), 6), 4),
+], ids=["S_direct(3)", "S_direct(4)", "D_lattice(K4)"])
+def test_thread_count_leaves_results_bit_identical(monkeypatch, compute, chunk):
+    monkeypatch.setattr(mgf, "_CHUNK", chunk)
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ELLIPSUM_THREADS", threads)
+        results.append(compute())
+    assert results[0] == results[1]
+
+
 def test_S_zagier_matches_direct():
     with CTX.workprec():
         for m, n in [(2, 1), (3, 2)]:
