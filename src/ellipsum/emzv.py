@@ -224,14 +224,18 @@ def A_len2_cordouble(n1: int, n2: int, tau, ctx: PrecisionCtx):
             return -_bern(k) / (2 * mp.factorial(k))
 
         total = -((-1) ** n1) * A_depth1(n1 + n2, 2, tau, ctx)
+        # A(2p+1, 2) for each p, shared by the two mirror terms
+        odd = {}
         for na, nb, sign in ((n1, n2, 1), (n2, n1, -1)):
             for p in range(1, -(-(na - 3) // 2) + 1):
+                if p not in odd:
+                    odd[p] = A_depth1(2 * p + 1, 2, tau, ctx)
                 total += (
                     sign
                     * 2
                     * mp.binomial(n1 + n2 - 2 * p - 2, nb - 1)
                     * zeta_norm(n1 + n2 - 2 * p - 1)
-                    * A_depth1(2 * p + 1, 2, tau, ctx)
+                    * odd[p]
                 )
         return total
 

@@ -57,10 +57,13 @@ class ZetaLinExponent:
         with ctx.workprec():
             s = mp.mpmathify(s)
             t = mp.mpmathify(t)
+            deg = max((max(k) for poly in self.coeffs.values() for k in poly), default=0)
+            sp = [s**a for a in range(deg + 1)]
+            tp = [t**b for b in range(deg + 1)]
             total = mp.mpf(0)
             for n, poly in sorted(self.coeffs.items()):
                 z = mp.zeta(n)
-                total += z * sum(c * s**a * t**b for (a, b), c in poly.items())
+                total += z * sum(c * sp[a] * tp[b] for (a, b), c in poly.items())
             return total
 
     def __repr__(self):

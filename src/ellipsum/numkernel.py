@@ -17,6 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath as mp
 
@@ -202,30 +203,42 @@ def zeta_int(n: int, ctx: PrecisionCtx):
         return +val
 
 
-def _li_half(exponents, dps: int):
+def _li_half_many(exponent_tuples: set, dps: int) -> dict:
     """Li_{m1,...,ms}(1/2) = sum over n1 > n2 > ... > ns >= 1 of
-    (1/2)^{n1} / prod(n_i^{m_i}), by a cumulative-sum recursion."""
+    (1/2)^{n1} / prod(n_i^{m_i}) for each exponent tuple, keyed by tuple.
+
+    Cumulative-sum recursion on Python ints scaled by 2^prec: ``inner[tail]``
+    holds, for n1 = 1..n_terms, the sum over chains below n1 of the product
+    of the tail's factors. Tuples with the same tail share its array, and
+    each array extends the one of its own tail by one exponent, so they are
+    built shortest tail first. Every floor division and the ``>> n1`` weight
+    drop less than one unit of 2^-prec; the 32 bits beyond the working
+    precision cover their sum over all terms and levels.
+    """
     n_terms = int(3.33 * dps) + 25
+    prec = int(3.33 * (dps + 10)) + 32
+    # powers[m][i] = (i + 1) ** m, the divisor at index n = i + 1
+    powers = {
+        m: [j**m for j in range(1, n_terms + 1)]
+        for m in {m for e in exponent_tuples for m in e}
+    }
+    tails = {e[k:] for e in exponent_tuples for k in range(1, len(e))}
+    inner = {(): [1 << prec] * n_terms}
+    for tail in sorted(tails, key=len):
+        below = inner[tail[1:]]
+        inner[tail] = [
+            0,
+            *accumulate(a // b for a, b in zip(below[:-1], powers[tail[0]])),
+        ]
+    values = {}
     with mp.workdps(dps + 10):
-        # inner[j] = sum over chains with largest index exactly j of the
-        # product of the remaining factors (excluding the x^{n1} weight).
-        inner = [mp.mpf(1)] * (n_terms + 1)
-        for m in reversed(exponents[1:]):
-            cum = mp.mpf(0)
-            new = [mp.mpf(0)] * (n_terms + 1)
-            for j in range(1, n_terms + 1):
-                new[j] = cum
-                cum += inner[j] / mp.mpf(j) ** m
-            inner = new
-        half = mp.mpf(1) / 2
-        m1 = exponents[0]
-        total = mp.mpf(0)
-        power = mp.mpf(1)
-        # accumulate smallest terms first is unnecessary at guarded precision
-        for j in range(1, n_terms + 1):
-            power *= half
-            total += power * inner[j] / mp.mpf(j) ** m1
-        return total
+        for e in exponent_tuples:
+            total = sum(
+                (a // b) >> n
+                for n, a, b in zip(range(1, n_terms + 1), inner[e[1:]], powers[e[0]])
+            )
+            values[e] = mp.ldexp(mp.mpf(total), -prec)
+    return values
 
 
 def _word_groups(w) -> tuple[int, ...]:
@@ -246,7 +259,13 @@ def _word_groups(w) -> tuple[int, ...]:
 def mzv(idx, ctx: PrecisionCtx):
     """Multiple zeta value of an admissible index, increasing-argument
     convention, via the Hoelder convolution at 1/2 (every factor is a rapidly
-    convergent multiple polylogarithm at 1/2)."""
+    convergent multiple polylogarithm at 1/2).
+
+    All 2(n+1) polylogarithms of a weight-n word are computed in one pass in
+    binary fixed point, sharing the cumulative sums of common exponent tails;
+    the result depends only on the index and ``ctx.dps``, never on the
+    ambient mpmath precision.
+    """
     idx = MZVIndex(idx)
     if not idx.admissible:
         raise ValueError(f"index {tuple(idx)} is not admissible")
@@ -256,15 +275,20 @@ def mzv(idx, ctx: PrecisionCtx):
 @functools.lru_cache(maxsize=None)
 def _mzv_cached(idx: tuple, dps: int):
     w = word_from_index(idx)
-    n = len(w)
+    # (suffix, dual) exponent tuples of each split; () stands for the factor 1
+    pairs = [
+        (
+            _word_groups(w[j:]),
+            _word_groups(tuple(1 - a for a in reversed(w[:j]))),
+        )
+        for j in range(len(w) + 1)
+    ]
+    li = _li_half_many({e for pair in pairs for e in pair if e}, dps)
     with mp.workdps(dps + 10):
+        li[()] = mp.mpf(1)
         total = mp.mpf(0)
-        for j in range(n + 1):
-            suffix = w[j:]
-            dual = tuple(1 - a for a in reversed(w[:j]))
-            left = _li_half(_word_groups(suffix), dps) if suffix else mp.mpf(1)
-            right = _li_half(_word_groups(dual), dps) if dual else mp.mpf(1)
-            total += left * right
+        for left, right in pairs:
+            total += li[left] * li[right]
         return +total
 
 

@@ -12,6 +12,7 @@ from ellipsum.numkernel import (
     BinaryWord,
     MZVIndex,
     PrecisionCtx,
+    _mzv_cached,
     bernoulli_number,
     bernoulli_periodic,
     bernoulli_poly,
@@ -154,3 +155,65 @@ def test_shuffle_counts_property(a, b):
     counts = shuffle(w1, w2)
     assert sum(counts.values()) == math.comb(len(w1) + len(w2), len(w1))
     assert all(len(w) == len(w1) + len(w2) for w in counts)
+
+
+CTX60 = PrecisionCtx(digits=60)
+
+
+def _close(value, reference, ctx):
+    return abs(value - reference) <= ctx.eps * abs(reference)
+
+
+def test_mzv_depth_one_matches_mpmath_zeta():
+    with CTX60.workprec():
+        for k in range(2, 15):
+            assert _close(mzv((k,), CTX60), mp.zeta(k), CTX60), k
+
+
+def test_mzv_depth_two_stuffle_against_mpmath_zeta():
+    # zeta(r) zeta(s) = zeta(r,s) + zeta(s,r) + zeta(r+s) for r + s <= 12
+    with CTX60.workprec():
+        for r in range(2, 11):
+            for s in range(2, 13 - r):
+                total = sum(c * mzv(idx, CTX60) for idx, c in stuffle((r,), (s,)).items())
+                assert _close(total, mp.zeta(r) * mp.zeta(s), CTX60), (r, s)
+
+
+def test_mzv_duality_with_single_zeta():
+    # zeta(1, ..., 1, 2) of weight n is dual to zeta(n); up to depth 11
+    ctx = PrecisionCtx(digits=100)
+    with ctx.workprec():
+        for n in range(3, 13):
+            assert _close(mzv((1,) * (n - 2) + (2,), ctx), mp.zeta(n), ctx), n
+
+
+def _compositions(weight, depth):
+    if depth == 1:
+        yield (weight,)
+        return
+    for k in range(1, weight - depth + 2):
+        for rest in _compositions(weight - k, depth - 1):
+            yield (k,) + rest
+
+
+@pytest.mark.parametrize("weight, depth", [(8, 3), (9, 4)])
+def test_mzv_sum_theorem(weight, depth):
+    # the admissible indices of a given weight and depth sum to zeta(weight)
+    with CTX60.workprec():
+        total = sum(
+            mzv(idx, CTX60) for idx in _compositions(weight, depth) if idx[-1] >= 2
+        )
+        assert _close(total, mp.zeta(weight), CTX60)
+
+
+def test_mzv_ignores_ambient_precision_and_cache_order():
+    indices = [(2,), (1, 2), (3, 5, 3), (2, 2, 7), (1, 1, 1, 4), (2, 9)]
+
+    def values(order, ambient_dps):
+        _mzv_cached.cache_clear()
+        with mp.workdps(ambient_dps):
+            return {idx: mzv(idx, CTX60) for idx in order}
+
+    low = values(indices, 15)
+    high = values(list(reversed(indices)), 200)
+    assert all(low[idx] == high[idx] for idx in indices)
