@@ -26,7 +26,7 @@ import mpmath as mp
 
 from . import eisenstein, emzv, genus0, mgf
 from .laurent import LaurentPoly
-from .numkernel import PrecisionCtx, _bern
+from .numkernel import PrecisionCtx
 from .qseries import GuardError, QTauSeries, auto_q_order, eval_at
 
 __all__ = ["run", "main"]
@@ -361,8 +361,11 @@ def _verify_emzv(ctx: PrecisionCtx) -> list:
     checks = []
     tau = mp.mpc("0.2", "1.1")
     with ctx.workprec():
-        lhs = emzv.A_len1(4)
-        rhs = 2j * mp.pi * _bern(4) / 24
+        # the length-one q-series at k = 2 against Euler's formula
+        # B_2k/(2k)! = (-1)^(k+1) 2 zeta(2k)/(2 pi)^2k, not Bernoulli numbers
+        k = 2
+        lhs = emzv.A_depth1(2 * k, 1, tau, ctx)
+        rhs = 2j * mp.pi * (-1) ** (k + 1) * 2 * mp.zeta(2 * k) / (2 * mp.pi) ** (2 * k)
         checks.append(("length-one constant n=4", abs(lhs - rhs), 1e-25))
         a = emzv.A_depth1(3, 2, -1 / tau, ctx)
         b = emzv.B_depth1(3, 2, tau, ctx)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numkernel import MZVIndex, PrecisionCtx, mzv, zeta_int
 from .laurent import LaurentPoly
@@ -610,81 +611,118 @@ def _shat_table(m: int, L: int) -> np.ndarray:
     return out
 
 
-def _c_vec(m: int, a: int, L: int, shat: np.ndarray) -> np.ndarray:
-    """c_m(l + a, l) for l = 0..L, where c_m(u, v) = sum_r C(m,r) S_r(u) S_{m-r}(v).
+_R_BLOCK = 64
 
-    ``shat`` must cover column indices up to L + a."""
-    if m == 0:
-        v = np.zeros(L + 1)
-        if a == 0:
-            v[0] = 1.0
-        return v
-    out = np.zeros(L + 1)
+
+def _c_rows(m: int, a0: int, a1: int, shat: np.ndarray) -> np.ndarray:
+    """c_m(l + a, l) for layers a = a0..a1-1 (rows) and l = 0..L (columns),
+    where c_m(u, v) = sum_r C(m,r) S_r(u) S_{m-r}(v); ``shat`` covers
+    columns 0..2L and rows 0..m."""
+    L = (shat.shape[1] - 1) // 2
+    out = np.zeros((a1 - a0, L + 1))
     for r in range(m + 1):
-        out += math.comb(m, r) * shat[r, a : a + L + 1] * shat[m - r, : L + 1]
+        window = sliding_window_view(shat[r], L + 1)[a0:a1]
+        out += math.comb(m, r) * window * shat[m - r, : L + 1]
     return out
 
 
-def _R_at_cutoff(m1, m2, m3, alpha, beta, L) -> float:
-    shats = {m: _shat_table(m, L + L) for m in {m1, m2, m3}}
+def _R_layers(keys, L: int) -> dict:
+    """Layered sums R_L = sum_{a=0..L} w_a sum_l c1 T2 T3 / 2^(alpha+beta),
+    w_0 = 1 and w_a = 2, for many keys (m1, m2, m3, alpha, beta) at once.
 
-    def cvec(m, a):
-        return _c_vec(m, a, L, shats[m])
+    T(a, l1) = sum_{l2} c_m(l2 + a, l2) K[a + l1 + l2] with K[s] = s^-e
+    (K[0] = 0), or the row sum when e = 0.  Layers are taken in blocks of
+    _R_BLOCK rows; in each block K[a0 : a1 + 2L] is transformed once per
+    exponent, and each distinct (m, e) correlation is one rfft/irfft pair
+    of the reversed c rows, shared by every key that uses it.  The circular
+    length 2L + rows leaves the gathered outputs free of aliasing."""
+    keys = list(dict.fromkeys(keys))
+    shat = _shat_table(max(max(k[:3]) for k in keys), 2 * L)
+    groups = sorted({m for k in keys for m in k[:3]})
+    corrs = sorted({(k[1], k[3]) for k in keys} | {(k[2], k[4]) for k in keys})
+    kernel = {}
+    s = np.arange(1, 3 * L + 1, dtype=float)
+    for e in {e for _, e in corrs if e}:
+        kernel[e] = np.zeros(3 * L + 1)
+        np.power(s, -float(e), out=kernel[e][1:])
+    totals = dict.fromkeys(keys, 0.0)
+    for a0 in range(0, L + 1, _R_BLOCK):
+        a1 = min(a0 + _R_BLOCK, L + 1)
+        rows = a1 - a0
+        n = _next_fast_len(2 * L + rows)
+        gather = np.arange(rows)[:, None] + np.arange(L, 2 * L + 1)
+        C = {m: _c_rows(m, a0, a1, shat) for m in groups}
+        kf = {e: np.fft.rfft(K[a0 : a1 + 2 * L], n) for e, K in kernel.items()}
+        cf = {}
+        T = {}
+        for m, e in corrs:
+            if e == 0:
+                T[m, e] = C[m].sum(axis=1, keepdims=True)
+                continue
+            if m not in cf:
+                cf[m] = np.fft.rfft(C[m][:, ::-1], n, axis=1)
+            G = np.fft.irfft(cf[m] * kf[e], n, axis=1)
+            T[m, e] = np.take_along_axis(G, gather, axis=1)
+        w = np.full(rows, 2.0)
+        if a0 == 0:
+            w[0] = 1.0
+        for key in keys:
+            m1, m2, m3, alpha, beta = key
+            totals[key] += float(w @ (C[m1] * T[m2, alpha] * T[m3, beta]).sum(axis=1))
+    return {k: t / 2.0 ** (k[3] + k[4]) for k, t in totals.items()}
 
-    def kernel(a, expo):
-        s = np.arange(0, 2 * L + 1, dtype=float) + a
-        out = np.ones_like(s)
-        if expo:
-            np.power(s, -float(expo), out=out, where=s > 0)
-            if a == 0:
-                # the s = 0 slot is only ever paired with c_m(0, 0), which
-                # vanishes for every nonempty group
-                out[0] = 0.0
-        return out
 
-    def corr(vec, k):
-        # T[l1] = sum_{l2} vec[l2] * k[l1 + l2]
-        return fftconvolve(vec[::-1], k)[L : 2 * L + 1]
+def _R_values(keys, cutoff: int) -> dict:
+    """Extrapolated R for each key from one _R_layers call per cutoff.
 
-    def layer(a):
-        v1 = cvec(m1, a)
-        v2 = cvec(m2, a)
-        v3 = cvec(m3, a)
-        if alpha == 0:
-            T2 = np.full(L + 1, v2.sum())
+    Every key is evaluated at L/4, L/2 and L.  A key with alpha*beta = 0
+    whose observed ratio d2/d1 lies in (3/8, 1) has a 1/L tail: it gets one
+    more level at L/8 and a fit of value + log L/L + 1/L + 1/L^2 over the
+    four cutoffs.  Every other key takes the geometric-ratio Richardson
+    step."""
+    cuts = (cutoff // 4, cutoff // 2, cutoff)
+    levels = [_R_layers(keys, L) for L in cuts]
+    out = {}
+    slow = []
+    for key in levels[0]:
+        v0, v1, v2 = (lv[key] for lv in levels)
+        d1, d2 = v1 - v0, v2 - v1
+        ratio = d2 / d1 if d1 else 0.0
+        if key[3] * key[4] == 0 and 3 / 8 < ratio < 1 and cutoff >= 8:
+            slow.append(key)
+        elif not 0 < ratio < 1:
+            out[key] = v2
         else:
-            T2 = corr(v2, kernel(a, alpha))
-        if beta == 0:
-            T3 = np.full(L + 1, v3.sum())
-        else:
-            T3 = corr(v3, kernel(a, beta))
-        return float(np.sum(v1 * T2 * T3))
-
-    total = layer(0)
-    for a in range(1, L + 1):
-        total += 2.0 * layer(a)
-    return total / 2.0 ** (alpha + beta)
+            out[key] = v2 + d2 * ratio / (1.0 - ratio)
+    if slow:
+        eighth = _R_layers(slow, cutoff // 8)
+        c = np.array([cutoff // 8, *cuts], dtype=float)
+        design = np.stack([np.ones(4), -np.log(c) / c, -1 / c, -1 / c**2], axis=1)
+        for key in slow:
+            vals = [eighth[key]] + [lv[key] for lv in levels]
+            out[key] = float(np.linalg.solve(design, vals)[0])
+    return out
 
 
 def R_structured(m1: int, m2: int, m3: int, alpha: int, beta: int,
                  cutoff: int = 2000, ctx: PrecisionCtx | None = None) -> float:
-    """Layered evaluation R = R_0 + 2 R_{>0} over per-layer coefficient
-    vectors c_m(l+a, l), with FFT correlations for the coupled denominators.
+    """Layered evaluation R = R_0 + 2 R_{>0} over the coefficients
+    c_m(l+a, l), with FFT correlations for the coupled denominators.
 
-    The truncation error decays polynomially in the cutoff (only like 1/L
-    when alpha or beta is 0), so a three-point geometric-ratio Richardson
-    extrapolation over cutoffs L/4, L/2, L is applied."""
+    The layers are evaluated in blocks of rows: per block, one transform of
+    the kernel segment per exponent and one rfft/irfft pair per distinct
+    (group size, exponent) correlation, shared by all keys of a batch
+    (``d3pt`` evaluates all its R-sums in one such pass per cutoff).
+
+    The truncation error decays polynomially in the cutoff L.  A three-point
+    geometric-ratio Richardson extrapolation over L/4, L/2, L is applied,
+    except when alpha or beta is 0 and the observed ratio shows a 1/L tail
+    (ratio in (3/8, 1)): then value + log L/L + 1/L + 1/L^2 is fitted over
+    L/8, L/4, L/2, L."""
     if min(alpha, beta) < 0:
         raise ValueError("alpha, beta must be >= 0")
-    vals = [
-        _R_at_cutoff(m1, m2, m3, alpha, beta, L)
-        for L in (cutoff // 4, cutoff // 2, cutoff)
-    ]
-    d1, d2 = vals[1] - vals[0], vals[2] - vals[1]
-    if d2 == 0 or d1 == 0 or d2 / d1 <= 0 or d2 / d1 >= 1:
-        return vals[2]
-    ratio = d2 / d1  # ~ 2^{-p}
-    return vals[2] + d2 * ratio / (1.0 - ratio)
+    key = (m1, m2, m3, alpha, beta)
+    return _R_values([key], cutoff)[key]
 
 
 def R_direct(m1: int, m2: int, m3: int, alpha: int, beta: int, cutoff: int) -> float:
@@ -834,8 +872,9 @@ def _m_ok_B(m) -> bool:
     return True
 
 
-def _dB_ordered(l, cutoff, ctx) -> LaurentPoly:
-    coeffs: dict[int, mp.mpf] = {}
+def _dB_terms(l):
+    """(e_pow, coefficient, R key) of each coupled term; the term adds
+    coefficient * R(key) * 2^e_pow at y^e_pow."""
     for a, b, c, m in _vec_compositions(l, 4):
         if not _m_ok_B(m):
             continue
@@ -847,18 +886,15 @@ def _dB_ordered(l, cutoff, ctx) -> LaurentPoly:
                 f = 2 * a[0] + b[0] + u - e
                 alpha = 2 * a[1] + b[1] + v + f + 1
                 beta = e + 1
-                rval = _R_cached(m[0], m[1], m[2], alpha, beta, cutoff)
-                term = (
+                coef = (
                     base
                     * (-1) ** v
                     * mp.factorial(2 * a[2] + b[2])
                     * mp.factorial(2 * a[0] + b[0] + u)
                     * mp.factorial(2 * a[1] + b[1] + v + f)
                     / (mp.factorial(u) * mp.factorial(v) * mp.factorial(f))
-                    * rval
                 )
-                coeffs[e_pow] = coeffs.get(e_pow, mp.mpf(0)) + term * mp.mpf(2) ** e_pow
-    return LaurentPoly(coeffs, variable="y")
+                yield e_pow, coef, (m[0], m[1], m[2], alpha, beta)
 
 
 def _dC_ordered(l, ctx) -> LaurentPoly:
@@ -893,9 +929,8 @@ def _dC_ordered(l, ctx) -> LaurentPoly:
     return LaurentPoly(coeffs, variable="y")
 
 
-@functools.lru_cache(maxsize=None)
-def _R_cached(m1, m2, m3, alpha, beta, cutoff):
-    return R_structured(m1, m2, m3, alpha, beta, cutoff)
+# R values of d3pt, keyed on ((m1, m2, m3, alpha, beta), cutoff)
+_R_cache: dict = {}
 
 
 def d3pt(l1: int, l2: int, l3: int, ctx: PrecisionCtx | None = None,
@@ -909,8 +944,19 @@ def d3pt(l1: int, l2: int, l3: int, ctx: PrecisionCtx | None = None,
     l = (l1, l2, l3)
     with ctx.workprec():
         out = _dA(l, ctx)
-        for perm in [(0, 1, 2), (1, 0, 2), (2, 1, 0)]:
-            out = out.add(_dB_ordered(tuple(l[i] for i in perm), cutoff, ctx))
+        terms = [list(_dB_terms(tuple(l[i] for i in perm)))
+                 for perm in [(0, 1, 2), (1, 0, 2), (2, 1, 0)]]
+        missing = {key for ts in terms for _, _, key in ts
+                   if (key, cutoff) not in _R_cache}
+        if missing:
+            for key, rval in _R_values(sorted(missing), cutoff).items():
+                _R_cache[key, cutoff] = rval
+        for ts in terms:
+            coeffs: dict[int, mp.mpf] = {}
+            for e_pow, coef, key in ts:
+                term = coef * _R_cache[key, cutoff]
+                coeffs[e_pow] = coeffs.get(e_pow, mp.mpf(0)) + term * mp.mpf(2) ** e_pow
+            out = out.add(LaurentPoly(coeffs, variable="y"))
         for perm in [(0, 1, 2), (1, 0, 2), (2, 0, 1)]:
             out = out.add(_dC_ordered(tuple(l[i] for i in perm), ctx))
         # drop numerically-zero residue entries

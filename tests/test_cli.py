@@ -12,6 +12,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
+from ellipsum import emzv
 from ellipsum.cli import build_parser, parse_complex, parse_tau, run
 from ellipsum.emzv import A_depth1
 from ellipsum.numkernel import PrecisionCtx
@@ -147,6 +148,22 @@ def test_verify_suite(capsys):
     assert rc == 0
     assert list(doc) == ["suite", "checks", "precision_digits", "elapsed_ms"]
     assert all(chk["pass"] for chk in doc["checks"])
+
+
+def test_verify_emzv_length_one_check_can_fail(monkeypatch, capsys):
+    rc, doc = _run_json(capsys, ["verify", "--suite", "emzv"])
+    assert rc == 0 and all(chk["pass"] for chk in doc["checks"])
+    real = emzv.A_depth1
+
+    def wrong(n, r, tau=None, ctx=None, q_order=None):
+        value = real(n, r, tau, ctx, q_order)
+        return value * (1 + mp.mpf("1e-20")) if r == 1 else value
+
+    monkeypatch.setattr(emzv, "A_depth1", wrong)
+    rc, doc = _run_json(capsys, ["verify", "--suite", "emzv"])
+    assert rc == 1
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == [
+        "emzv: length-one constant n=4"]
 
 
 def test_config_default_and_override(tmp_path, capsys):

@@ -21,7 +21,7 @@ from ellipsum.mgf import (
     identity_suite,
     laplace_fd,
 )
-from ellipsum.numkernel import PrecisionCtx
+from ellipsum.numkernel import PrecisionCtx, mzv
 
 CTX = PrecisionCtx(digits=30)
 
@@ -117,6 +117,95 @@ def test_R_oracle_values():
             ref = float(2 ** (1 - a - b) * mp.zeta(3 + a + b))
             assert abs(R_structured(1, 1, 1, a, b, cutoff=800) - ref) < 1e-6
             assert abs(R_direct(1, 1, 1, a, b, 400) - ref) < 1e-3
+
+
+def _R_closed_form(m, alpha, beta):
+    w = alpha + beta
+    if m == (1, 1, 1):
+        return 2 ** (1 - w) * mp.zeta(3 + w)
+    if m == (0, 2, 2):
+        return mp.mpf(2) ** (2 - w) * mp.zeta(alpha + 2) * mp.zeta(beta + 2)
+    if m == (2, 1, 1):
+        # repo mzv convention (increasing arguments)
+        return mp.mpf(2) ** (2 - w) * (3 * mzv((1, 3 + w), CTX) + mzv((2, 2 + w), CTX))
+    assert (m, alpha, beta) == ((1, 1, 2), 1, 0)
+    return 10 * mp.zeta(5) - 4 * mp.zeta(2) * mp.zeta(3)
+
+
+# geometric tails to 1e-8; the alpha*beta = 0 shapes with a 1/L tail to 2e-6
+@pytest.mark.parametrize("m,alpha,beta,tol", [
+    ((1, 1, 1), 1, 1, 1e-8), ((1, 1, 1), 2, 0, 1e-8), ((1, 1, 1), 0, 1, 1e-8),
+    ((1, 1, 1), 1, 2, 1e-8), ((1, 1, 1), 2, 2, 1e-8),
+    ((0, 2, 2), 1, 1, 1e-8), ((0, 2, 2), 2, 1, 1e-8),
+    ((0, 2, 2), 2, 0, 2e-6), ((0, 2, 2), 0, 1, 2e-6), ((0, 2, 2), 0, 0, 2e-6),
+    ((2, 1, 1), 1, 1, 1e-8), ((2, 1, 1), 1, 2, 1e-8), ((2, 1, 1), 3, 0, 1e-8),
+    ((2, 1, 1), 0, 1, 1e-8), ((2, 1, 1), 2, 2, 1e-8),
+    ((1, 1, 2), 1, 0, 2e-6),
+])
+def test_R_structured_closed_forms(m, alpha, beta, tol):
+    with CTX.workprec():
+        ref = float(_R_closed_form(m, alpha, beta))
+    assert abs(R_structured(*m, alpha, beta, cutoff=1000) - ref) < tol
+
+
+def _R_layers_reference(key, L):
+    """The truncated layered sum, one layer at a time, with the coupled
+    denominators as explicit Hankel matrix products."""
+    m1, m2, m3, alpha, beta = key
+    # S_r(u) = [x^u] (-log(1-x))^r for u = 0..2L
+    S = [[1.0] + [0.0] * (2 * L)]
+    for _ in range(max(key[:3])):
+        prev = S[-1]
+        S.append([sum(prev[v] / (u - v) for v in range(u)) for u in range(2 * L + 1)])
+    l = np.arange(L + 1)
+
+    def c(m, a):
+        return sum(math.comb(m, r) * np.array(S[r])[l + a] * np.array(S[m - r])[l]
+                   for r in range(m + 1))
+
+    def T(vec, a, e):
+        if e == 0:
+            return np.full(L + 1, vec.sum())
+        s = (a + l[:, None] + l[None, :]).astype(float)
+        K = np.zeros_like(s)
+        K[s > 0] = s[s > 0] ** -e
+        return K @ vec
+
+    total = 0.0
+    for a in range(L + 1):
+        layer = np.sum(c(m1, a) * T(c(m2, a), a, alpha) * T(c(m3, a), a, beta))
+        total += layer if a == 0 else 2 * layer
+    return total / 2 ** (alpha + beta)
+
+
+@pytest.mark.parametrize("L", [1, 2, 63, 64, 65, 130])
+def test_R_layers_matches_per_layer_reference(L):
+    # empty groups, zero exponents and shared (m, e) correlations in one batch
+    keys = [(1, 1, 1, 1, 1), (2, 1, 1, 0, 2), (0, 2, 2, 1, 0), (2, 2, 0, 1, 1),
+            (1, 2, 3, 2, 0), (2, 2, 2, 0, 0), (1, 2, 2, 1, 1), (0, 2, 2, 3, 1)]
+    got = mgf._R_layers(keys, L)
+    for key in keys:
+        ref = _R_layers_reference(key, L)
+        assert abs(got[key] - ref) <= 1e-13 * abs(ref), key
+
+
+def test_R_value_independent_of_batch_and_cache(monkeypatch):
+    cutoff = 120
+    keys = [(1, 1, 2, 1, 0), (0, 2, 2, 2, 0), (2, 1, 1, 1, 2), (1, 2, 1, 2, 1)]
+    alone = {key: R_structured(*key, cutoff=cutoff) for key in keys}
+    for batch in (keys, keys[::-1] + [(2, 2, 2, 1, 1), (0, 2, 2, 0, 1)]):
+        values = mgf._R_values(batch, cutoff)
+        assert all(values[key] == alone[key] for key in keys)
+    ctx = PrecisionCtx(digits=20)
+    with ctx.workprec():
+        monkeypatch.setattr(mgf, "_R_cache", {})
+        fresh = d3pt(1, 2, 2, ctx=ctx, cutoff=cutoff)
+        monkeypatch.setattr(mgf, "_R_cache", {})
+        d3pt(1, 1, 2, ctx=ctx, cutoff=cutoff)
+        reused = d3pt(1, 2, 2, ctx=ctx, cutoff=cutoff)
+    assert fresh.coeffs == reused.coeffs
+    for (key, cut), value in mgf._R_cache.items():
+        assert value == R_structured(*key, cutoff=cut)
 
 
 @pytest.mark.parametrize("L", [250, 500, 1000, 1010])
