@@ -133,7 +133,7 @@ def _R_closed_form(m, alpha, beta):
 
 
 # geometric tails to 1e-8; the alpha*beta = 0 shapes with a 1/L tail to 2e-6
-@pytest.mark.parametrize("m,alpha,beta,tol", [
+_R_CLOSED_CASES = [
     ((1, 1, 1), 1, 1, 1e-8), ((1, 1, 1), 2, 0, 1e-8), ((1, 1, 1), 0, 1, 1e-8),
     ((1, 1, 1), 1, 2, 1e-8), ((1, 1, 1), 2, 2, 1e-8),
     ((0, 2, 2), 1, 1, 1e-8), ((0, 2, 2), 2, 1, 1e-8),
@@ -141,7 +141,11 @@ def _R_closed_form(m, alpha, beta):
     ((2, 1, 1), 1, 1, 1e-8), ((2, 1, 1), 1, 2, 1e-8), ((2, 1, 1), 3, 0, 1e-8),
     ((2, 1, 1), 0, 1, 1e-8), ((2, 1, 1), 2, 2, 1e-8),
     ((1, 1, 2), 1, 0, 2e-6),
-])
+]
+
+
+@pytest.mark.parametrize("m,alpha,beta,tol", _R_CLOSED_CASES,
+                         ids=[f"{m[0]}{m[1]}{m[2]};{a}{b}" for m, a, b, _ in _R_CLOSED_CASES])
 def test_R_structured_closed_forms(m, alpha, beta, tol):
     with CTX.workprec():
         ref = float(_R_closed_form(m, alpha, beta))
