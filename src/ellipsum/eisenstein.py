@@ -315,14 +315,9 @@ def eis_nonholo(s: int, tau, ctx: PrecisionCtx, mode: str = "cusp", M: int = 100
         raise ValueError("s must be >= 2")
     tau = _check_tau(tau)
     if mode == "lattice":
-        t1, t2 = float(mp.re(tau)), float(mp.im(tau))
-        rng = np.arange(-M, M + 1)
-        m, n = np.meshgrid(rng, rng, indexing="ij")
-        norm2 = (m * t1 + n) ** 2 + (m * t2) ** 2
-        norm2[M, M] = 1.0
-        vals = norm2 ** (-s)
-        vals[M, M] = 0.0
-        return mp.mpf((t2 / np.pi) ** s * vals.sum())
+        from . import mgf
+
+        return mp.mpf(mgf.D_lattice(mgf.MultiGraph.cycle(s), tau, M))
     if mode != "cusp":
         raise ValueError("mode must be 'cusp' or 'lattice'")
     n = s

@@ -14,8 +14,6 @@ import functools
 import itertools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath as mp
@@ -36,37 +34,7 @@ __all__ = [
     "d3pt",
     "identity_suite",
     "laplace_fd",
-    "worker_count",
 ]
-
-
-def worker_count() -> int:
-    """Number of worker threads, from ELLIPSUM_THREADS (default 1)."""
-    try:
-        n = int(os.environ.get("ELLIPSUM_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-_CHUNK = 32
-
-
-def _parallel_sum(fn, items) -> float:
-    """sum(fn(x) for x in items), partitioned into fixed-size contiguous
-    chunks and reduced in chunk order, so the result is bit-identical for any
-    worker count."""
-    items = list(items)
-    chunks = [items[i : i + _CHUNK] for i in range(0, len(items), _CHUNK)]
-
-    def run(chunk):
-        return float(sum(fn(x) for x in chunk))
-
-    n = worker_count()
-    if n == 1 or len(chunks) < 2:
-        return float(sum(run(c) for c in chunks))
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return float(sum(ex.map(run, chunks)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -239,22 +207,20 @@ class MultiGraph:
 # lattice evaluation
 
 
-def _momentum_grid(tau, M: int):
-    """|m tau + n|^2 on the square window |m|,|n| <= M (origin at center)."""
+def _weights(tau, R: int, counts) -> dict:
+    """|m tau + n|^(-2k) on the square |m|, |n| <= R (origin at the center,
+    where the weight is 0), one grid per k in counts."""
     t1, t2 = float(mp.re(tau)), float(mp.im(tau))
-    m = np.arange(-M, M + 1)[:, None]
-    n = np.arange(-M, M + 1)[None, :]
-    return (m * t1 + n) ** 2 + (m * t2) ** 2
-
-
-def _group_weight(norm2, k: int):
-    """|omega|^{-2k} with the origin zeroed."""
-    M = (norm2.shape[0] - 1) // 2
-    w = np.zeros_like(norm2)
+    m = np.arange(-R, R + 1)[:, None]
+    n = np.arange(-R, R + 1)[None, :]
+    norm2 = (m * t1 + n) ** 2 + (m * t2) ** 2
     mask = np.ones(norm2.shape, dtype=bool)
-    mask[M, M] = False
-    w[mask] = norm2[mask] ** (-k)
-    return w
+    mask[R, R] = False
+    out = {}
+    for k in counts:
+        out[k] = np.zeros_like(norm2)
+        out[k][mask] = norm2[mask] ** (-k)
+    return out
 
 
 def _signatures(edges, block):
@@ -337,161 +303,54 @@ def _shifted(ext, delta, M):
     return ext[c + dm - M : c + dm + M + 1, c + dn - M : c + dn + M + 1]
 
 
-def _block_sum_d2(groups, tau, M: int, shifts=None):
-    """sum over two loop momenta of a product of grouped propagators.
-
-    shifts optionally adds a constant lattice offset (dm, dn) per group
-    (used by the depth-3 reduction)."""
-    norm2_ext = _momentum_grid(tau, 2 * M)
-    # group weights on the extended grid, one array per edge count
-    weight = {cnt: _group_weight(norm2_ext, cnt) for _, cnt in groups}
-    shifts = shifts or {}
-
-    sigs = [s for s, _ in groups]
-    if len(sigs) <= 3:
-        # try to express as a(p) b(q) c(p +/- q) with basis from the groups
-        for i in range(len(sigs)):
-            for j in range(len(sigs)):
-                if i == j:
-                    continue
-                u, v = sigs[i], sigs[j]
-                det = u[0] * v[1] - u[1] * v[0]
-                if det not in (1, -1):
-                    continue
-                rest = [k for k in range(len(sigs)) if k not in (i, j)]
-                ok = True
-                coeffs = []
-                for k in rest:
-                    w = sigs[k]
-                    a = (w[0] * v[1] - w[1] * v[0]) * det
-                    b = (u[0] * w[1] - u[1] * w[0]) * det
-                    if abs(a) != 1 or abs(b) != 1:
-                        ok = False
-                        break
-                    coeffs.append((k, a, b))
-                if not ok:
-                    continue
-                dA = shifts.get(i, (0, 0))
-                dB = shifts.get(j, (0, 0))
-                if max(abs(dA[0]), abs(dA[1]), abs(dB[0]), abs(dB[1])) > M:
-                    continue  # shift outside the extended window; use fallback
-                if rest:
-                    k, a, b = coeffs[0]
-                    if a != b:
-                        # substitute q -> -q so that c is evaluated on p + q;
-                        # the underlying grid is even, only the shift flips
-                        dB = (-dB[0], -dB[1])
-                A = _shifted(weight[groups[i][1]], dA, M)
-                B = _shifted(weight[groups[j][1]], dB, M)
-                conv = fftconvolve(A, B)  # indexed by p+q, |.|inf <= 2M
-                if not rest:
-                    return float(conv.sum())
-                k, a, b = coeffs[0]
-                dC = shifts.get(k, (0, 0))
-                # c(a*(p+q) + d) = c((p+q) + a*d) by central symmetry
-                dm, dn = a * dC[0], a * dC[1]
-                if (dm, dn) == (0, 0):
-                    Cext = weight[groups[k][1]]
-                else:
-                    W = 2 * M + max(abs(dm), abs(dn))
-                    Cext = _group_weight(_momentum_grid(tau, W), groups[k][1])
-                return float((conv * _shifted(Cext, (dm, dn), 2 * M)).sum())
-    # general fallback: loop over q, vectorized in p
-    exts = [weight[cnt] for _, cnt in groups]
-    coords = np.arange(-M, M + 1)
-    total = 0.0
-    p_groups = [(idx, s) for idx, (s, _) in enumerate(groups) if s[1] == 0]
-    pq_groups = [(idx, s) for idx, (s, _) in enumerate(groups) if s[1] != 0 and s[0] != 0]
-    q_groups = [(idx, s) for idx, (s, _) in enumerate(groups) if s[0] == 0]
-    base_p = np.ones((2 * M + 1, 2 * M + 1))
-    for idx, s in p_groups:
-        d = shifts.get(idx, (0, 0))
-        base_p = base_p * _shifted(exts[idx], d, M)
-    for qm in coords:
-        for qn in coords:
-            scal = 1.0
-            for idx, s in q_groups:
-                d = shifts.get(idx, (0, 0))
-                im = 2 * M + s[1] * qm + d[0]
-                jn = 2 * M + s[1] * qn + d[1]
-                if not (0 <= im <= 4 * M and 0 <= jn <= 4 * M):
-                    scal = 0.0
-                    break
-                scal *= exts[idx][im, jn]
-            if scal == 0.0:
-                continue
-            arr = base_p
-            for idx, s in pq_groups:
-                d = shifts.get(idx, (0, 0))
-                dm = s[1] * qm + d[0]
-                dn = s[1] * qn + d[1]
-                if abs(dm) > M or abs(dn) > M:
-                    # use larger extension lazily: skip (outside support)
-                    arr = None
-                    break
-                arr = arr * _shifted(exts[idx], (dm, dn), M)
-            if arr is None:
-                continue
-            total += scal * arr.sum()
-    return float(total)
-
-
 def _block_sum(groups, d: int, tau, M: int) -> float:
+    """Sum over loop momenta p_1..p_d, each with |p_k|_inf <= M, of the
+    product over groups (s, cnt) of |s . p|^(-2 cnt), a zero edge momentum
+    contributing 0.
+
+    A block of depth 2, and each point r of the third momentum of a depth-3
+    block, is sum_{p,q} A(p) B(q) C(p + sigma q): each group multiplies its
+    weight window, shifted by s_3 r, into the factor of its first two
+    signature entries (1, 0) -> A, (0, 1) -> B, (1, sigma) -> C, with the
+    scalar of (0, 0) taken into B, and the sum is one fftconvolve(A, B)
+    dotted with C."""
+    if d == 3 and M > 16:
+        raise ValueError("depth-3 lattice sums limited to M <= 16")
+    weight = _weights(tau, d * M, {cnt for _, cnt in groups})
     if d == 1:
-        k = sum(cnt for _, cnt in groups)
-        return float(_group_weight(_momentum_grid(tau, M), k).sum())
-    if d == 2:
-        return _block_sum_d2(groups, tau, M)
-    if d == 3:
-        if M > 16:
-            raise ValueError("depth-3 lattice sums limited to M <= 16")
-        coords = np.arange(-M, M + 1)
-        # split off the third loop momentum r
-        inner_groups = []
-        r_exp = []
+        ((_, cnt),) = groups
+        return float(weight[cnt].sum())
+    # The loop edges give (1, 0) and (0, 1).  A tree edge has (1, 1) or
+    # (1, -1) when it lies on both fundamental cycles; two fundamental cycles
+    # share one tree path, traversed in one relative orientation, so at most
+    # one of the two occurs, and it fixes sigma.
+    sigma = next((s[1] for s, _ in groups if s[0] and s[1]), 1)
+    radius = {(0, 0): 0, (1, 0): M, (0, 1): M, (1, sigma): 2 * M}
+    rs = itertools.product(range(-M, M + 1), repeat=2) if d == 3 else [(0, 0)]
+    total = 0.0
+    for rm, rn in rs:
+        f = {}
         for s, cnt in groups:
-            inner_groups.append(((s[0], s[1]), cnt))
-            r_exp.append(s[2])
-
-        def row(rm):
-            total = 0.0
-            for rn in coords:
-                scal = 1.0
-                shifts = {}
-                gsub = []
-                ok = True
-                for idx, ((s0, s1), cnt) in enumerate(inner_groups):
-                    c = r_exp[idx]
-                    if s0 == 0 and s1 == 0:
-                        if c == 0:
-                            ok = False  # would be a zero signature: impossible
-                            break
-                        t1, t2 = float(mp.re(tau)), float(mp.im(tau))
-                        q2 = (c * rm * t1 + c * rn) ** 2 + (c * rm * t2) ** 2
-                        if q2 == 0.0:
-                            scal = 0.0
-                            break
-                        scal *= q2 ** (-cnt)
-                    else:
-                        gsub.append(((s0, s1), cnt))
-                        if c:
-                            shifts[len(gsub) - 1] = (c * rm, c * rn)
-                if not ok or scal == 0.0:
-                    continue
-                total += scal * _block_sum_d2(gsub, tau, M, shifts=shifts)
-            return total
-
-        return _parallel_sum(row, coords)
-    raise ValueError("depth > 3 not supported")
+            key, c = s[:2], (s[2] if d == 3 else 0)
+            w = _shifted(weight[cnt], (c * rm, c * rn), radius[key])
+            f[key] = f[key] * w if key in f else w
+        B = f[0, 1] * f.get((0, 0), 1.0)
+        if sigma == -1:
+            B = B[::-1, ::-1]
+        total += (fftconvolve(f[1, 0], B) * f.get((1, sigma), 1.0)).sum()
+    return float(total)
 
 
 def D_lattice(g: MultiGraph, tau, M: int, ctx: PrecisionCtx | None = None,
               with_bound: bool = False):
     """Lattice-sum value of the modular graph function of g at cutoff M.
 
-    Momenta are enumerated per independent cycle (one per non-tree edge of a
-    lowest-index spanning tree); graphs with a bridge evaluate to exactly 0;
-    values factorize over biconnected blocks."""
+    The truncation: each biconnected block has one loop momentum per
+    non-tree edge of its lowest-index spanning tree, each edge carries the
+    signed sum of the momenta of the fundamental cycles through it, and every
+    loop momentum (m, n) runs over |m|, |n| <= M.  Blocks of depth 2 and 3
+    are summed as one FFT loop sum (see _block_sum).  Graphs with a bridge
+    evaluate to exactly 0; values factorize over biconnected blocks."""
     if not g.is_connected():
         raise ValueError("graph must be connected")
     edges = g.edge_list
@@ -545,7 +404,7 @@ def S_direct(m: int, n: int, cutoff: int) -> float:
                 )
             )
 
-        return 2.0 * _parallel_sum(row3, range(1, cutoff + 1))
+        return 2.0 * float(sum(row3(k1) for k1 in range(1, cutoff + 1)))
 
     def row4(a):
         k1 = ks[:, None]
@@ -559,7 +418,7 @@ def S_direct(m: int, n: int, cutoff: int) -> float:
         )
         return vals.sum()
 
-    return _parallel_sum(row4, ks)
+    return float(sum(row4(a) for a in ks))
 
 
 def _compositions_12(total: int):
@@ -725,45 +584,44 @@ def R_structured(m1: int, m2: int, m3: int, alpha: int, beta: int,
     return _R_values([key], cutoff)[key]
 
 
+def _k_table(m: int, C: int) -> np.ndarray:
+    """T[a + mC, s] = sum of 1/|k_1 ... k_m| over k in (Z*)^m with
+    |k_i| <= C, sum k = a and sum |k| = s; one pass per factor, each adding
+    the table shifted by (k, |k|) and divided by |k| for k = +-1..+-C."""
+    n = m * C
+    T = np.zeros((2 * n + 1, n + 1))
+    T[n, 0] = 1.0
+    for j in range(m):
+        # support after j passes: |a| <= jC, s <= jC
+        src = T[n - j * C : n + j * C + 1, : j * C + 1]
+        new = np.zeros_like(T)
+        for k in range(1, C + 1):
+            w = src / k
+            for a in (k, -k):
+                new[n - j * C + a : n + j * C + a + 1, k : j * C + k + 1] += w
+        T = new
+    return T
+
+
 def R_direct(m1: int, m2: int, m3: int, alpha: int, beta: int, cutoff: int) -> float:
     """Direct triple-constrained sum, truncated at |k_i| <= cutoff; grouped by
-    (common momentum a, per-group absolute-value sums)."""
+    (common momentum a, per-group absolute-value sums):
+    sum_a sum_{s1} T1[a, s1] (T2[a] @ H_alpha[s1]) (T3[a] @ H_beta[s1]) with
+    H_e[s1, s2] = (s1 + s2)^-e (0 at s1 + s2 = 0; row sums for e = 0)."""
     C = cutoff
+    A = min(m1, m2, m3) * C
+    tables = {m: _k_table(m, C)[m * C - A : m * C + A + 1] for m in {m1, m2, m3}}
+    T1 = tables[m1]
 
-    def group_tables(m):
-        # tab[a][s] = sum over k in (Z*)^m, sum k = a, ||k|| = s of 1/|k|
-        tabs = {}
-        for a in range(-m * C, m * C + 1):
-            tabs[a] = {}
-        if m == 0:
-            tabs = {0: {0: 1.0}}
-            return tabs
+    def coupled(T, e):
+        if e == 0:
+            return T.sum(axis=1, keepdims=True)
+        s = (np.arange(T1.shape[1])[:, None] + np.arange(T.shape[1])).astype(float)
+        H = np.zeros_like(s)
+        np.power(s, -float(e), out=H, where=s > 0)
+        return T @ H.T
 
-        def rec(depth, ssum, asum, prod):
-            if depth == m:
-                d = tabs.setdefault(asum, {})
-                d[ssum] = d.get(ssum, 0.0) + 1.0 / prod
-                return
-            for k in range(-C, C + 1):
-                if k == 0:
-                    continue
-                rec(depth + 1, ssum + abs(k), asum + k, prod * abs(k))
-
-        rec(0, 0, 0, 1.0)
-        return tabs
-
-    T1, T2, T3 = group_tables(m1), group_tables(m2), group_tables(m3)
-    total = 0.0
-    for a, d1 in T1.items():
-        d2 = T2.get(a)
-        d3 = T3.get(a)
-        if not d1 or not d2 or not d3:
-            continue
-        for s1, w1 in d1.items():
-            acc2 = sum(w2 / float(s1 + s2) ** alpha if alpha else w2 for s2, w2 in d2.items())
-            acc3 = sum(w3 / float(s1 + s3) ** beta if beta else w3 for s3, w3 in d3.items())
-            total += w1 * acc2 * acc3
-    return total
+    return float(np.sum(T1 * coupled(tables[m2], alpha) * coupled(tables[m3], beta)))
 
 
 # ---------------------------------------------------------------------------

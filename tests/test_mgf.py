@@ -1,6 +1,7 @@
 """Modular graph function checks: lattice sums, constrained sums, Laurent
 polynomials."""
 
+import itertools
 import math
 
 import mpmath as mp
@@ -84,22 +85,50 @@ def test_S_direct_guards_and_monotone_tail():
     assert vals[0] < vals[1] < vals[2]
 
 
-_K4 = MultiGraph.from_edges(4, [(i, j, 1) for i in range(4) for j in range(i + 1, 4)])
+def _graphs_up_to_4_vertices():
+    """Connected, bridgeless multigraphs on 2-4 labelled vertices with
+    multiplicities <= 2 whose blocks have depth <= 3."""
+    for n in (2, 3, 4):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mults in itertools.product(range(3), repeat=len(pairs)):
+            g = MultiGraph.from_edges(n, [(i, j, m) for (i, j), m in zip(pairs, mults)])
+            if not g.is_connected() or g.has_bridge():
+                continue
+            depth = max(mgf._signatures(g.edge_list, b)[1] for b in g.blocks())
+            if depth <= 3:
+                yield g, depth
 
 
-@pytest.mark.parametrize("compute,chunk", [
-    (lambda: S_direct(3, 1, 1800), mgf._CHUNK),
-    (lambda: S_direct(4, 1, 150), mgf._CHUNK),
-    # 13 rows at M = 6 fit in one default chunk; smaller chunks split them
-    (lambda: D_lattice(_K4, mp.mpc(0, 1), 6), 4),
-], ids=["S_direct(3)", "S_direct(4)", "D_lattice(K4)"])
-def test_thread_count_leaves_results_bit_identical(monkeypatch, compute, chunk):
-    monkeypatch.setattr(mgf, "_CHUNK", chunk)
-    results = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("ELLIPSUM_THREADS", threads)
-        results.append(compute())
-    assert results[0] == results[1]
+def _loop_momentum_sum(g, tau, M):
+    """The truncated graph value as a plain sum over every loop-momentum
+    tuple of each block, each loop momentum in |m|, |n| <= M."""
+    t1, t2 = float(mp.re(tau)), float(mp.im(tau))
+    value = (t2 / math.pi) ** g.weight
+    for block in g.blocks():
+        groups, d = mgf._signatures(g.edge_list, block)
+        axis = np.arange(-M, M + 1)
+        p = np.stack(np.meshgrid(*[axis] * (2 * d), indexing="ij"), -1).reshape(-1, d, 2)
+        term = np.ones(len(p))
+        for s, cnt in groups:
+            km, kn = np.einsum("ndc,d->cn", p, np.array(s))
+            zero = (km == 0) & (kn == 0)
+            norm2 = np.where(zero, 1.0, (km * t1 + kn) ** 2 + (km * t2) ** 2)
+            term *= np.where(zero, 0.0, norm2 ** -cnt)
+        value *= term.sum()
+    return value
+
+
+def test_D_lattice_matches_loop_momentum_brute_force():
+    tau = mp.mpc("0.13", "1.05")
+    graphs = list(_graphs_up_to_4_vertices())
+    assert [sum(d == k for _, d in graphs) for k in (1, 2, 3)] == [36, 57, 88]
+    misses = []
+    for g, _ in graphs:
+        ref = _loop_momentum_sum(g, tau, 2)
+        got = D_lattice(g, tau, 2)
+        if abs(got - ref) > 1e-13 * abs(ref):
+            misses.append((g.to_json(), got, ref))
+    assert not misses
 
 
 def test_S_zagier_matches_direct():
@@ -117,6 +146,41 @@ def test_R_oracle_values():
             ref = float(2 ** (1 - a - b) * mp.zeta(3 + a + b))
             assert abs(R_structured(1, 1, 1, a, b, cutoff=800) - ref) < 1e-6
             assert abs(R_direct(1, 1, 1, a, b, 400) - ref) < 1e-3
+
+
+def _R_direct_by_tuples(m1, m2, m3, alpha, beta, C):
+    """R_direct by recursion over every momentum tuple of each group."""
+    def table(m):
+        tab = {}
+
+        def rec(depth, s, a, prod):
+            if depth == m:
+                row = tab.setdefault(a, {})
+                row[s] = row.get(s, 0.0) + 1.0 / prod
+                return
+            for k in range(-C, C + 1):
+                if k:
+                    rec(depth + 1, s + abs(k), a + k, prod * abs(k))
+
+        rec(0, 0, 0, 1.0)
+        return tab
+
+    def coupled(row, s1, e):
+        return sum(w / (s1 + s) ** e if e else w for s, w in row.items() if s1 + s or not e)
+
+    T1, T2, T3 = table(m1), table(m2), table(m3)
+    return sum(w1 * coupled(T2[a], s1, alpha) * coupled(T3[a], s1, beta)
+               for a, row in T1.items() if a in T2 and a in T3
+               for s1, w1 in row.items())
+
+
+@pytest.mark.parametrize("m", [(1, 1, 1), (0, 1, 1), (1, 1, 2), (2, 2, 2)])
+def test_R_direct_matches_tuple_recursion(m):
+    for cutoff in (1, 3, 6):
+        for alpha, beta in [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1)]:
+            ref = _R_direct_by_tuples(*m, alpha, beta, cutoff)
+            got = R_direct(*m, alpha, beta, cutoff)
+            assert abs(got - ref) <= 1e-13 * abs(ref), (cutoff, alpha, beta)
 
 
 def _R_closed_form(m, alpha, beta):
