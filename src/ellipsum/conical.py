@@ -143,8 +143,8 @@ def _tail_extrapolate(ks, shells, K):
     for i, mdeg in enumerate((2, 3, 4)):
         a, b = coef[2 * i], coef[2 * i + 1]
         zt = mp.zeta(mdeg, K + 1)
-        # sum_{k>K} log k / k^m = -Z'(m) truncated: use derivative of Hurwitz
-        zlog = -mp.diff(lambda s: mp.zeta(s, K + 1), mdeg)
+        # sum_{k>K} log k / k^m = -d/ds zeta(s, K+1) at s = m
+        zlog = -mp.zeta(mdeg, K + 1, 1)
         tail += a * zlog + b * zt
     resid = float(np.abs(shells - B @ coef).max())
     return tail, resid

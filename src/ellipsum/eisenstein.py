@@ -10,7 +10,7 @@ cutoffs (sup-norm shells) are used wherever a cutoff appears.
 
 from __future__ import annotations
 
-import functools
+import itertools
 from fractions import Fraction
 
 import mpmath as mp
@@ -37,6 +37,8 @@ __all__ = [
     "d_ab_average",
 ]
 
+_MAX_TERMS = 200000  # iteration cap of _series_sum and _q_product
+
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -54,6 +56,41 @@ def _sigma_table(k: int, n_max: int) -> list[int]:
         for m in range(d, n_max + 1, d):
             arr[m] += dk
     return arr
+
+
+def _series_sum(terms, ctx, what):
+    """Sum ``(term, tail)`` pairs, tail bounding |sum of all later terms|, up to the
+    first tail <= 10^-dps max(1, |partial sum|); GuardError after _MAX_TERMS terms."""
+    eps = mp.mpf(10) ** (-ctx.dps)
+    total = 0
+    for _, (term, tail) in zip(range(_MAX_TERMS), terms):
+        total += term
+        if tail <= eps * max(1, abs(total)):
+            return total
+    raise GuardError(f"{what} did not converge")
+
+
+def _q_product(q, xs, ctx):
+    """prod_{j>=1} prod_{x in xs} (1 - x q^j), up to the first j where the later
+    factors move it by at most len(xs) max(1, |x|) |q|^{j+1}/(1 - |q|) <= 10^-dps."""
+    eps = mp.mpf(10) ** (-ctx.dps)
+    absq = abs(q)
+    bound = len(xs) * max(1, *map(abs, xs)) * absq / (1 - absq)
+    prod, qj = mp.mpc(1), q
+    for _ in range(_MAX_TERMS):
+        for x in xs:
+            prod *= 1 - x * qj
+        qj *= q
+        bound *= absq
+        if bound <= eps:
+            return prod
+    raise GuardError("q-product did not converge")  # pragma: no cover
+
+
+def _geometric_tail(b, ratio):
+    """Bound on the sum of all terms after one bounded by ``b`` when each
+    later term is at most ``ratio`` times the one before (inf if ratio >= 1)."""
+    return b * ratio / (1 - ratio) if ratio < 1 else mp.inf
 
 
 def _xi_split(xi, tau):
@@ -86,39 +123,23 @@ def _theta_band(xi, tau, ctx, mode):
     with ctx.workprec():
         q = mp.exp(2j * mp.pi * tau)
         u = mp.exp(2j * mp.pi * xi)
-        absq = abs(q)
-        eps = mp.mpf(10) ** (-ctx.dps)
         if mode == "product":
             # half-integer powers via exponentials (branch-free)
             uh = mp.exp(1j * mp.pi * xi)
-            val = mp.exp(1j * mp.pi * tau / 4) * (uh - 1 / uh)
-            j = 1
-            while True:
-                qj = q**j
-                val *= (1 - qj) * (1 - qj * u) * (1 - qj / u)
-                if absq**j * max(1, abs(u), abs(1 / u)) < eps and j > 3:
-                    break
-                j += 1
-                if j > 100000:  # pragma: no cover
-                    raise GuardError("theta product did not converge")
-            return val
-        # sum form: nu = n + 1/2, n >= 0, pairing +-nu
-        total = mp.mpc(0)
-        n = 0
-        while True:
-            nu = n + mp.mpf(1) / 2
-            term = (
-                (-1) ** n
-                * mp.exp(1j * mp.pi * tau * nu**2)
-                * (mp.exp(2j * mp.pi * xi * nu) - mp.exp(-2j * mp.pi * xi * nu))
-            )
-            total += term
-            if abs(term) < eps * max(1, abs(total)) and n > 2:
-                break
-            n += 1
-            if n > 10000:  # pragma: no cover
-                raise GuardError("theta sum did not converge")
-        return total
+            return mp.exp(1j * mp.pi * tau / 4) * (uh - 1 / uh) * _q_product(q, (1, u, 1 / u), ctx)
+        # sum form: nu = n + 1/2, n >= 0, pairing +-nu; |Im xi| < Im tau gives
+        # |term| <= 2 e^{pi(2 y nu - t nu^2)} with later ratios <= rho < 1
+        t, y = mp.im(tau), abs(mp.im(xi))
+        rho = mp.exp(2 * mp.pi * (y - t))
+
+        def terms():
+            for n in itertools.count():
+                nu = n + mp.mpf(1) / 2
+                term = (-1) ** n * mp.exp(1j * mp.pi * tau * nu**2) * (
+                    mp.exp(2j * mp.pi * xi * nu) - mp.exp(-2j * mp.pi * xi * nu))
+                yield term, _geometric_tail(2 * mp.exp(mp.pi * (2 * y * nu - t * nu**2)), rho)
+
+        return _series_sum(terms(), ctx, "theta sum")
 
 
 def theta(xi, tau, ctx: PrecisionCtx, mode: str = "product"):
@@ -149,14 +170,7 @@ def eta(tau, ctx: PrecisionCtx):
     tau = _check_tau(tau)
     with ctx.workprec():
         q = mp.exp(2j * mp.pi * tau)
-        absq = abs(q)
-        eps = mp.mpf(10) ** (-ctx.dps)
-        prod = mp.mpc(1)
-        n = 1
-        while absq**n > eps or n <= 3:
-            prod *= 1 - q**n
-            n += 1
-        return mp.exp(1j * mp.pi * tau / 12) * prod
+        return mp.exp(1j * mp.pi * tau / 12) * _q_product(q, (1,), ctx)
 
 
 def _dedekind_sum(d: int, c: int) -> Fraction:
@@ -199,8 +213,16 @@ def kronecker_F(xi, alpha, tau, ctx: PrecisionCtx):
 
 def f_n(n: int, xi, tau, ctx: PrecisionCtx):
     """Coefficient f_n of the Kronecker function,
-    F(xi, alpha) = sum_{n>=0} f_n(xi) (2 pi i alpha)^{n-1} ... in the band
-    0 <= Im xi < Im tau (1-periodic in Re xi)."""
+    F(xi, alpha) = sum_{n>=0} f_n(xi) (2 pi i alpha)^{n-1}, in the band
+    0 <= Im xi < Im tau (1-periodic in Re xi): f_0 = 2 pi i and, for n >= 1,
+    with u = e(xi), B_1 = -1/2 and 0^0 = 1,
+
+        f_n = 2 pi i/(n-1)! (B_n/n - sum_{p>=0} p^{n-1} u q^p/(1 - u q^p)
+                             - (-1)^n sum_{p>=1} p^{n-1} (q^p/u)/(1 - q^p/u)).
+
+    The p = 0 term (n = 1 only) is the pi cot(pi xi) pole.  In the band |u| <= 1
+    and rho = |q/u| < 1, so the p-th term is at most 2 p^{n-1} rho^p/(1 - rho),
+    and the sum stops once the tail of these bounds is below 10^-dps."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     tau = _check_tau(tau)
@@ -212,34 +234,20 @@ def f_n(n: int, xi, tau, ctx: PrecisionCtx):
         if n == 0:
             return mp.mpc(2j * mp.pi)
         q = mp.exp(2j * mp.pi * tau)
-        eps = mp.mpf(10) ** (-ctx.dps)
-        up = mp.exp(2j * mp.pi * xi)   # |up| = e^{-2 pi Im xi} <= 1
-        um = 1 / up                    # grows, compensated by q^m
-        if n == 1:
-            total = mp.pi * mp.cot(mp.pi * xi)
-            m = 1
-            while True:
-                qm = q**m
-                term = (up**m - um**m) * qm / (1 - qm)
-                total -= 2j * mp.pi * term
-                if (abs(up) ** m + abs(um * q) ** m) * abs(qm) < eps and m > 3:
-                    break
-                m += 1
-                if m > 200000:  # pragma: no cover
-                    raise GuardError("f_1 series did not converge")
-            return total
-        sign = (-1) ** n
-        acc = _bern(n) / n
-        m = 1
-        while True:
-            qm = q**m
-            inner = mp.polylog(1 - n, qm)  # sum_p p^{n-1} q^{mp}
-            acc -= (up**m + sign * um**m) * inner
-            if (abs(up) ** m + abs(um * q) ** m) * abs(qm) * 2 ** (n + 1) < eps and m > 3:
-                break
-            m += 1
-            if m > 200000:  # pragma: no cover
-                raise GuardError("f_n series did not converge")
+        u = mp.exp(2j * mp.pi * xi)
+        rho = abs(q / u)
+
+        def terms():
+            qp, bp = q, 2 * rho / (1 - rho)
+            for p in itertools.count(1):
+                a, b = u * qp, qp / u
+                term = p ** (n - 1) * (a / (1 - a) + (-1) ** n * b / (1 - b))
+                # |term| <= p^{n-1} bp, bp = 2 rho^p/(1 - rho); later ratios <= (1 + 1/p)^{n-1} rho
+                yield term, _geometric_tail(p ** (n - 1) * bp, ((p + 1) / p) ** (n - 1) * rho)
+                qp, bp = qp * q, bp * rho
+
+        pole = u / (1 - u) if n == 1 else 0
+        acc = _bern(n) / n - pole - _series_sum(terms(), ctx, "f_n series")
         return 2j * mp.pi / mp.factorial(n - 1) * acc
 
 
@@ -324,43 +332,35 @@ def eis_nonholo(s: int, tau, ctx: PrecisionCtx, mode: str = "cusp", M: int = 100
     with ctx.workprec():
         y = mp.pi * mp.im(tau)
         q = mp.exp(2j * mp.pi * tau)
+        absq = abs(q)
+        z = zeta_int(2 * n - 1, ctx)
         lead = (-1) ** (n - 1) * _bern(2 * n) / mp.factorial(2 * n) * (4 * y) ** n
-        sub = (
-            4
-            * mp.factorial(2 * n - 3)
-            / (mp.factorial(n - 2) * mp.factorial(n - 1))
-            * zeta_int(2 * n - 1, ctx)
-            * (4 * y) ** (1 - n)
-        )
-        eps = mp.mpf(10) ** (-ctx.dps)
-        expo = mp.mpc(0)
-        N = 1
-        while True:
-            # exact rational sigma_{1-2n}(N) = sigma_{2n-1}(N) / N^{2n-1}
-            sig_int = sum(d ** (2 * n - 1) for d in range(1, N + 1) if N % d == 0)
-            sig_neg = mp.mpf(sig_int) / mp.mpf(N) ** (2 * n - 1)
-            inner = mp.mpf(0)
-            for m_i in range(n):
-                inner += (
-                    mp.factorial(n + m_i - 1)
-                    / (mp.factorial(m_i) * mp.factorial(n - m_i - 1))
-                    * (4 * N * y) ** (-m_i)
-                )
-            term = (
-                2
-                / mp.factorial(n - 1)
-                * mp.mpf(N) ** (n - 1)
-                * sig_neg
-                * (q**N + mp.conj(q) ** N)
-                * inner
-            )
-            expo += term
-            if abs(term) < eps and N > 2:
-                break
-            N += 1
-            if N > 100000:  # pragma: no cover
-                raise GuardError("cusp expansion did not converge")
-        return mp.re(lead + sub + expo)
+        sub = (4 * mp.factorial(2 * n - 3) / (mp.factorial(n - 2) * mp.factorial(n - 1))
+               * z * (4 * y) ** (1 - n))
+        coef = [mp.factorial(n + m - 1) / (mp.factorial(m) * mp.factorial(n - m - 1))
+                for m in range(n)]
+
+        def inner(N):
+            return sum(c * (4 * N * y) ** (-m) for m, c in enumerate(coef))
+
+        # |term_N| <= K N^{n-1} |q|^N (sigma_{1-2n}(N) <= zeta(2n-1), inner(N) <= inner(1)); for
+        # N >= (n-1)/y its tail is <= C e^{-yN}, C = K ((n-1)/(e y))^{n-1}/(e^y - 1): sieve that far
+        K = 4 * z * inner(1) / mp.factorial(n - 1)
+        C = K * ((n - 1) / (mp.e * y)) ** (n - 1) / (mp.exp(y) - 1)
+        sig = _sigma_table(2 * n - 1, int(max(n - 1, mp.log(C) + ctx.dps * mp.ln10) / y) + 1)
+
+        def terms():
+            qN = q
+            for N in range(1, len(sig)):
+                # exact rational sigma_{1-2n}(N) = sigma_{2n-1}(N) / N^{2n-1}
+                sig_neg = mp.mpf(sig[N]) / mp.mpf(N) ** (2 * n - 1)
+                term = (2 / mp.factorial(n - 1) * mp.mpf(N) ** (n - 1) * sig_neg
+                        * (qN + mp.conj(qN)) * inner(N))
+                ratio = ((N + 1) / N) ** (n - 1) * absq
+                yield term, _geometric_tail(K * N ** (n - 1) * absq**N, ratio)
+                qN *= q
+
+        return mp.re(lead + sub + _series_sum(terms(), ctx, "cusp expansion"))
 
 
 # ---------------------------------------------------------------------------
@@ -401,27 +401,24 @@ def p_part(xi, tau, ctx: PrecisionCtx):
         t1, t2 = mp.re(tau), mp.im(tau)
         xi1 = s + r * t1
         x = r
-        eps = mp.mpf(10) ** (-ctx.dps)
         # leading layer: sum_k e(k xi1) e^{-2 pi t2 |k| x} / |k| = -2 log|1-z|
         z = mp.exp(2j * mp.pi * xi1) * mp.exp(-2 * mp.pi * t2 * x)
-        total = -2 * mp.log(abs(1 - z))
-        k = 1
-        while True:
-            a = 2 * mp.pi * t2 * k
-            contrib = mp.mpf(0)
-            for kk in (k, -k):
-                e_xi = mp.exp(2j * mp.pi * kk * xi1)
-                v = mp.exp(-2j * mp.pi * kk * t1) * mp.exp(-a)
-                w = mp.exp(2j * mp.pi * kk * t1) * mp.exp(-a)
-                corr = mp.exp(-a * x) * v / (1 - v) + mp.exp(a * x) * w / (1 - w)
-                contrib += mp.re(e_xi * corr) / k
-            total += contrib
-            if mp.exp(-a * (1 - x)) / k < eps and k > 2:
-                break
-            k += 1
-            if k > 200000:  # pragma: no cover
-                raise GuardError("propagator Fourier sum did not converge")
-        return total
+        c = mp.exp(-2 * mp.pi * t2 * (1 - x))
+
+        def terms():
+            for k in itertools.count(1):
+                a = 2 * mp.pi * t2 * k
+                contrib = mp.mpf(0)
+                for kk in (k, -k):
+                    e_xi = mp.exp(2j * mp.pi * kk * xi1)
+                    v = mp.exp(-2j * mp.pi * kk * t1) * mp.exp(-a)
+                    w = mp.exp(2j * mp.pi * kk * t1) * mp.exp(-a)
+                    corr = mp.exp(-a * x) * v / (1 - v) + mp.exp(a * x) * w / (1 - w)
+                    contrib += mp.re(e_xi * corr) / k
+                # 0 <= x <= 1/2: |contrib| <= 4 c^k/(k (1 - |q|)) <= 4 c^k/(k (1 - c)), ratios <= c
+                yield contrib, _geometric_tail(4 * c**k / (k * (1 - c)), c)
+
+        return -2 * mp.log(abs(1 - z)) + _series_sum(terms(), ctx, "propagator Fourier sum")
 
 
 # ---------------------------------------------------------------------------
@@ -476,42 +473,30 @@ def d_ab_average(a: int, b: int, xi, tau, ctx: PrecisionCtx):
         u = mp.exp(2j * mp.pi * xi)
         logq = mp.log(abs(q))
 
-        def D(uu):
-            logu = mp.log(abs(uu))
-            total = mp.mpc(0)
-            for aa, sign_sel, conj_sel in ((a, (-1) ** (a - 1), False), (b, (-1) ** (b - 1), True)):
-                for k in range(aa, r_weight + 1):
-                    li = mp.polylog(k, uu)
-                    if conj_sel:
-                        li = mp.conj(li)
-                    total += (
-                        sign_sel
-                        * 2 ** (r_weight - k)
-                        * mp.binomial(k - 1, aa - 1)
-                        * (-logu) ** (r_weight - k)
-                        / mp.factorial(r_weight - k)
-                        * li
-                    )
-            return total
+        def layers(z, sign):
+            # |Li_k(z)| <= |z|/(1 - |z|), so a layer is at most P |z|/(1 - |z|) with
+            # P = sum |c|, a degree <= r polynomial in lam = -log|z| with nonnegative
+            # coefficients: later layer ratios are <= |q| (1 - log|q|/lam)^r
+            for _ in itertools.count():
+                az = abs(z)
+                lam = -mp.log(az)
+                val, P = mp.mpc(0), 0
+                for aa, conj_sel in ((a, False), (b, True)):
+                    for k in range(aa, r_weight + 1):
+                        li = mp.polylog(k, z)
+                        if conj_sel:
+                            li = mp.conj(li)
+                        c = ((-1) ** (aa - 1) * 2 ** (r_weight - k) * mp.binomial(k - 1, aa - 1)
+                             * lam ** (r_weight - k) / mp.factorial(r_weight - k))
+                        val += c * li
+                        P += abs(c)
+                ratio = abs(q) * (1 - logq / lam) ** r_weight
+                yield sign * val, _geometric_tail(P * az / (1 - az), ratio)
+                z *= q
 
-        eps = mp.mpf(10) ** (-ctx.dps)
-        total = mp.mpc(0)
-        layer = 0
-        while True:
-            arg = q**layer * u
-            term = D(arg)
-            total += term
-            if abs(arg) ** 1 < eps and layer > 1:
-                break
-            layer += 1
-        layer = 1
-        while True:
-            arg = q**layer / u
-            term = (-1) ** (r_weight - 1) * D(arg)
-            total += term
-            if abs(arg) < eps and layer > 1:
-                break
-            layer += 1
+        total = _series_sum(layers(u, 1), ctx, "d_ab layer sum") + _series_sum(
+            layers(q / u, (-1) ** (r_weight - 1)), ctx, "d_ab layer sum"
+        )
         total += (
             (-2 * logq) ** r_weight
             / mp.factorial(r_weight + 1)

@@ -352,6 +352,7 @@ def B_depth1(n: int, r: int, tau, ctx: PrecisionCtx | None = None, q_order=None)
         two_pi_i = 2j * mp.pi
         total = B_inf_depth1(n, r - 1)(tv)
         for j in range(1, r):
+            gam = {k: eval_at(gammaL0(n + j, k, N), t, ctx) for k in range(1, n + j)}
             inner_j = mp.mpc(0)
             for i in range(j):
                 inner_i = mp.mpc(0)
@@ -360,7 +361,7 @@ def B_depth1(n: int, r: int, tau, ctx: PrecisionCtx | None = None, q_order=None)
                         (-1) ** (k - 1)
                         * tv ** (n - k)
                         / (two_pi_i ** (k - 1) * mp.factorial(n + i - k))
-                        * eval_at(gammaL0(n + j, k, N), t, ctx)
+                        * gam[k]
                     )
                 inner_j += (
                     (-1) ** (j - i - 1)

@@ -44,24 +44,22 @@ Rational = Fraction
 
 @dataclass(frozen=True)
 class PrecisionCtx:
-    """Target precision in decimal digits plus guard digits for intermediates.
+    """Target precision in decimal digits.
 
-    All numeric routines compute at ``digits + guard`` decimal places and are
-    expected to be accurate to roughly ``digits`` places.
+    All numeric routines compute at ``digits + 10`` decimal places (10 guard
+    digits for intermediates) and are expected to be accurate to roughly
+    ``digits`` places.
     """
 
     digits: int = 30
-    guard: int = 10
 
     def __post_init__(self) -> None:
         if self.digits < 10:
             raise ValueError("precision must be at least 10 digits")
-        if self.guard < 0:
-            raise ValueError("guard digits must be nonnegative")
 
     @property
     def dps(self) -> int:
-        return self.digits + self.guard
+        return self.digits + 10
 
     def workprec(self):
         """Context manager setting mpmath working precision."""

@@ -203,7 +203,7 @@ def reg_primitive(f: QTauSeries) -> QTauSeries:
 
 
 def auto_q_order(tau, ctx: PrecisionCtx) -> int:
-    """Smallest N with |q|**(N+1) <= 10**-(digits+guard)."""
+    """Smallest N with |q|**(N+1) <= 10**-dps."""
     t = as_tau(tau)
     with ctx.workprec():
         decay = 2 * mp.pi * mp.im(t.value) / mp.log(10)  # digits gained per power

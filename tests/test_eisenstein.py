@@ -1,9 +1,12 @@
 """Jacobi theta / Kronecker kernel / Eisenstein series checks."""
 
+import itertools
+
 import mpmath as mp
 import pytest
 
 from ellipsum.eisenstein import (
+    _series_sum,
     d_ab_average,
     e_ab,
     eis_E,
@@ -80,14 +83,26 @@ def test_kronecker_F_symmetry_and_pole():
         assert abs(small * kronecker_F(XI, small, TAU, CTX) - 1) < mp.mpf("1e-6")
 
 
-def test_f_expansion_of_kernel():
+@pytest.mark.parametrize(
+    "xi, al, n_max, tol",
+    [pytest.param(XI, "0.01", 12, "1e-20", id="base")]
+    # towards the band edge Im(xi) -> Im(tau), where the f_n series converges slowest
+    + [pytest.param(mp.mpc("0.31", rho * mp.im(TAU)), "1e-4", 14, "1e-25", id=f"band{rho}")
+       for rho in (0.5, 0.75, 0.95)],
+)
+def test_f_expansion_of_kernel(xi, al, n_max, tol):
     # F(xi, alpha) = sum_n f_n(xi) (2 pi i alpha)^(n-1), checked at small alpha
     with CTX.workprec():
-        al = mp.mpf("0.01")
+        al = mp.mpf(al)
         partial = sum(
-            f_n(n, XI, TAU, CTX) * (2j * mp.pi * al) ** (n - 1) for n in range(12)
+            f_n(n, xi, TAU, CTX) * (2j * mp.pi * al) ** (n - 1) for n in range(n_max)
         )
-        assert abs(partial - kronecker_F(XI, al, TAU, CTX)) < mp.mpf("1e-20")
+        assert abs(partial - kronecker_F(xi, al, TAU, CTX)) < mp.mpf(tol)
+
+
+def test_series_sum_cap_names_the_series():
+    with pytest.raises(GuardError, match="toy series did not converge"):
+        _series_sum(itertools.repeat((0, 1)), CTX, "toy series")
 
 
 def test_f_small_weights():
