@@ -253,7 +253,7 @@ _PRINT_SCIPY = ("import sys\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
 
 
-@pytest.mark.parametrize("module", ["ellipsum.cli", "ellipsum.mgf"])
+@pytest.mark.parametrize("module", ["ellipsum.cli", "ellipsum.mgf", "ellipsum.conical"])
 def test_import_loads_no_scipy(module):
     proc = _fresh_python(f"import {module}\n{_PRINT_SCIPY}")
     assert proc.returncode == 0, proc.stderr
@@ -266,6 +266,21 @@ def test_emzv_call_loads_no_scipy():
         "from ellipsum import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.run(['emzv', 'binf', '--n', '9', '--zeros', '5']) == 0\n"
+        + _PRINT_SCIPY)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_conical_calls_load_no_scipy():
+    # one matrix of each closed-form kind (hurwitz, psi) and the verify suite
+    proc = _fresh_python(
+        "import contextlib, io\n"
+        "from ellipsum import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['conical', 'zeta', '--matrix', '[[1,0],[1,2],[1,2]]', '--cutoff', '60'],\n"
+        "                 ['conical', 'zeta', '--matrix', '[[1,0],[0,1],[1,1]]', '--cutoff', '60'],\n"
+        "                 ['verify', '--suite', 'conical']):\n"
+        "        assert cli.run(argv) == 0\n"
         + _PRINT_SCIPY)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

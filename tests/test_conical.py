@@ -44,6 +44,88 @@ def test_bound_reported():
         assert abs(val - mp.zeta(3)) < 10 * bound + mp.mpf("1e-8")
 
 
+def test_closed_form_psi_kind():
+    # x0 is shared by the simple forms x0 and x0 + x1: a digamma difference
+    A = ConeMatrix([[1, 0], [0, 1], [1, 1]])
+    assert conical._pick_elimination(conical._grouped_forms(A), A.n)[0] == "psi"
+    with CTX.workprec():
+        val, bound = zeta_A(A, cutoff=200, ctx=CTX, with_bound=True)
+        assert abs(val - 2 * mp.zeta(3)) < bound
+
+
+def test_result_ignores_global_precision():
+    A = ConeMatrix([[1, 0], [1, 2], [1, 2]])
+    with mp.workdps(15):
+        low = zeta_A(A, cutoff=150, ctx=CTX)
+    with mp.workdps(30):
+        high = zeta_A(A, cutoff=150, ctx=CTX)
+    assert low == high
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_hurwitz_table(m, c):
+    Z = conical._hurwitz_table(m, c, 2000 + c, CTX)
+    with mp.workdps(20):
+        for o in range(2001):
+            ref = mp.zeta(m, mp.mpf(o) / c + 1) / mp.mpf(c) ** m
+            assert abs(Z[o + c] - ref) <= mp.mpf("1e-14") * ref, o
+
+
+def test_harmonic_table():
+    H = conical._harmonic_table(2000)
+    with CTX.workprec():
+        psi = [mp.psi(0, o + 1) for o in range(2001)]
+        for o1 in range(2001):
+            assert abs(H[o1] - (psi[o1] - psi[0])) <= mp.mpf("1e-14") * max(H[o1], 1)
+            # H[o1] - H[o2] carries the entries' own rounding, ~1e-15 H each,
+            # so near pairs are held to that scale rather than to their
+            # (small) difference
+            for o2 in {o1, o1 - 1, o1 - 7, o1 // 3, 0, 2000}:
+                o2 = max(o2, 0)
+                ref = psi[o1] - psi[o2]
+                assert abs(H[o1] - H[o2] - ref) <= mp.mpf("1e-14") * max(H[o1], H[o2], 1)
+
+
+def test_psi_factor_equal_and_far_offsets():
+    # summing x0 out of the forms x0 + x1 and x0 + x2 leaves offsets x1, x2
+    A = ConeMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    elim = conical._pick_elimination(conical._grouped_forms(A), A.n)
+    assert elim[:2] == ("psi", 0)
+    factor = conical._closed_form(elim, [1, 2], 2000, CTX)
+    x1 = np.array([1, 7, 500, 2000, 1, 2000, 3])
+    x2 = np.array([1, 7, 500, 2000, 2000, 1, 1500])
+    got = factor({1: x1, 2: x2})
+    with CTX.workprec():
+        for a, b, g in zip(x1.tolist(), x2.tolist(), got):
+            ref = (mp.psi(1, a + 1) if a == b
+                   else (mp.psi(0, a + 1) - mp.psi(0, b + 1)) / (a - b))
+            assert abs(g - ref) <= mp.mpf("1e-14") * ref, (a, b)
+
+
+def test_psi_factor_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    A = ConeMatrix([[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 0, 1],
+                    [1, 1, 0, 1]])
+    elim = conical._pick_elimination(conical._grouped_forms(A), A.n)
+    assert elim[0] == "psi"
+    keep = [j for j in range(A.n) if j != elim[1]]
+    (f1, _), (f2, _) = elim[2]
+    cutoff = 175
+    factor = conical._closed_form(elim, keep, cutoff, CTX)
+    branches = set()
+    for k in (1, 2, 10, 60, cutoff):
+        cols = dict(zip(keep, conical._shell_points(len(keep), k)))
+        o1 = sum(f1[j] * cols[j] for j in keep).astype(float)
+        o2 = sum(f2[j] * cols[j] for j in keep).astype(float)
+        eq = o1 == o2
+        ref = np.where(eq, special.polygamma(1, o1 + 1),
+                       (special.psi(o1 + 1) - special.psi(o2 + 1)) / np.where(eq, 1, o1 - o2))
+        branches.update(eq.tolist())
+        np.testing.assert_allclose(factor(cols), ref, rtol=1e-12, atol=0)
+    assert branches == {False, True}
+
+
 def test_integral_oracle_agrees():
     with CTX.workprec():
         A = ConeMatrix([[1, 1], [1, 1], [2, 1]])
