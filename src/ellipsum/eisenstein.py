@@ -17,7 +17,7 @@ import mpmath as mp
 import numpy as np
 
 from .numkernel import PrecisionCtx, _bern, bernoulli_periodic, bernoulli_poly, zeta_int
-from .qseries import GuardError, QTauSeries, Tau, as_tau
+from .qseries import GuardError, QTauSeries, as_tau
 
 __all__ = [
     "theta",

@@ -10,13 +10,12 @@ Word convention: ``(n1, ..., nr)`` labels the iterated integral with the
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
 import mpmath as mp
 
-from .numkernel import PrecisionCtx, _bern, zeta_int
+from .numkernel import PrecisionCtx, _bern
 from .qseries import GuardError, QTauSeries, as_tau, auto_q_order, eval_at, reg_primitive
 from .eisenstein import eis_Gbb, f_n
 from .eisint import eichler_E, gammaL0

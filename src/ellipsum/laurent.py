@@ -17,12 +17,7 @@ class LaurentPoly:
 
     def __init__(self, coeffs=None, variable: str = "x"):
         self.variable = variable
-        clean: dict[int, mp.mpc] = {}
-        for e, c in (coeffs or {}).items():
-            c = mp.mpc(c)
-            if c != 0:
-                clean[int(e)] = clean.get(int(e), mp.mpc(0)) + c
-        self.coeffs = {e: c for e, c in clean.items() if c != 0}
+        self.coeffs = {int(e): mp.mpc(c) for e, c in (coeffs or {}).items() if c != 0}
 
     def coeff(self, e: int) -> mp.mpc:
         return self.coeffs.get(e, mp.mpc(0))

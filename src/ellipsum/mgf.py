@@ -386,6 +386,8 @@ def S_direct(m: int, n: int, cutoff: int) -> float:
         return float(2.0 * np.sum(1.0 / (k**2 * (2 * k) ** n)))
     if m > 4:
         raise ValueError("direct mode supports m <= 4 (use S_zagier)")
+    if m == 4 and cutoff > 300:  # row4 sums 2 cutoff grids of (2 cutoff)^2 entries each
+        raise ValueError(f"direct mode at m = 4 needs cutoff <= 300, not {cutoff} (use S_zagier)")
     ks = np.arange(-cutoff, cutoff + 1)
     ks = ks[ks != 0]
     if m == 3:

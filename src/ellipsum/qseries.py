@@ -56,9 +56,6 @@ def as_tau(value) -> Tau:
     return value if isinstance(value, Tau) else Tau(value)
 
 
-_ZERO_TOL_SHIFT = 15
-
-
 class QTauSeries:
     """Finite sum of ``c * tau**i * q**j`` terms, truncated at ``q**q_order``."""
 
@@ -67,18 +64,13 @@ class QTauSeries:
     def __init__(self, q_order: int, coeffs=None):
         if q_order < 0:
             raise ValueError("q_order must be nonnegative")
-        self.q_order = int(q_order)
-        clean = {}
+        self.q_order = q_order = int(q_order)
+        self.coeffs = {}
         for (i, j), c in (coeffs or {}).items():
-            i, j = int(i), int(j)
             if i < 0 or j < 0:
                 raise ValueError("tau and q exponents must be nonnegative")
-            if j > self.q_order:
-                continue
-            c = mp.mpc(c)
-            if c != 0:
-                clean[(i, j)] = clean.get((i, j), mp.mpc(0)) + c
-        self.coeffs = {k: v for k, v in clean.items() if v != 0}
+            if j <= q_order and c != 0:
+                self.coeffs[int(i), int(j)] = mp.mpc(c)
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -140,12 +132,6 @@ class QTauSeries:
         if not self.coeffs:
             return mp.mpf(0)
         return max(abs(c) for c in self.coeffs.values())
-
-    def drop_negligible(self, threshold) -> "QTauSeries":
-        return QTauSeries(
-            self.q_order,
-            {k: c for k, c in self.coeffs.items() if abs(c) > threshold},
-        )
 
     def coeff(self, tau_exp: int, q_exp: int) -> mp.mpc:
         return self.coeffs.get((tau_exp, q_exp), mp.mpc(0))
@@ -226,18 +212,15 @@ def eval_with_bound(f: QTauSeries, tau, ctx: PrecisionCtx):
                 f"q_order={f.q_order} insufficient at Im(tau)={mp.nstr(mp.im(t.value), 8)}: "
                 f"truncation bound {mp.nstr(bound, 5)} exceeds target {mp.nstr(ctx.eps, 5)}"
             )
+        # Horner's rule in q within each tau power, then in tau
+        rows: dict[int, dict[int, mp.mpc]] = {}
+        for (i, j), c in f.coeffs.items():
+            rows.setdefault(i, {})[j] = c
         q = t.q
-        tv = t.value
-        tau_pows: dict[int, mp.mpc] = {0: mp.mpc(1)}
-        q_pows: dict[int, mp.mpc] = {0: mp.mpc(1)}
-        total = mp.mpc(0)
-        for (i, j), c in sorted(f.coeffs.items()):
-            if i not in tau_pows:
-                tau_pows[i] = tv**i
-            if j not in q_pows:
-                q_pows[j] = q**j
-            total += c * tau_pows[i] * q_pows[j]
-        return +total, +bound
+        in_q = {i: mp.polyval([row.get(j, 0) for j in range(max(row), -1, -1)], q)
+                for i, row in rows.items()}
+        total = mp.polyval([in_q.get(i, 0) for i in range(max(in_q, default=0), -1, -1)], t.value)
+        return +mp.mpc(total), +bound
 
 
 def eval_at(f: QTauSeries, tau, ctx: PrecisionCtx):

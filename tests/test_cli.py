@@ -74,6 +74,10 @@ def test_guard_violation_exit_code(capsys):
     rc, doc = _run_json(capsys, ["emzv", "a", "--n", "2", "--tau", "i", "--prec", "0"])
     assert rc == 3
     assert doc["error"]["type"] == "ValueError"
+    # direct S-sums at m = 4 and the default cutoff would need ~13 GB grids
+    rc, doc = _run_json(capsys, ["mgf", "s", "--m", "4", "--n", "1", "--method", "direct"])
+    assert rc == 3
+    assert doc["error"]["type"] == "ValueError"
 
 
 # One cheap argv per subcommand (plus the branches with other bounds) and the

@@ -18,6 +18,10 @@ def test_basic_arithmetic_and_call():
 def test_zero_coefficients_dropped():
     p = LaurentPoly({3: 0, 1: 2})
     assert p.exponents == [1]
+    p = LaurentPoly({-2: 3, 0: mp.mpf("0.25"), 1: mp.mpc(0, 2), 4: mp.mpf(0), 5: mp.mpc(0)})
+    # negative exponents are kept; int, mpf and mpc inputs are stored as mpc
+    assert p.coeffs == {-2: 3, 0: mp.mpf("0.25"), 1: mp.mpc(0, 2)}
+    assert all(type(c) is mp.mpc for c in p.coeffs.values())
 
 
 def test_shift_and_scale():

@@ -3,6 +3,7 @@ polynomials."""
 
 import itertools
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -83,6 +84,21 @@ def test_S_direct_guards_and_monotone_tail():
         S_direct(5, 0, 100)
     vals = [S_direct(2, 1, c) for c in (500, 1000, 2000)]
     assert vals[0] < vals[1] < vals[2]
+
+
+def test_S_direct_four_point():
+    with CTX.workprec():
+        closed = float(S_zagier(4, 2, CTX))
+    assert abs(S_direct(4, 2, 100) - closed) < 2e-4
+
+
+def test_S_direct_four_point_refuses_large_cutoff():
+    # the cost grows like cutoff^3: the default CLI cutoff 20000 would build
+    # 40000 x 40000 grids, so it is refused before any work
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        S_direct(4, 1, 20000)
+    assert time.perf_counter() - start < 1
 
 
 def _graphs_up_to_4_vertices():

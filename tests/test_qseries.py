@@ -143,3 +143,49 @@ def test_addition_commutes_with_eval(f, g):
         lhs = eval_at(f.add(g), tau, CTX)
         rhs = eval_at(f, tau, CTX) + eval_at(g, tau, CTX)
         assert abs(lhs - rhs) < mp.mpf("1e-15")
+
+
+def test_constructor_keeps_what_it_is_given():
+    f = QTauSeries(3, {(0, 0): 2, (1, 1): mp.mpf("0.5"), (2, 3): mp.mpc(1, -1),
+                       (0, 1): 0, (1, 2): mp.mpf(0), (3, 0): mp.mpc(0), (0, 4): 5})
+    # zero coefficients and q exponents above q_order are dropped
+    assert f.coeffs == {(0, 0): 2, (1, 1): mp.mpf("0.5"), (2, 3): mp.mpc(1, -1)}
+    # int, mpf and mpc inputs are all stored as mpc
+    assert all(type(c) is mp.mpc for c in f.coeffs.values())
+    for key in [(-1, 0), (0, -1)]:
+        with pytest.raises(ValueError):
+            QTauSeries(3, {key: 1})
+    with pytest.raises(ValueError):
+        QTauSeries(-1)
+
+
+@st.composite
+def _gapped_series(draw):
+    """A series at q_order 20 whose tau powers are a random subset of 0..3,
+    e.g. only tau**0 and tau**3."""
+    coeffs = {}
+    for i in draw(st.sets(st.integers(min_value=0, max_value=3), min_size=1)):
+        for j in draw(st.sets(st.integers(min_value=0, max_value=20), min_size=1)):
+            re = draw(st.floats(min_value=-4, max_value=4, allow_nan=False))
+            im = draw(st.floats(min_value=-4, max_value=4, allow_nan=False))
+            coeffs[(i, j)] = mp.mpc(re, im)
+    return QTauSeries(20, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gapped_series(),
+       st.floats(min_value=-0.5, max_value=0.5),
+       st.floats(min_value=1.2, max_value=1.5),
+       st.sampled_from([30, 45]))
+def test_eval_matches_naive_sum(f, re_tau, im_tau, digits):
+    ctx = PrecisionCtx(digits=digits)
+    tau = mp.mpc(re_tau, im_tau)
+    with ctx.workprec():
+        got = eval_at(f, tau, ctx)
+    with mp.workdps(digits + 20):
+        q = mp.exp(2j * mp.pi * tau)
+        terms = [c * tau**i * q**j for (i, j), c in f.coeffs.items()]
+        ref = mp.fsum(terms)
+        # rounding errors scale with the terms, not with a cancelled sum
+        scale = max(mp.fsum(abs(t) for t in terms), mp.mpf(10) ** -digits)
+        assert abs(got - ref) <= mp.mpf(10) ** (5 - digits) * scale
