@@ -280,10 +280,33 @@ def _mgf_dlattice(args, ctx):
                          with_bound=True)
 
 
+def _s_direct_tail(m: int, n: int, cutoff: int) -> float:
+    """Proven bound on the (positive) terms that S_direct(m, n, cutoff) drops.
+
+    With K = cutoff, s = n + 1, l = ln K and I_k = int_K^inf ln(x)^k x^(-s-1) dx,
+    each sum over an index > K of a decreasing summand is at most its I-integral:
+      - m = 2: the tail is 2^(1-n) sum_{k>K} k^(-n-2) <= 2^(1-n) I_0;
+      - m = 3: a dropped term has |k1| > K or |k2| > K, at most twice the |k1| > K
+        part by symmetry; at |k1| = a, sum_{k2} 1/|k2 k3| = 2(H_a + H_{a-1})/a
+        <= 4(1 + ln a)/a and sum |k_i| >= 2a, so it is <= 16 2^-n (I_0 + I_1);
+      - m = 4: at most three times the |a| > K part; at |a| = b,
+        sum_{k1+k2+k3=-a} 1/|k1 k2 k3| <= 16(L^2 + L + 2)/b with L = 1 + ln b
+        (split by the sign pattern of k1 and a + k1), so it is
+        <= 96 2^-n (I_2 + 3 I_1 + 4 I_0)."""
+    s, l = n + 1, math.log(cutoff)
+    i0 = 1 / s
+    i1 = l / s + 1 / s**2
+    i2 = l**2 / s + 2 * l / s**2 + 2 / s**3
+    c = {2: 2 * i0, 3: 16 * (i0 + i1), 4: 96 * (i2 + 3 * i1 + 4 * i0)}[m]
+    return c / (2**n * cutoff**s)
+
+
 def _mgf_s(args, ctx):
     if args.method == "zagier":
         return mgf.S_zagier(args.m, args.n, ctx), ctx.eps
-    return mgf.S_direct(args.m, args.n, args.cutoff), 10.0 / args.cutoff
+    # never below the 10/cutoff the command has always printed
+    value = mgf.S_direct(args.m, args.n, args.cutoff)
+    return value, max(10.0 / args.cutoff, _s_direct_tail(args.m, args.n, args.cutoff))
 
 
 def _mgf_r(args, ctx):

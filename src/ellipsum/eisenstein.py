@@ -17,7 +17,7 @@ import mpmath as mp
 import numpy as np
 
 from .numkernel import PrecisionCtx, _bern, bernoulli_periodic, bernoulli_poly, zeta_int
-from .qseries import GuardError, QTauSeries, as_tau
+from .qseries import GuardError, QTauSeries, check_tau
 
 __all__ = [
     "theta",
@@ -42,10 +42,6 @@ _MAX_TERMS = 200000  # iteration cap of _series_sum and _q_product
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _check_tau(tau):
-    return as_tau(tau).value
 
 
 def _sigma_table(k: int, n_max: int) -> list[int]:
@@ -148,8 +144,8 @@ def theta(xi, tau, ctx: PrecisionCtx, mode: str = "product"):
 
     General xi is reduced to the band |Im xi| < Im tau by quasi-periodicity.
     """
-    tau = _check_tau(tau)
     with ctx.workprec():
+        tau = check_tau(tau)
         xi = mp.mpc(xi)
         r, _ = _xi_split(xi, tau)
         m = int(mp.nint(r))
@@ -167,8 +163,8 @@ def theta_prime0(tau, ctx: PrecisionCtx):
 
 def eta(tau, ctx: PrecisionCtx):
     """Dedekind eta: q^{1/24} prod_{n>=1} (1 - q^n)."""
-    tau = _check_tau(tau)
     with ctx.workprec():
+        tau = check_tau(tau)
         q = mp.exp(2j * mp.pi * tau)
         return mp.exp(1j * mp.pi * tau / 12) * _q_product(q, (1,), ctx)
 
@@ -204,8 +200,8 @@ def eta_multiplier(gamma):
 
 def kronecker_F(xi, alpha, tau, ctx: PrecisionCtx):
     """F(xi, alpha, tau) = theta'(0) theta(xi+alpha) / (theta(xi) theta(alpha))."""
-    tau = _check_tau(tau)
     with ctx.workprec():
+        tau = check_tau(tau)
         num = theta_prime0(tau, ctx) * theta(mp.mpc(xi) + mp.mpc(alpha), tau, ctx)
         den = theta(xi, tau, ctx) * theta(alpha, tau, ctx)
         return num / den
@@ -225,8 +221,8 @@ def f_n(n: int, xi, tau, ctx: PrecisionCtx):
     and the sum stops once the tail of these bounds is below 10^-dps."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    tau = _check_tau(tau)
     with ctx.workprec():
+        tau = check_tau(tau)
         xi = mp.mpc(xi)
         band = mp.im(xi) / mp.im(tau)
         if not (0 <= band < 1):
@@ -255,8 +251,8 @@ def omega_n(n: int, xi, tau, ctx: PrecisionCtx):
     """Elliptic (doubly periodic) coefficient
     omega_n = sum_{k=0}^n r^k/k! * f_{n-k} with r = Im(xi)/Im(tau);
     parity (-1)^n under xi -> -xi.  Arbitrary xi via cell reduction."""
-    tau = _check_tau(tau)
     with ctx.workprec():
+        tau = check_tau(tau)
         r, s, flipped = _cell_reduce(xi, tau)
         # parity (-1)^n undoes the flip to the lower half of the cell
         sign = (-1) ** n if flipped else 1
@@ -321,15 +317,15 @@ def eis_nonholo(s: int, tau, ctx: PrecisionCtx, mode: str = "cusp", M: int = 100
     """
     if s < 2:
         raise ValueError("s must be >= 2")
-    tau = _check_tau(tau)
-    if mode == "lattice":
-        from . import mgf
-
-        return mp.mpf(mgf.D_lattice(mgf.MultiGraph.cycle(s), tau, M))
-    if mode != "cusp":
+    if mode not in ("cusp", "lattice"):
         raise ValueError("mode must be 'cusp' or 'lattice'")
     n = s
     with ctx.workprec():
+        tau = check_tau(tau)
+        if mode == "lattice":
+            from . import mgf
+
+            return mp.mpf(mgf.D_lattice(mgf.MultiGraph.cycle(s), tau, M))
         y = mp.pi * mp.im(tau)
         q = mp.exp(2j * mp.pi * tau)
         absq = abs(q)
@@ -373,8 +369,8 @@ def green1(xi, tau, ctx: PrecisionCtx, mode: str = "theta"):
     mode="theta":   -1/4 log|theta(xi)/eta|^2 + pi Im(xi)^2 / (2 Im tau)
     mode="fourier": (pi Im tau / 2) B2({r}) + P(xi, tau)/4
     """
-    tau = _check_tau(tau)
     with ctx.workprec():
+        tau = check_tau(tau)
         xi = mp.mpc(xi)
         if mode == "theta":
             ratio = theta(xi, tau, ctx) / eta(tau, ctx)
@@ -395,8 +391,8 @@ def p_part(xi, tau, ctx: PrecisionCtx):
     """Oscillator part P of the torus propagator (Fourier representation),
     doubly periodic; the k-sum is accelerated by a dilogarithm-free closed
     form for its leading geometric layer."""
-    tau = _check_tau(tau)
     with ctx.workprec():
+        tau = check_tau(tau)
         r, s, _ = _cell_reduce(xi, tau)
         t1, t2 = mp.re(tau), mp.im(tau)
         xi1 = s + r * t1
@@ -432,14 +428,15 @@ def e_ab(a: int, b: int, xi, tau, ctx: PrecisionCtx, M: int = 1200):
     Requires a + b >= 3 (absolute convergence); (1,1) is routed through
     4*green1.  float64 square-cutoff evaluation with one Richardson step.
     """
-    tau_m = _check_tau(tau)
-    if a == 1 and b == 1:
-        return mp.mpc(4 * green1(xi, tau_m, ctx))
+    with ctx.workprec():
+        tau = check_tau(tau)
+        if a == 1 and b == 1:
+            return mp.mpc(4 * green1(xi, tau, ctx))
     if a + b < 3:
         raise GuardError("lattice mode requires a + b >= 3")
 
     def partial(cut):
-        t1, t2 = float(mp.re(tau_m)), float(mp.im(tau_m))
+        t1, t2 = float(mp.re(tau)), float(mp.im(tau))
         x1, x2 = float(mp.re(mp.mpc(xi))), float(mp.im(mp.mpc(xi)))
         rng = np.arange(-cut, cut + 1)
         mm, nn = np.meshgrid(rng, rng, indexing="ij")
@@ -462,9 +459,9 @@ def e_ab(a: int, b: int, xi, tau, ctx: PrecisionCtx, M: int = 1200):
 def d_ab_average(a: int, b: int, xi, tau, ctx: PrecisionCtx):
     """Exponentially convergent single-valued polylog representation of
     e_{a,b}: an average of layered D_{a,b} values plus a Bernoulli term."""
-    tau = _check_tau(tau)
     r_weight = a + b - 1
     with ctx.workprec():
+        tau = check_tau(tau)
         xi = mp.mpc(xi)
         rr, _ = _xi_split(xi, tau)
         if not (0 < rr < 1):

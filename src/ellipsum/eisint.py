@@ -15,7 +15,7 @@ import functools
 import mpmath as mp
 
 from .numkernel import PrecisionCtx, _bern, zeta_int
-from .qseries import QTauSeries, as_tau, auto_q_order, eval_at, reg_primitive
+from .qseries import QTauSeries, auto_q_order, check_tau, eval_at, reg_primitive
 from .eisenstein import eis_Gbb, _sigma_table
 
 __all__ = [
@@ -130,7 +130,7 @@ def cocycle_S(k: int) -> CocyclePoly:
     for i in range(1, k // 2):
         c = _bern(2 * i) * _bern(k - 2 * i) / (mp.factorial(2 * i) * mp.factorial(k - 2 * i))
         key = (2 * i - 1, k - 2 * i - 1)
-        out[key] = out.get(key, mp.mpc(0)) - half * (2j * mp.pi) ** (k - 1) * c
+        out[key] = out.get(key, 0) - half * (2j * mp.pi) ** (k - 1) * c
     return out
 
 
@@ -138,15 +138,14 @@ def b30_reference(tau, ctx: PrecisionCtx):
     """Independent reference value for the modular image of the depth-one,
     length-two series at weight 3: explicit Laurent polynomial plus
     (3/(pi i)) times the right-aligned depth-one q-series of weight 4."""
-    t = as_tau(tau)
     with ctx.workprec():
-        tv = t.value
+        tv = check_tau(tau)
         two_pi_i = 2j * mp.pi
         laurent = (
             -(two_pi_i**2) * tv**3 / 720
             - zeta_int(3, ctx) / two_pi_i
             - 6 * zeta_int(4, ctx) / (two_pi_i**2 * tv)
         )
-        N = auto_q_order(t, ctx)
-        qpart = eval_at(gammaR0(4, 3, N), t, ctx)
+        N = auto_q_order(tv, ctx)
+        qpart = eval_at(gammaR0(4, 3, N), tv, ctx)
         return laurent + 3 / (mp.pi * 1j) * qpart

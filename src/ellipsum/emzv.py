@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .numkernel import PrecisionCtx, _bern
-from .qseries import GuardError, QTauSeries, as_tau, auto_q_order, eval_at, reg_primitive
+from .qseries import GuardError, QTauSeries, auto_q_order, check_tau, eval_at, reg_primitive
 from .eisenstein import eis_Gbb, f_n
 from .eisint import eichler_E, gammaL0
 from .laurent import LaurentPoly
@@ -100,19 +100,19 @@ def A_depth1(n: int, r: int, tau=None, ctx: PrecisionCtx | None = None, q_order=
     ctx = ctx or PrecisionCtx()
     if tau is None:
         return _A_depth1_series(n, r, q_order if q_order is not None else 30)
-    t = as_tau(tau)
     with ctx.workprec():
-        N = q_order if q_order is not None else auto_q_order(t, ctx)
-        return eval_at(_A_depth1_series(n, r, N), t, ctx)
+        tau = check_tau(tau)
+        N = q_order if q_order is not None else auto_q_order(tau, ctx)
+        return eval_at(_A_depth1_series(n, r, N), tau, ctx)
 
 
 def A_depth1_general(s: int, n: int, r: int, tau, ctx: PrecisionCtx | None = None):
     """General depth-one word with zeros on both sides, A(0^s, n, 0^r; tau)."""
     ctx = ctx or PrecisionCtx()
-    t = as_tau(tau)
     with ctx.workprec():
+        tau = check_tau(tau)
         word = (0,) * s + (n,) + (0,) * r
-        return eval_at(_A_word_series(word, auto_q_order(t, ctx)), t, ctx)
+        return eval_at(_A_word_series(word, auto_q_order(tau, ctx)), tau, ctx)
 
 
 def _A_word_series(word, q_order: int) -> QTauSeries:
@@ -242,9 +242,9 @@ def A_len2_cordouble(n1: int, n2: int, tau, ctx: PrecisionCtx):
 def _A_len2_ode(n1: int, n2: int, tau, ctx: PrecisionCtx):
     """A(n1, n2) = cusp constant - (regularized primitive of d/dtau A),
     the derivative being an explicit length-one combination."""
-    t = as_tau(tau)
     with ctx.workprec():
-        N = auto_q_order(t, ctx)
+        tau = check_tau(tau)
+        N = auto_q_order(tau, ctx)
         dA = expl_diff_A((n1, n2), N)
         # the cusp-constant terms of the Eisenstein factors must cancel
         const = dA.coeff(0, 0)
@@ -253,7 +253,7 @@ def _A_len2_ode(n1: int, n2: int, tau, ctx: PrecisionCtx):
         dA = QTauSeries(N, {k: c for k, c in dA.coeffs.items() if k != (0, 0)})
         if any(i > 0 for (i, j) in dA.coeffs):
             raise GuardError("derivative series has unexpected tau-polynomial terms")
-        return _A_inf_len2(n1, n2) - eval_at(reg_primitive(dA), t, ctx)
+        return _A_inf_len2(n1, n2) - eval_at(reg_primitive(dA), tau, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -266,27 +266,26 @@ def hatA(r: int, tau, ctx: PrecisionCtx | None = None, form: str = "direct"):
     if r < 2:
         raise ValueError("r must be >= 2")
     ctx = ctx or PrecisionCtx()
-    t = as_tau(tau)
     with ctx.workprec():
+        tau = check_tau(tau)
         if form == "direct":
-            return A_depth1(1, r, t, ctx) - (2j * mp.pi) ** (r - 2) / mp.factorial(
+            return A_depth1(1, r, tau, ctx) - (2j * mp.pi) ** (r - 2) / mp.factorial(
                 r - 1
-            ) * A_depth1(1, 2, t, ctx)
+            ) * A_depth1(1, 2, tau, ctx)
         if form != "eichler":
             raise ValueError("form must be 'direct' or 'eichler'")
-        tv = t.value
-        N = auto_q_order(t, ctx)
+        N = auto_q_order(tau, ctx)
         total = mp.mpc(0)
         for j in range(1, r - 1):
             total -= (
                 (2j * mp.pi) ** r
                 * _bern(2 + j)
                 / mp.factorial(2 + j)
-                * tv ** (j + 1)
+                * tau ** (j + 1)
                 / mp.factorial(r - j - 1)
             )
             if (2 + j) % 2 == 0:
-                e_val = eval_at(eichler_E(2 + j, N), t, ctx)
+                e_val = eval_at(eichler_E(2 + j, N), tau, ctx)
                 total -= (
                     2
                     * (2j * mp.pi) ** r
@@ -317,7 +316,7 @@ def B_inf_depth1(n: int, r: int) -> LaurentPoly:
     coeffs[n] = two_pi_i ** (r + 1) / mp.factorial(r) * lead
     for p in range(r):
         c = _gen_binom(n + p - 1, p)
-        coeffs[-p] = coeffs.get(-p, mp.mpc(0)) - (
+        coeffs[-p] = coeffs.get(-p, 0) - (
             mp.mpf(1)
             / mp.factorial(r - p)
             * mp.mpf(c.numerator)
@@ -326,7 +325,7 @@ def B_inf_depth1(n: int, r: int) -> LaurentPoly:
             / two_pi_i ** (n + p - r - 1)
         )
     c = _gen_binom(n + r - 1, r)
-    coeffs[-r] = coeffs.get(-r, mp.mpc(0)) - (
+    coeffs[-r] = coeffs.get(-r, 0) - (
         (1 + (-1) ** (n + r))
         * mp.mpf(c.numerator)
         / c.denominator
@@ -344,21 +343,20 @@ def B_depth1(n: int, r: int, tau, ctx: PrecisionCtx | None = None, q_order=None)
     if r < 2:
         raise ValueError("r must be >= 2")
     ctx = ctx or PrecisionCtx()
-    t = as_tau(tau)
     with ctx.workprec():
-        tv = t.value
-        N = q_order if q_order is not None else auto_q_order(t, ctx)
+        tau = check_tau(tau)
+        N = q_order if q_order is not None else auto_q_order(tau, ctx)
         two_pi_i = 2j * mp.pi
-        total = B_inf_depth1(n, r - 1)(tv)
+        total = B_inf_depth1(n, r - 1)(tau)
         for j in range(1, r):
-            gam = {k: eval_at(gammaL0(n + j, k, N), t, ctx) for k in range(1, n + j)}
+            gam = {k: eval_at(gammaL0(n + j, k, N), tau, ctx) for k in range(1, n + j)}
             inner_j = mp.mpc(0)
             for i in range(j):
                 inner_i = mp.mpc(0)
                 for k in range(1, n + i + 1):
                     inner_i += (
                         (-1) ** (k - 1)
-                        * tv ** (n - k)
+                        * tau ** (n - k)
                         / (two_pi_i ** (k - 1) * mp.factorial(n + i - k))
                         * gam[k]
                     )
@@ -390,15 +388,14 @@ def quadrature_oracle(nvec, tau, ctx: PrecisionCtx | None = None):
     both entries >= 2 (nested integral)."""
     nvec = tuple(int(n) for n in nvec)
     ctx = ctx or PrecisionCtx()
-    t = as_tau(tau)
-    tv = t.value
     with ctx.workprec():
+        tau = check_tau(tau)
         if len(nvec) >= 1 and nvec[0] >= 2 and all(m == 0 for m in nvec[1:]):
             n, r = nvec[0], len(nvec)
 
             def integrand(x):
                 return (2j * mp.pi * x) ** (r - 1) / mp.factorial(r - 1) * f_n(
-                    n, mp.mpc(x), tv, ctx
+                    n, mp.mpc(x), tau, ctx
                 )
 
             return mp.quad(integrand, [0, 1])
@@ -406,8 +403,8 @@ def quadrature_oracle(nvec, tau, ctx: PrecisionCtx | None = None):
             n1, n2 = nvec
 
             def outer(x1):
-                inner = mp.quad(lambda x2: f_n(n2, mp.mpc(x2), tv, ctx), [0, x1])
-                return f_n(n1, mp.mpc(x1), tv, ctx) * inner
+                inner = mp.quad(lambda x2: f_n(n2, mp.mpc(x2), tau, ctx), [0, x1])
+                return f_n(n1, mp.mpc(x1), tau, ctx) * inner
 
             return mp.quad(outer, [0, 1])
     raise ValueError("quadrature oracle supports depth-one or length-two words with entries >= 2")
@@ -421,14 +418,13 @@ def appendixB_vectors(which: str, tau, ctx: PrecisionCtx | None = None):
     """Six-component vectors built from A_{3,2}, A_{2,3} and hat-A_{1,4} that
     transform as vector-valued modular forms of weights -1, -2, -3."""
     ctx = ctx or PrecisionCtx()
-    t = as_tau(tau)
     with ctx.workprec():
-        tv = t.value
+        tv = check_tau(tau)
         P = 2j * mp.pi
         K = P**4 / 720
-        a32 = A_depth1(3, 2, t, ctx)
-        a23 = A_depth1(2, 3, t, ctx)
-        h14 = hatA(4, t, ctx)
+        a32 = A_depth1(3, 2, tv, ctx)
+        a23 = A_depth1(2, 3, tv, ctx)
+        h14 = hatA(4, tv, ctx)
         if which == "V32":
             return [
                 P**2 * tv**3 * a32 + P * tv**2 * a23 + tv * h14 - K * tv**4 - 10 * K * tv**2,

@@ -29,7 +29,7 @@ class LaurentPoly:
     def add(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, mp.mpc(0)) + c
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(out, self.variable)
 
     def scale(self, c) -> "LaurentPoly":

@@ -833,15 +833,17 @@ def d3pt(l1: int, l2: int, l3: int, ctx: PrecisionCtx | None = None,
 
 def laplace_fd(f, tau, h, ctx: PrecisionCtx | None = None):
     """Finite-difference hyperbolic Laplacian tau2^2 (d^2/dtau1^2 + d^2/dtau2^2)
-    with a 5-point stencil of spacing h."""
-    tau = mp.mpc(tau)
-    h = mp.mpf(h)
-    if mp.im(tau) - h <= 0:
-        raise ValueError("stencil leaves the upper half-plane")
-    t2 = mp.im(tau)
-    return t2**2 * (
-        f(tau + h) + f(tau - h) + f(tau + 1j * h) + f(tau - 1j * h) - 4 * f(tau)
-    ) / h**2
+    with a 5-point stencil of spacing h, built at ``ctx`` precision."""
+    ctx = ctx or PrecisionCtx()
+    with ctx.workprec():
+        tau = mp.mpc(tau)
+        h = mp.mpf(h)
+        if mp.im(tau) - h <= 0:
+            raise ValueError("stencil leaves the upper half-plane")
+        t2 = mp.im(tau)
+        return t2**2 * (
+            f(tau + h) + f(tau - h) + f(tau + 1j * h) + f(tau - 1j * h) - 4 * f(tau)
+        ) / h**2
 
 
 def identity_suite(tau, M: int, ctx: PrecisionCtx | None = None) -> dict:

@@ -10,14 +10,12 @@ and guarded numerical evaluation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import mpmath as mp
 
 from .numkernel import PrecisionCtx
 
 __all__ = [
-    "Tau",
     "QTauSeries",
     "GuardError",
     "reg_primitive",
@@ -31,29 +29,13 @@ class GuardError(ValueError):
     """A numeric guard (convergence/precision precondition) was violated."""
 
 
-@dataclass(frozen=True)
-class Tau:
-    """Point in the upper half plane."""
-
-    value: mp.mpc
-
-    def __init__(self, value):
-        v = mp.mpc(value)
-        if not mp.im(v) > 0:
-            raise GuardError("tau must have positive imaginary part")
-        object.__setattr__(self, "value", v)
-
-    @property
-    def q(self) -> mp.mpc:
-        return mp.exp(2j * mp.pi * self.value)
-
-    @property
-    def abs_q(self) -> mp.mpf:
-        return mp.exp(-2 * mp.pi * mp.im(self.value))
-
-
-def as_tau(value) -> Tau:
-    return value if isinstance(value, Tau) else Tau(value)
+def check_tau(tau) -> mp.mpc:
+    """tau as an mpc at the working precision; GuardError unless Im(tau) > 0.
+    Callers read tau inside their ``ctx.workprec()`` block."""
+    tau = mp.mpc(tau)
+    if not mp.im(tau) > 0:
+        raise GuardError("tau must have positive imaginary part")
+    return tau
 
 
 class QTauSeries:
@@ -86,7 +68,7 @@ class QTauSeries:
         order = min(self.q_order, other.q_order)
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            out[key] = out.get(key, mp.mpc(0)) + c
+            out[key] = out.get(key, 0) + c
         return QTauSeries(order, out)
 
     def sub(self, other: "QTauSeries") -> "QTauSeries":
@@ -101,7 +83,7 @@ class QTauSeries:
                 if j > order:
                     continue
                 key = (i1 + i2, j)
-                out[key] = out.get(key, mp.mpc(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return QTauSeries(order, out)
 
     def scale(self, c) -> "QTauSeries":
@@ -119,10 +101,10 @@ class QTauSeries:
         for (i, j), c in self.coeffs.items():
             if i > 0:
                 key = (i - 1, j)
-                out[key] = out.get(key, mp.mpc(0)) + c * i
+                out[key] = out.get(key, 0) + c * i
             if j > 0:
                 key = (i, j)
-                out[key] = out.get(key, mp.mpc(0)) + c * two_pi_i * j
+                out[key] = out.get(key, 0) + c * two_pi_i * j
         return QTauSeries(self.q_order, out)
 
     def truncate(self, q_order: int) -> "QTauSeries":
@@ -142,8 +124,8 @@ class QTauSeries:
             {
                 "tau_exp": i,
                 "q_exp": j,
-                "re": mp.nstr(mp.re(c), mp.mp.dps, strip_zeros=False),
-                "im": mp.nstr(mp.im(c), mp.mp.dps, strip_zeros=False),
+                "coeff_re": mp.nstr(mp.re(c), mp.mp.dps, strip_zeros=False),
+                "coeff_im": mp.nstr(mp.im(c), mp.mp.dps, strip_zeros=False),
             }
             for (i, j), c in sorted(self.coeffs.items())
         ]
@@ -153,7 +135,7 @@ class QTauSeries:
     def from_json(cls, text: str) -> "QTauSeries":
         data = json.loads(text)
         coeffs = {
-            (t["tau_exp"], t["q_exp"]): mp.mpc(mp.mpf(t["re"]), mp.mpf(t["im"]))
+            (t["tau_exp"], t["q_exp"]): mp.mpc(mp.mpf(t["coeff_re"]), mp.mpf(t["coeff_im"]))
             for t in data["terms"]
         }
         return cls(data["q_order"], coeffs)
@@ -170,7 +152,7 @@ def reg_primitive(f: QTauSeries) -> QTauSeries:
     two_pi_i = 2j * mp.pi
 
     def put(key, c):
-        out[key] = out.get(key, mp.mpc(0)) + c
+        out[key] = out.get(key, 0) + c
 
     for (i, j), c in f.coeffs.items():
         if j == 0:
@@ -190,9 +172,8 @@ def reg_primitive(f: QTauSeries) -> QTauSeries:
 
 def auto_q_order(tau, ctx: PrecisionCtx) -> int:
     """Smallest N with |q|**(N+1) <= 10**-dps."""
-    t = as_tau(tau)
     with ctx.workprec():
-        decay = 2 * mp.pi * mp.im(t.value) / mp.log(10)  # digits gained per power
+        decay = 2 * mp.pi * mp.im(check_tau(tau)) / mp.log(10)  # digits gained per power
         return max(1, int(mp.ceil(ctx.dps / decay)) )
 
 
@@ -202,24 +183,24 @@ def eval_with_bound(f: QTauSeries, tau, ctx: PrecisionCtx):
     Raises :class:`GuardError` if the truncation bound is not below the
     context's target error.
     """
-    t = as_tau(tau)
     with ctx.workprec():
-        absq = t.abs_q
+        tau = check_tau(tau)
+        absq = mp.exp(-2 * mp.pi * mp.im(tau))
         maxc = f.max_abs_coeff()
         bound = absq ** (f.q_order + 1) / (1 - absq) * maxc
         if maxc > 0 and bound > ctx.eps:
             raise GuardError(
-                f"q_order={f.q_order} insufficient at Im(tau)={mp.nstr(mp.im(t.value), 8)}: "
+                f"q_order={f.q_order} insufficient at Im(tau)={mp.nstr(mp.im(tau), 8)}: "
                 f"truncation bound {mp.nstr(bound, 5)} exceeds target {mp.nstr(ctx.eps, 5)}"
             )
         # Horner's rule in q within each tau power, then in tau
         rows: dict[int, dict[int, mp.mpc]] = {}
         for (i, j), c in f.coeffs.items():
             rows.setdefault(i, {})[j] = c
-        q = t.q
+        q = mp.exp(2j * mp.pi * tau)
         in_q = {i: mp.polyval([row.get(j, 0) for j in range(max(row), -1, -1)], q)
                 for i, row in rows.items()}
-        total = mp.polyval([in_q.get(i, 0) for i in range(max(in_q, default=0), -1, -1)], t.value)
+        total = mp.polyval([in_q.get(i, 0) for i in range(max(in_q, default=0), -1, -1)], tau)
         return +mp.mpc(total), +bound
 
 

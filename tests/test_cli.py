@@ -12,10 +12,11 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from ellipsum import emzv
+from ellipsum import emzv, mgf
 from ellipsum.cli import build_parser, parse_complex, parse_tau, run
 from ellipsum.emzv import A_depth1
 from ellipsum.numkernel import PrecisionCtx
+from ellipsum.qseries import QTauSeries
 
 
 def _run_json(capsys, argv):
@@ -143,6 +144,31 @@ def _parser_leaves(parser, prefix=()):
 def test_every_leaf_has_an_envelope_case():
     covered = {_leaf_name(argv) for argv, _, _ in LEAF_CASES} | {("verify",)}
     assert _parser_leaves(build_parser()) == covered
+
+
+@pytest.mark.parametrize("m,n", itertools.product((2, 3, 4), range(4)))
+def test_direct_s_bound_holds(capsys, m, n):
+    exact = mgf.S_zagier(m, n, PrecisionCtx(20))
+    for cutoff in (3, 5, 20, 100):
+        rc, doc = _run_json(capsys, ["mgf", "s", "--m", str(m), "--n", str(n),
+                                     "--method", "direct", "--cutoff", str(cutoff)])
+        if rc == 3:  # no bound stated
+            continue
+        assert rc == 0
+        err = abs(mp.mpf(doc["value"]) - exact)
+        assert mp.mpf(doc["error_bound"]) >= err, (cutoff, err)
+
+
+def test_series_json_reads_back(capsys):
+    rc, doc = _run_json(capsys, ["emzv", "a", "--n", "3", "--zeros", "1"])
+    assert rc == 0
+    series = QTauSeries.from_json(json.dumps(doc["series"]))
+    ctx = PrecisionCtx(30)
+    with ctx.workprec():
+        ref = A_depth1(3, 2, ctx=ctx)
+    assert series.q_order == ref.q_order
+    assert set(series.coeffs) == set(ref.coeffs)
+    assert series.sub(ref).max_abs_coeff() < ctx.eps * ref.max_abs_coeff()
 
 
 def test_verify_suite(capsys):

@@ -9,8 +9,8 @@ from ellipsum.numkernel import PrecisionCtx
 from ellipsum.qseries import (
     GuardError,
     QTauSeries,
-    as_tau,
     auto_q_order,
+    check_tau,
     eval_at,
     eval_with_bound,
     reg_primitive,
@@ -25,10 +25,10 @@ def _q(m, c=1, q_order=20):
 
 def test_tau_guard():
     with pytest.raises(GuardError):
-        as_tau(mp.mpc(1, -0.5))
+        check_tau(mp.mpc(1, -0.5))
     with pytest.raises(GuardError):
-        as_tau(mp.mpf(2))
-    assert as_tau(mp.mpc(0, 1)).value == mp.mpc(0, 1)
+        check_tau(mp.mpf(2))
+    assert check_tau(mp.mpc(0, 1)) == mp.mpc(0, 1)
 
 
 def test_ring_example():
@@ -102,9 +102,7 @@ def test_eval_with_bound():
 
 
 def test_auto_q_order_scales_with_height():
-    assert auto_q_order(as_tau(mp.mpc(0, 1)), CTX) > auto_q_order(
-        as_tau(mp.mpc(0, 4)), CTX
-    )
+    assert auto_q_order(mp.mpc(0, 1), CTX) > auto_q_order(mp.mpc(0, 4), CTX)
 
 
 def test_json_roundtrip():
