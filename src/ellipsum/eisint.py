@@ -70,7 +70,9 @@ def gammaL0(n: int, k: int, q_order: int) -> QTauSeries:
         return QTauSeries(q_order, {})
     pref = -2 / mp.factorial(n - 1)
     sig = _sigma_table(n - 1, q_order)
-    coeffs = {(0, N): pref * (mp.mpf(sig[N]) / mp.mpf(N) ** k) for N in range(1, q_order + 1)}
+    # N**k is an exact integer: one rounding fewer than mpf(N)**k, and the
+    # same bits wherever N**k < 2**prec
+    coeffs = {(0, N): pref * (mp.mpf(sig[N]) / N**k) for N in range(1, q_order + 1)}
     return QTauSeries(q_order, coeffs)
 
 
@@ -104,7 +106,7 @@ def eichler_E(k: int, q_order: int) -> QTauSeries:
     }
     sig = _sigma_table(k - 1, q_order)
     for j in range(1, q_order + 1):
-        coeffs[(0, j)] = mp.mpf(sig[j]) / mp.mpf(j) ** (k - 1)
+        coeffs[(0, j)] = mp.mpf(sig[j]) / j ** (k - 1)
     return QTauSeries(q_order, coeffs)
 
 

@@ -94,13 +94,14 @@ def _A_depth1_series(n: int, r: int, q_order: int) -> QTauSeries:
 
 def A_depth1(n: int, r: int, tau=None, ctx: PrecisionCtx | None = None, q_order=None):
     """Depth-one A-value ``A(n, 0^{r-1}; tau)``; with ``tau=None`` the
-    q-series is returned instead of a number."""
+    q-series, built at the working precision of ``ctx``, is returned instead
+    of a number."""
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
     ctx = ctx or PrecisionCtx()
-    if tau is None:
-        return _A_depth1_series(n, r, q_order if q_order is not None else 30)
     with ctx.workprec():
+        if tau is None:
+            return _A_depth1_series(n, r, q_order if q_order is not None else 30)
         tau = check_tau(tau)
         N = q_order if q_order is not None else auto_q_order(tau, ctx)
         return eval_at(_A_depth1_series(n, r, N), tau, ctx)
@@ -208,6 +209,7 @@ def A_len2(n1: int, n2: int, tau, ctx: PrecisionCtx | None = None):
         raise ValueError("length-two entries must be >= 1 (zeros via A_depth1_general)")
     ctx = ctx or PrecisionCtx()
     with ctx.workprec():
+        tau = check_tau(tau)
         if (n1 + n2) % 2 == 0:
             return _A_inf_len2(n1, n2)
         if n1 >= 2 and n2 >= 2:
@@ -422,10 +424,10 @@ def appendixB_vectors(which: str, tau, ctx: PrecisionCtx | None = None):
         tv = check_tau(tau)
         P = 2j * mp.pi
         K = P**4 / 720
-        a32 = A_depth1(3, 2, tv, ctx)
-        a23 = A_depth1(2, 3, tv, ctx)
         h14 = hatA(4, tv, ctx)
         if which == "V32":
+            a32 = A_depth1(3, 2, tv, ctx)
+            a23 = A_depth1(2, 3, tv, ctx)
             return [
                 P**2 * tv**3 * a32 + P * tv**2 * a23 + tv * h14 - K * tv**4 - 10 * K * tv**2,
                 P**2 * tv**2 * a32 + 2 * P * tv / 3 * a23 + h14 / 3 - 4 * K * tv**3 / 3,
@@ -435,6 +437,7 @@ def appendixB_vectors(which: str, tau, ctx: PrecisionCtx | None = None):
                 K + 0 * tv,
             ]
         if which == "V23":
+            a23 = A_depth1(2, 3, tv, ctx)
             return [
                 P * tv**2 * a23 + 2 * tv * h14 + K * tv**4,
                 P * tv * a23 + h14 + 2 * K * tv**3,

@@ -29,7 +29,7 @@ class ZetaLinExponent:
         self.order = int(order)
         clean: dict[int, dict[tuple, Fraction]] = {}
         for n, poly in (coeffs or {}).items():
-            p = {k: Fraction(v) for k, v in poly.items() if v != 0}
+            p = {k: v if type(v) is Fraction else Fraction(v) for k, v in poly.items() if v}
             if p:
                 clean[int(n)] = p
         self.coeffs = clean

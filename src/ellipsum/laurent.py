@@ -7,6 +7,8 @@ import json
 
 import mpmath as mp
 
+from .numkernel import _decimal
+
 __all__ = ["LaurentPoly"]
 
 
@@ -17,7 +19,12 @@ class LaurentPoly:
 
     def __init__(self, coeffs=None, variable: str = "x"):
         self.variable = variable
-        self.coeffs = {int(e): mp.mpc(c) for e, c in (coeffs or {}).items() if c != 0}
+        self.coeffs = {}
+        for e, c in (coeffs or {}).items():
+            if type(c) is not mp.mpc:
+                c = mp.mpc(c)
+            if c:
+                self.coeffs[int(e)] = c
 
     def coeff(self, e: int) -> mp.mpc:
         return self.coeffs.get(e, mp.mpc(0))
@@ -50,8 +57,8 @@ class LaurentPoly:
         terms = [
             {
                 "exp": e,
-                "coeff_re": mp.nstr(mp.re(c), mp.mp.dps, strip_zeros=False),
-                "coeff_im": mp.nstr(mp.im(c), mp.mp.dps, strip_zeros=False),
+                "coeff_re": _decimal(mp.re(c)),
+                "coeff_im": _decimal(mp.im(c)),
             }
             for e, c in sorted(self.coeffs.items())
         ]

@@ -70,6 +70,13 @@ class PrecisionCtx:
         return mp.mpf(10) ** (-self.digits)
 
 
+def _decimal(x) -> str:
+    """An mpf as a decimal string with at least ``mp.mp.dps`` digits and
+    enough for its own mantissa, so a value built at a higher precision than
+    the ambient one keeps its digits."""
+    return mp.nstr(x, max(mp.mp.dps, mp.libmp.prec_to_dps(x._mpf_[3])), strip_zeros=False)
+
+
 class MZVIndex(tuple):
     """Exponent tuple ``(k1, ..., kr)`` of a multiple zeta sum.
 

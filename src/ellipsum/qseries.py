@@ -13,7 +13,7 @@ import json
 
 import mpmath as mp
 
-from .numkernel import PrecisionCtx
+from .numkernel import PrecisionCtx, _decimal
 
 __all__ = [
     "QTauSeries",
@@ -51,17 +51,21 @@ class QTauSeries:
         for (i, j), c in (coeffs or {}).items():
             if i < 0 or j < 0:
                 raise ValueError("tau and q exponents must be nonnegative")
-            if j <= q_order and c != 0:
-                self.coeffs[int(i), int(j)] = mp.mpc(c)
+            if j > q_order:
+                continue
+            if type(c) is not mp.mpc:
+                c = mp.mpc(c)
+            if c:
+                self.coeffs[int(i), int(j)] = c
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def constant(cls, c, q_order: int) -> "QTauSeries":
-        return cls(q_order, {(0, 0): mp.mpc(c)})
+        return cls(q_order, {(0, 0): c})
 
     @classmethod
     def tau_power(cls, i: int, q_order: int, c=1) -> "QTauSeries":
-        return cls(q_order, {(i, 0): mp.mpc(c)})
+        return cls(q_order, {(i, 0): c})
 
     # -- ring operations ----------------------------------------------------
     def add(self, other: "QTauSeries") -> "QTauSeries":
@@ -124,8 +128,8 @@ class QTauSeries:
             {
                 "tau_exp": i,
                 "q_exp": j,
-                "coeff_re": mp.nstr(mp.re(c), mp.mp.dps, strip_zeros=False),
-                "coeff_im": mp.nstr(mp.im(c), mp.mp.dps, strip_zeros=False),
+                "coeff_re": _decimal(mp.re(c)),
+                "coeff_im": _decimal(mp.im(c)),
             }
             for (i, j), c in sorted(self.coeffs.items())
         ]

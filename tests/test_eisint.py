@@ -3,7 +3,7 @@
 import mpmath as mp
 import pytest
 
-from ellipsum.eisenstein import eis_Gbb
+from ellipsum.eisenstein import _sigma_table, eis_Gbb
 from ellipsum.eisint import (
     b30_reference,
     cocycle_S,
@@ -73,6 +73,25 @@ def test_gammaL0_structure():
                        + 2 / mp.factorial(n - 1)) < mp.mpf("1e-20")
     with pytest.raises(ValueError):
         gammaL0(4, 4, N)
+
+
+def test_exact_power_divisor_keeps_the_bits():
+    # q^N coefficients divide by the integer N**k: bit-identical to dividing
+    # by mpf(N)**k wherever N**k < 2**prec
+    for dps in (30, 100):
+        with mp.workdps(dps):
+            sig = {n: _sigma_table(n - 1, 80) for n in range(2, 13, 2)}
+            for n in range(2, 13, 2):
+                pref = -2 / mp.factorial(n - 1)
+                for k in range(1, n):
+                    f = gammaL0(n, k, 80)
+                    for N in range(1, 81):
+                        old = pref * (mp.mpf(sig[n][N]) / mp.mpf(N) ** k)
+                        assert f.coeff(0, N) == old, (dps, n, k, N)
+            for k in range(4, 13, 2):
+                f = eichler_E(k, 80)
+                for j in range(1, 81):
+                    assert f.coeff(0, j) == mp.mpf(sig[k][j]) / mp.mpf(j) ** (k - 1)
 
 
 def test_eichler_constant_and_guard():

@@ -17,7 +17,9 @@ from ellipsum.emzv import (
     quadrature_oracle,
     vector_weight,
 )
+from ellipsum.laurent import LaurentPoly
 from ellipsum.numkernel import PrecisionCtx
+from ellipsum.qseries import GuardError, QTauSeries
 
 CTX = PrecisionCtx(digits=30)
 TAU = mp.mpc("0.2", "1.1")
@@ -46,6 +48,28 @@ def test_even_length_two_is_constant():
         a = A_len2(2, 4, TAU, CTX)
         b = A_len2(2, 4, mp.mpc(0, 1), CTX)
         assert abs(a - b) < mp.mpf("1e-24")
+
+
+def test_length_two_validates_tau_at_both_parities():
+    for n1, n2 in [(2, 2), (2, 3)]:
+        with pytest.raises(GuardError):
+            A_len2(n1, n2, 0.3 - 1j, CTX)
+
+
+def test_series_json_keeps_build_precision():
+    # written outside workprec, read back under it: the digits built survive
+    ctx = PrecisionCtx(40)
+    with ctx.workprec():
+        series = A_depth1(3, 2, ctx=ctx)
+        laurent = B_inf_depth1(5, 3)
+    text_series, text_laurent = series.to_json(), laurent.to_json()
+    with ctx.workprec():
+        back_series = QTauSeries.from_json(text_series)
+        back_laurent = LaurentPoly.from_json(text_laurent)
+    for built, back in [(series, back_series), (laurent, back_laurent)]:
+        assert set(back.coeffs) == set(built.coeffs)
+        for key, c in built.coeffs.items():
+            assert abs(back.coeffs[key] - c) <= ctx.eps * abs(c), key
 
 
 def test_reversal_symmetry():

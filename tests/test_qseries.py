@@ -144,12 +144,14 @@ def test_addition_commutes_with_eval(f, g):
 
 
 def test_constructor_keeps_what_it_is_given():
-    f = QTauSeries(3, {(0, 0): 2, (1, 1): mp.mpf("0.5"), (2, 3): mp.mpc(1, -1),
-                       (0, 1): 0, (1, 2): mp.mpf(0), (3, 0): mp.mpc(0), (0, 4): 5})
-    # zero coefficients and q exponents above q_order are dropped
+    c = mp.mpc(1, -1)
+    f = QTauSeries(3, {(0, 0): 2, (1, 1): mp.mpf("0.5"), (2, 3): c, (0, 1): 0,
+                       (1, 2): mp.mpf(0), (3, 0): mp.mpc(0), (2, 0): "0", (0, 4): 5})
+    # zero coefficients (also a string "0") and q exponents above q_order are dropped
     assert f.coeffs == {(0, 0): 2, (1, 1): mp.mpf("0.5"), (2, 3): mp.mpc(1, -1)}
-    # int, mpf and mpc inputs are all stored as mpc
+    # int, mpf and mpc inputs are all stored as mpc, an mpc as the same object
     assert all(type(c) is mp.mpc for c in f.coeffs.values())
+    assert f.coeffs[2, 3] is c
     for key in [(-1, 0), (0, -1)]:
         with pytest.raises(ValueError):
             QTauSeries(3, {key: 1})

@@ -26,7 +26,8 @@ CASES = {
     "qseries.auto_q_order": {"": lambda: qseries.auto_q_order(TAU, CTX)},
     "qseries.eval_at": {"": lambda: qseries.eval_at(SERIES, TAU, CTX)},
     "qseries.eval_with_bound": {"": lambda: qseries.eval_with_bound(SERIES, TAU, CTX)},
-    "emzv.A_depth1": {"": lambda: emzv.A_depth1(3, 2, TAU, CTX)},
+    "emzv.A_depth1": {"": lambda: emzv.A_depth1(3, 2, TAU, CTX),
+                      "series": lambda: emzv.A_depth1(3, 2, ctx=CTX).coeffs},
     "emzv.A_depth1_general": {"": lambda: emzv.A_depth1_general(1, 3, 1, TAU, CTX)},
     "emzv.A_len2": {"ode": lambda: emzv.A_len2(1, 4, TAU, CTX),
                     "cordouble": lambda: emzv.A_len2(2, 3, TAU, CTX)},
