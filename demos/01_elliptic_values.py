@@ -18,11 +18,13 @@ with ctx.workprec():
         print(f"  A({n}) = {mp.nstr(A_len1(n), 10)}")
 
     print("\n== length-two values satisfy the shuffle relation ==")
-    lhs = A_len1(2) * A_len1(4)
-    rhs = A_len2(2, 4, tau, ctx) + A_len2(4, 2, tau, ctx)
-    print(f"  A(2)A(4)            = {mp.nstr(lhs, 10)}")
-    print(f"  A(2,4) + A(4,2)     = {mp.nstr(rhs, 10)}")
-    print(f"  difference          = {mp.nstr(abs(lhs - rhs), 3)}")
+    # even weight: both words are constant in tau; odd weight: each word is
+    # its cusp constant minus integrated Eisenstein series, A(1) = 0
+    for n, m in ((2, 4), (1, 4)):
+        lhs = A_len1(n) * A_len1(m)
+        a, b = A_len2(n, m, tau, ctx), A_len2(m, n, tau, ctx)
+        print(f"  A({n},{m})              = {mp.nstr(a, 10)}")
+        print(f"  A({n})A({m}) - A({n},{m}) - A({m},{n}) = {mp.nstr(abs(lhs - a - b), 3)}")
 
     print("\n== the modular transform maps A-values to B-values ==")
     a = A_depth1(3, 2, -1 / tau, ctx)

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .numkernel import PrecisionCtx, _bern
-from .qseries import GuardError, QTauSeries, auto_q_order, check_tau, eval_at, reg_primitive
+from .numkernel import PrecisionCtx, _bern, bernoulli_number
+from .qseries import GuardError, QTauSeries, auto_q_order, check_tau, eval_at
 from .eisenstein import eis_Gbb, f_n
 from .eisint import eichler_E, gammaL0
 from .laurent import LaurentPoly
@@ -79,14 +79,15 @@ def A_inf_depth1(n: int, r: int):
     return (2j * mp.pi) ** r * _bern(n) / (mp.factorial(r) * mp.factorial(n))
 
 
-def _A_depth1_series(n: int, r: int, q_order: int) -> QTauSeries:
+def _A_depth1_series(n: int, r: int, q_order: int, const=None, first: int = 1) -> QTauSeries:
     """q-series of A(n, 0^{r-1}): cusp constant plus combinations of the
-    left-aligned depth-one Eisenstein integrals."""
-    out = QTauSeries.constant(A_inf_depth1(n, r), q_order)
+    left-aligned depth-one Eisenstein integrals, j = 1..r-1.  ``const``
+    replaces the cusp constant and the sum starts at j = ``first``."""
+    out = QTauSeries.constant(A_inf_depth1(n, r) if const is None else const, q_order)
     if n == 0:
         return out
     pref = (-1) ** (n - 1) / mp.factorial(n - 1)
-    for j in range(1, r):
+    for j in range(first, r):
         c = pref * (2j * mp.pi) ** (r - j) * mp.factorial(n + j - 1) / mp.factorial(r - j)
         out = out.add(gammaL0(n + j, j, q_order).scale(c))
     return out
@@ -142,43 +143,32 @@ def _A_word_series(word, q_order: int) -> QTauSeries:
     return out
 
 
-def expl_diff_A(word, q_order: int) -> QTauSeries:
-    """tau-derivative of an A-word as an explicit Eisenstein-series
-    combination of shorter words (depth-one words and their neighbours)."""
-    word = tuple(word)
-    r = len(word)
-    if r == 0:
-        return QTauSeries(q_order, {})
-
-    def A_series(w):
-        return _A_word_series(w, q_order)
-
-    out = A_series(word[:-1]).mul(eis_Gbb(word[-1] + 1, q_order)).scale(word[-1])
-    out = out.sub(A_series(word[1:]).mul(eis_Gbb(word[0] + 1, q_order)).scale(word[0]))
-    for i in range(r - 1):
+def _diff_A_terms(word: tuple) -> list:
+    """The tau-derivative of A(word) as exact terms: the returned (c, shorter, k)
+    give d/dtau A(word) = sum c * A(shorter) * Gbb_k, c a nonzero Fraction."""
+    terms = []
+    if word:
+        terms += [(Fraction(word[-1]), word[:-1], word[-1] + 1),
+                  (Fraction(-word[0]), word[1:], word[0] + 1)]
+    for i in range(len(word) - 1):
         ni, nj = word[i], word[i + 1]
         head, tail = word[:i], word[i + 2 :]
-        out = out.add(
-            A_series(head + (0,) + tail)
-            .mul(eis_Gbb(ni + nj + 1, q_order))
-            .scale((-1) ** ni * (ni + nj))
-        )
-        for j in range(ni + 2):
-            c = _gen_binom(nj + j - 1, j) * (ni - j)
-            if c:
-                out = out.add(
-                    A_series(head + (j + nj,) + tail)
-                    .mul(eis_Gbb(ni - j + 1, q_order))
-                    .scale(mp.mpf(c.numerator) / c.denominator)
-                )
-        for j in range(nj + 2):
-            c = _gen_binom(ni + j - 1, j) * (nj - j)
-            if c:
-                out = out.sub(
-                    A_series(head + (j + ni,) + tail)
-                    .mul(eis_Gbb(nj - j + 1, q_order))
-                    .scale(mp.mpf(c.numerator) / c.denominator)
-                )
+        terms.append((Fraction((-1) ** ni * (ni + nj)), head + (0,) + tail, ni + nj + 1))
+        terms += [(_gen_binom(nj + j - 1, j) * (ni - j), head + (j + nj,) + tail, ni - j + 1)
+                  for j in range(ni + 2)]
+        terms += [(-_gen_binom(ni + j - 1, j) * (nj - j), head + (j + ni,) + tail, nj - j + 1)
+                  for j in range(nj + 2)]
+    return [t for t in terms if t[0]]
+
+
+def expl_diff_A(word, q_order: int) -> QTauSeries:
+    """tau-derivative of an A-word: the explicit combination of Eisenstein
+    series Gbb_k times shorter words, each shorter word taken as the q-series
+    of ``_A_word_series`` (so every shorter word must have depth <= 1)."""
+    out = QTauSeries(q_order, {})
+    for c, shorter, k in _diff_A_terms(tuple(word)):
+        c = mp.mpf(c.numerator) / c.denominator
+        out = out.add(_A_word_series(shorter, q_order).mul(eis_Gbb(k, q_order)).scale(c))
     return out
 
 
@@ -198,27 +188,49 @@ def _A_inf_len2(n1: int, n2: int):
     return -2 * mp.pi**2 * _bern(n1) * _bern(n2) / (mp.factorial(n1) * mp.factorial(n2))
 
 
-def A_len2(n1: int, n2: int, tau, ctx: PrecisionCtx | None = None):
-    """Length-two value A(n1, n2; tau).
+def _len1_over_2pii(m: int) -> Fraction:
+    """lambda_m = A(m) / (2 pi i) for the length-one word (m,) as the series
+    of ``_A_word_series`` holds it: B_m/m!, and 1/4 at m = 1."""
+    return Fraction(1, 4) if m == 1 else bernoulli_number(m) / math.factorial(m)
 
-    Even weight is the cusp constant; odd weight with both entries >= 2 uses
-    the double-value reduction to depth one; (1, even) and (even, 1) use the
-    differential-equation route.  (1, odd > 1) is unsupported.
+
+def A_len2(n1: int, n2: int, tau, ctx: PrecisionCtx | None = None):
+    """Length-two value A(n1, n2; tau), integrated from its tau-derivative.
+
+    The shorter words of the derivative are the length-one constants
+    2 pi i lambda_m, so dA/dtau = 2 pi i sum_k a_k Gbb_k with rational a_k
+    (even k: Gbb_k vanishes at odd k).  Gbb_k has the constant term
+    -2 pi i lambda_k, so sum_k a_k lambda_k must vanish (checked exactly), and
+    its q-part integrates to gammaL0(k, 1), so
+    A(n1, n2) = cusp constant - 2 pi i sum_{k >= 2} a_k gammaL0(k, 1).
+    At even weight every a_k is 0 and the cusp constant is returned as it is;
+    (1, odd > 1) has no cusp constant and raises GuardError.
     """
     if min(n1, n2) < 1:
         raise ValueError("length-two entries must be >= 1 (zeros via A_depth1_general)")
     ctx = ctx or PrecisionCtx()
     with ctx.workprec():
         tau = check_tau(tau)
-        if (n1 + n2) % 2 == 0:
-            return _A_inf_len2(n1, n2)
-        if n1 >= 2 and n2 >= 2:
-            return A_len2_cordouble(n1, n2, tau, ctx)
-        return _A_len2_ode(n1, n2, tau, ctx)
+        const = _A_inf_len2(n1, n2)
+        a: dict[int, Fraction] = {}
+        for c, (m,), k in _diff_A_terms((n1, n2)):
+            if k % 2 == 0:
+                a[k] = a.get(k, 0) + c * _len1_over_2pii(m)
+        if sum(c * _len1_over_2pii(k) for k, c in a.items()):
+            raise GuardError("derivative series has a non-vanishing cusp constant")
+        a = {k: c for k, c in a.items() if k and c}
+        if not a:
+            return const
+        N = auto_q_order(tau, ctx)
+        series = QTauSeries.constant(const, N)
+        for k, c in a.items():
+            series = series.add(gammaL0(k, 1, N).scale(-2j * mp.pi * c.numerator / c.denominator))
+        return eval_at(series, tau, ctx)
 
 
 def A_len2_cordouble(n1: int, n2: int, tau, ctx: PrecisionCtx):
-    """Odd-weight reduction of A(n1, n2) to depth-one values (entries >= 2)."""
+    """Reference, not a route of ``A_len2``: the paper's odd-weight reduction of
+    A(n1, n2) (entries >= 2) to the depth-one values A(n1 + n2, 0), A(2p + 1, 0)."""
     with ctx.workprec():
         def zeta_norm(k: int):
             # zeta(k) / (2 pi i)^k, an exact rational -B_k/(2 k!) for even k
@@ -241,23 +253,6 @@ def A_len2_cordouble(n1: int, n2: int, tau, ctx: PrecisionCtx):
         return total
 
 
-def _A_len2_ode(n1: int, n2: int, tau, ctx: PrecisionCtx):
-    """A(n1, n2) = cusp constant - (regularized primitive of d/dtau A),
-    the derivative being an explicit length-one combination."""
-    with ctx.workprec():
-        tau = check_tau(tau)
-        N = auto_q_order(tau, ctx)
-        dA = expl_diff_A((n1, n2), N)
-        # the cusp-constant terms of the Eisenstein factors must cancel
-        const = dA.coeff(0, 0)
-        if abs(const) > mp.mpf(10) ** (-(ctx.dps - 6)) * max(1, dA.max_abs_coeff()):
-            raise GuardError("derivative series has a non-vanishing cusp constant")
-        dA = QTauSeries(N, {k: c for k, c in dA.coeffs.items() if k != (0, 0)})
-        if any(i > 0 for (i, j) in dA.coeffs):
-            raise GuardError("derivative series has unexpected tau-polynomial terms")
-        return _A_inf_len2(n1, n2) - eval_at(reg_primitive(dA), tau, ctx)
-
-
 # ---------------------------------------------------------------------------
 # hat-A (modified weight-(1,r) values)
 
@@ -271,9 +266,11 @@ def hatA(r: int, tau, ctx: PrecisionCtx | None = None, form: str = "direct"):
     with ctx.workprec():
         tau = check_tau(tau)
         if form == "direct":
-            return A_depth1(1, r, tau, ctx) - (2j * mp.pi) ** (r - 2) / mp.factorial(
-                r - 1
-            ) * A_depth1(1, 2, tau, ctx)
+            # one series: the gammaL0(2, 1) terms of A_{1,r} and A_{1,2} cancel
+            # exactly, leaving the j >= 2 terms of A_{1,r}
+            const = (A_inf_depth1(1, r)
+                     - (2j * mp.pi) ** (r - 2) / mp.factorial(r - 1) * A_inf_depth1(1, 2))
+            return eval_at(_A_depth1_series(1, r, auto_q_order(tau, ctx), const, 2), tau, ctx)
         if form != "eichler":
             raise ValueError("form must be 'direct' or 'eichler'")
         N = auto_q_order(tau, ctx)

@@ -9,14 +9,17 @@ from ellipsum.emzv import (
     A_inf_depth1,
     A_len1,
     A_len2,
+    A_len2_cordouble,
     B_depth1,
     B_inf_depth1,
     appendixB_matrices,
     appendixB_vectors,
+    expl_diff_A,
     hatA,
     quadrature_oracle,
     vector_weight,
 )
+from ellipsum import emzv
 from ellipsum.laurent import LaurentPoly
 from ellipsum.numkernel import PrecisionCtx
 from ellipsum.qseries import GuardError, QTauSeries
@@ -32,15 +35,48 @@ def test_depth_one_length_one_constants():
 
 
 def test_length_two_shuffle():
-    # A(n) A(m) = A(n,m) + A(m,n)
+    # A(n) A(m) = A(n,m) + A(m,n), with A(1) = 0 and A(odd) = 0
     with CTX.workprec():
-        for n, m in [(2, 2), (2, 4)]:
+        for n, m in [(2, 2), (2, 4), (1, 4), (1, 6), (2, 3), (3, 4), (2, 5)]:
             lhs = A_len1(n) * A_len1(m)
             rhs = A_len2(n, m, TAU, CTX) + A_len2(m, n, TAU, CTX)
             assert abs(lhs - rhs) < mp.mpf("1e-24")
         # the (2,2) case collapses to -pi^2/72
         val = A_len2(2, 2, TAU, CTX)
         assert abs(val + mp.pi**2 / 72) < mp.mpf("1e-24")
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_length_two_matches_odd_weight_reduction(digits):
+    ctx = PrecisionCtx(digits)
+    with ctx.workprec():
+        for n1, n2 in [(n1, n2) for n1 in range(2, 10) for n2 in range(2, 12 - n1)
+                       if (n1 + n2) % 2]:
+            val = A_len2(n1, n2, TAU, ctx)
+            ref = A_len2_cordouble(n1, n2, TAU, ctx)
+            assert abs(val - ref) <= ctx.eps * max(1, abs(ref)), (n1, n2)
+
+
+def test_length_one_constants_of_the_derivative():
+    # the lambda_m that A_len2 integrates with are the cusp constants A(m)/(2 pi i)
+    with CTX.workprec():
+        for m in range(9):
+            lam = emzv._len1_over_2pii(m)
+            lhs = 2j * mp.pi * lam.numerator / lam.denominator
+            assert abs(lhs - A_inf_depth1(m, 1)) <= CTX.eps, m
+
+
+@pytest.mark.parametrize("word", [(2, 0), (0, 3), (1, 0), (3, 0, 0), (0, 2, 0), (0, 0, 3), (5, 0, 0)],
+                         ids=str)
+def test_explicit_derivative_matches_series_derivative(word):
+    ctx = PrecisionCtx(40)
+    with ctx.workprec():
+        explicit = expl_diff_A(word, 12)
+        direct = emzv._A_word_series(word, 12).dtau()
+        scale = max(explicit.max_abs_coeff(), direct.max_abs_coeff())
+        for key in set(explicit.coeffs) | set(direct.coeffs):
+            diff = abs(explicit.coeff(*key) - direct.coeff(*key))
+            assert diff <= mp.mpf(10) ** -(ctx.dps - 5) * scale, key
 
 
 def test_even_length_two_is_constant():
@@ -83,7 +119,7 @@ def test_reversal_symmetry():
 
 def test_hatA_normalization_and_forms():
     with CTX.workprec():
-        assert abs(hatA(2, TAU, CTX)) < mp.mpf("1e-25")
+        assert hatA(2, TAU, CTX) == 0
         direct = hatA(4, TAU, CTX, form="direct")
         eichler = hatA(4, TAU, CTX, form="eichler")
         assert abs(direct - eichler) < mp.mpf("1e-20")

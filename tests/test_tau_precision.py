@@ -29,8 +29,10 @@ CASES = {
     "emzv.A_depth1": {"": lambda: emzv.A_depth1(3, 2, TAU, CTX),
                       "series": lambda: emzv.A_depth1(3, 2, ctx=CTX).coeffs},
     "emzv.A_depth1_general": {"": lambda: emzv.A_depth1_general(1, 3, 1, TAU, CTX)},
-    "emzv.A_len2": {"ode": lambda: emzv.A_len2(1, 4, TAU, CTX),
-                    "cordouble": lambda: emzv.A_len2(2, 3, TAU, CTX)},
+    "emzv.A_len2": {"1,4": lambda: emzv.A_len2(1, 4, TAU, CTX),
+                    "2,3": lambda: emzv.A_len2(2, 3, TAU, CTX),
+                    "2,4": lambda: emzv.A_len2(2, 4, TAU, CTX),
+                    "1,6": lambda: emzv.A_len2(1, 6, TAU, CTX)},
     "emzv.A_len2_cordouble": {"": lambda: emzv.A_len2_cordouble(3, 2, TAU, CTX)},
     "emzv.B_depth1": {"": lambda: emzv.B_depth1(3, 2, TAU, CTX)},
     "emzv.hatA": {"direct": lambda: emzv.hatA(4, TAU, CTX),
