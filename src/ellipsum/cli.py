@@ -390,9 +390,11 @@ def _verify_emzv(ctx: PrecisionCtx) -> list:
         lhs = emzv.A_depth1(2 * k, 1, tau, ctx)
         rhs = 2j * mp.pi * (-1) ** (k + 1) * 2 * mp.zeta(2 * k) / (2 * mp.pi) ** (2 * k)
         checks.append(("length-one constant n=4", abs(lhs - rhs), 1e-25))
-        a = emzv.A_depth1(3, 2, -1 / tau, ctx)
-        b = emzv.B_depth1(3, 2, tau, ctx)
-        checks.append(("depth-one modularity (3,2)", abs(a - b), 1e-20))
+        # r = 3 reaches the j = 2 row of B_depth1's double sum
+        for n, r in ((3, 2), (2, 3)):
+            a = emzv.A_depth1(n, r, -1 / tau, ctx)
+            b = emzv.B_depth1(n, r, tau, ctx)
+            checks.append((f"depth-one modularity ({n},{r})", abs(a - b), 1e-20))
     return checks
 
 

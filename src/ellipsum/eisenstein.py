@@ -54,6 +54,17 @@ def _sigma_table(k: int, n_max: int) -> list[int]:
     return arr
 
 
+def _divisor_series(n: int, k: int, q_order: int, c=1, head=None) -> QTauSeries:
+    """``head`` (a coefficient dict) plus c sum_{N <= q_order} sigma_{n-1}(N)/N^k q^N.
+    N**k is an exact integer: one rounding fewer than mpf(N)**k, and the same
+    bits wherever N**k < 2**prec."""
+    sig = _sigma_table(n - 1, q_order)
+    coeffs = dict(head or {})
+    for N in range(1, q_order + 1):
+        coeffs[(0, N)] = c * (mp.mpf(sig[N]) / N**k)
+    return QTauSeries(q_order, coeffs)
+
+
 def _series_sum(terms, ctx, what):
     """Sum ``(term, tail)`` pairs, tail bounding |sum of all later terms|, up to the
     first tail <= 10^-dps max(1, |partial sum|); GuardError after _MAX_TERMS terms."""
@@ -278,12 +289,8 @@ def eis_G(k: int, q_order: int) -> QTauSeries:
         return QTauSeries.constant(-1, q_order)
     if k % 2 == 1:
         return QTauSeries(q_order, {})
-    coeffs = {(0, 0): mp.mpc(2 * mp.zeta(k))}
-    sig = _sigma_table(k - 1, q_order)
-    pref = 2 * (2j * mp.pi) ** k / mp.factorial(k - 1)
-    for n in range(1, q_order + 1):
-        coeffs[(0, n)] = pref * sig[n]
-    return QTauSeries(q_order, coeffs)
+    return _divisor_series(k, 0, q_order, 2 * (2j * mp.pi) ** k / mp.factorial(k - 1),
+                           {(0, 0): 2 * mp.zeta(k)})
 
 
 def eis_Gbb(k: int, q_order: int) -> QTauSeries:
@@ -296,13 +303,10 @@ def eis_E(k: int, q_order: int) -> QTauSeries:
     q-coefficients sigma_{k-1}(m) for even k (odd k vanish)."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    const = -_bern(k) / (2 * mp.factorial(k))
-    coeffs = {(0, 0): mp.mpc(const)}
-    if k % 2 == 0:
-        sig = _sigma_table(k - 1, q_order)
-        for m in range(1, q_order + 1):
-            coeffs[(0, m)] = mp.mpc(sig[m])
-    return QTauSeries(q_order, coeffs)
+    head = {(0, 0): -_bern(k) / (2 * mp.factorial(k))}
+    if k % 2 == 1:
+        return QTauSeries(q_order, head)
+    return _divisor_series(k, 0, q_order, head=head)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import mpmath as mp
 
 from .numkernel import PrecisionCtx, _bern, zeta_int
 from .qseries import QTauSeries, auto_q_order, check_tau, eval_at, reg_primitive
-from .eisenstein import eis_Gbb, _sigma_table
+from .eisenstein import eis_Gbb, _divisor_series
 
 __all__ = [
     "gamma",
@@ -68,12 +68,7 @@ def gammaL0(n: int, k: int, q_order: int) -> QTauSeries:
         raise ValueError("need 1 <= k <= n-1")
     if n % 2 == 1:
         return QTauSeries(q_order, {})
-    pref = -2 / mp.factorial(n - 1)
-    sig = _sigma_table(n - 1, q_order)
-    # N**k is an exact integer: one rounding fewer than mpf(N)**k, and the
-    # same bits wherever N**k < 2**prec
-    coeffs = {(0, N): pref * (mp.mpf(sig[N]) / N**k) for N in range(1, q_order + 1)}
-    return QTauSeries(q_order, coeffs)
+    return _divisor_series(n, k, q_order, -2 / mp.factorial(n - 1))
 
 
 def gammaR0(n: int, k: int, q_order: int) -> QTauSeries:
@@ -100,14 +95,10 @@ def eichler_E(k: int, q_order: int) -> QTauSeries:
     if k < 4 or k % 2 == 1:
         raise ValueError("k must be an even integer >= 4")
     zeta_neg = -_bern(k) / k  # zeta(1-k)
-    coeffs = {
+    return _divisor_series(k, k - 1, q_order, head={
         (k - 1, 0): zeta_neg / 2 * (2j * mp.pi) ** (k - 1) / mp.factorial(k - 1),
         (0, 0): mp.zeta(k - 1) / 2,
-    }
-    sig = _sigma_table(k - 1, q_order)
-    for j in range(1, q_order + 1):
-        coeffs[(0, j)] = mp.mpf(sig[j]) / j ** (k - 1)
-    return QTauSeries(q_order, coeffs)
+    })
 
 
 class CocyclePoly(dict):

@@ -336,7 +336,18 @@ def B_inf_depth1(n: int, r: int) -> LaurentPoly:
 
 def B_depth1(n: int, r: int, tau, ctx: PrecisionCtx | None = None, q_order=None):
     """Depth-one B-value of length r (word ``(n, 0^{r-1})``): cusp Laurent
-    polynomial plus tau-weighted left-aligned Eisenstein-integral q-parts."""
+    polynomial plus tau-weighted left-aligned Eisenstein-integral q-parts,
+
+        B_inf_depth1(n, r-1)(tau) + sum_{j=1}^{r-1} sum_{k=j}^{n+j-1}
+            w_{j,k} (2 pi i)^{r-k} tau^{n-k} gammaL0(n+j, k)(tau),
+
+        w_{j,k} = (-1)^{k-1} C(n-1, k-j) (n+j-1)! (k-1)! / ((n-1)! (r-j)! (j-1)!).
+
+    The weights are the closed form of an inner sum over i:
+    sum_{i=max(0,k-n)}^{j-1} (-1)^{j-i-1} (n+i-1)!/(i! (j-i-1)! (n+i-k)!)
+    = C(n-1, k-j) (k-1)!/(j-1)!, which vanishes for k < j, so those
+    gammaL0 series are never built; nor are those of odd weight n + j,
+    which are zero."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if r < 2:
@@ -347,31 +358,13 @@ def B_depth1(n: int, r: int, tau, ctx: PrecisionCtx | None = None, q_order=None)
         N = q_order if q_order is not None else auto_q_order(tau, ctx)
         two_pi_i = 2j * mp.pi
         total = B_inf_depth1(n, r - 1)(tau)
-        for j in range(1, r):
-            gam = {k: eval_at(gammaL0(n + j, k, N), tau, ctx) for k in range(1, n + j)}
-            inner_j = mp.mpc(0)
-            for i in range(j):
-                inner_i = mp.mpc(0)
-                for k in range(1, n + i + 1):
-                    inner_i += (
-                        (-1) ** (k - 1)
-                        * tau ** (n - k)
-                        / (two_pi_i ** (k - 1) * mp.factorial(n + i - k))
-                        * gam[k]
-                    )
-                inner_j += (
-                    (-1) ** (j - i - 1)
-                    * mp.factorial(n + i - 1)
-                    / (mp.factorial(i) * mp.factorial(j - i - 1))
-                    * inner_i
-                )
-            total += (
-                two_pi_i ** (r - 1)
-                / mp.factorial(n - 1)
-                * mp.factorial(n + j - 1)
-                / mp.factorial(r - j)
-                * inner_j
-            )
+        for j in range(2 - n % 2, r, 2):
+            for k in range(j, n + j):
+                w = Fraction((-1) ** (k - 1) * math.comb(n - 1, k - j)
+                             * math.factorial(n + j - 1) * math.factorial(k - 1),
+                             math.factorial(n - 1) * math.factorial(r - j) * math.factorial(j - 1))
+                total += (mp.mpf(w.numerator) / w.denominator * two_pi_i ** (r - k) * tau ** (n - k)
+                          * eval_at(gammaL0(n + j, k, N), tau, ctx))
         return total
 
 

@@ -645,6 +645,7 @@ def d2pt(l: int, ctx: PrecisionCtx | None = None) -> LaurentPoly:
             hyp += term
             term = term * (-(l - k)) * Fraction(3, 2) / (Fraction(3, 2) + k)
         coeffs[l] = mp.mpf(hyp.numerator) / hyp.denominator / mp.mpf(12) ** l
+        mags = {l: abs(coeffs[l])}  # sum of |terms| forming each coefficient
         for a in range(l + 1):
             for b in range(l - a + 1):
                 for c in range(l - a - b + 1):
@@ -669,7 +670,11 @@ def d2pt(l: int, ctx: PrecisionCtx | None = None) -> LaurentPoly:
                     )
                     e = c - a - 1
                     coeffs[e] = coeffs.get(e, mp.mpf(0)) + coef
-        return LaurentPoly(coeffs, variable="y")
+                    mags[e] = mags.get(e, 0) + abs(coef)
+        # a coefficient that cancels to within rounding of its terms is 0: the
+        # weights l - e = 1, 2, 4 have no single-valued MZV to carry one
+        return LaurentPoly({e: c for e, c in coeffs.items() if abs(c) > ctx.eps * mags[e]},
+                           variable="y")
 
 
 # ---------------------------------------------------------------------------

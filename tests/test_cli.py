@@ -183,6 +183,9 @@ def test_verify_suite(capsys):
 def test_verify_emzv_length_one_check_can_fail(monkeypatch, capsys):
     rc, doc = _run_json(capsys, ["verify", "--suite", "emzv"])
     assert rc == 0 and all(chk["pass"] for chk in doc["checks"])
+    assert [c["name"] for c in doc["checks"]] == [
+        "emzv: length-one constant n=4", "emzv: depth-one modularity (3,2)",
+        "emzv: depth-one modularity (2,3)"]
     real = emzv.A_depth1
 
     def wrong(n, r, tau=None, ctx=None, q_order=None):

@@ -3,7 +3,7 @@
 import mpmath as mp
 import pytest
 
-from ellipsum.eisenstein import _sigma_table, eis_Gbb
+from ellipsum.eisenstein import _sigma_table, eis_E, eis_G, eis_Gbb
 from ellipsum.eisint import (
     b30_reference,
     cocycle_S,
@@ -76,8 +76,8 @@ def test_gammaL0_structure():
 
 
 def test_exact_power_divisor_keeps_the_bits():
-    # q^N coefficients divide by the integer N**k: bit-identical to dividing
-    # by mpf(N)**k wherever N**k < 2**prec
+    # q^N coefficients of all four divisor-sum series divide by the integer
+    # N**k: bit-identical to dividing by mpf(N)**k wherever N**k < 2**prec
     for dps in (30, 100):
         with mp.workdps(dps):
             sig = {n: _sigma_table(n - 1, 80) for n in range(2, 13, 2)}
@@ -92,6 +92,14 @@ def test_exact_power_divisor_keeps_the_bits():
                 f = eichler_E(k, 80)
                 for j in range(1, 81):
                     assert f.coeff(0, j) == mp.mpf(sig[k][j]) / mp.mpf(j) ** (k - 1)
+            # eis_E and eis_G divide by N**0 = 1; sigma_{k-1}(N) < 2**prec here,
+            # so eis_G keeps the bits of pref * sigma_{k-1}(N)
+            for k in range(2, 13, 2):
+                e, g = eis_E(k, 80), eis_G(k, 80)
+                pref = 2 * (2j * mp.pi) ** k / mp.factorial(k - 1)
+                for N in range(1, 81):
+                    assert e.coeff(0, N) == mp.mpc(sig[k][N])
+                    assert g.coeff(0, N) == pref * sig[k][N]
 
 
 def test_eichler_constant_and_guard():

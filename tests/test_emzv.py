@@ -22,7 +22,7 @@ from ellipsum.emzv import (
 from ellipsum import emzv
 from ellipsum.laurent import LaurentPoly
 from ellipsum.numkernel import PrecisionCtx
-from ellipsum.qseries import GuardError, QTauSeries
+from ellipsum.qseries import GuardError, QTauSeries, auto_q_order
 
 CTX = PrecisionCtx(digits=30)
 TAU = mp.mpc("0.2", "1.1")
@@ -159,6 +159,23 @@ def test_B_depth1_approaches_laurent_at_cusp():
         for n, r in [(3, 2), (2, 3)]:
             assert abs(B_depth1(n, r, high, CTX)
                        - B_inf_depth1(n, r - 1)(high)) < mp.mpf("1e-20")
+
+
+@pytest.mark.parametrize("digits, tau", [(30, mp.mpc("0.13", "1.2")),
+                                         (60, mp.mpc("-0.37", "0.6"))])
+def test_B_depth1_is_A_depth1_at_minus_one_over_tau(digits, tau):
+    # every (j, k) row of the double sum, against A_depth1(n, r, -1/tau) at
+    # +20 digits with 3x the automatic q_order
+    ctx, ref_ctx = PrecisionCtx(digits=digits), PrecisionCtx(digits=digits + 20)
+    with ref_ctx.workprec():
+        s = -1 / tau
+        N = 3 * auto_q_order(s, ref_ctx)
+        refs = {(n, r): A_depth1(n, r, s, ref_ctx, q_order=N)
+                for n in range(2, 9) for r in range(2, 7)}
+    for (n, r), ref in refs.items():
+        with ctx.workprec():
+            err = abs(B_depth1(n, r, tau, ctx) - ref)
+        assert err <= mp.mpf(10) ** (1 - digits) * max(1, abs(ref)), (n, r, err)
 
 
 def test_quadrature_oracle_depth_one():

@@ -321,6 +321,16 @@ def test_d2pt_weight_two():
         assert abs(poly(y) - ref) < mp.mpf("1e-22")
 
 
+def test_d2pt_drops_coefficients_of_empty_sv_weights():
+    # no single-valued MZV has weight 1, 2 or 4, so y^e with l - e among them
+    # cancels to a rounding residue (2.2e-44 at y^1 of d_5, 30 digits)
+    for digits in (10, 30, 100):
+        ctx = PrecisionCtx(digits=digits)
+        for l in range(2, 10):
+            weights = {l - e for e in d2pt(l, ctx).exponents}
+            assert not weights & {1, 2, 4}, (digits, l, weights)
+
+
 def test_d3pt_permutation_symmetry():
     ctx = PrecisionCtx(digits=20)
     with ctx.workprec():
