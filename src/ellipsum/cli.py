@@ -117,9 +117,13 @@ def _num_str(x, digits: int) -> str:
 
 
 def _value_json(x, digits: int):
-    """Real -> decimal string; complex -> {"re", "im"} string pair."""
+    """Real -> decimal string; complex -> {"re", "im"} string pair.  A float
+    gets at most 17 significant digits, which round-trip it; more would be
+    binary noise."""
     if isinstance(x, (Fraction, int)):
         return _num_str(x, digits)
+    if isinstance(x, float):
+        return _num_str(x, min(digits, 17))
     x = mp.mpmathify(x)
     if isinstance(x, mp.mpc):
         return {
@@ -367,9 +371,10 @@ def _eisenstein_e(args, ctx):
 
 def _eisenstein_nonholo(args, ctx):
     val = eisenstein.eis_nonholo(args.s, args.tau, ctx, mode=args.mode, M=args.M)
-    bound = (ctx.eps if args.mode == "cusp"
-             else 8.0 * math.log(args.M + 1) / args.M ** max(2 * args.s - 2, 1))
-    return val, bound
+    if args.mode == "cusp":
+        return val, ctx.eps
+    # the lattice mode is a float64 sum
+    return float(val), 8.0 * math.log(args.M + 1) / args.M ** max(2 * args.s - 2, 1)
 
 
 def _eisenstein_green1(args, ctx):

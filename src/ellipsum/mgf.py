@@ -54,14 +54,21 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real arrays of equal rank via numpy.fft,
-    each axis zero-padded to a 5-smooth length."""
-    shape = [x + y - 1 for x, y in zip(a.shape, b.shape)]
+def fftconvolve(a: np.ndarray, b: np.ndarray, axes=None) -> np.ndarray:
+    """Full linear convolution of two real arrays of equal rank via numpy.fft
+    over `axes` (default all), each zero-padded to a 5-smooth length; the
+    other axes are batched, as in scipy.signal.fftconvolve.  When `b is a`
+    the array is transformed once and its spectrum squared in place."""
+    axes = tuple(range(a.ndim)) if axes is None else tuple(axes)
+    shape = [a.shape[ax] + b.shape[ax] - 1 for ax in axes]
     fshape = [_next_fast_len(s) for s in shape]
-    axes = list(range(a.ndim))
-    spec = np.fft.rfftn(a, fshape, axes) * np.fft.rfftn(b, fshape, axes)
-    return np.fft.irfftn(spec, fshape, axes)[tuple(slice(0, s) for s in shape)]
+    spec = np.fft.rfftn(a, fshape, axes)
+    spec *= spec if b is a else np.fft.rfftn(b, fshape, axes)
+    out = np.fft.irfftn(spec, fshape, axes)
+    keep = [slice(None)] * out.ndim
+    for ax, s in zip(axes, shape):
+        keep[ax] = slice(0, s)
+    return out[tuple(keep)]
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +221,8 @@ def _weights(tau, R: int, counts) -> dict:
     m = np.arange(-R, R + 1)[:, None]
     n = np.arange(-R, R + 1)[None, :]
     norm2 = (m * t1 + n) ** 2 + (m * t2) ** 2
-    mask = np.ones(norm2.shape, dtype=bool)
-    mask[R, R] = False
-    out = {}
-    for k in counts:
-        out[k] = np.zeros_like(norm2)
-        out[k][mask] = norm2[mask] ** (-k)
-    return out
+    norm2[R, R] = np.inf
+    return {k: norm2 ** (-k) for k in counts}
 
 
 def _signatures(edges, block):
@@ -312,32 +314,44 @@ def _block_sum(groups, d: int, tau, M: int) -> float:
     block, is sum_{p,q} A(p) B(q) C(p + sigma q): each group multiplies its
     weight window, shifted by s_3 r, into the factor of its first two
     signature entries (1, 0) -> A, (0, 1) -> B, (1, sigma) -> C, with the
-    scalar of (0, 0) taken into B, and the sum is one fftconvolve(A, B)
-    dotted with C."""
+    scalar of (0, 0) taken into B, and the sum is fftconvolve(A, B) dotted
+    with C.  At depth 2 each factor is one centred grid, which is exactly
+    even, so B needs no reversal for sigma = -1, and B is A (one transform,
+    squared) when the two counts agree; the radius-2M grid of C is built
+    only after the transforms, to keep it out of their peak memory.  At
+    depth 3 the 2M + 1 points r_n of each row r_m are stacked into one
+    batched fftconvolve, so a row bounds the memory."""
     if d == 3 and M > 16:
         raise ValueError("depth-3 lattice sums limited to M <= 16")
-    weight = _weights(tau, d * M, {cnt for _, cnt in groups})
     if d == 1:
         ((_, cnt),) = groups
-        return float(weight[cnt].sum())
+        return float(_weights(tau, M, {cnt})[cnt].sum())
     # The loop edges give (1, 0) and (0, 1).  A tree edge has (1, 1) or
     # (1, -1) when it lies on both fundamental cycles; two fundamental cycles
     # share one tree path, traversed in one relative orientation, so at most
     # one of the two occurs, and it fixes sigma.
     sigma = next((s[1] for s, _ in groups if s[0] and s[1]), 1)
+    if d == 2:
+        cnt = dict(groups)
+        w = _weights(tau, M, {cnt[1, 0], cnt[0, 1]})
+        conv = fftconvolve(w[cnt[1, 0]], w[cnt[0, 1]])
+        return float((conv * _weights(tau, 2 * M, {cnt[1, sigma]})[cnt[1, sigma]]).sum())
+    weight = _weights(tau, 3 * M, {cnt for _, cnt in groups})
     radius = {(0, 0): 0, (1, 0): M, (0, 1): M, (1, sigma): 2 * M}
-    rs = itertools.product(range(-M, M + 1), repeat=2) if d == 3 else [(0, 0)]
     total = 0.0
-    for rm, rn in rs:
+    for rm in range(-M, M + 1):
         f = {}
         for s, cnt in groups:
-            key, c = s[:2], (s[2] if d == 3 else 0)
-            w = _shifted(weight[cnt], (c * rm, c * rn), radius[key])
+            key, c = s[:2], s[2]
+            w = np.stack([_shifted(weight[cnt], (c * rm, c * rn), radius[key])
+                          for rn in range(-M, M + 1)])
             f[key] = f[key] * w if key in f else w
         B = f[0, 1] * f.get((0, 0), 1.0)
         if sigma == -1:
-            B = B[::-1, ::-1]
-        total += (fftconvolve(f[1, 0], B) * f.get((1, sigma), 1.0)).sum()
+            B = B[:, ::-1, ::-1]
+        row = fftconvolve(f[1, 0], B, axes=(1, 2)) * f.get((1, sigma), 1.0)
+        for term in row.sum(axis=(1, 2)):  # point by point: batching moves no bit
+            total += term
     return float(total)
 
 

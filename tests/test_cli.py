@@ -59,6 +59,27 @@ def test_mgf_three_point_laurent(capsys):
     assert abs(terms[3] - 2 / 945) < 1e-8
 
 
+def _significant_digits(text):
+    mantissa = text.lower().split("e")[0].lstrip("-").replace(".", "")
+    return len(mantissa.lstrip("0"))
+
+
+def test_float_value_prints_the_digits_it_has(capsys):
+    rc, doc = _run_json(capsys, ["mgf", "dlattice", "--graph", "cycle:2", "--tau", "i",
+                                 "--M", "10"])
+    assert rc == 0 and doc["precision_digits"] == 30
+    ref = mgf.D_lattice(mgf.MultiGraph.cycle(2), mp.mpc(0, 1), 10)
+    assert float(doc["value"]) == ref
+    assert _significant_digits(doc["value"]) <= 17
+    rc, doc = _run_json(capsys, ["eisenstein", "nonholo", "--s", "2", "--tau", "i",
+                                 "--mode", "lattice", "--M", "20"])
+    assert float(doc["value"]) == mgf.D_lattice(mgf.MultiGraph.cycle(2), mp.mpc(0, 1), 20)
+    assert _significant_digits(doc["value"]) <= 17
+    # an mpf result keeps every requested digit
+    rc, doc = _run_json(capsys, ["eisenstein", "nonholo", "--s", "2", "--tau", "i"])
+    assert _significant_digits(doc["value"]) == 30
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["emzv", "a", "--n", "not-a-number"])

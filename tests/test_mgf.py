@@ -134,10 +134,26 @@ def _loop_momentum_sum(g, tau, M):
     return value
 
 
+def _block_branches(g):
+    """(depth, sigma, has a (0, 0) factor) of each block of g."""
+    for block in g.blocks():
+        groups, d = mgf._signatures(g.edge_list, block)
+        sigma = next((s[1] for s, _ in groups if d > 1 and s[0] and s[1]), 1)
+        yield d, sigma, any(d == 3 and s[:2] == (0, 0) for s, _ in groups)
+
+
+def _k4():
+    return MultiGraph.from_edges(4, [(i, j, 1) for i, j in itertools.combinations(range(4), 2)])
+
+
 def test_D_lattice_matches_loop_momentum_brute_force():
     tau = mp.mpc("0.13", "1.05")
     graphs = list(_graphs_up_to_4_vertices())
     assert [sum(d == k for _, d in graphs) for k in (1, 2, 3)] == [36, 57, 88]
+    # every _block_sum branch: sigma = +-1 at depth 2 and 3; the third loop
+    # edge, signature (0, 0, 1), gives every depth-3 block a (0, 0) factor
+    branches = {b for g, _ in graphs for b in _block_branches(g)}
+    assert branches == {(1, 1, False), (2, 1, False), (2, -1, False), (3, 1, True), (3, -1, True)}
     misses = []
     for g, _ in graphs:
         ref = _loop_momentum_sum(g, tau, 2)
@@ -145,6 +161,31 @@ def test_D_lattice_matches_loop_momentum_brute_force():
         if abs(got - ref) > 1e-13 * abs(ref):
             misses.append((g.to_json(), got, ref))
     assert not misses
+
+
+def test_D_lattice_K4_matches_loop_momentum_brute_force():
+    # 9 batched rows of 9 points of the third momentum
+    tau = mp.mpc("0.13", "1.05")
+    ref = _loop_momentum_sum(_k4(), tau, 4)
+    assert abs(D_lattice(_k4(), tau, 4) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("M", [2, 5])
+def test_block_sum_makes_one_fftconvolve_call_per_row(monkeypatch, M):
+    calls = []
+    real = mgf.fftconvolve
+
+    def counted(a, b, axes=None):
+        calls.append(axes)
+        return real(a, b, axes)
+
+    monkeypatch.setattr(mgf, "fftconvolve", counted)
+    tau = mp.mpc("0.13", "1.05")
+    D_lattice(MultiGraph.banana(3), tau, M)
+    assert len(calls) == 1
+    calls.clear()
+    D_lattice(_k4(), tau, M)
+    assert calls == [(1, 2)] * (2 * M + 1)
 
 
 def test_S_zagier_matches_direct():
@@ -294,8 +335,8 @@ def test_R_value_independent_of_batch_and_cache(monkeypatch):
 
 @pytest.mark.parametrize("L", [250, 500, 1000, 1010])
 def test_fftconvolve_1d_bit_identical_to_scipy(L):
-    # the _R_at_cutoff correlation shapes; L = 1010 gives full length 3031 = 7*433,
-    # which pads to the 5-smooth 3072
+    # the shapes of a length-(L+1) by length-(2L+1) correlation; L = 1010 gives
+    # full length 3031 = 7*433, which pads to the 5-smooth 3072
     signal = pytest.importorskip("scipy.signal")
     rng = np.random.default_rng(L)
     a, b = rng.random(L + 1), rng.random(2 * L + 1)
@@ -311,6 +352,24 @@ def test_fftconvolve_2d_matches_scipy(M):
     got = mgf.fftconvolve(a, b)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("shape", [(1001,), (41, 41), (801, 801)])
+def test_fftconvolve_square_bit_identical_to_product(shape):
+    a = np.random.default_rng(len(shape)).random(shape)
+    assert np.array_equal(mgf.fftconvolve(a, a), mgf.fftconvolve(a, a.copy()))
+
+
+@pytest.mark.parametrize("M", [6, 16])
+def test_fftconvolve_batched_axes_match_scipy(M):
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(M)
+    a, b = rng.random((2, 5, 2 * M + 1, 2 * M + 1))
+    ref = signal.fftconvolve(a, b, axes=(1, 2))
+    got = mgf.fftconvolve(a, b, axes=(1, 2))
+    assert got.shape == ref.shape == (5, 4 * M + 1, 4 * M + 1)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert all(np.array_equal(got[i], mgf.fftconvolve(a[i], b[i])) for i in range(5))
 
 
 def test_d2pt_weight_two():
