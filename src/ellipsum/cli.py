@@ -80,6 +80,18 @@ def parse_tau(text: str) -> mp.mpc:
     return v
 
 
+def _parse_q_order(text: str) -> str:
+    """``auto`` or a nonnegative integer, kept as the text given."""
+    try:
+        ok = text == "auto" or int(text) >= 0
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(
+            f"q-order must be 'auto' or a nonnegative integer, got {text!r}")
+    return text
+
+
 def _conical():
     from . import conical  # lazy: conical pulls in numpy.random (~20 ms)
     return conical
@@ -513,13 +525,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--zeros", type=int, default=0)
     q.add_argument("--tau", type=parse_tau, default=None)
-    q.add_argument("--q-order", dest="q_order", default="auto")
+    q.add_argument("--q-order", dest="q_order", type=_parse_q_order, default="auto")
 
     q = _leaf(ps, "b", "depth-one B-value B(n, 0^zeros; tau)", _emzv_b)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--zeros", type=int, default=0)
     q.add_argument("--tau", type=parse_tau, required=True)
-    q.add_argument("--q-order", dest="q_order", default="auto")
+    q.add_argument("--q-order", dest="q_order", type=_parse_q_order, default="auto")
 
     q = _leaf(ps, "binf", "cusp Laurent polynomial of the depth-one "
                           "B-value (exact tau-polynomial)", _emzv_binf)
@@ -616,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
               _eisenstein_e)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--tau", type=parse_tau, default=None)
-    q.add_argument("--q-order", dest="q_order", default="auto")
+    q.add_argument("--q-order", dest="q_order", type=_parse_q_order, default="auto")
 
     q = _leaf(ps, "nonholo", "non-holomorphic Eisenstein series E(s, tau)",
               _eisenstein_nonholo)

@@ -217,7 +217,9 @@ def zeta_A(A: ConeMatrix, cutoff: int = 200, ctx: PrecisionCtx | None = None,
     variable shared by exactly two simple forms); the remaining nested sum is
     accumulated over max-coordinate shells up to ``cutoff``, with the shell
     tail extrapolated from a (log k)/k^m fit.  Raises if the empirical shell
-    decay is slower than k^-1.2 (divergence guard).
+    decay is slower than k^-1.2 (divergence guard), and for cutoff < 12, where
+    the fit's window of cutoff // 2 shells is shorter than its 6 basis
+    functions.
 
     The closed forms are read from float64 tables at the integer offsets o
     (see ``_closed_form``): psi(o1+1) - psi(o2+1) = H_o1 - H_o2 with H the
@@ -230,6 +232,9 @@ def zeta_A(A: ConeMatrix, cutoff: int = 200, ctx: PrecisionCtx | None = None,
     at ``ctx`` precision."""
     if A.n > 5:
         raise ValueError("cost guard: at most 5 variables")
+    if cutoff < 12:
+        raise ValueError("cutoff must be >= 12: the tail fit needs its 6 basis "
+                         "functions on the last cutoff // 2 shells")
     ctx = ctx or PrecisionCtx()
     groups = _grouped_forms(A)
     elim = _pick_elimination(groups, A.n)

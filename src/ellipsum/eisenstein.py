@@ -11,6 +11,7 @@ cutoffs (sup-norm shells) are used wherever a cutoff appears.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -54,14 +55,22 @@ def _sigma_table(k: int, n_max: int) -> list[int]:
     return arr
 
 
-def _divisor_series(n: int, k: int, q_order: int, c=1, head=None) -> QTauSeries:
-    """``head`` (a coefficient dict) plus c sum_{N <= q_order} sigma_{n-1}(N)/N^k q^N.
-    N**k is an exact integer: one rounding fewer than mpf(N)**k, and the same
-    bits wherever N**k < 2**prec."""
-    sig = _sigma_table(n - 1, q_order)
+def _divisor_series(terms: dict, q_order: int, head=None) -> QTauSeries:
+    """``head`` (a coefficient dict) plus the Eisenstein-type q-series of the
+    exact term map ``terms``: each ``(i, n, k, p): c``, c rational, adds
+    c (2 pi i)^p tau^i sum_{N <= q_order} sigma_{n-1}(N)/N^k q^N.  The numerator
+    of c multiplies (2 pi i)^p before the division, and N**k is an exact integer:
+    one rounding fewer than mpf(N)**k, the same bits wherever N**k < 2**prec."""
     coeffs = dict(head or {})
-    for N in range(1, q_order + 1):
-        coeffs[(0, N)] = c * (mp.mpf(sig[N]) / N**k)
+    sigma = {n: _sigma_table(n - 1, q_order) for n in {key[1] for key in terms}}
+    for (i, n, k, p), c in terms.items():
+        if not c:
+            continue
+        c = Fraction(c)
+        pref = c.numerator * (2j * mp.pi) ** p / c.denominator
+        for N in range(1, q_order + 1):
+            t = pref * (mp.mpf(sigma[n][N]) / N**k)
+            coeffs[i, N] = coeffs[i, N] + t if (i, N) in coeffs else t
     return QTauSeries(q_order, coeffs)
 
 
@@ -289,7 +298,7 @@ def eis_G(k: int, q_order: int) -> QTauSeries:
         return QTauSeries.constant(-1, q_order)
     if k % 2 == 1:
         return QTauSeries(q_order, {})
-    return _divisor_series(k, 0, q_order, 2 * (2j * mp.pi) ** k / mp.factorial(k - 1),
+    return _divisor_series({(0, k, 0, k): Fraction(2, math.factorial(k - 1))}, q_order,
                            {(0, 0): 2 * mp.zeta(k)})
 
 
@@ -306,7 +315,7 @@ def eis_E(k: int, q_order: int) -> QTauSeries:
     head = {(0, 0): -_bern(k) / (2 * mp.factorial(k))}
     if k % 2 == 1:
         return QTauSeries(q_order, head)
-    return _divisor_series(k, 0, q_order, head=head)
+    return _divisor_series({(0, k, 0, 0): 1}, q_order, head)
 
 
 # ---------------------------------------------------------------------------

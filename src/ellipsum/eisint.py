@@ -11,6 +11,8 @@ integration first), built by the regularized-primitive recursion
 from __future__ import annotations
 
 import functools
+import math
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -68,24 +70,23 @@ def gammaL0(n: int, k: int, q_order: int) -> QTauSeries:
         raise ValueError("need 1 <= k <= n-1")
     if n % 2 == 1:
         return QTauSeries(q_order, {})
-    return _divisor_series(n, k, q_order, -2 / mp.factorial(n - 1))
+    return _divisor_series({(0, n, k, 0): Fraction(-2, math.factorial(n - 1))}, q_order)
 
 
 def gammaR0(n: int, k: int, q_order: int) -> QTauSeries:
     """Exponentially suppressed part of the right-aligned depth-one integral
     (Eisenstein column first, then k-1 zero-columns), expressed through the
     left-aligned ones:
-    R0_{n,k} = sum_{i=0}^{k-1} (-1)^{(n-k)+i-1} (2 pi i tau)^i / i! L0_{n,k-i}.
+    R0_{n,k} = sum_{i=0}^{k-1} (-1)^{(n-k)+i-1} (2 pi i tau)^i / i! L0_{n,k-i},
+    one term (i, n, k-i, i) of the divisor-sum map per i.
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
-    out = QTauSeries(q_order, {})
-    m = n - k  # Eisenstein weight minus zero-columns
-    for i in range(k):
-        sign = (-1) ** (m + i - 1)
-        factor = QTauSeries(q_order, {(i, 0): sign * (2j * mp.pi) ** i / mp.factorial(i)})
-        out = out.add(factor.mul(gammaL0(n, k - i, q_order)))
-    return out
+    if n % 2 == 1:
+        return QTauSeries(q_order, {})
+    return _divisor_series({(i, n, k - i, i): Fraction(2 * (-1) ** (n - k + i),
+                                                       math.factorial(i) * math.factorial(n - 1))
+                            for i in range(k)}, q_order)
 
 
 def eichler_E(k: int, q_order: int) -> QTauSeries:
@@ -95,7 +96,7 @@ def eichler_E(k: int, q_order: int) -> QTauSeries:
     if k < 4 or k % 2 == 1:
         raise ValueError("k must be an even integer >= 4")
     zeta_neg = -_bern(k) / k  # zeta(1-k)
-    return _divisor_series(k, k - 1, q_order, head={
+    return _divisor_series({(0, k, k - 1, 0): 1}, q_order, {
         (k - 1, 0): zeta_neg / 2 * (2j * mp.pi) ** (k - 1) / mp.factorial(k - 1),
         (0, 0): mp.zeta(k - 1) / 2,
     })

@@ -17,8 +17,8 @@ import mpmath as mp
 
 from .numkernel import PrecisionCtx, _bern, bernoulli_number
 from .qseries import GuardError, QTauSeries, auto_q_order, check_tau, eval_at
-from .eisenstein import eis_Gbb, f_n
-from .eisint import eichler_E, gammaL0
+from .eisenstein import _divisor_series, eis_Gbb, f_n
+from .eisint import eichler_E
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -51,7 +51,9 @@ def _gen_binom(a: int, j: int) -> Fraction:
 
 
 def A_len1(n: int):
-    """Length-one value: 2 pi i B_n / n! (and 0 at n = 1)."""
+    """Length-one value 2 pi i B_n / n!, and 0 at n = 1: the value the shuffle
+    checks use, A(1) A(m) = A(1, m) + A(m, 1).  The series side gives (1,)
+    i pi/2 instead (see ``A_inf_depth1``)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 1:
@@ -65,7 +67,9 @@ def A_len1(n: int):
 
 def A_inf_depth1(n: int, r: int):
     """Constant term at the cusp of the depth-one series of length r
-    (word ``(n, 0^{r-1})``)."""
+    (word ``(n, 0^{r-1})``).  At (1, 1) it is i pi/2, the length-one value
+    that ``A_depth1(1, 1, tau)`` and ``_A_word_series((1,))``, hence
+    ``expl_diff_A`` and ``A_len2``'s lambda_1 = 1/4, carry; ``A_len1(1)`` is 0."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if n == 1:
@@ -79,18 +83,18 @@ def A_inf_depth1(n: int, r: int):
     return (2j * mp.pi) ** r * _bern(n) / (mp.factorial(r) * mp.factorial(n))
 
 
-def _A_depth1_series(n: int, r: int, q_order: int, const=None, first: int = 1) -> QTauSeries:
-    """q-series of A(n, 0^{r-1}): cusp constant plus combinations of the
-    left-aligned depth-one Eisenstein integrals, j = 1..r-1.  ``const``
-    replaces the cusp constant and the sum starts at j = ``first``."""
-    out = QTauSeries.constant(A_inf_depth1(n, r) if const is None else const, q_order)
+def _A_depth1_terms(n: int, r: int) -> dict:
+    """Divisor-sum term map (see ``eisenstein._divisor_series``) of
+    A(n, 0^{r-1}) - A_inf_depth1(n, r).  The (n+j-1)! of the left-aligned
+    integrals gammaL0(n+j, j) cancels exactly, leaving, with
+    L_{m,k} = sum_N sigma_{m-1}(N) N^-k q^N,
+
+        sum_{0 < j < r, n+j even} (-1)^n 2 (2 pi i)^{r-j} / ((n-1)! (r-j)!) L_{n+j,j}."""
     if n == 0:
-        return out
-    pref = (-1) ** (n - 1) / mp.factorial(n - 1)
-    for j in range(first, r):
-        c = pref * (2j * mp.pi) ** (r - j) * mp.factorial(n + j - 1) / mp.factorial(r - j)
-        out = out.add(gammaL0(n + j, j, q_order).scale(c))
-    return out
+        return {}
+    return {(0, n + j, j, r - j): Fraction(2 * (-1) ** n,
+                                           math.factorial(n - 1) * math.factorial(r - j))
+            for j in range(1, r) if (n + j) % 2 == 0}
 
 
 def A_depth1(n: int, r: int, tau=None, ctx: PrecisionCtx | None = None, q_order=None):
@@ -101,11 +105,11 @@ def A_depth1(n: int, r: int, tau=None, ctx: PrecisionCtx | None = None, q_order=
         raise ValueError("need n >= 0 and r >= 1")
     ctx = ctx or PrecisionCtx()
     with ctx.workprec():
-        if tau is None:
-            return _A_depth1_series(n, r, q_order if q_order is not None else 30)
-        tau = check_tau(tau)
-        N = q_order if q_order is not None else auto_q_order(tau, ctx)
-        return eval_at(_A_depth1_series(n, r, N), tau, ctx)
+        if tau is not None:
+            tau = check_tau(tau)
+        N = q_order if q_order is not None else (30 if tau is None else auto_q_order(tau, ctx))
+        series = _divisor_series(_A_depth1_terms(n, r), N, {(0, 0): A_inf_depth1(n, r)})
+        return series if tau is None else eval_at(series, tau, ctx)
 
 
 def A_depth1_general(s: int, n: int, r: int, tau, ctx: PrecisionCtx | None = None):
@@ -119,11 +123,10 @@ def A_depth1_general(s: int, n: int, r: int, tau, ctx: PrecisionCtx | None = Non
 
 def _A_word_series(word, q_order: int) -> QTauSeries:
     """Series for words that are all zeros or contain one nonzero entry:
-    A(0^s, n, 0^r) = sum_i (2 pi i)^{s-i} (-1)^i / (s-i)! C(r+i, r) A_{n, r+i+1}."""
+    A(0^s, n, 0^r) = sum_i (2 pi i)^{s-i} (-1)^i / (s-i)! C(r+i, r) A_{n, r+i+1},
+    the divisor-sum terms of the A_{n, r+i+1} summed exactly into one map."""
     word = tuple(word)
     nonzero = [(i, n) for i, n in enumerate(word) if n != 0]
-    if not word:
-        return QTauSeries.constant(1, q_order)
     if not nonzero:
         k = len(word)
         return QTauSeries.constant((2j * mp.pi) ** k / mp.factorial(k), q_order)
@@ -131,16 +134,14 @@ def _A_word_series(word, q_order: int) -> QTauSeries:
         raise ValueError("series form implemented for depth-one words only")
     pos, n = nonzero[0]
     s, r = pos, len(word) - pos - 1
-    out = QTauSeries(q_order, {})
+    const, terms = 0, {}
     for i in range(s + 1):
-        c = (
-            (2j * mp.pi) ** (s - i)
-            * (-1) ** i
-            / mp.factorial(s - i)
-            * mp.binomial(r + i, r)
-        )
-        out = out.add(_A_depth1_series(n, r + i + 1, q_order).scale(c))
-    return out
+        c = Fraction((-1) ** i * math.comb(r + i, r), math.factorial(s - i))
+        const += c.numerator * (2j * mp.pi) ** (s - i) / c.denominator * A_inf_depth1(n, r + i + 1)
+        for (t, m, k, p), d in _A_depth1_terms(n, r + i + 1).items():
+            key = (t, m, k, p + s - i)
+            terms[key] = terms.get(key, 0) + c * d
+    return _divisor_series(terms, q_order, {(0, 0): const})
 
 
 def _diff_A_terms(word: tuple) -> list:
@@ -201,8 +202,9 @@ def A_len2(n1: int, n2: int, tau, ctx: PrecisionCtx | None = None):
     2 pi i lambda_m, so dA/dtau = 2 pi i sum_k a_k Gbb_k with rational a_k
     (even k: Gbb_k vanishes at odd k).  Gbb_k has the constant term
     -2 pi i lambda_k, so sum_k a_k lambda_k must vanish (checked exactly), and
-    its q-part integrates to gammaL0(k, 1), so
-    A(n1, n2) = cusp constant - 2 pi i sum_{k >= 2} a_k gammaL0(k, 1).
+    its q-part integrates to gammaL0(k, 1) = -2/(k-1)! L_{k,1} (see
+    ``_A_depth1_terms``), so
+    A(n1, n2) = cusp constant + 2 pi i sum_{k >= 2} 2 a_k/(k-1)! L_{k,1}.
     At even weight every a_k is 0 and the cusp constant is returned as it is;
     (1, odd > 1) has no cusp constant and raises GuardError.
     """
@@ -218,14 +220,10 @@ def A_len2(n1: int, n2: int, tau, ctx: PrecisionCtx | None = None):
                 a[k] = a.get(k, 0) + c * _len1_over_2pii(m)
         if sum(c * _len1_over_2pii(k) for k, c in a.items()):
             raise GuardError("derivative series has a non-vanishing cusp constant")
-        a = {k: c for k, c in a.items() if k and c}
-        if not a:
+        terms = {(0, k, 1, 1): 2 * c / math.factorial(k - 1) for k, c in a.items() if k and c}
+        if not terms:
             return const
-        N = auto_q_order(tau, ctx)
-        series = QTauSeries.constant(const, N)
-        for k, c in a.items():
-            series = series.add(gammaL0(k, 1, N).scale(-2j * mp.pi * c.numerator / c.denominator))
-        return eval_at(series, tau, ctx)
+        return eval_at(_divisor_series(terms, auto_q_order(tau, ctx), {(0, 0): const}), tau, ctx)
 
 
 def A_len2_cordouble(n1: int, n2: int, tau, ctx: PrecisionCtx):
@@ -266,32 +264,25 @@ def hatA(r: int, tau, ctx: PrecisionCtx | None = None, form: str = "direct"):
     with ctx.workprec():
         tau = check_tau(tau)
         if form == "direct":
-            # one series: the gammaL0(2, 1) terms of A_{1,r} and A_{1,2} cancel
-            # exactly, leaving the j >= 2 terms of A_{1,r}
+            # one series: A_{1,2}'s only term, L_{2,1}, cancels the j = 1 term
+            # of A_{1,r} exactly, leaving the j >= 2 terms of A_{1,r}
             const = (A_inf_depth1(1, r)
                      - (2j * mp.pi) ** (r - 2) / mp.factorial(r - 1) * A_inf_depth1(1, 2))
-            return eval_at(_A_depth1_series(1, r, auto_q_order(tau, ctx), const, 2), tau, ctx)
+            terms = _A_depth1_terms(1, r)
+            for (i, m, k, p), c in _A_depth1_terms(1, 2).items():
+                terms[i, m, k, p + r - 2] -= c / math.factorial(r - 1)
+            return eval_at(_divisor_series(terms, auto_q_order(tau, ctx), {(0, 0): const}),
+                           tau, ctx)
         if form != "eichler":
             raise ValueError("form must be 'direct' or 'eichler'")
-        N = auto_q_order(tau, ctx)
+        N, P = auto_q_order(tau, ctx), 2j * mp.pi
         total = mp.mpc(0)
         for j in range(1, r - 1):
-            total -= (
-                (2j * mp.pi) ** r
-                * _bern(2 + j)
-                / mp.factorial(2 + j)
-                * tau ** (j + 1)
-                / mp.factorial(r - j - 1)
-            )
-            if (2 + j) % 2 == 0:
+            total -= (P**r * _bern(2 + j) / mp.factorial(2 + j) * tau ** (j + 1)
+                      / mp.factorial(r - j - 1))
+            if j % 2 == 0:
                 e_val = eval_at(eichler_E(2 + j, N), tau, ctx)
-                total -= (
-                    2
-                    * (2j * mp.pi) ** r
-                    * (2j * mp.pi) ** (-1 - j)
-                    / mp.factorial(r - j - 1)
-                    * e_val
-                )
+                total -= 2 * P**r * P ** (-1 - j) / mp.factorial(r - j - 1) * e_val
         return total
 
 
@@ -345,9 +336,10 @@ def B_depth1(n: int, r: int, tau, ctx: PrecisionCtx | None = None, q_order=None)
 
     The weights are the closed form of an inner sum over i:
     sum_{i=max(0,k-n)}^{j-1} (-1)^{j-i-1} (n+i-1)!/(i! (j-i-1)! (n+i-k)!)
-    = C(n-1, k-j) (k-1)!/(j-1)!, which vanishes for k < j, so those
-    gammaL0 series are never built; nor are those of odd weight n + j,
-    which are zero."""
+    = C(n-1, k-j) (k-1)!/(j-1)!, which vanishes for k < j; gammaL0 of odd
+    weight n + j is zero.  With gammaL0(m, k) = -2/(m-1)! L_{m,k}, the q-parts
+    are one divisor-sum series, evaluated once: its tau powers are raised by
+    r - 2 >= k - n to be nonnegative, and its value is multiplied by tau^{2-r}."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if r < 2:
@@ -356,16 +348,12 @@ def B_depth1(n: int, r: int, tau, ctx: PrecisionCtx | None = None, q_order=None)
     with ctx.workprec():
         tau = check_tau(tau)
         N = q_order if q_order is not None else auto_q_order(tau, ctx)
-        two_pi_i = 2j * mp.pi
-        total = B_inf_depth1(n, r - 1)(tau)
-        for j in range(2 - n % 2, r, 2):
-            for k in range(j, n + j):
-                w = Fraction((-1) ** (k - 1) * math.comb(n - 1, k - j)
-                             * math.factorial(n + j - 1) * math.factorial(k - 1),
-                             math.factorial(n - 1) * math.factorial(r - j) * math.factorial(j - 1))
-                total += (mp.mpf(w.numerator) / w.denominator * two_pi_i ** (r - k) * tau ** (n - k)
-                          * eval_at(gammaL0(n + j, k, N), tau, ctx))
-        return total
+        terms = {(n - k + r - 2, n + j, k, r - k):
+                 Fraction(2 * (-1) ** k * math.comb(n - 1, k - j) * math.factorial(k - 1),
+                          math.factorial(n - 1) * math.factorial(r - j) * math.factorial(j - 1))
+                 for j in range(2 - n % 2, r, 2) for k in range(j, n + j)}
+        return (B_inf_depth1(n, r - 1)(tau)
+                + tau ** (2 - r) * eval_at(_divisor_series(terms, N), tau, ctx))
 
 
 # ---------------------------------------------------------------------------

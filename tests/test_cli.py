@@ -86,6 +86,28 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+_Q_ORDER_LEAVES = [["emzv", "a", "--n", "3", "--tau", "0.2+1.1i"],
+                   ["emzv", "b", "--n", "3", "--zeros", "1", "--tau", "0.2+1.1i"],
+                   ["eisenstein", "e", "--k", "4", "--tau", "0.2+1.1i"]]
+
+
+@pytest.mark.parametrize("bad", ["abc", "-3"])
+@pytest.mark.parametrize("argv", _Q_ORDER_LEAVES, ids=lambda argv: " ".join(argv[:2]))
+def test_bad_q_order_is_a_usage_error(argv, bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--q-order", bad])
+    assert exc.value.code == 2
+    assert "q-order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", _Q_ORDER_LEAVES, ids=lambda argv: " ".join(argv[:2]))
+def test_q_order_param_is_the_text_given(argv, capsys):
+    for text in ("auto", "24"):
+        rc, doc = _run_json(capsys, [*argv, "--q-order", text])
+        assert rc == 0
+        assert doc["params"]["q_order"] == text
+
+
 def test_guard_violation_exit_code(capsys):
     rc = run(["conical", "zeta", "--matrix", "[[1]]"])
     out = capsys.readouterr().out
@@ -349,3 +371,19 @@ def test_conical_call_imports_conical_lazily():
         " '--cutoff', '100']))")
     assert proc.returncode == 0, proc.stderr
     assert "value" in json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    ["conical", "zeta", "--matrix", "[[1,0],[0,1],[1,1]]", "--cutoff", "1"],
+    ["conical", "integral", "--matrix", "[[1,-1],[0,1]]"],
+    ["mgf", "dlattice", "--graph", "banana:3", "--tau", "0.1+1.1i", "--M", "0"],
+    ["mgf", "r", "--m", "1", "1", "1", "--alpha", "0", "--beta", "0", "--cutoff", "0"],
+    ["mgf", "s", "--m", "4", "--n", "1", "--method", "direct", "--cutoff", "1000"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_error_stdout_is_one_json_document(argv):
+    # a fresh process: capsys cannot see what C code (LAPACK) writes to fd 1
+    proc = subprocess.run([sys.executable, "-m", "ellipsum.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (2, 3), proc.stderr
+    assert "error" in json.loads(proc.stdout)

@@ -31,6 +31,17 @@ def test_divergence_guard():
         zeta_A(ConeMatrix([[1]]), cutoff=50, ctx=CTX)
 
 
+@pytest.mark.parametrize("rows, ref", [([[1, 0], [0, 1], [1, 1]], 2 * mp.zeta(3)),
+                                       ([[1, 1], [1, 1], [2, 1]], mp.zeta(3) / 4)])
+def test_cutoff_too_short_for_the_tail_fit(rows, ref):
+    # the tail fit has 6 basis functions on the last cutoff // 2 shells
+    with pytest.raises(ValueError, match="cutoff"):
+        zeta_A(ConeMatrix(rows), cutoff=11, ctx=CTX)
+    with CTX.workprec():
+        val, bound = zeta_A(ConeMatrix(rows), cutoff=12, ctx=CTX, with_bound=True)
+        assert abs(val - ref) <= bound
+
+
 def test_dimension_guard():
     with pytest.raises(ValueError):
         zeta_A(ConeMatrix([[1, 1, 1, 1, 1, 2]] * 2), cutoff=50, ctx=CTX)

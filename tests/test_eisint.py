@@ -10,11 +10,12 @@ from ellipsum.eisint import (
     eichler_E,
     gamma,
     gammaL0,
+    gammaR0,
     gamma_inf,
 )
 from ellipsum.emzv import B_depth1
 from ellipsum.numkernel import PrecisionCtx, bernoulli_number
-from ellipsum.qseries import eval_at
+from ellipsum.qseries import QTauSeries, eval_at
 
 CTX = PrecisionCtx(digits=30)
 N = 30
@@ -73,6 +74,24 @@ def test_gammaL0_structure():
                        + 2 / mp.factorial(n - 1)) < mp.mpf("1e-20")
     with pytest.raises(ValueError):
         gammaL0(4, 4, N)
+
+
+@pytest.mark.parametrize("dps", [30, 100])
+def test_gammaR0_is_tau_monomials_times_gammaL0(dps):
+    # the term map against the ring construction
+    # sum_i (-1)^{n-k+i-1} (2 pi i tau)^i / i! gammaL0(n, k-i), coefficient by coefficient
+    with mp.workdps(dps):
+        for n in range(2, 11, 2):
+            for k in range(1, n):
+                ref = QTauSeries(N, {})
+                for i in range(k):
+                    mono = QTauSeries.tau_power(
+                        i, N, (-1) ** (n - k + i - 1) * (2j * mp.pi) ** i / mp.factorial(i))
+                    ref = ref.add(mono.mul(gammaL0(n, k - i, N)))
+                got = gammaR0(n, k, N)
+                assert set(got.coeffs) == set(ref.coeffs), (n, k)
+                for key, c in ref.coeffs.items():
+                    assert abs(got.coeffs[key] - c) <= mp.mpf(10) ** (2 - dps) * abs(c), (n, k, key)
 
 
 def test_exact_power_divisor_keeps_the_bits():

@@ -22,7 +22,7 @@ from ellipsum.emzv import (
 from ellipsum import emzv
 from ellipsum.laurent import LaurentPoly
 from ellipsum.numkernel import PrecisionCtx
-from ellipsum.qseries import GuardError, QTauSeries, auto_q_order
+from ellipsum.qseries import GuardError, QTauSeries, auto_q_order, eval_at
 
 CTX = PrecisionCtx(digits=30)
 TAU = mp.mpc("0.2", "1.1")
@@ -55,6 +55,35 @@ def test_length_two_matches_odd_weight_reduction(digits):
             val = A_len2(n1, n2, TAU, ctx)
             ref = A_len2_cordouble(n1, n2, TAU, ctx)
             assert abs(val - ref) <= ctx.eps * max(1, abs(ref)), (n1, n2)
+
+
+def test_length_one_word_one_has_two_pinned_values():
+    # A_len1(1) = 0 is what the shuffle checks use; the series side (the cusp
+    # constant, A_depth1 and _A_word_series, hence expl_diff_A) carries i pi/2
+    with CTX.workprec():
+        assert A_len1(1) == 0
+        series = emzv._A_word_series((1,), auto_q_order(TAU, CTX))
+        for val in (A_inf_depth1(1, 1), A_depth1(1, 1, TAU, CTX), eval_at(series, TAU, CTX)):
+            assert abs(val - 1j * mp.pi / 2) <= CTX.eps
+
+
+_ONE_SERIES = {
+    "A_depth1": lambda: A_depth1(5, 4, TAU, CTX),
+    "A_depth1_general": lambda: A_depth1_general(2, 3, 1, TAU, CTX),
+    "A_len2": lambda: A_len2(2, 5, TAU, CTX),
+    "hatA": lambda: hatA(6, TAU, CTX, form="direct"),
+    "B_depth1": lambda: B_depth1(5, 4, TAU, CTX),
+}
+
+
+@pytest.mark.parametrize("name", list(_ONE_SERIES))
+def test_one_series_evaluation_per_value(monkeypatch, name):
+    # each value is one exact divisor-sum term map, built and evaluated once
+    calls = []
+    monkeypatch.setattr(emzv, "eval_at", lambda *a: calls.append(a) or eval_at(*a))
+    with CTX.workprec():
+        _ONE_SERIES[name]()
+    assert len(calls) == 1
 
 
 def test_length_one_constants_of_the_derivative():
@@ -118,8 +147,10 @@ def test_reversal_symmetry():
 
 
 def test_hatA_normalization_and_forms():
+    for ctx in (CTX, PrecisionCtx(60), PrecisionCtx(100)):
+        for tau in (TAU, mp.mpc("-0.37", "0.6"), mp.mpc(0, 3)):
+            assert hatA(2, tau, ctx) == 0
     with CTX.workprec():
-        assert hatA(2, TAU, CTX) == 0
         direct = hatA(4, TAU, CTX, form="direct")
         eichler = hatA(4, TAU, CTX, form="eichler")
         assert abs(direct - eichler) < mp.mpf("1e-20")
