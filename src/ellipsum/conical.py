@@ -334,12 +334,16 @@ def zeta_A_integral(A: ConeMatrix, samples: int = 1 << 16,
     Jacobian tames the boundary divergence.  Eight scrambled Halton batches
     give the reported error: the standard error of the batch mean, a
     statistical estimate and not a bound (at small ``samples`` the true error
-    can be several standard errors)."""
+    can be several standard errors).  Raises for samples < 128, below the
+    floor of 8 batches of 16 points."""
+    nbatch = 8
+    if samples < nbatch * 16:
+        raise ValueError(f"samples must be >= 128 (8 batches of at least 16 points), "
+                         f"not {samples}")
     r, n = A.r, A.n
     srow = np.array(A.row_sums(), dtype=float)
     a = np.array(A.data, dtype=float)  # (r, n)
-    nbatch = 8
-    per = max(samples // nbatch, 16)
+    per = samples // nbatch
     means = []
     for b in range(nbatch):
         u = _halton(r, per, 1234 + b)

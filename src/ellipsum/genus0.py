@@ -52,19 +52,52 @@ class ZetaLinExponent:
         )
 
     def __call__(self, s, t, ctx: PrecisionCtx | None = None):
-        """Numeric value sum_n zeta(n) * poly_n(s, t)."""
+        """Numeric value sum_n zeta(n) * poly_n(s, t), summed in integers.
+
+        poly_n's coefficients are integer numerators over one denominator
+        per n. The powers of s and t and each zeta(n) are binary fixed-point
+        integers at ``wp`` bits (complex values as (real, imaginary) pairs).
+        ``wp`` is the working precision plus guard bits for the numerators'
+        bit lengths, the number of terms, and the smallest possible size of a
+        lowest-degree monomial when |s| or |t| < 1. The sum becomes an mpf only
+        at the end.
+        """
         ctx = ctx or PrecisionCtx()
         with ctx.workprec():
             s = mp.mpmathify(s)
             t = mp.mpmathify(t)
-            deg = max((max(k) for poly in self.coeffs.values() for k in poly), default=0)
-            sp = [s**a for a in range(deg + 1)]
-            tp = [t**b for b in range(deg + 1)]
-            total = mp.mpf(0)
+            polys = []  # (n, common denominator, monomials, integer numerators)
             for n, poly in sorted(self.coeffs.items()):
-                z = mp.zeta(n)
-                total += z * sum(c * sp[a] * tp[b] for (a, b), c in poly.items())
-            return total
+                cs = list(poly.values())
+                den = math.lcm(*(c.denominator for c in cs))
+                nums = [c.numerator * (den // c.denominator) for c in cs]
+                polys.append((n, den, list(poly), nums))
+            monomials = [k for _, _, ks, _ in polys for k in ks]
+            lcm = math.lcm(*(den for _, den, _, _ in polys))
+            deg = max(map(max, monomials), default=0)
+            wp = mp.mp.prec + 2 * (deg + 1).bit_length() + 4 + max(
+                (max(map(abs, vs)).bit_length() for _, _, _, vs in polys), default=0)
+            nonzero = [abs(x) for x in (s, t) if x]
+            if nonzero:
+                wp += max(0, min(map(sum, monomials), default=0) * (1 - mp.mag(min(nonzero))))
+            sp, tp = _fixed_powers(s, deg, wp), _fixed_powers(t, deg, wp)
+            total_re = total_im = 0  # scaled by lcm * 2^(3 wp)
+            for n, den, ks, vs in polys:
+                acc_re = acc_im = 0
+                for (a, b), v in zip(ks, vs):
+                    (sr, si), (tr, ti) = sp[a], tp[b]
+                    acc_re += v * (sr * tr - si * ti)
+                    acc_im += v * (sr * ti + si * tr)
+                z = int(mp.ldexp(mp.zeta(n), wp)) * (lcm // den)
+                total_re += z * acc_re
+                total_im += z * acc_im
+
+            def value(x):
+                return mp.ldexp(mp.mpf(x) / lcm, -3 * wp)
+
+            if isinstance(s, mp.mpc) or isinstance(t, mp.mpc):
+                return mp.mpc(value(total_re), value(total_im))
+            return value(total_re)
 
     def __repr__(self):
         return f"ZetaLinExponent(order={self.order}, zetas={sorted(self.coeffs)})"
@@ -92,19 +125,27 @@ def gamma1p(z, ctx: PrecisionCtx | None = None):
         return mp.exp(acc)
 
 
+def _fixed_powers(x, deg: int, wp: int) -> list:
+    """x^0..x^deg as (real, imaginary) integer pairs scaled by 2^wp; each
+    step truncates by less than one unit of 2^-wp."""
+    xr, xi = (int(mp.ldexp(part, wp)) for part in (mp.re(x), mp.im(x)))
+    out = [(1 << wp, 0)]
+    for _ in range(deg):
+        pr, pi = out[-1]
+        out.append(((pr * xr - pi * xi) >> wp, (pr * xi + pi * xr) >> wp))
+    return out
+
+
 def _binomial_exponent(order: int, sign_rule) -> ZetaLinExponent:
-    """sum_n c_n zeta(n) (s^n + t^n - (s+t)^n) with c_n = sign_rule(n)
-    (returning a Fraction or None to skip n)."""
+    """sum_n (u_n / n) zeta(n) (s^n + t^n - (s+t)^n) with the integer
+    u_n = sign_rule(n) (None to skip n)."""
     coeffs = {}
     for n in range(2, order + 1):
-        c = sign_rule(n)
-        if c is None:
+        u = sign_rule(n)
+        if u is None:
             continue
-        poly = {}
         # s^n + t^n - (s+t)^n = -sum_{k=1}^{n-1} C(n,k) s^k t^(n-k)
-        for k in range(1, n):
-            poly[(k, n - k)] = -c * math.comb(n, k)
-        coeffs[n] = poly
+        coeffs[n] = {(k, n - k): Fraction(-u * math.comb(n, k), n) for k in range(1, n)}
     return ZetaLinExponent(order, coeffs)
 
 
@@ -114,7 +155,7 @@ def veneziano_exponent(order: int) -> ZetaLinExponent:
            = exp(sum_{n>=2} (-1)^n zeta(n)/n (s^n + t^n - (s+t)^n))."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    return _binomial_exponent(order, lambda n: Fraction((-1) ** n, n))
+    return _binomial_exponent(order, lambda n: (-1) ** n)
 
 
 def closed_exponent(order: int) -> ZetaLinExponent:
@@ -122,9 +163,7 @@ def closed_exponent(order: int) -> ZetaLinExponent:
     -2 zeta(n)/n (s^n + t^n - (s+t)^n) for odd n >= 3."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    return _binomial_exponent(
-        order, lambda n: Fraction(-2, n) if n % 2 == 1 else None
-    )
+    return _binomial_exponent(order, lambda n: -2 if n % 2 == 1 else None)
 
 
 def sv_map_exponent(e: ZetaLinExponent) -> ZetaLinExponent:

@@ -20,7 +20,7 @@ import mpmath as mp
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numkernel import MZVIndex, PrecisionCtx, mzv, zeta_int
+from .numkernel import PrecisionCtx, mzv, mzv_many, zeta_int
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -365,6 +365,8 @@ def D_lattice(g: MultiGraph, tau, M: int, ctx: PrecisionCtx | None = None,
     loop momentum (m, n) runs over |m|, |n| <= M.  Blocks of depth 2 and 3
     are summed as one FFT loop sum (see _block_sum).  Graphs with a bridge
     evaluate to exactly 0; values factorize over biconnected blocks."""
+    if M < 1:
+        raise ValueError(f"M must be >= 1, not {M}")
     if not g.is_connected():
         raise ValueError("graph must be connected")
     edges = g.edge_list
@@ -395,6 +397,8 @@ def S_direct(m: int, n: int, cutoff: int) -> float:
     """Truncated direct evaluation of the constrained sum over (Z*)^m."""
     if m < 2:
         raise ValueError("m must be >= 2")
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, not {cutoff}")
     if m == 2:
         k = np.arange(1, cutoff + 1, dtype=float)
         return float(2.0 * np.sum(1.0 / (k**2 * (2 * k) ** n)))
@@ -448,15 +452,26 @@ def _compositions_12(total: int):
                 yield (first,) + rest
 
 
+def _zagier_terms(m: int, n: int) -> list:
+    """(power of 2, MZV index) of each term of S_zagier(m, n)."""
+    return [(2 * (len(comp) + 1) - m - n, comp + (n + 2,)) for comp in _compositions_12(m - 2)]
+
+
+def _zagier_mzv_ctx(dps: int) -> PrecisionCtx:
+    return PrecisionCtx(max(dps - 10, 10))
+
+
 @functools.lru_cache(maxsize=None)
 def _S_zagier_cached(m: int, n: int, dps: int):
+    terms = _zagier_terms(m, n)
+    ctx = _zagier_mzv_ctx(dps)
+    # one pass for all terms; each value is then read through mzv (a cache
+    # hit), so a per-call trace of mzv still sees one call per MZV
+    mzv_many([idx for _, idx in terms], ctx)
     with mp.workdps(dps):
         total = mp.mpf(0)
-        for comp in _compositions_12(m - 2):
-            r = len(comp)
-            total += mp.mpf(2) ** (2 * (r + 1) - m - n) * mzv(
-                MZVIndex(comp + (n + 2,)), PrecisionCtx(max(dps - 10, 10))
-            )
+        for p, idx in terms:
+            total += mp.mpf(2) ** p * mzv(idx, ctx)
         return mp.factorial(m) * total
 
 
@@ -467,6 +482,15 @@ def S_zagier(m: int, n: int, ctx: PrecisionCtx | None = None):
         raise ValueError("m must be >= 2")
     ctx = ctx or PrecisionCtx()
     return _S_zagier_cached(m, n, ctx.dps)
+
+
+def _S_zagier_many(pairs, ctx: PrecisionCtx) -> dict:
+    """S_zagier(m, n) of every (m, n) in pairs, keyed by pair, after one
+    ``mzv_many`` pass over all their MZVs (values as from S_zagier)."""
+    pairs = set(pairs)
+    mzv_many([idx for m, n in pairs for _, idx in _zagier_terms(m, n)],
+             _zagier_mzv_ctx(ctx.dps))
+    return {(m, n): S_zagier(m, n, ctx) for m, n in pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +620,8 @@ def R_structured(m1: int, m2: int, m3: int, alpha: int, beta: int,
     L/8, L/4, L/2, L."""
     if min(alpha, beta) < 0:
         raise ValueError("alpha, beta must be >= 0")
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, not {cutoff}")
     key = (m1, m2, m3, alpha, beta)
     return _R_values([key], cutoff)[key]
 
@@ -624,6 +650,8 @@ def R_direct(m1: int, m2: int, m3: int, alpha: int, beta: int, cutoff: int) -> f
     (common momentum a, per-group absolute-value sums):
     sum_a sum_{s1} T1[a, s1] (T2[a] @ H_alpha[s1]) (T3[a] @ H_beta[s1]) with
     H_e[s1, s2] = (s1 + s2)^-e (0 at s1 + s2 = 0; row sums for e = 0)."""
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, not {cutoff}")
     C = cutoff
     A = min(m1, m2, m3) * C
     tables = {m: _k_table(m, C)[m * C - A : m * C + A + 1] for m in {m1, m2, m3}}
@@ -660,31 +688,24 @@ def d2pt(l: int, ctx: PrecisionCtx | None = None) -> LaurentPoly:
             term = term * (-(l - k)) * Fraction(3, 2) / (Fraction(3, 2) + k)
         coeffs[l] = mp.mpf(hyp.numerator) / hyp.denominator / mp.mpf(12) ** l
         mags = {l: abs(coeffs[l])}  # sum of |terms| forming each coefficient
-        for a in range(l + 1):
-            for b in range(l - a + 1):
-                for c in range(l - a - b + 1):
-                    m = l - a - b - c
-                    if m < 2:
-                        continue
-                    coef = (
-                        mp.mpf(2)
-                        / mp.mpf(4) ** l
-                        * mp.factorial(l)
-                        * mp.factorial(2 * a + b)
-                        / (
-                            mp.factorial(a)
-                            * mp.factorial(b)
-                            * mp.factorial(c)
-                            * mp.factorial(m)
-                        )
-                        * (-1) ** b
-                        / mp.mpf(6) ** c
-                        * S_zagier(m, 2 * a + b + 1, ctx)
-                        * mp.mpf(2) ** (c - a - 1)
-                    )
-                    e = c - a - 1
-                    coeffs[e] = coeffs.get(e, mp.mpf(0)) + coef
-                    mags[e] = mags.get(e, 0) + abs(coef)
+        terms = [(a, b, c, l - a - b - c) for a in range(l + 1) for b in range(l - a + 1)
+                 for c in range(l - a - b - 1)]  # m = l - a - b - c >= 2
+        S = _S_zagier_many({(m, 2 * a + b + 1) for a, b, c, m in terms}, ctx)
+        for a, b, c, m in terms:
+            coef = (
+                mp.mpf(2)
+                / mp.mpf(4) ** l
+                * mp.factorial(l)
+                * mp.factorial(2 * a + b)
+                / (mp.factorial(a) * mp.factorial(b) * mp.factorial(c) * mp.factorial(m))
+                * (-1) ** b
+                / mp.mpf(6) ** c
+                * S[m, 2 * a + b + 1]
+                * mp.mpf(2) ** (c - a - 1)
+            )
+            e = c - a - 1
+            coeffs[e] = coeffs.get(e, mp.mpf(0)) + coef
+            mags[e] = mags.get(e, 0) + abs(coef)
         # a coefficient that cancels to within rounding of its terms is 0: the
         # weights l - e = 1, 2, 4 have no single-valued MZV to carry one
         return LaurentPoly({e: c for e, c in coeffs.items() if abs(c) > ctx.eps * mags[e]},
@@ -778,9 +799,12 @@ def _dB_terms(l):
 
 def _dC_ordered(l, ctx) -> LaurentPoly:
     coeffs: dict[int, mp.mpf] = {}
-    for a, b, c, m in _vec_compositions(l, 4):
-        if m[1] != 0 or m[2] != 0 or m[0] < 2:
-            continue
+    rows = [(a, b, c, m) for a, b, c, m in _vec_compositions(l, 4)
+            if m[1] == 0 and m[2] == 0 and m[0] >= 2]
+    # S(m1, j) for j = 1..lam + 1, lam = 2|a| + |b| + 1
+    S = _S_zagier_many({(m[0], j) for a, b, c, m in rows
+                        for j in range(1, 2 * sum(a) + sum(b) + 3)}, ctx)
+    for a, b, c, m in rows:
         base = 2 * _multinomial_base(l, a, b, c, m)
         e_pow = sum(c) - sum(a) - 2
         lam = 2 * sum(a) + sum(b) + 1
@@ -795,15 +819,12 @@ def _dC_ordered(l, ctx) -> LaurentPoly:
                 * mp.factorial(lam)
             )
             # constant-in-y piece S(m1, lam+1) at power e_pow
-            coeffs[e_pow] = coeffs.get(e_pow, mp.mpf(0)) + pref * S_zagier(
-                m[0], lam + 1, ctx
-            ) * mp.mpf(2) ** e_pow
+            coeffs[e_pow] = (coeffs.get(e_pow, mp.mpf(0))
+                             + pref * S[m[0], lam + 1] * mp.mpf(2) ** e_pow)
             for j in range(lam + 1):
                 e = e_pow + lam - j
                 coeffs[e] = coeffs.get(e, mp.mpf(0)) + pref * (
-                    (-1) ** j
-                    * S_zagier(m[0], j + 1, ctx)
-                    / mp.factorial(lam - j)
+                    (-1) ** j * S[m[0], j + 1] / mp.factorial(lam - j)
                 ) * mp.mpf(2) ** e
     return LaurentPoly(coeffs, variable="y")
 

@@ -8,6 +8,11 @@ Conventions used throughout the package:
   exponent is at least 2.
 * Binary words encode iterated-integral representations; a convergent word
   starts with the letter 0 and ends with the letter 1.
+* ``mzv_many(indices, ctx)`` is the one MZV evaluator (``mzv`` is its batch
+  of one). It makes one pass for the multiple polylogarithms at 1/2 of every
+  index not yet cached. Li_e(1/2) is memoised by (exponent tuple, dps) and
+  each MZV by (index, dps); a value depends on nothing else, so batching and
+  call order never change a bit of it.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "bernoulli_periodic",
     "zeta_int",
     "mzv",
+    "mzv_many",
     "polylog",
     "shuffle",
     "stuffle",
@@ -208,6 +214,10 @@ def zeta_int(n: int, ctx: PrecisionCtx):
         return +val
 
 
+# Li_e(1/2) by (exponent tuple, dps); see _li_half_many
+_li_half_cached: dict = {}
+
+
 def _li_half_many(exponent_tuples: set, dps: int) -> dict:
     """Li_{m1,...,ms}(1/2) = sum over n1 > n2 > ... > ns >= 1 of
     (1/2)^{n1} / prod(n_i^{m_i}) for each exponent tuple, keyed by tuple.
@@ -219,31 +229,37 @@ def _li_half_many(exponent_tuples: set, dps: int) -> dict:
     built shortest tail first. Every floor division and the ``>> n1`` weight
     drop less than one unit of 2^-prec; the 32 bits beyond the working
     precision cover their sum over all terms and levels.
+
+    Values are memoised in ``_li_half_cached`` by (tuple, dps), and only the
+    tuples not yet there are computed. This keeps results bit-identical
+    whatever the batch: the value of a tuple is a function of the tuple,
+    ``n_terms`` and ``prec`` alone (its tail arrays are exact integer
+    recursions on the tuple's own tails), and both of those depend only on
+    ``dps``. Tail arrays are not kept between calls.
     """
-    n_terms = int(3.33 * dps) + 25
-    prec = int(3.33 * (dps + 10)) + 32
-    # powers[m][i] = (i + 1) ** m, the divisor at index n = i + 1
-    powers = {
-        m: [j**m for j in range(1, n_terms + 1)]
-        for m in {m for e in exponent_tuples for m in e}
-    }
-    tails = {e[k:] for e in exponent_tuples for k in range(1, len(e))}
-    inner = {(): [1 << prec] * n_terms}
-    for tail in sorted(tails, key=len):
-        below = inner[tail[1:]]
-        inner[tail] = [
-            0,
-            *accumulate(a // b for a, b in zip(below[:-1], powers[tail[0]])),
-        ]
-    values = {}
-    with mp.workdps(dps + 10):
-        for e in exponent_tuples:
-            total = sum(
-                (a // b) >> n
-                for n, a, b in zip(range(1, n_terms + 1), inner[e[1:]], powers[e[0]])
-            )
-            values[e] = mp.ldexp(mp.mpf(total), -prec)
-    return values
+    todo = {e for e in exponent_tuples if (e, dps) not in _li_half_cached}
+    if todo:
+        n_terms = int(3.33 * dps) + 25
+        prec = int(3.33 * (dps + 10)) + 32
+        # powers[m][i] = (i + 1) ** m, the divisor at index n = i + 1
+        powers = {m: [j**m for j in range(1, n_terms + 1)] for m in {m for e in todo for m in e}}
+        tails = {e[k:] for e in todo for k in range(1, len(e))}
+        inner = {(): [1 << prec] * n_terms}
+        for tail in sorted(tails, key=len):
+            below = inner[tail[1:]]
+            inner[tail] = [
+                0,
+                *accumulate(a // b for a, b in zip(below[:-1], powers[tail[0]])),
+            ]
+        with mp.workdps(dps + 10):
+            for e in todo:
+                # floor(floor(a / 2^n) / b) = floor(a / (b 2^n)) = floor(floor(a / b) / 2^n)
+                total = sum(
+                    (a >> n) // b
+                    for n, a, b in zip(range(1, n_terms + 1), inner[e[1:]], powers[e[0]])
+                )
+                _li_half_cached[e, dps] = mp.ldexp(mp.mpf(total), -prec)
+    return {e: _li_half_cached[e, dps] for e in exponent_tuples}
 
 
 def _word_groups(w) -> tuple[int, ...]:
@@ -261,40 +277,58 @@ def _word_groups(w) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def mzv(idx, ctx: PrecisionCtx):
-    """Multiple zeta value of an admissible index, increasing-argument
-    convention, via the Hoelder convolution at 1/2 (every factor is a rapidly
-    convergent multiple polylogarithm at 1/2).
-
-    All 2(n+1) polylogarithms of a weight-n word are computed in one pass in
-    binary fixed point, sharing the cumulative sums of common exponent tails;
-    the result depends only on the index and ``ctx.dps``, never on the
-    ambient mpmath precision.
-    """
+def _admissible(idx) -> tuple:
     idx = MZVIndex(idx)
     if not idx.admissible:
         raise ValueError(f"index {tuple(idx)} is not admissible")
-    return _mzv_cached(tuple(idx), ctx.dps)
+    return tuple(idx)
 
 
-@functools.lru_cache(maxsize=None)
-def _mzv_cached(idx: tuple, dps: int):
-    w = word_from_index(idx)
+def mzv(idx, ctx: PrecisionCtx):
+    """Multiple zeta value of an admissible index, increasing-argument
+    convention: ``mzv_many([idx], ctx)[tuple(idx)]``."""
+    idx = _admissible(idx)
+    return mzv_many([idx], ctx)[idx]
+
+
+# MZV values by (index tuple, dps)
+_mzv_cached: dict = {}
+
+
+def mzv_many(indices, ctx: PrecisionCtx) -> dict:
+    """Multiple zeta values of admissible indices, keyed by index tuple, via
+    the Hoelder convolution at 1/2: each is a sum over the n+1 splits of its
+    weight-n word of products of two multiple polylogarithms at 1/2.
+
+    The polylogarithms of every index not yet in ``_mzv_cached`` are made in
+    one ``_li_half_many`` pass over the union of their exponent tuples, so
+    the batch shares the cumulative sums of common tails. Each value depends
+    only on its index and ``ctx.dps`` (never on the batch, the call order or
+    the ambient mpmath precision), so a batch, single calls and any order
+    give bit-identical results.
+    """
+    idxs = [_admissible(i) for i in indices]
+    dps = ctx.dps
     # (suffix, dual) exponent tuples of each split; () stands for the factor 1
-    pairs = [
-        (
-            _word_groups(w[j:]),
-            _word_groups(tuple(1 - a for a in reversed(w[:j]))),
-        )
-        for j in range(len(w) + 1)
-    ]
-    li = _li_half_many({e for pair in pairs for e in pair if e}, dps)
-    with mp.workdps(dps + 10):
-        li[()] = mp.mpf(1)
-        total = mp.mpf(0)
-        for left, right in pairs:
-            total += li[left] * li[right]
-        return +total
+    splits = {}
+    for idx in idxs:
+        if (idx, dps) not in _mzv_cached and idx not in splits:
+            w = word_from_index(idx)
+            splits[idx] = [
+                (_word_groups(w[j:]), _word_groups(tuple(1 - a for a in reversed(w[:j]))))
+                for j in range(len(w) + 1)
+            ]
+    if splits:
+        li = _li_half_many({e for pairs in splits.values() for pair in pairs for e in pair if e},
+                           dps)
+        with mp.workdps(dps + 10):
+            li[()] = mp.mpf(1)
+            for idx, pairs in splits.items():
+                total = mp.mpf(0)
+                for left, right in pairs:
+                    total += li[left] * li[right]
+                _mzv_cached[idx, dps] = +total
+    return {idx: _mzv_cached[idx, dps] for idx in idxs}
 
 
 def polylog(k: int, z, ctx: PrecisionCtx):
@@ -361,9 +395,7 @@ def sv_mzv(idx, ctx: PrecisionCtx):
             return -10 * zeta_int(3, ctx) * zeta_int(5, ctx)
         if tuple(idx) == (3, 5, 3):
             z3 = zeta_int(3, ctx)
-            return (
-                2 * mzv((3, 5, 3), ctx)
-                - 2 * z3 * mzv((3, 5), ctx)
-                - 10 * z3**2 * zeta_int(5, ctx)
-            )
+            mzv_many([(3, 5, 3), (3, 5)], ctx)  # one pass; the mzv calls read its cache
+            return (2 * mzv((3, 5, 3), ctx) - 2 * z3 * mzv((3, 5), ctx)
+                    - 10 * z3**2 * zeta_int(5, ctx))
     raise KeyError(f"single-valued value for {tuple(idx)} is not catalogued")

@@ -124,6 +124,23 @@ def test_guard_violation_exit_code(capsys):
     assert doc["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("argv,floor", [
+    (["conical", "integral", "--matrix", "[[1,0],[0,1],[1,1]]", "--samples", "127"],
+     "samples must be >= 128"),
+    (["mgf", "dlattice", "--graph", "banana:3", "--tau", "0.1+1.1i", "--M", "0"],
+     "M must be >= 1"),
+    (["mgf", "r", "--m", "1", "1", "1", "--alpha", "0", "--beta", "0", "--cutoff", "0"],
+     "cutoff must be >= 1"),
+    (["mgf", "s", "--m", "3", "--n", "1", "--method", "direct", "--cutoff", "0"],
+     "cutoff must be >= 1"),
+], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else None)
+def test_size_below_floor_is_refused_by_name(capsys, argv, floor):
+    rc, doc = _run_json(capsys, argv)
+    assert rc == 3
+    assert doc["error"]["type"] == "ValueError"
+    assert floor in doc["error"]["message"]
+
+
 # One cheap argv per subcommand (plus the branches with other bounds) and the
 # frozen envelope it must print: (argv, kind, error_bound).
 _TAU = "0.2+1.1i"

@@ -1,5 +1,6 @@
 """Genus-zero amplitude expansion checks."""
 
+import itertools
 from fractions import Fraction
 
 import mpmath as mp
@@ -59,3 +60,54 @@ def test_exponent_scale_and_call():
         assert abs(e.scale(2)(s, t, CTX) - 2 * e(s, t, CTX)) < mp.mpf("1e-30")
         ref = mp.log(gamma1p(s, CTX) * gamma1p(t, CTX) / gamma1p(s + t, CTX))
         assert abs(e(s, t, CTX) - ref) < mp.mpf("1e-30")
+
+
+def _fraction_sum(e, s, t):
+    """The exponent summed as Fraction * mpf * mpf at the ambient precision
+    (the evaluation before the integer sum), and the same sum of |terms|."""
+    deg = max((max(k) for poly in e.coeffs.values() for k in poly), default=0)
+    sp = [s**a for a in range(deg + 1)]
+    tp = [t**b for b in range(deg + 1)]
+    total = magnitude = mp.mpf(0)
+    for n, poly in sorted(e.coeffs.items()):
+        z = mp.zeta(n)
+        terms = [c * sp[a] * tp[b] for (a, b), c in poly.items()]
+        total += z * sum(terms)
+        magnitude += z * sum(abs(x) for x in terms)
+    return total, magnitude
+
+
+_POINTS = ["-0.02", "0.02", "0.08", "0.3", "0.45", "-1e-9"]
+
+
+@pytest.mark.parametrize("order,digits", [(11, 30), (40, 60), (60, 100)])
+def test_integer_sum_matches_fraction_sum(order, digits):
+    # 10^-(digits+3) relative to the value, plus 10^-(digits+10) of the sum of
+    # |terms| (the rounding scale of the terms at working precision) for the
+    # closed exponent at s = -t, whose value is exactly 0
+    ctx = PrecisionCtx(digits=digits)
+    exponents = {"open": veneziano_exponent(order), "closed": closed_exponent(order),
+                 "sv": sv_map_exponent(veneziano_exponent(order))}
+    for name, e in exponents.items():
+        for s, t in itertools.product(_POINTS, _POINTS):
+            with mp.workdps(digits + 20):
+                s, t = mp.mpf(s), mp.mpf(t)
+                ref, terms = _fraction_sum(e, s, t)
+            value = e(s, t, ctx)
+            assert type(value) is mp.mpf
+            with mp.workdps(digits + 20):
+                tol = mp.mpf(10) ** -(digits + 3) * abs(ref) + mp.mpf(10) ** -(digits + 10) * terms
+                assert abs(value - ref) <= tol, (name, s, t)
+
+
+def test_integer_sum_takes_complex_arguments():
+    ctx = PrecisionCtx(digits=40)
+    e = veneziano_exponent(60)
+    with mp.workdps(60):
+        s, t = mp.mpc("0.1", "0.05"), mp.mpc("-0.07", "0.02")
+        ref = mp.loggamma(1 + s) + mp.loggamma(1 + t) - mp.loggamma(1 + s + t)
+    value = e(s, t, ctx)
+    assert isinstance(value, mp.mpc)
+    with mp.workdps(60):
+        assert abs(value - ref) < mp.mpf(10) ** -43 * abs(ref)
+        assert abs(value - _fraction_sum(e, s, t)[0]) < mp.mpf(10) ** -43 * abs(ref)

@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ellipsum import mgf
+from ellipsum import mgf, numkernel
 from ellipsum.eisenstein import eis_nonholo
 from ellipsum.mgf import (
     D_lattice,
@@ -388,6 +388,32 @@ def test_d2pt_drops_coefficients_of_empty_sv_weights():
         for l in range(2, 10):
             weights = {l - e for e in d2pt(l, ctx).exponents}
             assert not weights & {1, 2, 4}, (digits, l, weights)
+
+
+def test_mzv_built_values_ignore_cache_state(monkeypatch):
+    # every value computed alone from empty caches equals the one computed
+    # after the batches of the others have filled them
+    ctx = PrecisionCtx(digits=32)
+    calls = {f"d2pt({l})": (lambda l=l: d2pt(l, ctx)) for l in range(7, 1, -1)}
+    calls["d3pt(1,1,2)"] = lambda: d3pt(1, 1, 2, ctx=ctx, cutoff=100)
+    calls.update({f"S({m},{n})": (lambda m=m, n=n: S_zagier(m, n, ctx))
+                  for m in range(2, 7) for n in range(0, 9)})
+
+    def cleared():
+        monkeypatch.setattr(numkernel, "_mzv_cached", {})
+        monkeypatch.setattr(numkernel, "_li_half_cached", {})
+        monkeypatch.setattr(mgf, "_R_cache", {})
+        mgf._S_zagier_cached.cache_clear()
+
+    def key(v):
+        return v.coeffs if hasattr(v, "coeffs") else v
+
+    cleared()
+    warm = {name: key(call()) for name, call in calls.items()}
+    for name, call in calls.items():
+        cleared()
+        assert key(call()) == warm[name], name
+    mgf._S_zagier_cached.cache_clear()
 
 
 def test_d3pt_permutation_symmetry():

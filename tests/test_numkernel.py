@@ -12,12 +12,14 @@ from ellipsum.numkernel import (
     BinaryWord,
     MZVIndex,
     PrecisionCtx,
+    _li_half_cached,
     _mzv_cached,
     bernoulli_number,
     bernoulli_periodic,
     bernoulli_poly,
     index_from_word,
     mzv,
+    mzv_many,
     polylog,
     shuffle,
     stuffle,
@@ -210,10 +212,39 @@ def test_mzv_ignores_ambient_precision_and_cache_order():
     indices = [(2,), (1, 2), (3, 5, 3), (2, 2, 7), (1, 1, 1, 4), (2, 9)]
 
     def values(order, ambient_dps):
-        _mzv_cached.cache_clear()
+        _mzv_cached.clear()
+        _li_half_cached.clear()
         with mp.workdps(ambient_dps):
             return {idx: mzv(idx, CTX60) for idx in order}
 
     low = values(indices, 15)
     high = values(list(reversed(indices)), 200)
     assert all(low[idx] == high[idx] for idx in indices)
+
+
+# indices whose Hoelder splits share polylog tails: the S_zagier(4, n)
+# compositions, (3,5,3) with (3,5), and (2,9) with (11,)
+_SHARING = [(1, 1, 5), (2, 5), (1, 1, 8), (2, 8), (3, 5, 3), (3, 5), (2, 9), (11,)]
+
+
+@pytest.mark.parametrize("digits", [32, 60, 100])
+def test_mzv_many_batch_single_and_order_agree_bit_for_bit(digits):
+    ctx = PrecisionCtx(digits=digits)
+
+    def cold(fn):
+        _mzv_cached.clear()
+        _li_half_cached.clear()
+        return fn()
+
+    batch = cold(lambda: mzv_many(_SHARING, ctx))
+    single = cold(lambda: {idx: mzv(idx, ctx) for idx in _SHARING})
+    reverse = cold(lambda: mzv_many(_SHARING[::-1], ctx))
+    assert list(batch) == _SHARING
+    for idx in _SHARING:
+        assert batch[idx]._mpf_ == single[idx]._mpf_ == reverse[idx]._mpf_, idx
+    # a batch that is partly cached returns the cached values
+    assert mzv_many([(2, 9), (4, 7)], ctx)[2, 9] is reverse[2, 9]
+    with pytest.raises(ValueError, match=r"index \(2, 1\) is not admissible"):
+        mzv_many([(2,), (2, 1)], ctx)
+    with pytest.raises(ValueError, match=r"index \(2, 1\) is not admissible"):
+        mzv((2, 1), ctx)
