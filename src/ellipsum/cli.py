@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -212,7 +213,13 @@ def _write(doc: dict, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): send what is left to
+        # os.devnull, so that the flush at exit fails no more, and stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 def _clean_params(args: argparse.Namespace) -> dict:
@@ -287,8 +294,10 @@ def _mgf_laurent2(args, ctx):
 
 
 def _mgf_laurent3(args, ctx):
-    # structured-sum truncation dominates: empirical O(cutoff^-2) scale
-    return mgf.d3pt(*args.l, ctx, cutoff=args.cutoff), 10.0 / args.cutoff**2
+    # exact unless an R-sum falls back to the float route, whose truncation
+    # error has an empirical O(cutoff^-2) scale
+    bound = 10.0 / args.cutoff**2 if mgf._d3pt_fallback_keys(args.l) else ctx.eps
+    return mgf.d3pt(*args.l, ctx, cutoff=args.cutoff), bound
 
 
 def _mgf_dlattice(args, ctx):
@@ -687,10 +696,10 @@ def run(argv) -> int:
     try:
         return _cmd_verify(args) if args.command == "verify" else _compute(args)
     except (GuardError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        print(json.dumps({
+        _write({
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "params": _clean_params(args),
-        }, indent=2))
+        }, None)
         return 3
 
 

@@ -334,12 +334,15 @@ def zeta_A_integral(A: ConeMatrix, samples: int = 1 << 16,
     Jacobian tames the boundary divergence.  Eight scrambled Halton batches
     give the reported error: the standard error of the batch mean, a
     statistical estimate and not a bound (at small ``samples`` the true error
-    can be several standard errors).  Raises for samples < 128, below the
-    floor of 8 batches of 16 points."""
+    can be several standard errors).  The mean is a float64.  Raises for
+    samples < 128, below the floor of 8 batches of 16 points, and for samples
+    that the 8 batches cannot share equally."""
     nbatch = 8
     if samples < nbatch * 16:
         raise ValueError(f"samples must be >= 128 (8 batches of at least 16 points), "
                          f"not {samples}")
+    if samples % nbatch:
+        raise ValueError(f"samples must be a multiple of 8 (8 equal batches), not {samples}")
     r, n = A.r, A.n
     srow = np.array(A.row_sums(), dtype=float)
     a = np.array(A.data, dtype=float)  # (r, n)
@@ -357,7 +360,7 @@ def zeta_A_integral(A: ConeMatrix, samples: int = 1 << 16,
         vals = num * jac / den
         means.append(float(np.mean(vals)))
     means = np.array(means)
-    value = mp.mpf(float(means.mean()))
+    value = float(means.mean())
     err = float(means.std(ddof=1) / math.sqrt(nbatch))
     return (value, err) if with_error else value
 

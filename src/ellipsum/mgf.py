@@ -1,6 +1,7 @@
 """Modular graph functions: lattice-sum evaluation for multigraphs, the
 two- and three-point Laurent-polynomial parts via nested lattice sums
-(S- and R-sums), identity checks, and finite-difference Laplacians.
+(S- and R-sums, the R-sums reduced exactly to MZVs where one of three
+families allows it), identity checks, and finite-difference Laplacians.
 
 Conventions: a multigraph on N vertices with edge multiplicities l_ij has
 weight l = sum of multiplicities; each edge carries a propagator
@@ -20,7 +21,7 @@ import mpmath as mp
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numkernel import PrecisionCtx, mzv, mzv_many, zeta_int
+from .numkernel import PrecisionCtx, _word_groups, mzv, mzv_many, shuffle, stuffle, zeta_int
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -611,7 +612,7 @@ def R_structured(m1: int, m2: int, m3: int, alpha: int, beta: int,
     The layers are evaluated in blocks of rows: per block, one transform of
     the kernel segment per exponent and one rfft/irfft pair per distinct
     (group size, exponent) correlation, shared by all keys of a batch
-    (``d3pt`` evaluates all its R-sums in one such pass per cutoff).
+    (``d3pt`` evaluates its fallback R-sums in one such pass per cutoff).
 
     The truncation error decays polynomially in the cutoff L.  A three-point
     geometric-ratio Richardson extrapolation over L/4, L/2, L is applied,
@@ -713,10 +714,220 @@ def d2pt(l: int, ctx: PrecisionCtx | None = None) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
+# exact R sums
+#
+# Every R-sum of a key with a group of size 0, two groups of size 1, or one
+# group of size 1 beside two of size 2 reduces to an exact Q-combination of
+# MZV monomials.  Write Z(n; k_1, ..., k_r) for the nested sum over
+# 0 < v_1 < ... < v_{r-1} < n of prod v_i^-k_i, times n^-k_r (the top index
+# is n; the increasing convention of mzv).  Only the top exponent may be 0:
+# Z(n; K, 0) = sum_{m < n} Z(m; K) and Z(n; (0,)) = 1.  A sequence is a dict
+# {(monomial, K): Fraction} for sum c prod(zeta(I) for I in monomial) Z(n; K);
+# an exact value is a dict {monomial: Fraction}.  S_r(n) = r! Z(n; 1^r).
+#
+# For a >= 1 a group of size m with momentum a and l negative units has
+# weight c_m(l + a, l); a group of size 1 forces l = 0 and weight 1/a, an
+# empty group forces a = l = 0, and c_2(l + a, l) = [l = 0] S_2(a) +
+# 2 [l >= 1] / (l (l + a)).  So 2^(alpha + beta) R is
+#   (a) one group empty: a product of two sums, or, when the empty group
+#       sits in a denominator, a sum over n of n^-e times a convolution;
+#   (b) two groups of size 1: 2 F_m(p, q), with F_m(p, q) = sum_{n >= 1}
+#       sum_r C(m, r) S_r(n) n^-q [x^n] Li_p(x) (-log(1 - x))^(m - r);
+#   (c) (1, 2, 2): 2 sum_a a^-1 T_alpha(a) T_beta(a), T_e(a) = sum_l
+#       c_2(l + a, l) (l + a)^-e; (2, 1, 2) and (2, 2, 1): see _R_212.
+
+
+def _acc(out: dict, key, c) -> None:
+    c += out.get(key, 0)
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
+
+
+def _seq(*K, mono=()) -> dict:
+    """The sequence prod(zeta(I) for I in mono) * Z(n; K)."""
+    return {(mono, K): Fraction(1)}
+
+
+def _lin(*terms) -> dict:
+    """sum of c * f over the (c, f) pairs."""
+    out = {}
+    for c, f in terms:
+        for key, v in f.items():
+            _acc(out, key, c * v)
+    return out
+
+
+def _mono(m1, m2) -> tuple:
+    return tuple(sorted(m1 + m2))
+
+
+def _seq_mul(f: dict, g: dict) -> dict:
+    """Pointwise product: Z(n; A, a) Z(n; B, b) is the stuffle of A and B
+    below the common top index n, with top exponent a + b."""
+    out = {}
+    for (m1, K1), c1 in f.items():
+        for (m2, K2), c2 in g.items():
+            lo1, lo2, top = K1[:-1], K2[:-1], (K1[-1] + K2[-1],)
+            merged = (stuffle(lo1, lo2).items() if lo1 and lo2
+                      else [(lo1 or lo2, 1)])
+            for lo, c in merged:
+                _acc(out, (_mono(m1, m2), tuple(lo) + top), c1 * c2 * c)
+    return out
+
+
+def _seq_pow(f: dict, k: int) -> dict:
+    """n^-k times f(n)."""
+    return {(m, K[:-1] + (K[-1] + k,)): c for (m, K), c in f.items()}
+
+
+def _word(K) -> tuple:
+    """Binary word of Li_K(x) = sum_n Z(n; K) x^n (entries >= 1)."""
+    return tuple(a for k in reversed(K) for a in (0,) * (k - 1) + (1,))
+
+
+def _seq_conv(f: dict, g: dict) -> dict:
+    """sum over a + b = n, a, b >= 1, of f(a) g(b): the coefficient of x^n
+    in the product of the generating polylogarithms, a shuffle of words."""
+    out = {}
+    for (m1, K1), c1 in f.items():
+        for (m2, K2), c2 in g.items():
+            for w, c in shuffle(_word(K1), _word(K2)).items():
+                K = tuple(reversed(_word_groups(w)))
+                _acc(out, (_mono(m1, m2), K), c1 * c2 * c)
+    return out
+
+
+def _seq_total(f: dict) -> dict:
+    """sum over n >= 1 of f(n): Z(n; K) sums to zeta(K)."""
+    out = {}
+    for (m, K), c in f.items():
+        if K[-1] < 2 or 0 in K:
+            raise ValueError(f"divergent nested sum Z(n; {K})")
+        _acc(out, _mono(m, (K,)), c)
+    return out
+
+
+def _S_seq(r: int) -> dict:
+    """S_r(n) = [x^n] (-log(1 - x))^r for n >= 1."""
+    return {((), (1,) * r): Fraction(math.factorial(r))} if r else {}
+
+
+def _tail_seq(j: int) -> dict:
+    """sum_{v > n} v^-j, regularised to -H_n at j = 1."""
+    head = [(1, _seq(0, mono=((j,),)))] if j > 1 else []
+    return _lin(*head, (-1, _seq(j, 0)), (-1, _seq(j)))
+
+
+def _diag_seq(m: int) -> dict:
+    """c_m(l, l) for l >= 1 (the only layer of a key with an empty group)."""
+    return _lin(*((math.comb(m, r), _seq_mul(_S_seq(r), _S_seq(m - r)))
+                  for r in range(1, m)))
+
+
+def _T2_seq(e: int) -> dict:
+    """T_e(a) = S_2(a) a^-e + 2 sum_{l >= 1} l^-1 (l + a)^-(e + 1), by
+    partial fractions in l: the sum is -sum_{i=1..e+1} tail_i(a) a^(i-e-2)."""
+    return _lin((1, _seq_pow(_S_seq(2), e)),
+                *((-2, _seq_pow(_tail_seq(i), e + 2 - i)) for i in range(1, e + 2)))
+
+
+def _F(m: int, p: int, q: int) -> dict:
+    """F_m(p, q) = sum_{a >= 1, l >= 0} c_m(l + a, l) / (a^p (l + a)^q)."""
+    terms = []
+    for r in range(1, m + 1):
+        inner = _seq(p) if r == m else _seq_conv(_S_seq(m - r), _seq(p))
+        terms.append((math.comb(m, r), _seq_mul(_seq_pow(_S_seq(r), q), inner)))
+    return _seq_total(_lin(*terms))
+
+
+def _R_212(alpha: int, beta: int) -> dict:
+    """2^(alpha+beta-1) R(2, 1, 2; alpha, beta) = sum_{a >= 1} a^-1 sum_{l1,
+    l3} c(l1) c(l3) b^-alpha (b + l3)^-beta with b = a + l1 and c(l) =
+    c_2(l + a, l).  The l1 = 0 layer is a^-alpha S_2(a) T_beta(a); for
+    l1 >= 1 the l3 = 0 term is one convolution, and partial fractions in l3
+    turn sum_{l3 >= 1} 1 / (l3 (l3 + a) (l3 + b)^beta) into
+    a^-1 [l1^-beta H_a + sum_{j=1..beta} (l1^(j-beta-1) - b^(j-beta-1)) tail_j(b)]."""
+    one, two = _seq(1), _seq(2)
+    terms = [
+        (1, _seq_pow(_seq_mul(_S_seq(2), _T2_seq(beta)), 1 + alpha)),
+        (2, _seq_pow(_seq_conv(_seq_pow(_S_seq(2), 1), one), 1 + alpha + beta)),
+        (4, _seq_pow(_seq_conv(_lin((1, _seq(1, 2)), (1, _seq(3))), _seq(1 + beta)),
+                     1 + alpha)),
+    ]
+    for j in range(1, beta + 1):
+        kernel = _lin((1, _seq_pow(_seq_conv(two, _seq(beta - j + 2)), 1 + alpha)),
+                      (-1, _seq_pow(_seq_conv(two, one), 2 + alpha + beta - j)))
+        terms.append((4, _seq_mul(kernel, _tail_seq(j))))
+    return _seq_total(_lin(*terms))
+
+
+def _R_family(key) -> str | None:
+    """'a', 'b' or 'c' for a key with an exact reduction, else None."""
+    m, alpha, beta = sorted(key[:3]), key[3], key[4]
+    if min(alpha, beta) < 1:
+        return None
+    if m[0] == 0 and m[1] > 0:
+        return "a"
+    if m[:2] == [1, 1]:
+        return "b"
+    if m == [1, 2, 2]:
+        return "c"
+    return None
+
+
+# exact values of R, keyed on (m1, m2, m3, alpha, beta)
+_R_exact_cache: dict = {}
+
+
+def _R_exact(key) -> dict:
+    """R(key) as {MZV monomial: Fraction}, for a key of one of the families."""
+    if key in _R_exact_cache:
+        return _R_exact_cache[key]
+    m1, m2, m3, alpha, beta = key
+    family = _R_family(key)
+    if family == "a":
+        if m1 == 0:
+            left = _seq_total(_seq_pow(_diag_seq(m2), alpha))
+            right = _seq_total(_seq_pow(_diag_seq(m3), beta))
+            value = {}
+            for u, cu in left.items():
+                for v, cv in right.items():
+                    _acc(value, _mono(u, v), cu * cv)
+        elif m2 == 0:  # denominators l1^alpha (l1 + l3)^beta
+            value = _seq_total(_seq_pow(_seq_conv(_seq_pow(_diag_seq(m1), alpha),
+                                                  _diag_seq(m3)), beta))
+        else:  # denominators (l1 + l2)^alpha l1^beta
+            value = _seq_total(_seq_pow(_seq_conv(_seq_pow(_diag_seq(m1), beta),
+                                                  _diag_seq(m2)), alpha))
+        scale = Fraction(1, 2 ** (alpha + beta))
+    elif family == "b":
+        if m2 == m3 == 1:
+            value = _F(m1, 2, alpha + beta)
+        elif m2 == 1:
+            value = _F(m3, 2 + alpha, beta)
+        else:
+            value = _F(m2, 2 + beta, alpha)
+        scale = Fraction(2, 2 ** (alpha + beta))
+    elif family == "c":
+        if m1 == 1:
+            value = _seq_total(_seq_pow(_seq_mul(_T2_seq(alpha), _T2_seq(beta)), 1))
+        else:
+            value = _R_212(alpha, beta) if m2 == 1 else _R_212(beta, alpha)
+        scale = Fraction(2, 2 ** (alpha + beta))
+    else:
+        raise ValueError(f"R{tuple(key)} has no exact reduction")
+    _R_exact_cache[key] = {mono: c * scale for mono, c in value.items()}
+    return _R_exact_cache[key]
+
+
+# ---------------------------------------------------------------------------
 # three-point Laurent polynomial
 
 
-def _vec_compositions(l, parts):
+@functools.lru_cache(maxsize=None)
+def _vec_compositions(l, parts) -> tuple:
     """All tuples of `parts` nonnegative vectors summing to l componentwise."""
     def comps(n, k):
         if k == 1:
@@ -726,8 +937,8 @@ def _vec_compositions(l, parts):
             for rest in comps(n - first, k - 1):
                 yield (first,) + rest
 
-    for per_coord in itertools.product(*(comps(li, parts) for li in l)):
-        yield tuple(zip(*per_coord))
+    return tuple(tuple(zip(*per_coord))
+                 for per_coord in itertools.product(*(comps(li, parts) for li in l)))
 
 
 def _fact_vec(v):
@@ -737,30 +948,22 @@ def _fact_vec(v):
     return out
 
 
-def _multinomial_base(l, a, b, c, m=()):
+def _multinomial_base(l, a, b, c, m=()) -> Fraction:
     """l! / (a! b! c! m!) (-1)^|b| / 6^|c|, the factor every three-point
     term carries."""
-    return (
-        mp.mpf(_fact_vec(l))
-        / (_fact_vec(a) * _fact_vec(b) * _fact_vec(c) * _fact_vec(m))
-        * (-1) ** sum(b)
-        / mp.mpf(6) ** sum(c)
-    )
+    return Fraction((-1) ** sum(b) * _fact_vec(l),
+                    _fact_vec(a) * _fact_vec(b) * _fact_vec(c) * _fact_vec(m) * 6 ** sum(c))
 
 
-def _dA(l, ctx) -> LaurentPoly:
-    lsum = sum(l)
-    total = mp.mpf(0)
+def _dA(l) -> Fraction:
+    """The no-loop contribution: the coefficient of y^|l|."""
+    f = math.factorial
+    total = Fraction(0)
     for a, b, c in _vec_compositions(l, 3):
         lam = 2 * sum(a) + sum(b) + 1
-        total += (
-            _multinomial_base(l, a, b, c)
-            * mp.factorial(2 * a[1] + b[1])
-            * mp.factorial(2 * a[2] + b[2])
-            / mp.factorial(2 * (a[1] + a[2]) + b[1] + b[2] + 1)
-            / (lam + 1)
-        )
-    return LaurentPoly({lsum: 2 * mp.mpf(2) ** lsum * total}, variable="y")
+        total += (_multinomial_base(l, a, b, c) * f(2 * a[1] + b[1]) * f(2 * a[2] + b[2])
+                  / (f(2 * (a[1] + a[2]) + b[1] + b[2] + 1) * (lam + 1)))
+    return 2 * 2 ** sum(l) * total
 
 
 def _m_ok_B(m) -> bool:
@@ -775,6 +978,7 @@ def _m_ok_B(m) -> bool:
 def _dB_terms(l):
     """(e_pow, coefficient, R key) of each coupled term; the term adds
     coefficient * R(key) * 2^e_pow at y^e_pow."""
+    f = math.factorial
     for a, b, c, m in _vec_compositions(l, 4):
         if not _m_ok_B(m):
             continue
@@ -783,53 +987,48 @@ def _dB_terms(l):
         for u in range(2 * a[2] + b[2] + 1):
             v = 2 * a[2] + b[2] - u
             for e in range(2 * a[0] + b[0] + u + 1):
-                f = 2 * a[0] + b[0] + u - e
-                alpha = 2 * a[1] + b[1] + v + f + 1
+                g = 2 * a[0] + b[0] + u - e
+                alpha = 2 * a[1] + b[1] + v + g + 1
                 beta = e + 1
-                coef = (
-                    base
-                    * (-1) ** v
-                    * mp.factorial(2 * a[2] + b[2])
-                    * mp.factorial(2 * a[0] + b[0] + u)
-                    * mp.factorial(2 * a[1] + b[1] + v + f)
-                    / (mp.factorial(u) * mp.factorial(v) * mp.factorial(f))
-                )
-                yield e_pow, coef, (m[0], m[1], m[2], alpha, beta)
+                # (2a2 + b2)! (2a0 + b0 + u)! (alpha - 1)! / (u! v! g!), an integer
+                ratio = (math.comb(2 * a[2] + b[2], u) * f(2 * a[0] + b[0] + u) // f(g)
+                         * f(alpha - 1))
+                yield e_pow, base * (-1) ** v * ratio, (m[0], m[1], m[2], alpha, beta)
 
 
-def _dC_ordered(l, ctx) -> LaurentPoly:
-    coeffs: dict[int, mp.mpf] = {}
-    rows = [(a, b, c, m) for a, b, c, m in _vec_compositions(l, 4)
-            if m[1] == 0 and m[2] == 0 and m[0] >= 2]
-    # S(m1, j) for j = 1..lam + 1, lam = 2|a| + |b| + 1
-    S = _S_zagier_many({(m[0], j) for a, b, c, m in rows
-                        for j in range(1, 2 * sum(a) + sum(b) + 3)}, ctx)
-    for a, b, c, m in rows:
+def _dB_all(l):
+    """_dB_terms of the three orderings that d3pt sums."""
+    for perm in [(0, 1, 2), (1, 0, 2), (2, 1, 0)]:
+        yield from _dB_terms(tuple(l[i] for i in perm))
+
+
+def _d3pt_fallback_keys(l) -> set:
+    """The R keys of d3pt(*l) without an exact reduction: the ones it takes
+    from the float route (_R_values) at its cutoff."""
+    return {key for _, _, key in _dB_all(tuple(l)) if _R_family(key) is None}
+
+
+def _dC_terms(l):
+    """(e, coefficient, (m1, n)) of each single-group term of one ordering;
+    the term adds coefficient * S(m1, n) * 2^e at y^e."""
+    f = math.factorial
+    for a, b, c, m in _vec_compositions(l, 4):
+        if m[1] or m[2] or m[0] < 2:
+            continue
         base = 2 * _multinomial_base(l, a, b, c, m)
         e_pow = sum(c) - sum(a) - 2
         lam = 2 * sum(a) + sum(b) + 1
         for u in range(2 * a[2] + b[2] + 1):
             v = 2 * a[2] + b[2] - u
-            pref = (
-                base
-                * mp.factorial(2 * a[2] + b[2])
-                / (mp.factorial(u) * mp.factorial(v))
-                * (-1) ** v
-                / (2 * a[1] + b[1] + v + 1)
-                * mp.factorial(lam)
-            )
-            # constant-in-y piece S(m1, lam+1) at power e_pow
-            coeffs[e_pow] = (coeffs.get(e_pow, mp.mpf(0))
-                             + pref * S[m[0], lam + 1] * mp.mpf(2) ** e_pow)
+            pref = base * Fraction((-1) ** v * math.comb(2 * a[2] + b[2], u) * f(lam),
+                                   2 * a[1] + b[1] + v + 1)
+            # constant-in-y piece S(m1, lam + 1) at power e_pow
+            yield e_pow, pref, (m[0], lam + 1)
             for j in range(lam + 1):
-                e = e_pow + lam - j
-                coeffs[e] = coeffs.get(e, mp.mpf(0)) + pref * (
-                    (-1) ** j * S[m[0], j + 1] / mp.factorial(lam - j)
-                ) * mp.mpf(2) ** e
-    return LaurentPoly(coeffs, variable="y")
+                yield e_pow + lam - j, pref * Fraction((-1) ** j, f(lam - j)), (m[0], j + 1)
 
 
-# R values of d3pt, keyed on ((m1, m2, m3, alpha, beta), cutoff)
+# R values of d3pt's fallback keys, keyed on ((m1, m2, m3, alpha, beta), cutoff)
 _R_cache: dict = {}
 
 
@@ -837,34 +1036,60 @@ def d3pt(l1: int, l2: int, l3: int, ctx: PrecisionCtx | None = None,
          cutoff: int = 2000) -> LaurentPoly:
     """Laurent-polynomial part d_{l1,l2,l3}(y) of the three-vertex graph,
     as the sum of the no-loop, coupled, and single-group contributions with
-    their symmetrizations."""
+    their symmetrizations.
+
+    Every contribution is an exact Q-combination of MZV monomials, evaluated
+    with one ``mzv_many`` call at ``ctx`` precision, except the coupled terms
+    whose R-sum has no exact reduction (see _R_family; _d3pt_fallback_keys
+    lists them): those take R from the float route (_R_values at
+    ``cutoff``), which is the only use of ``cutoff``.  A coefficient that
+    cancels to within the rounding of its terms is 0, as in d2pt."""
     if min(l1, l2, l3) < 1:
         raise ValueError("l_i must be >= 1")
     ctx = ctx or PrecisionCtx()
     l = (l1, l2, l3)
+    # {(y power, R key or S pair (m1, n)): coefficient / 2^power} over all orderings
+    sums: dict = {}
+    for e, coef, key in itertools.chain(
+            _dB_all(l), *(_dC_terms(tuple(l[i] for i in perm))
+                          for perm in [(0, 1, 2), (1, 0, 2), (2, 0, 1)])):
+        _acc(sums, (e, key), coef)
+    exact = {sum(l): {(): _dA(l)}}
+    fallback = []
+    for (e, key), coef in sums.items():
+        coef *= Fraction(2) ** e
+        if len(key) == 2:  # S(m1, n) = m1! sum 2^p zeta(index)
+            m1, n = key
+            combo = {(idx,): math.factorial(m1) * Fraction(2) ** p
+                     for p, idx in _zagier_terms(m1, n)}
+        elif _R_family(key):
+            combo = _R_exact(key)
+        else:
+            fallback.append((e, coef, key))
+            continue
+        row = exact.setdefault(e, {})
+        for mono, c in combo.items():
+            _acc(row, mono, coef * c)
+    missing = {key for _, _, key in fallback if (key, cutoff) not in _R_cache}
+    if missing:
+        for key, rval in _R_values(sorted(missing), cutoff).items():
+            _R_cache[key, cutoff] = rval
+    zeta = mzv_many({idx for row in exact.values() for mono in row for idx in mono}, ctx)
     with ctx.workprec():
-        out = _dA(l, ctx)
-        terms = [list(_dB_terms(tuple(l[i] for i in perm)))
-                 for perm in [(0, 1, 2), (1, 0, 2), (2, 1, 0)]]
-        missing = {key for ts in terms for _, _, key in ts
-                   if (key, cutoff) not in _R_cache}
-        if missing:
-            for key, rval in _R_values(sorted(missing), cutoff).items():
-                _R_cache[key, cutoff] = rval
-        for ts in terms:
-            coeffs: dict[int, mp.mpf] = {}
-            for e_pow, coef, key in ts:
-                term = coef * _R_cache[key, cutoff]
-                coeffs[e_pow] = coeffs.get(e_pow, mp.mpf(0)) + term * mp.mpf(2) ** e_pow
-            out = out.add(LaurentPoly(coeffs, variable="y"))
-        for perm in [(0, 1, 2), (1, 0, 2), (2, 0, 1)]:
-            out = out.add(_dC_ordered(tuple(l[i] for i in perm), ctx))
-        # drop numerically-zero residue entries
-        top = max(abs(c) for c in out.coeffs.values())
-        return LaurentPoly(
-            {e: c for e, c in out.coeffs.items() if abs(c) > 1e-12 * top},
-            variable="y",
-        )
+        terms: dict[int, list] = {}
+        for e, row in exact.items():
+            for mono, c in row.items():
+                t = mp.mpf(c.numerator) / c.denominator
+                for idx in mono:
+                    t *= zeta[idx]
+                terms.setdefault(e, []).append(t)
+        for e, c, key in fallback:
+            terms.setdefault(e, []).append(mp.mpf(c.numerator) / c.denominator
+                                           * _R_cache[key, cutoff])
+        coeffs = {e: mp.fsum(ts) for e, ts in terms.items()}
+        return LaurentPoly({e: c for e, c in coeffs.items()
+                            if abs(c) > ctx.eps * mp.fsum(terms[e], absolute=True)},
+                           variable="y")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from ellipsum import conical, eisint, emzv, genus0, mgf
 from ellipsum.eisenstein import eis_nonholo, kronecker_F, omega_n
 from ellipsum.laurent import LaurentPoly
-from ellipsum.numkernel import PrecisionCtx, mzv
+from ellipsum.numkernel import PrecisionCtx, mzv, mzv_many
 from ellipsum.qseries import QTauSeries, eval_at, reg_primitive
 
 
@@ -198,6 +198,92 @@ def test_criterion_05_three_point_laurent():
     worst = max(worst, stretch_err / 10)
     _report(5, "three-point Laurent polynomials", worst, mp.mpf("1e-6"),
             time.perf_counter() - t0, 600.0)
+
+
+# exact route of the three-point polynomials (beside criterion 05)
+
+_D3_ORDERS = [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 1, 5)]
+
+
+def _exact_value(combo, ctx):
+    """Value of an exact {MZV monomial: Fraction} combination."""
+    zeta = mzv_many({idx for mono in combo for idx in mono}, ctx)
+    with ctx.workprec():
+        return mp.fsum(_frac(c.numerator, c.denominator) * mp.fprod(zeta[i] for i in mono)
+                       for mono, c in combo.items())
+
+
+def _eis_laurent(s):
+    """Laurent part of E_s in y = pi Im(tau), {power: coefficient}."""
+    return {s: 2 * mp.zeta(2 * s) / mp.pi ** (2 * s),
+            1 - s: 2 * mp.gamma(s - mp.mpf(1) / 2) * mp.zeta(2 * s - 1)
+            / (mp.gamma(s) * mp.sqrt(mp.pi))}
+
+
+@pytest.mark.parametrize("digits", [30, 50])
+def test_d3pt_goldens_to_full_precision(digits):
+    ctx = PrecisionCtx(digits=digits)
+    with ctx.workprec():
+        z = {k: mp.zeta(k) for k in (3, 5, 7, 9)}
+        for key, coeffs in _d3_goldens(z).items():
+            poly = mgf.d3pt(*key, ctx=ctx)
+            assert set(poly.exponents) == set(coeffs), key
+            for e, ref in coeffs.items():
+                assert abs(poly.coeff(e) - ref) <= mp.mpf(10) ** (2 - digits) * abs(ref), (key, e)
+
+
+@pytest.mark.parametrize("digits", [30, 50])
+def test_d3pt_weight_four_identities(digits):
+    # D_4 = 24 C_{2,1,1} - 18 E_4 + 3 E_2^2 (D'Hoker-Kaidi, arXiv:1608.04393)
+    # and (Delta - 2) C_{2,1,1} = 9 E_4 - E_2^2 with Delta y^k = k(k-1) y^k
+    # (D'Hoker-Green-Vanhove, arXiv:1502.06698), on the Laurent parts
+    ctx = PrecisionCtx(digits=digits)
+    with ctx.workprec():
+        c211, d4 = mgf.d3pt(1, 1, 2, ctx=ctx), mgf.d2pt(4, ctx)
+        e2, e4 = _eis_laurent(2), _eis_laurent(4)
+        e2sq = {}
+        for i, a in e2.items():
+            for j, b in e2.items():
+                e2sq[i + j] = e2sq.get(i + j, 0) + a * b
+        tol = mp.mpf(10) ** (2 - digits)
+        for e in set(c211.exponents) | set(d4.exponents) | set(e4) | set(e2sq):
+            c, rhs4, rhs22 = c211.coeff(e), e4.get(e, 0), e2sq.get(e, 0)
+            assert abs(4**4 * d4.coeff(e) - (24 * c - 18 * rhs4 + 3 * rhs22)) <= tol, e
+            assert abs((e * (e - 1) - 2) * c - (9 * rhs4 - rhs22)) <= tol, e
+
+
+def test_d3pt_stretch_coefficient_to_full_precision():
+    ctx = PrecisionCtx(digits=30)
+    with ctx.workprec():
+        poly = mgf.d3pt(1, 1, 5, ctx=ctx)
+        z3, z5, z11 = mp.zeta(3), mp.zeta(5), mp.zeta(11)
+        ref = (288 * z3 * mzv((3, 5), ctx) - 288 * mzv((3, 5, 3), ctx)
+               - 5040 * z5 * z3**2 - 9573 * z11) / 128
+        assert abs(poly.coeff(-4) - ref) < mp.mpf("1e-28")
+
+
+def test_exact_R_sums_match_the_float_route():
+    ctx = PrecisionCtx(digits=30)
+    keys = sorted({key for l in _D3_ORDERS for _, _, key in mgf._dB_all(l)})
+    assert all(mgf._R_family(key) for key in keys)
+    fine, coarse = mgf._R_values(keys, 2000), mgf._R_values(keys, 1000)
+    for key in keys:
+        exact = float(_exact_value(mgf._R_exact(key), ctx))
+        # the float route is good to about its own move from cutoff 1000 to
+        # 2000: 1e-8 on geometric tails, 1.3e-3 at R(1,1,5;1,1)
+        assert abs(exact - fine[key]) <= 1e-8 + abs(fine[key] - coarse[key]), key
+
+
+def test_criterion_05_never_reaches_the_float_route(monkeypatch):
+    def refuse(keys, L):
+        raise AssertionError(f"float R route reached for {keys}")
+
+    monkeypatch.setattr(mgf, "_R_layers", refuse)
+    monkeypatch.setattr(mgf, "_R_cache", {})
+    ctx = PrecisionCtx(digits=30)
+    for l in _D3_ORDERS:
+        assert not mgf._d3pt_fallback_keys(l)
+        assert mgf.d3pt(*l, ctx=ctx, cutoff=2000).exponents
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,25 @@ def test_float_value_prints_the_digits_it_has(capsys):
     assert _significant_digits(doc["value"]) == 30
 
 
+def test_conical_integral_prints_a_float(capsys):
+    # the quasi-Monte-Carlo mean is a float64, whatever --prec asks for
+    rc, doc = _run_json(capsys, ["conical", "integral", "--matrix", "[[1,0],[1,1],[0,1]]",
+                                 "--samples", "1024", "--prec", "40"])
+    assert rc == 0 and doc["precision_digits"] == 40
+    assert _significant_digits(doc["value"]) <= 17
+
+
+def test_laurent3_bound_is_exact_unless_an_r_sum_falls_back(capsys):
+    # every R-sum of (1,1,2) has an exact reduction; (2,2,2) takes
+    # R(2,2,2;1,1) from the float route at the cutoff
+    assert not mgf._d3pt_fallback_keys((1, 1, 2))
+    assert mgf._d3pt_fallback_keys((2, 2, 2)) == {(2, 2, 2, 1, 1)}
+    rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", "1", "1", "2"])
+    assert rc == 0 and doc["error_bound"] == "1.00000e-30"
+    rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", "2", "2", "2", "--cutoff", "100"])
+    assert rc == 0 and doc["error_bound"] == "0.00100000"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["emzv", "a", "--n", "not-a-number"])
@@ -127,6 +146,8 @@ def test_guard_violation_exit_code(capsys):
 @pytest.mark.parametrize("argv,floor", [
     (["conical", "integral", "--matrix", "[[1,0],[0,1],[1,1]]", "--samples", "127"],
      "samples must be >= 128"),
+    (["conical", "integral", "--matrix", "[[1,0],[0,1],[1,1]]", "--samples", "135"],
+     "samples must be a multiple of 8"),
     (["mgf", "dlattice", "--graph", "banana:3", "--tau", "0.1+1.1i", "--M", "0"],
      "M must be >= 1"),
     (["mgf", "r", "--m", "1", "1", "1", "--alpha", "0", "--beta", "0", "--cutoff", "0"],
@@ -152,7 +173,7 @@ LEAF_CASES = [
     (["emzv", "alen2", "--n1", "2", "--n2", "3", "--tau", "i"], "value", "1.00000e-30"),
     (["emzv", "hata", "--r", "4", "--tau", "i"], "value", "1.00000e-30"),
     (["mgf", "laurent2", "--l", "2"], "laurent", "1.00000e-30"),
-    (["mgf", "laurent3", "--l", "1", "1", "1", "--cutoff", "100"], "laurent", "0.00100000"),
+    (["mgf", "laurent3", "--l", "1", "1", "1", "--cutoff", "100"], "laurent", "1.00000e-30"),
     (["mgf", "dlattice", "--graph", "cycle:2", "--tau", "i", "--M", "10"], "value", "0.116689"),
     (["mgf", "s", "--m", "2", "--n", "1"], "value", "1.00000e-30"),
     (["mgf", "s", "--m", "2", "--n", "1", "--method", "direct", "--cutoff", "1000"],
@@ -404,3 +425,16 @@ def test_error_stdout_is_one_json_document(argv):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode in (2, 3), proc.stderr
     assert "error" in json.loads(proc.stdout)
+
+
+def test_closed_pipe_exits_quietly():
+    # the reader is gone before the JSON is written (``| head -c 10``)
+    proc = subprocess.Popen([sys.executable, "-m", "ellipsum.cli", "mgf", "s", "--m", "2",
+                             "--n", "1", "--method", "direct", "--cutoff", "5"],
+                            env=dict(os.environ, PYTHONPATH=str(SRC)),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -273,6 +273,18 @@ def test_R_structured_closed_forms(m, alpha, beta, tol):
     assert abs(R_structured(*m, alpha, beta, cutoff=1000) - ref) < tol
 
 
+@pytest.mark.parametrize("m,alpha,beta", [(m, a, b) for m, a, b, _ in _R_CLOSED_CASES
+                                            if min(a, b) >= 1])
+def test_R_exact_closed_forms(m, alpha, beta):
+    key = (*m, alpha, beta)
+    combo = mgf._R_exact(key)
+    zeta = numkernel.mzv_many({idx for mono in combo for idx in mono}, CTX)
+    with CTX.workprec():
+        value = mp.fsum(mp.mpf(c.numerator) / c.denominator * mp.fprod(zeta[i] for i in mono)
+                        for mono, c in combo.items())
+        assert abs(value - _R_closed_form(m, alpha, beta)) < mp.mpf("1e-28")
+
+
 def _R_layers_reference(key, L):
     """The truncated layered sum, one layer at a time, with the coupled
     denominators as explicit Hankel matrix products."""
