@@ -335,17 +335,20 @@ def _mgf_s(args, ctx):
 
 
 def _mgf_r(args, ctx):
-    if args.method == "structured":
-        return (mgf.R_structured(*args.m, args.alpha, args.beta,
-                                 cutoff=args.cutoff, ctx=ctx),
-                10.0 / args.cutoff**2)
-    return (mgf.R_direct(*args.m, args.alpha, args.beta, args.cutoff),
-            10.0 / args.cutoff)
+    key = (*args.m, args.alpha, args.beta)
+    if args.method == "direct":
+        return mgf.R_direct(*key, args.cutoff), 10.0 / args.cutoff
+    if mgf._R_family(key):
+        # an exact combination of MZVs, evaluated at --prec
+        return mgf._R_exact_value(key, ctx), ctx.eps
+    return mgf.R_structured(*key, cutoff=args.cutoff, ctx=ctx), 10.0 / args.cutoff**2
 
 
 def _conical_zeta(args, ctx):
-    return _conical().zeta_A(parse_matrix(args.matrix), cutoff=args.cutoff,
-                          ctx=ctx, with_bound=True)
+    # a float64 shell sum plus an mpf tail: only the float64 digits are real
+    value, bound = _conical().zeta_A(parse_matrix(args.matrix), cutoff=args.cutoff,
+                                     ctx=ctx, with_bound=True)
+    return float(value), bound
 
 
 def _conical_integral(args, ctx):

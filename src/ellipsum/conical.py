@@ -106,24 +106,47 @@ def _pick_elimination(groups, n):
     return None
 
 
-def _shell_points(d, k):
-    """All points in [1,k]^d with max coordinate exactly k, as d flat arrays.
+def _form(f, cols):
+    """sum_j f[j] x_j over the nonzero coefficients of f, where cols maps each
+    coordinate j to x_j; the arrays broadcast against each other."""
+    return sum(x if f[j] == 1 else f[j] * x for j, x in cols.items() if f[j])
 
-    Decomposed by the first coordinate that equals k: earlier coordinates
-    range over [1,k-1], later ones over [1,k]."""
-    if d == 1:
-        return (np.array([k], dtype=np.int64),)
-    full = np.arange(1, k + 1, dtype=np.int64)
-    prev = np.arange(1, k, dtype=np.int64)
-    parts = [[] for _ in range(d)]
-    for i in range(d):
-        axes = [prev] * i + [np.array([k], dtype=np.int64)] + [full] * (d - 1 - i)
-        if any(ax.size == 0 for ax in axes):
-            continue
-        grids = np.meshgrid(*axes, indexing="ij")
-        for t in range(d):
-            parts[t].append(grids[t].ravel())
-    return tuple(np.concatenate(p) for p in parts)
+
+def _shell_faces(d, k):
+    """The points of [1,k]^d with max coordinate exactly k, face by face: face
+    i has coordinate i equal to k, earlier coordinates in [1,k-1] and later
+    ones in [1,k].  A face is d index tuples; tuple t takes coordinate t's
+    range from an axis 1, 2, ... laid along dimension t."""
+    for i in range(d if k > 1 else 1):
+        yield [(slice(None),) * t + (slice(0, k - 1) if t < i else
+                                     slice(k - 1, k) if t == i else slice(0, k),)
+               for t in range(d)]
+
+
+def _shell_sums(keep, rest_groups, extra_factor, cutoff: int) -> list:
+    """The shell sums s_k, k = 1..cutoff: the sum over the points of the
+    coordinates ``keep`` with max coordinate k of extra_factor / prod of the
+    powers of ``rest_groups``' forms."""
+    d = len(keep)
+    # the axis 1..cutoff laid along each dimension, as int64 and as float, so
+    # that a face's coordinates broadcast to its grid in every form
+    shapes = [(1,) * t + (-1,) + (1,) * (d - 1 - t) for t in range(d)]
+    axis = np.arange(1, cutoff + 1, dtype=np.int64)
+    int_axes = [axis.reshape(shape) for shape in shapes]
+    float_axes = [axis.astype(float).reshape(shape) for shape in shapes]
+    sums = []
+    for k in range(1, cutoff + 1):
+        s = 0.0
+        for face in _shell_faces(d, k):
+            ints = {j: ax[at] for j, ax, at in zip(keep, int_axes, face)}
+            cols = {j: ax[at] for j, ax, at in zip(keep, float_axes, face)}
+            den = 1.0
+            for f, m in rest_groups:
+                form = _form(f, cols)
+                den = den * (form if m == 1 else form**m)
+            s += float((extra_factor(ints) / den).sum())
+        sums.append(s)
+    return sums
 
 
 def _tail_extrapolate(ks, shells, K):
@@ -174,35 +197,31 @@ def _hurwitz_table(m: int, c: int, top: int, ctx: PrecisionCtx) -> np.ndarray:
 
 def _closed_form(elim, keep, cutoff: int, ctx: PrecisionCtx):
     """The factor left by summing out variable ``elim[1]`` in closed form, as a
-    function of the other integer coordinates (dict var -> int64 array or
-    int), each in [1, cutoff].  Every offset sum_j f[j] x_j is a nonnegative
-    integer, so the closed forms are gathers from tables sized to the
-    largest offset the cutoff reaches."""
+    function of the other integer coordinates (dict var -> int64 arrays that
+    broadcast against each other), each in [1, cutoff].  Every offset
+    sum_j f[j] x_j is a nonnegative integer, so the closed forms are gathers
+    from tables sized to the largest offset the cutoff reaches, each made on
+    the offset's own axes before the offsets broadcast."""
     kind, jvar, occ = elim
     top = cutoff * max(sum(f[j] for j in keep) for f, _ in occ)
-
-    def offset(f, cols):
-        return np.asarray(sum(cols[j] if f[j] == 1 else f[j] * cols[j]
-                              for j in keep if f[j]), dtype=np.int64)
 
     if kind == "hurwitz":
         (f, m), = occ
         c = f[jvar]
         Z = _hurwitz_table(m, c, top + c, ctx)
-        return lambda cols: Z[offset(f, cols) + c]
+        return lambda cols: Z[_form(f, cols) + c]
     (f1, _), (f2, _) = occ
     H = _harmonic_table(top)
     trigamma = _hurwitz_table(2, 1, top + 1, ctx)
+    diff = [a - b for a, b in zip(f1, f2)]
 
     def psi_difference(cols):
         # (psi(o1 + 1) - psi(o2 + 1)) / (o1 - o2), or psi'(o1 + 1) at o1 = o2
-        o1, o2 = np.broadcast_arrays(offset(f1, cols), offset(f2, cols))
-        den = o1 - o2
+        o1, o2, den = _form(f1, cols), _form(f2, cols), _form(diff, cols)
+        eq = den == 0
         out = H.take(o1) - H.take(o2)
-        eq = np.flatnonzero(den == 0)
-        den[eq] = 1
-        out /= den
-        out[eq] = trigamma.take(o1[eq] + 1)
+        out /= np.where(eq, 1, den)
+        np.copyto(out, trigamma.take(o1 + 1), where=eq)
         return out
 
     return psi_difference
@@ -220,6 +239,11 @@ def zeta_A(A: ConeMatrix, cutoff: int = 200, ctx: PrecisionCtx | None = None,
     decay is slower than k^-1.2 (divergence guard), and for cutoff < 12, where
     the fit's window of cutoff // 2 shells is shorter than its 6 basis
     functions.
+
+    Each shell is summed face by face (see ``_shell_faces``): the forms and
+    the closed form are built from broadcast 1-D axes, over their nonzero
+    coefficients, and each point takes one float division by the product of
+    its form powers.
 
     The closed forms are read from float64 tables at the integer offsets o
     (see ``_closed_form``): psi(o1+1) - psi(o2+1) = H_o1 - H_o2 with H the
@@ -255,20 +279,9 @@ def zeta_A(A: ConeMatrix, cutoff: int = 200, ctx: PrecisionCtx | None = None,
             value = mp.mpf(float(extra_factor({})))
         return (value, mp.mpf(0)) if with_bound else value
 
-    total = 0.0
-    ks, shells = [], []
-    for k in range(1, cutoff + 1):
-        pts = _shell_points(d, k)
-        cols = {keep[i]: pts[i].astype(float) for i in range(d)}
-        val = np.ones_like(cols[keep[0]])
-        for f, m in rest_groups:
-            form = sum(f[j] * cols[j] for j in keep)
-            val = val / form**m
-        val = val * extra_factor(dict(zip(keep, pts)))
-        s = float(val.sum())
-        total += s
-        ks.append(k)
-        shells.append(abs(s))
+    sums = _shell_sums(keep, rest_groups, extra_factor, cutoff)
+    total = math.fsum(sums)
+    ks, shells = list(range(1, cutoff + 1)), [abs(s) for s in sums]
     # divergence guard: decay exponent over the last decade of shells
     w = max(len(ks) // 2, 2)
     lk = np.log(np.asarray(ks[-w:], dtype=float))

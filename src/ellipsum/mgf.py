@@ -58,13 +58,12 @@ def _next_fast_len(n: int) -> int:
 def fftconvolve(a: np.ndarray, b: np.ndarray, axes=None) -> np.ndarray:
     """Full linear convolution of two real arrays of equal rank via numpy.fft
     over `axes` (default all), each zero-padded to a 5-smooth length; the
-    other axes are batched, as in scipy.signal.fftconvolve.  When `b is a`
-    the array is transformed once and its spectrum squared in place."""
+    other axes are batched, as in scipy.signal.fftconvolve."""
     axes = tuple(range(a.ndim)) if axes is None else tuple(axes)
     shape = [a.shape[ax] + b.shape[ax] - 1 for ax in axes]
     fshape = [_next_fast_len(s) for s in shape]
     spec = np.fft.rfftn(a, fshape, axes)
-    spec *= spec if b is a else np.fft.rfftn(b, fshape, axes)
+    spec *= np.fft.rfftn(b, fshape, axes)
     out = np.fft.irfftn(spec, fshape, axes)
     keep = [slice(None)] * out.ndim
     for ax, s in zip(axes, shape):
@@ -215,14 +214,15 @@ class MultiGraph:
 # lattice evaluation
 
 
-def _weights(tau, R: int, counts) -> dict:
+def _weights(tau, R: int, counts, half: bool = False) -> dict:
     """|m tau + n|^(-2k) on the square |m|, |n| <= R (origin at the center,
-    where the weight is 0), one grid per k in counts."""
+    where the weight is 0), one grid per k in counts.  With ``half`` only the
+    rows m = 0..R are built, so the origin sits at row 0, column R."""
     t1, t2 = float(mp.re(tau)), float(mp.im(tau))
-    m = np.arange(-R, R + 1)[:, None]
+    m = np.arange(0 if half else -R, R + 1)[:, None]
     n = np.arange(-R, R + 1)[None, :]
     norm2 = (m * t1 + n) ** 2 + (m * t2) ** 2
-    norm2[R, R] = np.inf
+    norm2[0 if half else R, R] = np.inf
     return {k: norm2 ** (-k) for k in counts}
 
 
@@ -315,13 +315,17 @@ def _block_sum(groups, d: int, tau, M: int) -> float:
     block, is sum_{p,q} A(p) B(q) C(p + sigma q): each group multiplies its
     weight window, shifted by s_3 r, into the factor of its first two
     signature entries (1, 0) -> A, (0, 1) -> B, (1, sigma) -> C, with the
-    scalar of (0, 0) taken into B, and the sum is fftconvolve(A, B) dotted
-    with C.  At depth 2 each factor is one centred grid, which is exactly
-    even, so B needs no reversal for sigma = -1, and B is A (one transform,
-    squared) when the two counts agree; the radius-2M grid of C is built
-    only after the transforms, to keep it out of their peak memory.  At
-    depth 3 the 2M + 1 points r_n of each row r_m are stacked into one
-    batched fftconvolve, so a row bounds the memory."""
+    scalar of (0, 0) taken into B, and the sum is the convolution A * B
+    dotted with C.  At depth 2 each factor is one centred grid, which is
+    exactly even, so B needs no reversal for sigma = -1, and B is A (one
+    transform, squared) when the two counts agree.  A * B and the radius-2M
+    grid C are even too, so the dot product is its row x_m = 0 plus twice
+    its rows x_m > 0: after the forward rfftn and the inverse FFT along x_m,
+    only the 2M + 1 rows x_m >= 0 take the inverse rfft along x_n, and C is
+    built on those rows only, after the transforms, to keep it out of their
+    peak memory.  At depth 3 the windows are shifted, hence not even; the
+    2M + 1 points r_n of each row r_m are stacked into one batched
+    fftconvolve, so a row bounds the memory."""
     if d == 3 and M > 16:
         raise ValueError("depth-3 lattice sums limited to M <= 16")
     if d == 1:
@@ -335,8 +339,17 @@ def _block_sum(groups, d: int, tau, M: int) -> float:
     if d == 2:
         cnt = dict(groups)
         w = _weights(tau, M, {cnt[1, 0], cnt[0, 1]})
-        conv = fftconvolve(w[cnt[1, 0]], w[cnt[0, 1]])
-        return float((conv * _weights(tau, 2 * M, {cnt[1, sigma]})[cnt[1, sigma]]).sum())
+        a, b = w[cnt[1, 0]], w[cnt[0, 1]]
+        fshape = [_next_fast_len(4 * M + 1)] * 2
+        spec = np.fft.rfftn(a, fshape, (0, 1))
+        spec *= spec if b is a else np.fft.rfftn(b, fshape, (0, 1))
+        # conv(x) for x_m = 0..2M: rows 2M..4M, columns 0..4M of the full
+        # convolution; only these rows take the inverse transform along x_n
+        spec = np.fft.ifft(spec, axis=0)[2 * M : 4 * M + 1]
+        conv = np.fft.irfft(spec, fshape[1], axis=1)[:, : 4 * M + 1]
+        conv *= _weights(tau, 2 * M, {cnt[1, sigma]}, half=True)[cnt[1, sigma]]
+        rows = conv.sum(axis=1)
+        return float(rows[0] + 2.0 * rows[1:].sum())
     weight = _weights(tau, 3 * M, {cnt for _, cnt in groups})
     radius = {(0, 0): 0, (1, 0): M, (0, 1): M, (1, sigma): 2 * M}
     total = 0.0
@@ -920,6 +933,16 @@ def _R_exact(key) -> dict:
         raise ValueError(f"R{tuple(key)} has no exact reduction")
     _R_exact_cache[key] = {mono: c * scale for mono, c in value.items()}
     return _R_exact_cache[key]
+
+
+def _R_exact_value(key, ctx: PrecisionCtx):
+    """R(key) at ``ctx`` precision from its exact reduction, for a key of one
+    of the families (see _R_family): one ``mzv_many`` call."""
+    combo = _R_exact(key)
+    zeta = mzv_many({idx for mono in combo for idx in mono}, ctx)
+    with ctx.workprec():
+        return mp.fsum(mp.mpf(c.numerator) / c.denominator * mp.fprod(zeta[idx] for idx in mono)
+                       for mono, c in combo.items())
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from ellipsum import emzv, mgf
+from ellipsum import conical, emzv, mgf
 from ellipsum.cli import build_parser, parse_complex, parse_tau, run
 from ellipsum.emzv import A_depth1
 from ellipsum.numkernel import PrecisionCtx
@@ -86,6 +86,34 @@ def test_conical_integral_prints_a_float(capsys):
                                  "--samples", "1024", "--prec", "40"])
     assert rc == 0 and doc["precision_digits"] == 40
     assert _significant_digits(doc["value"]) <= 17
+
+
+def test_conical_zeta_prints_a_float(capsys):
+    # a float64 shell sum plus an mpf tail: 17 digits at most, and the float
+    # is the library's value
+    argv = ["conical", "zeta", "--matrix", "[[1,0],[0,1],[1,1]]", "--cutoff", "150"]
+    rc, doc = _run_json(capsys, argv)
+    assert rc == 0 and doc["precision_digits"] == 30
+    assert _significant_digits(doc["value"]) <= 17
+    ctx = PrecisionCtx(digits=30)
+    ref = conical.zeta_A(conical.ConeMatrix([[1, 0], [0, 1], [1, 1]]), cutoff=150, ctx=ctx)
+    assert float(doc["value"]) == float(ref)
+
+
+def test_mgf_r_takes_the_exact_route_for_the_families(capsys):
+    # (1,1,5;1,1) is family (b): exact at --prec, whatever the cutoff
+    rc, doc = _run_json(capsys, ["mgf", "r", "--m", "1", "1", "5", "--alpha", "1",
+                                 "--beta", "1", "--cutoff", "2000"])
+    assert rc == 0 and doc["error_bound"] == "1.00000e-30"
+    ctx = PrecisionCtx(digits=40)
+    exact = mgf._R_exact_value((1, 1, 5, 1, 1), ctx)
+    with ctx.workprec():
+        assert abs(mp.mpf(doc["value"]) - exact) < mp.mpf("1e-28")
+    # beta = 0 has no exact reduction: the float route and its 10/cutoff^2
+    rc, doc = _run_json(capsys, ["mgf", "r", "--m", "1", "1", "2", "--alpha", "1",
+                                 "--beta", "0", "--cutoff", "200"])
+    assert doc["error_bound"] == "0.000250000"
+    assert float(doc["value"]) == mgf.R_structured(1, 1, 2, 1, 0, cutoff=200)
 
 
 def test_laurent3_bound_is_exact_unless_an_r_sum_falls_back(capsys):

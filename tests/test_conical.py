@@ -1,6 +1,9 @@
 """Conical zeta value checks: series, quasi-Monte-Carlo integral, matrix
 predicates."""
 
+import itertools
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -126,7 +129,9 @@ def test_psi_factor_matches_scipy():
     factor = conical._closed_form(elim, keep, cutoff, CTX)
     branches = set()
     for k in (1, 2, 10, 60, cutoff):
-        cols = dict(zip(keep, conical._shell_points(len(keep), k)))
+        # the points of [1,k]^3 with max coordinate k, as flat arrays
+        grid = np.indices((k,) * len(keep)).reshape(len(keep), -1) + 1
+        cols = dict(zip(keep, grid[:, grid.max(axis=0) == k]))
         o1 = sum(f1[j] * cols[j] for j in keep).astype(float)
         o2 = sum(f2[j] * cols[j] for j in keep).astype(float)
         eq = o1 == o2
@@ -135,6 +140,53 @@ def test_psi_factor_matches_scipy():
         branches.update(eq.tolist())
         np.testing.assert_allclose(factor(cols), ref, rtol=1e-12, atol=0)
     assert branches == {False, True}
+
+
+# one matrix per (elimination kind, summed dimension d); the per-point
+# reference reads the same closed-form tables, so the comparison pins the
+# shell enumeration, the forms and the division
+SHELL_CASES = [
+    (None, 1, [[1], [2]]),
+    (None, 2, [[1, 1], [1, 1], [2, 1]]),
+    (None, 3, [[1, 1, 0], [0, 1, 1], [1, 1, 1], [1, 0, 1]]),
+    (None, 4, [[1, 1, 1, 1], [1, 2, 1, 1], [1, 1, 3, 1], [2, 1, 1, 1], [1, 1, 1, 2]]),
+    ("hurwitz", 1, [[1, 0], [1, 2], [1, 2]]),
+    ("hurwitz", 2, [[2, 1, 0], [2, 1, 0], [0, 1, 1], [0, 1, 1]]),
+    ("hurwitz", 3, [[1, 1, 1, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 1, 1, 1], [0, 1, 0, 1]]),
+    ("hurwitz", 4, [[1, 1, 1, 1, 1], [1, 1, 1, 1, 1], [0, 1, 1, 1, 1], [0, 1, 1, 1, 1],
+                    [0, 1, 0, 1, 1], [0, 0, 1, 0, 1]]),
+    ("psi", 1, [[1, 0], [0, 1], [1, 1]]),
+    ("psi", 2, [[1, 1, 0], [1, 0, 1], [0, 1, 0], [0, 0, 1]]),
+    ("psi", 3, [[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 0, 1], [1, 1, 0, 1]]),
+    ("psi", 4, [[1, 1, 0, 0, 0], [1, 0, 1, 0, 0], [0, 1, 1, 1, 1], [0, 1, 0, 1, 1],
+                [0, 0, 1, 1, 1], [0, 1, 1, 0, 2]]),
+]
+
+
+@pytest.mark.parametrize("kind, d, rows", SHELL_CASES,
+                         ids=[f"{kind}-d{d}" for kind, d, _ in SHELL_CASES])
+def test_shell_sums_match_per_point_sum(kind, d, rows):
+    A = ConeMatrix(rows)
+    groups = conical._grouped_forms(A)
+    elim = conical._pick_elimination(groups, A.n)
+    assert (elim and elim[0]) == kind
+    keep = [j for j in range(A.n) if elim is None or j != elim[1]]
+    assert len(keep) == d
+    rest = [(f, m) for f, m in groups if elim is None or f[elim[1]] == 0]
+    cutoff = 20 if d < 4 else 12
+    factor = (conical._closed_form(elim, keep, cutoff, CTX) if elim
+              else lambda ints: 1.0)
+    got = conical._shell_sums(keep, rest, factor, cutoff)
+    terms = [[] for _ in range(cutoff)]
+    for x in itertools.product(range(1, cutoff + 1), repeat=d):
+        term = float(np.asarray(factor({j: np.array([v]) for j, v in zip(keep, x)})).item())
+        for f, m in rest:
+            term /= float(sum(f[j] * v for j, v in zip(keep, x))) ** m
+        terms[max(x) - 1].append(term)
+    ref = [math.fsum(t) for t in terms]
+    assert len(got) == cutoff
+    for k, (g, r) in enumerate(zip(got, ref), 1):
+        assert abs(g - r) <= 1e-14 * abs(r), (k, g, r)
 
 
 def test_integral_oracle_agrees():

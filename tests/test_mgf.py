@@ -172,20 +172,57 @@ def test_D_lattice_K4_matches_loop_momentum_brute_force():
 
 @pytest.mark.parametrize("M", [2, 5])
 def test_block_sum_makes_one_fftconvolve_call_per_row(monkeypatch, M):
-    calls = []
-    real = mgf.fftconvolve
+    calls, transforms = [], []
+    real, real_rfftn = mgf.fftconvolve, np.fft.rfftn
 
     def counted(a, b, axes=None):
         calls.append(axes)
         return real(a, b, axes)
 
+    def counted_rfftn(a, *args, **kwargs):
+        transforms.append(a.shape)
+        return real_rfftn(a, *args, **kwargs)
+
     monkeypatch.setattr(mgf, "fftconvolve", counted)
     tau = mp.mpc("0.13", "1.05")
+    # depth 2 transforms its factors itself: one squared transform when the
+    # two counts agree (banana:3), one per factor when they differ
+    monkeypatch.setattr(np.fft, "rfftn", counted_rfftn)
     D_lattice(MultiGraph.banana(3), tau, M)
-    assert len(calls) == 1
-    calls.clear()
+    assert calls == [] and len(transforms) == 1
+    transforms.clear()
+    D_lattice(MultiGraph.from_edges(3, [(0, 1, 2), (1, 2, 1), (0, 2, 1)]), tau, M)
+    assert calls == [] and len(transforms) == 2
     D_lattice(_k4(), tau, M)
     assert calls == [(1, 2)] * (2 * M + 1)
+
+
+# depth-2 blocks: sigma = +1 with equal counts, sigma = -1 with unequal
+# counts (the triangle with one doubled edge) and with equal ones (theta)
+DEPTH2_GRAPHS = {
+    "banana3": MultiGraph.banana(3),
+    "triangle211": MultiGraph.from_edges(3, [(0, 1, 2), (1, 2, 1), (0, 2, 1)]),
+    "theta": MultiGraph.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (0, 2, 1)]),
+}
+
+
+@pytest.mark.parametrize("M", [3, 40, 400])
+@pytest.mark.parametrize("name", DEPTH2_GRAPHS)
+def test_depth2_block_sum_matches_full_plane(name, M):
+    g = DEPTH2_GRAPHS[name]
+    (block,) = g.blocks()
+    groups, d = mgf._signatures(g.edge_list, block)
+    cnt = dict(groups)
+    sigma = next(s[1] for s, _ in groups if s[0] and s[1])
+    assert d == 2 and (sigma, cnt[1, 0] == cnt[0, 1]) == {
+        "banana3": (1, True), "triangle211": (-1, False), "theta": (-1, True)}[name]
+    tau = mp.mpc("0.13", "1.1")
+    # full plane: sum over x of (A * B)(x) C(x), C the radius-2M grid
+    w = mgf._weights(tau, M, {cnt[1, 0], cnt[0, 1]})
+    conv = mgf.fftconvolve(w[cnt[1, 0]], w[cnt[0, 1]])
+    ref = float((conv * mgf._weights(tau, 2 * M, {cnt[1, sigma]})[cnt[1, sigma]]).sum())
+    got = mgf._block_sum(groups, d, tau, M)
+    assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
 def test_S_zagier_matches_direct():
@@ -277,11 +314,8 @@ def test_R_structured_closed_forms(m, alpha, beta, tol):
                                             if min(a, b) >= 1])
 def test_R_exact_closed_forms(m, alpha, beta):
     key = (*m, alpha, beta)
-    combo = mgf._R_exact(key)
-    zeta = numkernel.mzv_many({idx for mono in combo for idx in mono}, CTX)
+    value = mgf._R_exact_value(key, CTX)
     with CTX.workprec():
-        value = mp.fsum(mp.mpf(c.numerator) / c.denominator * mp.fprod(zeta[i] for i in mono)
-                        for mono, c in combo.items())
         assert abs(value - _R_closed_form(m, alpha, beta)) < mp.mpf("1e-28")
 
 
@@ -390,6 +424,21 @@ def test_d2pt_weight_two():
         y = mp.mpf("1.7")
         ref = (y**2 / 45 + mp.zeta(3) / y) / 16
         assert abs(poly(y) - ref) < mp.mpf("1e-22")
+
+
+def test_lattice_sum_meets_the_laurent_polynomial():
+    # at tau = iT, D_lattice(banana:l) / 4^l is d_l(y = pi T) up to
+    # O(exp(-2 pi T)) and the lattice truncation, which shrinks with M
+    tau = mp.mpc(0, 3)
+    with CTX.workprec():
+        laurent = {l: mp.re(d2pt(l, CTX)(3 * mp.pi)) for l in (2, 3)}
+
+    def gap(l, M):
+        return abs(D_lattice(MultiGraph.banana(l), tau, M) / 4**l - laurent[l]) / laurent[l]
+
+    assert gap(2, 400) <= 1e-5
+    assert gap(3, 400) <= 1e-4
+    assert gap(3, 400) < gap(3, 200)
 
 
 def test_d2pt_drops_coefficients_of_empty_sv_weights():
