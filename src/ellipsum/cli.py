@@ -338,10 +338,11 @@ def _mgf_r(args, ctx):
     key = (*args.m, args.alpha, args.beta)
     if args.method == "direct":
         return mgf.R_direct(*key, args.cutoff), 10.0 / args.cutoff
+    value = mgf.R_structured(*key, cutoff=args.cutoff, ctx=ctx)  # checks the inputs
     if mgf._R_family(key):
         # an exact combination of MZVs, evaluated at --prec
         return mgf._R_exact_value(key, ctx), ctx.eps
-    return mgf.R_structured(*key, cutoff=args.cutoff, ctx=ctx), 10.0 / args.cutoff**2
+    return value, 10.0 / args.cutoff**2
 
 
 def _conical_zeta(args, ctx):

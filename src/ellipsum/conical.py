@@ -252,8 +252,9 @@ def zeta_A(A: ConeMatrix, cutoff: int = 200, ctx: PrecisionCtx | None = None,
     ``scipy.special`` psi/polygamma/zeta evaluation to 5e-13 relative.
 
     ``with_bound`` also returns 0.05 |tail| + (fit residual) * cutoff, an
-    estimate from the tail fit, not a rigorous bound.  All mpmath work runs
-    at ``ctx`` precision."""
+    estimate from the tail fit, not a rigorous bound; when the elimination
+    leaves no variable, 4 ulps of the one float64 table entry (no truncation).
+    All mpmath work runs at ``ctx`` precision."""
     if A.n > 5:
         raise ValueError("cost guard: at most 5 variables")
     if cutoff < 12:
@@ -274,10 +275,11 @@ def zeta_A(A: ConeMatrix, cutoff: int = 200, ctx: PrecisionCtx | None = None,
     d = len(keep)
 
     if d == 0:
-        # fully eliminated: single closed form at empty offsets
+        # fully eliminated: one table entry, an mp seed rounded once to float64
+        value = float(extra_factor({}))
         with ctx.workprec():
-            value = mp.mpf(float(extra_factor({})))
-        return (value, mp.mpf(0)) if with_bound else value
+            value, bound = mp.mpf(value), mp.mpf(4 * math.ulp(value))
+        return (value, bound) if with_bound else value
 
     sums = _shell_sums(keep, rest_groups, extra_factor, cutoff)
     total = math.fsum(sums)

@@ -408,7 +408,9 @@ def D_lattice(g: MultiGraph, tau, M: int, ctx: PrecisionCtx | None = None,
 
 
 def S_direct(m: int, n: int, cutoff: int) -> float:
-    """Truncated direct evaluation of the constrained sum over (Z*)^m."""
+    """Truncated direct evaluation of the constrained sum over (Z*)^m: |k_i| <=
+    cutoff for i < m, k_m = -(k_1 + ... + k_{m-1}) != 0.  m = 3 sums slices of
+    harmonic numbers in O(cutoff); m = 4 needs cutoff <= 300."""
     if m < 2:
         raise ValueError("m must be >= 2")
     if cutoff < 1:
@@ -420,25 +422,21 @@ def S_direct(m: int, n: int, cutoff: int) -> float:
         raise ValueError("direct mode supports m <= 4 (use S_zagier)")
     if m == 4 and cutoff > 300:  # row4 sums 2 cutoff grids of (2 cutoff)^2 entries each
         raise ValueError(f"direct mode at m = 4 needs cutoff <= 300, not {cutoff} (use S_zagier)")
+    if m == 3:
+        # k1 = a > 0, doubled for k1 < 0.  k2 = -b < 0 (b != a) gives 1/(a b |a - b|)
+        # at sum |k| = 2 max(a, b): b < a and b > a each sum to 2 H_{a-1} / (a^2 (2a)^n)
+        # over the larger index a.  k2 > 0 gives 1/(a k2 s) at sum |k| = 2s, s = a + k2:
+        # the slice a in [lo, s - lo], lo = max(1, s - cutoff), sums to
+        # 2 (H_{s-lo} - H_{lo-1}) / s.
+        H = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, cutoff + 1))))
+        a, s = np.arange(1, cutoff + 1), np.arange(2, 2 * cutoff + 1)
+        lo = np.maximum(1, s - cutoff)
+        af, sf = a.astype(float), s.astype(float)
+        unlike = np.sum(2.0 * H[a - 1] / (af**2 * (2 * af) ** n))
+        like = np.sum(2.0 * (H[s - lo] - H[lo - 1]) / (sf**2 * (2 * sf) ** n))
+        return 2.0 * float(2.0 * unlike + like)
     ks = np.arange(-cutoff, cutoff + 1)
     ks = ks[ks != 0]
-    if m == 3:
-        # symmetric in k1 <-> -k1: sum k1 > 0 and double
-        k2 = ks.astype(float)
-
-        def row3(k1):
-            k3 = -k1 - k2
-            mask = k3 != 0
-            return np.sum(
-                1.0
-                / (
-                    k1
-                    * np.abs(k2[mask] * k3[mask])
-                    * (k1 + np.abs(k2[mask]) + np.abs(k3[mask])) ** n
-                )
-            )
-
-        return 2.0 * float(sum(row3(k1) for k1 in range(1, cutoff + 1)))
 
     def row4(a):
         k1 = ks[:, None]
@@ -619,24 +617,23 @@ def _R_values(keys, cutoff: int) -> dict:
 
 def R_structured(m1: int, m2: int, m3: int, alpha: int, beta: int,
                  cutoff: int = 2000, ctx: PrecisionCtx | None = None) -> float:
-    """Layered evaluation R = R_0 + 2 R_{>0} over the coefficients
-    c_m(l+a, l), with FFT correlations for the coupled denominators.
+    """R(m1, m2, m3; alpha, beta) as a float.
 
-    The layers are evaluated in blocks of rows: per block, one transform of
-    the kernel segment per exponent and one rfft/irfft pair per distinct
-    (group size, exponent) correlation, shared by all keys of a batch
-    (``d3pt`` evaluates its fallback R-sums in one such pass per cutoff).
-
-    The truncation error decays polynomially in the cutoff L.  A three-point
-    geometric-ratio Richardson extrapolation over L/4, L/2, L is applied,
-    except when alpha or beta is 0 and the observed ratio shows a 1/L tail
-    (ratio in (3/8, 1)): then value + log L/L + 1/L + 1/L^2 is fitted over
-    L/8, L/4, L/2, L."""
+    A key of the three exact families (see _R_family) is its exact reduction
+    evaluated at ``ctx`` precision (default ``PrecisionCtx()``) and rounded to
+    float64; ``cutoff`` is then unused.  Every other key takes the float
+    route _R_values: the layered sum R = R_0 + 2 R_{>0} over the coefficients
+    c_m(l+a, l), with FFT correlations for the coupled denominators, at
+    L = cutoff/4, cutoff/2 and cutoff, followed by a geometric-ratio
+    Richardson step (or, for alpha * beta = 0 and a 1/L tail, a fit of
+    value + log L/L + 1/L + 1/L^2 that adds L/8)."""
     if min(alpha, beta) < 0:
         raise ValueError("alpha, beta must be >= 0")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, not {cutoff}")
     key = (m1, m2, m3, alpha, beta)
+    if _R_family(key):
+        return float(_R_exact_value(key, ctx or PrecisionCtx()))
     return _R_values([key], cutoff)[key]
 
 
@@ -877,9 +874,9 @@ def _R_212(alpha: int, beta: int) -> dict:
 
 
 def _R_family(key) -> str | None:
-    """'a', 'b' or 'c' for a key with an exact reduction, else None."""
+    """'a', 'b' or 'c' for a key with an exact reduction (any alpha, beta >= 0), else None."""
     m, alpha, beta = sorted(key[:3]), key[3], key[4]
-    if min(alpha, beta) < 1:
+    if min(alpha, beta) < 0:
         return None
     if m[0] == 0 and m[1] > 0:
         return "a"

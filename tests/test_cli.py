@@ -100,6 +100,18 @@ def test_conical_zeta_prints_a_float(capsys):
     assert float(doc["value"]) == float(ref)
 
 
+@pytest.mark.parametrize("matrix", ["[[1],[1],[1]]", "[[1],[1]]"])
+def test_conical_zeta_fully_eliminated_bound_holds(capsys, matrix):
+    # the Hurwitz elimination sums out the only variable: zeta(3) or zeta(2),
+    # one float64 table entry whose bound is its rounding, never 0
+    rc, doc = _run_json(capsys, ["conical", "zeta", "--matrix", matrix, "--cutoff", "50"])
+    assert rc == 0
+    bound = float(doc["error_bound"])
+    with PrecisionCtx(digits=30).workprec():
+        err = abs(mp.mpf(doc["value"]) - mp.zeta(len(json.loads(matrix))))
+    assert 0 < bound < 1e-14 and err <= bound
+
+
 def test_mgf_r_takes_the_exact_route_for_the_families(capsys):
     # (1,1,5;1,1) is family (b): exact at --prec, whatever the cutoff
     rc, doc = _run_json(capsys, ["mgf", "r", "--m", "1", "1", "5", "--alpha", "1",
@@ -109,11 +121,18 @@ def test_mgf_r_takes_the_exact_route_for_the_families(capsys):
     exact = mgf._R_exact_value((1, 1, 5, 1, 1), ctx)
     with ctx.workprec():
         assert abs(mp.mpf(doc["value"]) - exact) < mp.mpf("1e-28")
-    # beta = 0 has no exact reduction: the float route and its 10/cutoff^2
+    # beta = 0 too: R(1,1,2;1,0) = 10 zeta(5) - 4 zeta(2) zeta(3)
     rc, doc = _run_json(capsys, ["mgf", "r", "--m", "1", "1", "2", "--alpha", "1",
                                  "--beta", "0", "--cutoff", "200"])
+    assert rc == 0 and doc["error_bound"] == "1.00000e-30"
+    with ctx.workprec():
+        closed = 10 * mp.zeta(5) - 4 * mp.zeta(2) * mp.zeta(3)
+        assert abs(mp.mpf(doc["value"]) - closed) < mp.mpf("1e-28")
+    # (2,2,2;1,1) has no exact reduction: the float route and its 10/cutoff^2
+    rc, doc = _run_json(capsys, ["mgf", "r", "--m", "2", "2", "2", "--alpha", "1",
+                                 "--beta", "1", "--cutoff", "200"])
     assert doc["error_bound"] == "0.000250000"
-    assert float(doc["value"]) == mgf.R_structured(1, 1, 2, 1, 0, cutoff=200)
+    assert float(doc["value"]) == mgf.R_structured(2, 2, 2, 1, 1, cutoff=200)
 
 
 def test_laurent3_bound_is_exact_unless_an_r_sum_falls_back(capsys):
@@ -207,7 +226,7 @@ LEAF_CASES = [
     (["mgf", "s", "--m", "2", "--n", "1", "--method", "direct", "--cutoff", "1000"],
      "value", "0.0100000"),
     (["mgf", "r", "--m", "1", "1", "2", "--alpha", "1", "--beta", "0", "--cutoff", "200"],
-     "value", "0.000250000"),
+     "value", "1.00000e-30"),
     (["mgf", "r", "--m", "1", "1", "1", "--alpha", "1", "--beta", "1", "--method", "direct",
       "--cutoff", "100"], "value", "0.100000"),
     (["conical", "zeta", "--matrix", "[[1,0],[1,1],[0,1]]", "--cutoff", "100"],

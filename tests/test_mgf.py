@@ -86,6 +86,27 @@ def test_S_direct_guards_and_monotone_tail():
     assert vals[0] < vals[1] < vals[2]
 
 
+def _S3_by_rows(n, cutoff):
+    """S_direct(3, n, cutoff) one row of k2 per k1 > 0, doubled for k1 < 0."""
+    ks = np.arange(-cutoff, cutoff + 1)
+    k2 = ks[ks != 0].astype(float)
+
+    def row3(k1):
+        k3 = -k1 - k2
+        mask = k3 != 0
+        return np.sum(1.0 / (k1 * np.abs(k2[mask] * k3[mask])
+                             * (k1 + np.abs(k2[mask]) + np.abs(k3[mask])) ** n))
+
+    return 2.0 * float(sum(row3(k1) for k1 in range(1, cutoff + 1)))
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 17, 300])
+def test_S_direct_three_point_matches_row_sum(cutoff):
+    for n in range(4):
+        ref = _S3_by_rows(n, cutoff)
+        assert abs(S_direct(3, n, cutoff) - ref) <= 1e-13 * ref, n
+
+
 def test_S_direct_four_point():
     with CTX.workprec():
         closed = float(S_zagier(4, 2, CTX))
@@ -290,14 +311,16 @@ def _R_closed_form(m, alpha, beta):
     return 10 * mp.zeta(5) - 4 * mp.zeta(2) * mp.zeta(3)
 
 
-# geometric tails to 1e-8; the alpha*beta = 0 shapes with a 1/L tail to 2e-6
+# the float route: geometric tails to 1e-8; the alpha*beta = 0 shapes with a
+# 1/L tail to 2e-6
 _R_CLOSED_CASES = [
-    ((1, 1, 1), 1, 1, 1e-8), ((1, 1, 1), 2, 0, 1e-8), ((1, 1, 1), 0, 1, 1e-8),
-    ((1, 1, 1), 1, 2, 1e-8), ((1, 1, 1), 2, 2, 1e-8),
+    ((1, 1, 1), 1, 1, 1e-8), ((1, 1, 1), 1, 2, 1e-8), ((1, 1, 1), 2, 2, 1e-8),
     ((0, 2, 2), 1, 1, 1e-8), ((0, 2, 2), 2, 1, 1e-8),
+    ((2, 1, 1), 1, 1, 1e-8), ((2, 1, 1), 1, 2, 1e-8), ((2, 1, 1), 2, 2, 1e-8),
+    # alpha * beta = 0
+    ((1, 1, 1), 2, 0, 1e-8), ((1, 1, 1), 0, 1, 1e-8),
     ((0, 2, 2), 2, 0, 2e-6), ((0, 2, 2), 0, 1, 2e-6), ((0, 2, 2), 0, 0, 2e-6),
-    ((2, 1, 1), 1, 1, 1e-8), ((2, 1, 1), 1, 2, 1e-8), ((2, 1, 1), 3, 0, 1e-8),
-    ((2, 1, 1), 0, 1, 1e-8), ((2, 1, 1), 2, 2, 1e-8),
+    ((2, 1, 1), 3, 0, 1e-8), ((2, 1, 1), 0, 1, 1e-8),
     ((1, 1, 2), 1, 0, 2e-6),
 ]
 
@@ -307,16 +330,48 @@ _R_CLOSED_CASES = [
 def test_R_structured_closed_forms(m, alpha, beta, tol):
     with CTX.workprec():
         ref = float(_R_closed_form(m, alpha, beta))
-    assert abs(R_structured(*m, alpha, beta, cutoff=1000) - ref) < tol
+    key = (*m, alpha, beta)
+    assert abs(mgf._R_values([key], 1000)[key] - ref) < tol
 
 
-@pytest.mark.parametrize("m,alpha,beta", [(m, a, b) for m, a, b, _ in _R_CLOSED_CASES
-                                            if min(a, b) >= 1])
+@pytest.mark.parametrize("m,alpha,beta", [(m, a, b) for m, a, b, _ in _R_CLOSED_CASES])
 def test_R_exact_closed_forms(m, alpha, beta):
     key = (*m, alpha, beta)
     value = mgf._R_exact_value(key, CTX)
     with CTX.workprec():
         assert abs(value - _R_closed_form(m, alpha, beta)) < mp.mpf("1e-28")
+    assert R_structured(*key) == float(value)
+
+
+# family (a), (b), (c) keys with alpha = 0, beta = 0 or both
+_R_ZERO_EXPONENT_KEYS = [
+    (0, 2, 2, 0, 1), (2, 0, 2, 0, 1), (2, 0, 3, 0, 2), (0, 3, 2, 1, 0),
+    (0, 2, 2, 0, 0), (2, 2, 0, 0, 0),
+    (1, 1, 2, 0, 1), (1, 3, 1, 0, 2), (2, 1, 1, 1, 0), (1, 1, 3, 1, 0),
+    (1, 2, 1, 2, 0), (1, 1, 1, 0, 0), (3, 1, 1, 0, 0),
+    (1, 2, 2, 0, 1), (2, 1, 2, 0, 1), (2, 1, 2, 0, 2), (2, 1, 2, 1, 0),
+    (2, 2, 1, 2, 0), (1, 2, 2, 0, 0), (2, 2, 1, 0, 0),
+]
+
+
+def test_exact_R_sums_with_a_zero_exponent_match_the_float_route():
+    assert {mgf._R_family(key) for key in _R_ZERO_EXPONENT_KEYS} == {"a", "b", "c"}
+    fine = mgf._R_values(_R_ZERO_EXPONENT_KEYS, 2000)
+    coarse = mgf._R_values(_R_ZERO_EXPONENT_KEYS, 1000)
+    for key in _R_ZERO_EXPONENT_KEYS:
+        exact = float(mgf._R_exact_value(key, CTX))
+        assert exact > 0, key
+        # the allowance of test_exact_R_sums_match_the_float_route
+        assert abs(exact - fine[key]) <= 1e-8 + abs(fine[key] - coarse[key]), key
+
+
+def test_R_structured_never_reaches_the_float_route_on_a_family_key(monkeypatch):
+    def refuse(keys, L):
+        raise AssertionError(f"float R route reached for {keys}")
+
+    monkeypatch.setattr(mgf, "_R_layers", refuse)
+    for key in [(1, 1, 2, 1, 0), (0, 2, 2, 0, 0), (2, 1, 2, 0, 1), (1, 1, 5, 1, 1)]:
+        assert R_structured(*key, cutoff=1000) > 0
 
 
 def _R_layers_reference(key, L):
@@ -363,7 +418,7 @@ def test_R_layers_matches_per_layer_reference(L):
 def test_R_value_independent_of_batch_and_cache(monkeypatch):
     cutoff = 120
     keys = [(1, 1, 2, 1, 0), (0, 2, 2, 2, 0), (2, 1, 1, 1, 2), (1, 2, 1, 2, 1)]
-    alone = {key: R_structured(*key, cutoff=cutoff) for key in keys}
+    alone = {key: mgf._R_values([key], cutoff)[key] for key in keys}
     for batch in (keys, keys[::-1] + [(2, 2, 2, 1, 1), (0, 2, 2, 0, 1)]):
         values = mgf._R_values(batch, cutoff)
         assert all(values[key] == alone[key] for key in keys)
@@ -398,12 +453,6 @@ def test_fftconvolve_2d_matches_scipy(M):
     got = mgf.fftconvolve(a, b)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
-
-
-@pytest.mark.parametrize("shape", [(1001,), (41, 41), (801, 801)])
-def test_fftconvolve_square_bit_identical_to_product(shape):
-    a = np.random.default_rng(len(shape)).random(shape)
-    assert np.array_equal(mgf.fftconvolve(a, a), mgf.fftconvolve(a, a.copy()))
 
 
 @pytest.mark.parametrize("M", [6, 16])
