@@ -278,7 +278,7 @@ def _emzv_b(args, ctx):
 
 
 def _emzv_binf(args, ctx):
-    return emzv.B_inf_depth1(args.n, args.zeros), ctx.eps
+    return emzv.B_inf_depth1(args.n, args.zeros, ctx), ctx.eps
 
 
 def _emzv_alen2(args, ctx):

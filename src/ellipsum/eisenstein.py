@@ -15,9 +15,9 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 
-from .numkernel import PrecisionCtx, _bern, bernoulli_periodic, bernoulli_poly, zeta_int
+from .numkernel import (PrecisionCtx, _bern, _fixed_cmul, _fixed_mpc, _to_fixed,
+                        bernoulli_periodic, bernoulli_poly, zeta_int)
 from .qseries import GuardError, QTauSeries, check_tau
 
 __all__ = [
@@ -88,19 +88,34 @@ def _series_sum(terms, ctx, what):
 
 def _q_product(q, xs, ctx):
     """prod_{j>=1} prod_{x in xs} (1 - x q^j), up to the first j where the later
-    factors move it by at most len(xs) max(1, |x|) |q|^{j+1}/(1 - |q|) <= 10^-dps."""
+    factors move it by at most len(xs) max(1, |x|) |q|^{j+1}/(1 - |q|) <= 10^-dps.
+
+    The powers q^j and the running product are Gaussian integers scaled by
+    2^W, W = prec + guard bits for the number of factors and for max(1, |x|):
+    each step loses less than one unit of 2^-W per part, |q^j| < 1 keeps the
+    error of the powers from growing, and an error in x q^j is multiplied by
+    at most max(1, |x|)."""
     eps = mp.mpf(10) ** (-ctx.dps)
     absq = abs(q)
-    bound = len(xs) * max(1, *map(abs, xs)) * absq / (1 - absq)
-    prod, qj = mp.mpc(1), q
-    for _ in range(_MAX_TERMS):
-        for x in xs:
-            prod *= 1 - x * qj
-        qj *= q
+    big = max(1, *map(abs, xs))
+    bound = len(xs) * big * absq / (1 - absq)
+    for n_q in range(1, _MAX_TERMS + 1):
         bound *= absq
         if bound <= eps:
-            return prod
-    raise GuardError("q-product did not converge")  # pragma: no cover
+            break
+    else:
+        raise GuardError("q-product did not converge")  # pragma: no cover
+    w = mp.mp.prec + (len(xs) * n_q).bit_length() + mp.mag(big) + 6
+    one = 1 << w
+    qr, qi = _to_fixed(q, w)
+    fixed_xs = [_to_fixed(mp.mpc(x), w) for x in xs]
+    pr, pi, qjr, qji = one, 0, qr, qi
+    for _ in range(n_q):
+        for xr, xi in fixed_xs:
+            ar, ai = _fixed_cmul(xr, xi, qjr, qji, w)
+            pr, pi = _fixed_cmul(pr, pi, one - ar, -ai, w)
+        qjr, qji = _fixed_cmul(qjr, qji, qr, qi, w)
+    return _fixed_mpc(pr, pi, w)
 
 
 def _geometric_tail(b, ratio):
@@ -447,6 +462,7 @@ def e_ab(a: int, b: int, xi, tau, ctx: PrecisionCtx, M: int = 1200):
             return mp.mpc(4 * green1(xi, tau, ctx))
     if a + b < 3:
         raise GuardError("lattice mode requires a + b >= 3")
+    import numpy as np  # only this float64 lattice sum needs numpy
 
     def partial(cut):
         t1, t2 = float(mp.re(tau)), float(mp.im(tau))

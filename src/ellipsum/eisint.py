@@ -109,23 +109,24 @@ class CocyclePoly(dict):
         return sum(c * mp.mpc(x) ** i * mp.mpc(y) ** j for (i, j), c in self.items())
 
 
-def cocycle_S(k: int) -> CocyclePoly:
+def cocycle_S(k: int, ctx: PrecisionCtx | None = None) -> CocyclePoly:
     """Period polynomial of the weight-k Eisenstein cocycle at the inversion:
     ((k-2)!/2) (zeta(k-1)(Y^{k-2} - X^{k-2})
       - (2 pi i)^{k-1} sum_i B_{2i} B_{k-2i}/((2i)!(k-2i)!) X^{2i-1} Y^{k-2i-1}).
     """
     if k < 4 or k % 2 == 1:
         raise ValueError("k must be an even integer >= 4")
-    half = mp.factorial(k - 2) / 2
-    out = CocyclePoly()
-    z = mp.zeta(k - 1)
-    out[(0, k - 2)] = half * z
-    out[(k - 2, 0)] = -half * z
-    for i in range(1, k // 2):
-        c = _bern(2 * i) * _bern(k - 2 * i) / (mp.factorial(2 * i) * mp.factorial(k - 2 * i))
-        key = (2 * i - 1, k - 2 * i - 1)
-        out[key] = out.get(key, 0) - half * (2j * mp.pi) ** (k - 1) * c
-    return out
+    with (ctx or PrecisionCtx()).workprec():
+        half = mp.factorial(k - 2) / 2
+        out = CocyclePoly()
+        z = mp.zeta(k - 1)
+        out[(0, k - 2)] = half * z
+        out[(k - 2, 0)] = -half * z
+        for i in range(1, k // 2):
+            c = _bern(2 * i) * _bern(k - 2 * i) / (mp.factorial(2 * i) * mp.factorial(k - 2 * i))
+            key = (2 * i - 1, k - 2 * i - 1)
+            out[key] = out.get(key, 0) - half * (2j * mp.pi) ** (k - 1) * c
+        return out
 
 
 def b30_reference(tau, ctx: PrecisionCtx):

@@ -50,7 +50,7 @@ def _gen_binom(a: int, j: int) -> Fraction:
 # length one
 
 
-def A_len1(n: int):
+def A_len1(n: int, ctx: PrecisionCtx | None = None):
     """Length-one value 2 pi i B_n / n!, and 0 at n = 1: the value the shuffle
     checks use, A(1) A(m) = A(1, m) + A(m, 1).  The series side gives (1,)
     i pi/2 instead (see ``A_inf_depth1``)."""
@@ -58,18 +58,27 @@ def A_len1(n: int):
         raise ValueError("n must be nonnegative")
     if n == 1:
         return mp.mpc(0)
-    return 2j * mp.pi * _bern(n) / mp.factorial(n)
+    with (ctx or PrecisionCtx()).workprec():
+        return 2j * mp.pi * _bern(n) / mp.factorial(n)
 
 
 # ---------------------------------------------------------------------------
 # depth one (single nonzero entry)
 
 
-def A_inf_depth1(n: int, r: int):
+def A_inf_depth1(n: int, r: int, ctx: PrecisionCtx | None = None):
     """Constant term at the cusp of the depth-one series of length r
-    (word ``(n, 0^{r-1})``).  At (1, 1) it is i pi/2, the length-one value
-    that ``A_depth1(1, 1, tau)`` and ``_A_word_series((1,))``, hence
-    ``expl_diff_A`` and ``A_len2``'s lambda_1 = 1/4, carry; ``A_len1(1)`` is 0."""
+    (word ``(n, 0^{r-1})``), at the precision of ``ctx``.  At (1, 1) it is
+    i pi/2, the length-one value that ``A_depth1(1, 1, tau)`` and
+    ``_A_word_series((1,))``, hence ``expl_diff_A`` and ``A_len2``'s
+    lambda_1 = 1/4, carry; ``A_len1(1)`` is 0."""
+    with (ctx or PrecisionCtx()).workprec():
+        return _A_inf_depth1(n, r)
+
+
+def _A_inf_depth1(n: int, r: int):
+    """``A_inf_depth1`` at the working precision, for the q-series
+    constructors that build at it."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if n == 1:
@@ -108,7 +117,7 @@ def A_depth1(n: int, r: int, tau=None, ctx: PrecisionCtx | None = None, q_order=
         if tau is not None:
             tau = check_tau(tau)
         N = q_order if q_order is not None else (30 if tau is None else auto_q_order(tau, ctx))
-        series = _divisor_series(_A_depth1_terms(n, r), N, {(0, 0): A_inf_depth1(n, r)})
+        series = _divisor_series(_A_depth1_terms(n, r), N, {(0, 0): A_inf_depth1(n, r, ctx)})
         return series if tau is None else eval_at(series, tau, ctx)
 
 
@@ -137,7 +146,8 @@ def _A_word_series(word, q_order: int) -> QTauSeries:
     const, terms = 0, {}
     for i in range(s + 1):
         c = Fraction((-1) ** i * math.comb(r + i, r), math.factorial(s - i))
-        const += c.numerator * (2j * mp.pi) ** (s - i) / c.denominator * A_inf_depth1(n, r + i + 1)
+        const += (c.numerator * (2j * mp.pi) ** (s - i) / c.denominator
+                  * _A_inf_depth1(n, r + i + 1))
         for (t, m, k, p), d in _A_depth1_terms(n, r + i + 1).items():
             key = (t, m, k, p + s - i)
             terms[key] = terms.get(key, 0) + c * d
@@ -177,14 +187,14 @@ def expl_diff_A(word, q_order: int) -> QTauSeries:
 # length two
 
 
-def _A_inf_len2(n1: int, n2: int):
+def _A_inf_len2(n1: int, n2: int, ctx: PrecisionCtx):
     if n1 == 1 and n2 == 1:
         return mp.mpc(0)
     if n1 == 1 or n2 == 1:
         n = n2 if n1 == 1 else n1
         if n % 2 == 1:
             raise GuardError(f"A({n1},{n2}): cusp constant not available for (1, odd)")
-        base = A_len1(n) * (1j * mp.pi / 2)
+        base = A_len1(n, ctx) * (1j * mp.pi / 2)
         return base if n1 == 1 else -base
     return -2 * mp.pi**2 * _bern(n1) * _bern(n2) / (mp.factorial(n1) * mp.factorial(n2))
 
@@ -213,7 +223,7 @@ def A_len2(n1: int, n2: int, tau, ctx: PrecisionCtx | None = None):
     ctx = ctx or PrecisionCtx()
     with ctx.workprec():
         tau = check_tau(tau)
-        const = _A_inf_len2(n1, n2)
+        const = _A_inf_len2(n1, n2, ctx)
         a: dict[int, Fraction] = {}
         for c, (m,), k in _diff_A_terms((n1, n2)):
             if k % 2 == 0:
@@ -266,8 +276,8 @@ def hatA(r: int, tau, ctx: PrecisionCtx | None = None, form: str = "direct"):
         if form == "direct":
             # one series: A_{1,2}'s only term, L_{2,1}, cancels the j = 1 term
             # of A_{1,r} exactly, leaving the j >= 2 terms of A_{1,r}
-            const = (A_inf_depth1(1, r)
-                     - (2j * mp.pi) ** (r - 2) / mp.factorial(r - 1) * A_inf_depth1(1, 2))
+            const = (A_inf_depth1(1, r, ctx)
+                     - (2j * mp.pi) ** (r - 2) / mp.factorial(r - 1) * A_inf_depth1(1, 2, ctx))
             terms = _A_depth1_terms(1, r)
             for (i, m, k, p), c in _A_depth1_terms(1, 2).items():
                 terms[i, m, k, p + r - 2] -= c / math.factorial(r - 1)
@@ -290,7 +300,7 @@ def hatA(r: int, tau, ctx: PrecisionCtx | None = None, form: str = "direct"):
 # B-cycle values
 
 
-def B_inf_depth1(n: int, r: int) -> LaurentPoly:
+def B_inf_depth1(n: int, r: int, ctx: PrecisionCtx | None = None) -> LaurentPoly:
     """Cusp asymptotics of the depth-one B-value for the word ``(n, 0^r)``
     (``r`` counts the zeros); a Laurent polynomial in tau with exponents in
     [-r, n]."""
@@ -298,31 +308,32 @@ def B_inf_depth1(n: int, r: int) -> LaurentPoly:
         raise ValueError("n must be >= 2 (n = 1 develops a log tau term)")
     if r < 0:
         raise ValueError("r must be >= 0")
-    two_pi_i = 2j * mp.pi
-    coeffs: dict[int, mp.mpc] = {}
-    lead = mp.mpf(0)
-    for k in range(n + 1):
-        lead += _bern(k) / (mp.factorial(k) * mp.factorial(n - k) * (n - k + r + 1))
-    coeffs[n] = two_pi_i ** (r + 1) / mp.factorial(r) * lead
-    for p in range(r):
-        c = _gen_binom(n + p - 1, p)
-        coeffs[-p] = coeffs.get(-p, 0) - (
-            mp.mpf(1)
-            / mp.factorial(r - p)
+    with (ctx or PrecisionCtx()).workprec():
+        two_pi_i = 2j * mp.pi
+        coeffs: dict[int, mp.mpc] = {}
+        lead = mp.mpf(0)
+        for k in range(n + 1):
+            lead += _bern(k) / (mp.factorial(k) * mp.factorial(n - k) * (n - k + r + 1))
+        coeffs[n] = two_pi_i ** (r + 1) / mp.factorial(r) * lead
+        for p in range(r):
+            c = _gen_binom(n + p - 1, p)
+            coeffs[-p] = coeffs.get(-p, 0) - (
+                mp.mpf(1)
+                / mp.factorial(r - p)
+                * mp.mpf(c.numerator)
+                / c.denominator
+                * mp.zeta(n + p)
+                / two_pi_i ** (n + p - r - 1)
+            )
+        c = _gen_binom(n + r - 1, r)
+        coeffs[-r] = coeffs.get(-r, 0) - (
+            (1 + (-1) ** (n + r))
             * mp.mpf(c.numerator)
             / c.denominator
-            * mp.zeta(n + p)
-            / two_pi_i ** (n + p - r - 1)
+            * mp.zeta(n + r)
+            / two_pi_i ** (n - 1)
         )
-    c = _gen_binom(n + r - 1, r)
-    coeffs[-r] = coeffs.get(-r, 0) - (
-        (1 + (-1) ** (n + r))
-        * mp.mpf(c.numerator)
-        / c.denominator
-        * mp.zeta(n + r)
-        / two_pi_i ** (n - 1)
-    )
-    return LaurentPoly(coeffs, variable="tau")
+        return LaurentPoly(coeffs, variable="tau")
 
 
 def B_depth1(n: int, r: int, tau, ctx: PrecisionCtx | None = None, q_order=None):
@@ -352,7 +363,7 @@ def B_depth1(n: int, r: int, tau, ctx: PrecisionCtx | None = None, q_order=None)
                  Fraction(2 * (-1) ** k * math.comb(n - 1, k - j) * math.factorial(k - 1),
                           math.factorial(n - 1) * math.factorial(r - j) * math.factorial(j - 1))
                  for j in range(2 - n % 2, r, 2) for k in range(j, n + j)}
-        return (B_inf_depth1(n, r - 1)(tau)
+        return (B_inf_depth1(n, r - 1, ctx)(tau)
                 + tau ** (2 - r) * eval_at(_divisor_series(terms, N), tau, ctx))
 
 
@@ -360,34 +371,87 @@ def B_depth1(n: int, r: int, tau, ctx: PrecisionCtx | None = None, q_order=None)
 # quadrature oracle
 
 
+_CHEB_START, _CHEB_MAX = 16, 512  # node counts of the quadrature oracle's doubling
+
+
+def _cheb_cumulative(values: list) -> list:
+    """Given g at the Chebyshev points x_k = (1 + cos(pi k/N))/2, k = 0..N
+    (x_0 = 1, x_N = 0), the integral from 0 to x_k of g's degree-N
+    interpolant at each of those points. In t = 2x - 1 the interpolant is
+    sum_j c_j T_j(t), with c_j from the discrete cosine transform of the
+    values, and its antiderivative sum_j b_j T_j(t) comes from
+    int T_j = T_{j+1}/(2(j+1)) - T_{j-1}/(2(j-1)), b_0 making it 0 at t = -1."""
+    n = len(values) - 1
+    cos = [mp.cos(mp.pi * m / n) for m in range(2 * n)]
+    c = [mp.fdot(values, [cos[j * k % (2 * n)] for k in range(n + 1)])
+         - (values[0] + (-1) ** j * values[n]) / 2 for j in range(n + 1)]
+    c = [x * 2 / n for x in c]
+    c[0] /= 2
+    c[n] /= 2
+    c += [0, 0]
+    b = [0, c[0] - c[2] / 2] + [(c[j - 1] - c[j + 1]) / (2 * j) for j in range(2, n + 2)]
+    b[0] = -mp.fsum((-1) ** j * b[j] for j in range(1, n + 2))
+    # dx = dt / 2
+    return [mp.fdot(b, [cos[j * k % (2 * n)] for j in range(n + 2)]) / 2 for k in range(n + 1)]
+
+
 def quadrature_oracle(nvec, tau, ctx: PrecisionCtx | None = None):
-    """Direct numerical integration over the simplex for short words.
+    """Direct numerical integration over the simplex for short words, from
+    pointwise values of ``f_n`` alone (no q-series).
 
     Supports depth-one words ``(n, 0^{r-1})`` with n >= 2 (single integral
     against ``(2 pi i t)^{r-1}/(r-1)!``) and generic length-two words with
-    both entries >= 2 (nested integral)."""
+    both entries >= 2 (nested integral). Each f_n is sampled once per point
+    of a Chebyshev grid on [0, 1] (the real line, where f_n is analytic for
+    n >= 2); the inner integral is the cumulative integral of its
+    interpolant (``_cheb_cumulative``) at the same points, and the outer
+    integral is Clenshaw-Curtis on them. The grid doubles from 16 points,
+    reusing the nested samples, until two grids agree within
+    10^-(digits - 5) max(1, |value|); GuardError if they do not by 512."""
     nvec = tuple(int(n) for n in nvec)
+    if len(nvec) >= 1 and nvec[0] >= 2 and all(m == 0 for m in nvec[1:]):
+        outer, inner, r = nvec[0], None, len(nvec)
+    elif len(nvec) == 2 and min(nvec) >= 2:
+        (outer, inner), r = nvec, 1
+    else:
+        raise ValueError("quadrature oracle supports depth-one or length-two words "
+                         "with entries >= 2")
     ctx = ctx or PrecisionCtx()
     with ctx.workprec():
         tau = check_tau(tau)
-        if len(nvec) >= 1 and nvec[0] >= 2 and all(m == 0 for m in nvec[1:]):
-            n, r = nvec[0], len(nvec)
+        points: dict = {}  # k/N -> (x, {m: f_m(x)}), shared by the nested grids
 
-            def integrand(x):
-                return (2j * mp.pi * x) ** (r - 1) / mp.factorial(r - 1) * f_n(
-                    n, mp.mpc(x), tau, ctx
-                )
+        def grid(N, m):
+            """The N + 1 points x_k and f_m there, each f_m(x) computed once."""
+            xs, fs = [], []
+            for k in range(N + 1):
+                node = Fraction(k, N)
+                if node not in points:
+                    points[node] = (1 + mp.cos(mp.pi * node.numerator / node.denominator)) / 2, {}
+                x, known = points[node]
+                if m not in known:
+                    known[m] = f_n(m, mp.mpc(x), tau, ctx)
+                xs.append(x)
+                fs.append(known[m])
+            return xs, fs
 
-            return mp.quad(integrand, [0, 1])
-        if len(nvec) == 2 and min(nvec) >= 2:
-            n1, n2 = nvec
+        def integral(N):
+            xs, fs = grid(N, outer)
+            if inner is None:
+                weight = [(2j * mp.pi * x) ** (r - 1) / mp.factorial(r - 1) for x in xs]
+            else:
+                weight = _cheb_cumulative(grid(N, inner)[1])
+            return _cheb_cumulative([f * w for f, w in zip(fs, weight)])[0]
 
-            def outer(x1):
-                inner = mp.quad(lambda x2: f_n(n2, mp.mpc(x2), tau, ctx), [0, x1])
-                return f_n(n1, mp.mpc(x1), tau, ctx) * inner
-
-            return mp.quad(outer, [0, 1])
-    raise ValueError("quadrature oracle supports depth-one or length-two words with entries >= 2")
+        N, tol = _CHEB_START, mp.mpf(10) ** (5 - ctx.digits)
+        value = integral(N)
+        while N < _CHEB_MAX:
+            N *= 2
+            value, last = integral(N), value
+            if abs(value - last) <= tol * max(1, abs(value)):
+                return value
+        raise GuardError(f"quadrature oracle: {N // 2} and {N} Chebyshev points differ "
+                         f"by {mp.nstr(abs(value - last), 5)}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .numkernel import PrecisionCtx
+from .numkernel import PrecisionCtx, _fixed_cmul, _to_fixed
 
 __all__ = [
     "ZetaLinExponent",
@@ -88,7 +88,7 @@ class ZetaLinExponent:
                     (sr, si), (tr, ti) = sp[a], tp[b]
                     acc_re += v * (sr * tr - si * ti)
                     acc_im += v * (sr * ti + si * tr)
-                z = int(mp.ldexp(mp.zeta(n), wp)) * (lcm // den)
+                z = _to_fixed(mp.zeta(n), wp)[0] * (lcm // den)
                 total_re += z * acc_re
                 total_im += z * acc_im
 
@@ -128,11 +128,10 @@ def gamma1p(z, ctx: PrecisionCtx | None = None):
 def _fixed_powers(x, deg: int, wp: int) -> list:
     """x^0..x^deg as (real, imaginary) integer pairs scaled by 2^wp; each
     step truncates by less than one unit of 2^-wp."""
-    xr, xi = (int(mp.ldexp(part, wp)) for part in (mp.re(x), mp.im(x)))
+    xr, xi = _to_fixed(x, wp)
     out = [(1 << wp, 0)]
     for _ in range(deg):
-        pr, pi = out[-1]
-        out.append(((pr * xr - pi * xi) >> wp, (pr * xi + pi * xr) >> wp))
+        out.append(_fixed_cmul(*out[-1], xr, xi, wp))
     return out
 
 

@@ -76,6 +76,36 @@ class PrecisionCtx:
         return mp.mpf(10) ** (-self.digits)
 
 
+def _fixed_part(x: tuple, wp: int) -> int:
+    """A finite mpf, given as its raw ``_mpf_`` tuple, as the integer x * 2^wp
+    truncated toward zero: ``int(mp.ldexp(x, wp))``."""
+    sign, man, exp, bc = x
+    if bc < 0:
+        raise ValueError("fixed point needs a finite number")
+    shift = exp + wp
+    n = man << shift if shift >= 0 else man >> -shift
+    return -n if sign else n
+
+
+def _to_fixed(x, wp: int) -> tuple[int, int]:
+    """An mpf or mpc as the Gaussian integer (re, im) ~ x * 2^wp, each part
+    truncated toward zero (``_fixed_part``)."""
+    re, im = x._mpc_ if type(x) is mp.mpc else (x._mpf_, mp.libmp.fzero)
+    return _fixed_part(re, wp), _fixed_part(im, wp)
+
+
+def _fixed_cmul(ar: int, ai: int, br: int, bi: int, wp: int) -> tuple[int, int]:
+    """(ar + i ai)(br + i bi) / 2^wp for Gaussian integers scaled by 2^wp;
+    each part is floored, so it is off by less than one unit of 2^-wp."""
+    return (ar * br - ai * bi) >> wp, (ar * bi + ai * br) >> wp
+
+
+def _fixed_mpc(re: int, im: int, wp: int) -> mp.mpc:
+    """The Gaussian integer re + i im scaled by 2^-wp, rounded once to the
+    working precision."""
+    return mp.mpc(mp.ldexp(mp.mpf(re), -wp), mp.ldexp(mp.mpf(im), -wp))
+
+
 def _decimal(x) -> str:
     """An mpf as a decimal string with at least ``mp.mp.dps`` digits and
     enough for its own mantissa, so a value built at a higher precision than

@@ -10,10 +10,11 @@ and guarded numerical evaluation.
 from __future__ import annotations
 
 import json
+import math
 
 import mpmath as mp
 
-from .numkernel import PrecisionCtx, _decimal
+from .numkernel import PrecisionCtx, _decimal, _fixed_cmul, _fixed_mpc, _to_fixed
 
 __all__ = [
     "QTauSeries",
@@ -181,11 +182,41 @@ def auto_q_order(tau, ctx: PrecisionCtx) -> int:
         return max(1, int(mp.ceil(ctx.dps / decay)) )
 
 
+def _eval_row(row: dict, q, log2q: float):
+    """sum_j row[j] q^j by Horner's rule in Gaussian-integer fixed point.
+
+    With L = max(row) + 1 and guard = 2 log2(L) + 6 bits, the coefficients
+    are scaled by 2^W, W = prec + guard - the binary magnitude of the largest
+    term |row[j]| |q|^j (``log2q`` = log2|q|), so the sum keeps the working
+    precision relative to that term however large or small the row is. q is
+    scaled by 2^Wq, Wq = prec + guard - mag(q), so it has as many significant
+    bits. Each conversion and step loses less than one unit of 2^-W per part,
+    and q's own error moves the j-th term by at most about 4 j 2^-(prec + guard)
+    of itself, so the integer sum is within 2^-prec of the largest term; the
+    one rounding to the working precision adds 2^-prec of the sum."""
+    prec, top_j = mp.mp.prec, max(row)
+    guard = 2 * (top_j + 1).bit_length() + 6
+    w = prec + guard - math.ceil(max(mp.mag(c) + j * log2q for j, c in row.items()))
+    wq = prec + guard - mp.mag(q)
+    qr, qi = _to_fixed(q, wq)
+    fixed = {j: _to_fixed(c, w) for j, c in row.items()}
+    acc_re, acc_im = fixed[top_j]
+    for j in range(top_j - 1, -1, -1):
+        acc_re, acc_im = _fixed_cmul(acc_re, acc_im, qr, qi, wq)
+        if j in fixed:
+            cr, ci = fixed[j]
+            acc_re += cr
+            acc_im += ci
+    return _fixed_mpc(acc_re, acc_im, w)
+
+
 def eval_with_bound(f: QTauSeries, tau, ctx: PrecisionCtx):
     """Evaluate the series at tau; returns ``(value, truncation_bound)``.
 
     Raises :class:`GuardError` if the truncation bound is not below the
-    context's target error.
+    context's target error. Each tau power's q-series is summed in
+    block-scaled fixed point (``_eval_row``), within a few units of 2^-prec
+    of its largest term; the tau-polynomial of those sums is evaluated in mpc.
     """
     with ctx.workprec():
         tau = check_tau(tau)
@@ -202,8 +233,8 @@ def eval_with_bound(f: QTauSeries, tau, ctx: PrecisionCtx):
         for (i, j), c in f.coeffs.items():
             rows.setdefault(i, {})[j] = c
         q = mp.exp(2j * mp.pi * tau)
-        in_q = {i: mp.polyval([row.get(j, 0) for j in range(max(row), -1, -1)], q)
-                for i, row in rows.items()}
+        log2q = -2 * math.pi / math.log(2) * float(mp.im(tau))
+        in_q = {i: _eval_row(row, q, log2q) for i, row in rows.items()}
         total = mp.polyval([in_q.get(i, 0) for i in range(max(in_q, default=0), -1, -1)], tau)
         return +mp.mpc(total), +bound
 

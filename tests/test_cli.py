@@ -421,6 +421,35 @@ def test_import_loads_no_scipy(module):
     assert proc.stdout.strip() == "[]"
 
 
+def test_emzv_path_loads_no_numpy():
+    # the q-series, Eisenstein, iterated-integral and eMZV modules and their
+    # mpmath-only evaluations; numpy is for the lattice/float code alone
+    proc = _fresh_python(
+        "import sys\n"
+        "import mpmath as mp\n"
+        "from ellipsum import eisenstein, eisint, emzv, qseries\n"
+        "from ellipsum.numkernel import PrecisionCtx\n"
+        "ctx, tau = PrecisionCtx(30), mp.mpc('0.1', '1.1')\n"
+        "xi, alpha = mp.mpc('0.3', '0.2'), mp.mpc('0.2', '0.1')\n"
+        "emzv.A_depth1(3, 2, tau, ctx)\n"
+        "emzv.A_len2(3, 2, tau, ctx)\n"
+        "emzv.B_depth1(3, 2, tau, ctx)\n"
+        "qseries.eval_at(eisenstein.eis_E(4, qseries.auto_q_order(tau, ctx)), tau, ctx)\n"
+        "eisenstein.kronecker_F(xi, alpha, tau, ctx)\n"
+        "eisenstein.green1(xi, tau, ctx)\n"
+        "eisenstein.eis_nonholo(3, tau, ctx)\n"
+        "print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module, loaded", [("ellipsum.emzv", False), ("ellipsum.cli", True)])
+def test_numpy_loads_only_with_the_lattice_code(module, loaded):
+    proc = _fresh_python(f"import sys\nimport {module}\nprint('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(loaded)
+
+
 def test_emzv_call_loads_no_scipy():
     proc = _fresh_python(
         "import contextlib, io\n"

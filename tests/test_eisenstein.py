@@ -169,3 +169,43 @@ def test_omega_reductions():
         w = omega_n(3, XI, TAU, CTX)
         assert abs(omega_n(3, XI + 2 + 3 * TAU, TAU, CTX) - w) < mp.mpf("1e-20")
         assert abs(omega_n(3, -XI, TAU, CTX) + w) < mp.mpf("1e-20")
+
+
+# Im tau in {0.6, 1, 1.5} with Re tau across [-0.5, 0.5], and one point far
+# from the imaginary axis
+PRODUCT_TAUS = [("-0.5", "0.6"), ("0.27", "1"), ("0.5", "1.5"), ("7.3", "0.8")]
+
+
+def _xi_cases(tau):
+    """Generic points, Im xi near +-Im tau and at +-Im tau / 2 (where the
+    reduction to the band switches), and points near the zeros 0 and tau + 1."""
+    t = mp.im(tau)
+    return [mp.mpc("0.31", "0.22"), mp.mpc("0.6", t - mp.mpf("1e-3")),
+            mp.mpc("-0.2", -t + mp.mpf("1e-3")), mp.mpc("0.1", t / 2),
+            mp.mpc("0.4", -t / 2), mp.mpc("1e-12", "1e-13"), tau + 1 + mp.mpf("1e-9")]
+
+
+def _check_against_terms(got, terms, digits):
+    ref, scale = mp.fsum(terms), mp.fsum(abs(t) for t in terms)
+    assert abs(got - ref) <= mp.mpf(10) ** -(digits + 5) * scale
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("re_tau, im_tau", PRODUCT_TAUS)
+def test_theta_and_eta_products_match_their_sums(re_tau, im_tau, digits):
+    # the fixed-point q-products against the theta and pentagonal-number sums
+    # at +20 digits, within 10^-(digits+5) of the sum of |terms|
+    ctx, ref_ctx = PrecisionCtx(digits), PrecisionCtx(digits + 20)
+    tau = mp.mpc(re_tau, im_tau)
+    got = eta(tau, ctx)
+    with ref_ctx.workprec():
+        # eta = sum_n (-1)^n q^{(6n-1)^2/24}
+        _check_against_terms(got, [(-1) ** n * mp.exp(2j * mp.pi * tau * (6 * n - 1) ** 2 / 24)
+                                   for n in range(-60, 61)], digits)
+    for xi in _xi_cases(tau):
+        got = theta(xi, tau, ctx)
+        with ref_ctx.workprec():
+            # theta = sum_{nu = n + 1/2, n >= 0} (-1)^n e^{i pi tau nu^2} (e(xi nu) - e(-xi nu))
+            terms = [(-1) ** n * mp.exp(1j * mp.pi * tau * nu**2 + s * 2j * mp.pi * xi * nu) * s
+                     for n in range(60) for nu in [n + mp.mpf(1) / 2] for s in (1, -1)]
+            _check_against_terms(got, terms, digits)

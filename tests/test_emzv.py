@@ -20,6 +20,7 @@ from ellipsum.emzv import (
     vector_weight,
 )
 from ellipsum import emzv
+from ellipsum.eisenstein import f_n
 from ellipsum.laurent import LaurentPoly
 from ellipsum.numkernel import PrecisionCtx
 from ellipsum.qseries import GuardError, QTauSeries, auto_q_order, eval_at
@@ -126,7 +127,7 @@ def test_series_json_keeps_build_precision():
     ctx = PrecisionCtx(40)
     with ctx.workprec():
         series = A_depth1(3, 2, ctx=ctx)
-        laurent = B_inf_depth1(5, 3)
+        laurent = B_inf_depth1(5, 3, ctx)
     text_series, text_laurent = series.to_json(), laurent.to_json()
     with ctx.workprec():
         back_series = QTauSeries.from_json(text_series)
@@ -215,6 +216,33 @@ def test_quadrature_oracle_depth_one():
         tau = mp.mpc(0, "1.3")
         assert abs(quadrature_oracle((2, 0), tau, ctx)
                    - A_depth1(2, 2, tau, ctx)) < mp.mpf("1e-10")
+
+
+def test_quadrature_oracle_samples_each_point_once(monkeypatch):
+    # the nested grids share their points: (3, 2) at 15 digits converges at
+    # 32 points, 33 samples of each of f_3 and f_2 (a nested mp.quad took 13 760)
+    calls = []
+
+    def counted(n, xi, tau, ctx):
+        calls.append((n, xi))
+        return f_n(n, xi, tau, ctx)
+
+    monkeypatch.setattr(emzv, "f_n", counted)
+    ctx = PrecisionCtx(digits=15)
+    with ctx.workprec():
+        tau = mp.mpc(0, "1.2")
+        value = quadrature_oracle((3, 2), tau, ctx)
+        assert abs(value - A_len2(3, 2, tau, ctx)) < mp.mpf("1e-12")
+    assert len(calls) == len(set(calls)) <= 2 * 65
+
+
+def test_quadrature_oracle_guard(monkeypatch):
+    # 16 and 32 points cannot agree to 10^-45 at Im tau = 0.6
+    monkeypatch.setattr(emzv, "_CHEB_MAX", 32)
+    with pytest.raises(GuardError, match="Chebyshev"):
+        quadrature_oracle((3, 2), mp.mpc(0, "0.6"), PrecisionCtx(50))
+    with pytest.raises(ValueError):
+        quadrature_oracle((1, 2), TAU, CTX)
 
 
 def test_appendixB_matrix_consistency():

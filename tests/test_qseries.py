@@ -189,3 +189,56 @@ def test_eval_matches_naive_sum(f, re_tau, im_tau, digits):
         # rounding errors scale with the terms, not with a cancelled sum
         scale = max(mp.fsum(abs(t) for t in terms), mp.mpf(10) ** -digits)
         assert abs(got - ref) <= mp.mpf(10) ** (5 - digits) * scale
+
+
+# Im tau in {0.6, 1, 1.5} with Re tau across [-0.5, 0.5], and one point far
+# from the imaginary axis
+KERNEL_TAUS = [("-0.5", "0.6"), ("0.23", "0.6"), ("0.5", "1"), ("-0.31", "1"),
+               ("0", "1.5"), ("0.41", "1.5"), ("7.3", "0.8")]
+
+
+def _library_series(tau, ctx, monkeypatch):
+    """Eisenstein, iterated-Eisenstein and eMZV series as the library builds
+    them at ctx: eis_E for k = 4..24 at three times the automatic q_order (so
+    the guard passes at every k), eisint.gamma of depth one and two, two of
+    them scaled by 2^-300 and 2^-150 (the accuracy is relative to the terms,
+    however small), and the series that A_depth1, A_len2 and B_depth1
+    evaluate at tau."""
+    from ellipsum import eisenstein, eisint, emzv
+
+    with ctx.workprec():
+        N = auto_q_order(tau, ctx)
+        out = [eisenstein.eis_E(k, 3 * N) for k in range(4, 25, 2)]
+        out += [eisint.gamma(nvec, N) for nvec in [(4,), (8,), (0, 4), (4, 0), (4, 6)]]
+        out += [out[4].scale(mp.ldexp(1, -300)), out[-1].scale(mp.ldexp(1, -150))]
+    seen = []
+
+    def spy(f, tau, ctx):
+        seen.append(f)
+        return eval_at(f, tau, ctx)
+
+    monkeypatch.setattr(emzv, "eval_at", spy)
+    emzv.A_depth1(3, 2, tau, ctx)
+    emzv.A_depth1(2, 5, tau, ctx)
+    emzv.A_len2(3, 2, tau, ctx)
+    emzv.A_len2(1, 4, tau, ctx)
+    emzv.B_depth1(3, 2, tau, ctx)
+    assert len(seen) == 5
+    return out + seen
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("re_tau, im_tau", KERNEL_TAUS)
+def test_fixed_point_eval_matches_naive_sum_of_library_series(re_tau, im_tau, digits,
+                                                               monkeypatch):
+    # the block-scaled kernel of eval_with_bound against the term-by-term sum
+    # at +20 digits, within 10^-(digits+5) of the sum of |terms|
+    ctx, ref_ctx = PrecisionCtx(digits), PrecisionCtx(digits + 20)
+    tau = mp.mpc(re_tau, im_tau)
+    for f in _library_series(tau, ctx, monkeypatch):
+        got = eval_at(f, tau, ctx)
+        with ref_ctx.workprec():
+            q = mp.exp(2j * mp.pi * tau)
+            terms = [c * tau**i * q**j for (i, j), c in f.coeffs.items()]
+            ref, scale = mp.fsum(terms), mp.fsum(abs(t) for t in terms)
+            assert abs(got - ref) <= mp.mpf(10) ** -(digits + 5) * scale, f

@@ -91,3 +91,22 @@ def test_value_does_not_depend_on_ambient_precision(call):
     with mp.workdps(CTX.dps + 20):
         high = call()
     assert low == high
+
+
+# functions of no tau that compute a constant at the precision of their ctx
+CONSTANT_CASES = {
+    "emzv.A_len1": lambda: emzv.A_len1(4, CTX),
+    "emzv.A_inf_depth1[1,5]": lambda: emzv.A_inf_depth1(1, 5, CTX),
+    "emzv.A_inf_depth1[3,2]": lambda: emzv.A_inf_depth1(3, 2, CTX),
+    "emzv.B_inf_depth1": lambda: emzv.B_inf_depth1(5, 3, CTX).coeffs,
+    "eisint.cocycle_S": lambda: eisint.cocycle_S(6, CTX),
+}
+
+
+@pytest.mark.parametrize("call", list(CONSTANT_CASES.values()), ids=list(CONSTANT_CASES))
+def test_constant_does_not_depend_on_ambient_precision(call):
+    with mp.workdps(15):
+        low = call()
+    with mp.workdps(CTX.dps + 20):
+        high = call()
+    assert low == high
