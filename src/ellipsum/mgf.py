@@ -306,6 +306,22 @@ def _shifted(ext, delta, M):
     return ext[c + dm - M : c + dm + M + 1, c + dn - M : c + dn + M + 1]
 
 
+def _real_spectrum(w: np.ndarray, N: int) -> np.ndarray:
+    """Real N x N spectrum of a centrosymmetric (2M+1)^2 grid from its rows
+    m = 0..M (origin at column M), laid out [k_n, k_m] and mirrored in k_m.
+
+    The rfft along x_n with the phase e^(2 pi i k_n M / N) gives the row
+    transforms G(m, k_n) with the origin at x_n = 0; rows m < 0 are their
+    conjugates, so a row k_n of the 2-D transform is the Hermitian series
+    G(0, k_n) + 2 Re sum_{m > 0} G(m, k_n) e^(2 pi i k_m m / N), which one
+    unscaled irfft along x_m sums on contiguous rows.  The sign of that
+    exponent is the mirror k_m -> -k_m."""
+    M = w.shape[0] - 1
+    f = np.fft.rfft(w, N, axis=1)
+    f *= np.exp(2j * np.pi * M / N * np.arange(f.shape[1]))
+    return np.fft.irfft(np.ascontiguousarray(f.T), N, axis=1, norm="forward")
+
+
 def _block_sum(groups, d: int, tau, M: int) -> float:
     """Sum over loop momenta p_1..p_d, each with |p_k|_inf <= M, of the
     product over groups (s, cnt) of |s . p|^(-2 cnt), a zero edge momentum
@@ -316,16 +332,23 @@ def _block_sum(groups, d: int, tau, M: int) -> float:
     weight window, shifted by s_3 r, into the factor of its first two
     signature entries (1, 0) -> A, (0, 1) -> B, (1, sigma) -> C, with the
     scalar of (0, 0) taken into B, and the sum is the convolution A * B
-    dotted with C.  At depth 2 each factor is one centred grid, which is
-    exactly even, so B needs no reversal for sigma = -1, and B is A (one
-    transform, squared) when the two counts agree.  A * B and the radius-2M
-    grid C are even too, so the dot product is its row x_m = 0 plus twice
-    its rows x_m > 0: after the forward rfftn and the inverse FFT along x_m,
-    only the 2M + 1 rows x_m >= 0 take the inverse rfft along x_n, and C is
-    built on those rows only, after the transforms, to keep it out of their
-    peak memory.  At depth 3 the windows are shifted, hence not even; the
-    2M + 1 points r_n of each row r_m are stacked into one batched
-    fftconvolve, so a row bounds the memory."""
+    dotted with C.
+
+    At depth 2 each factor is one centred grid |m tau + n|^(-2 cnt), real and
+    even (x -> -x), so B needs no reversal for sigma = -1 and its spectrum
+    on an N x N torus, N >= 4M + 1, is real: each factor is transformed
+    from its rows m = 0..M alone (_real_spectrum), one spectrum per distinct
+    count (squared when the two agree), and the product is real.  A * B is
+    even too, so one rfft along k_m returns the rows x_m = 0..N/2, of which
+    the 2M + 1 rows x_m >= 0 take the irfft along x_n (the rfft's own sign
+    undoes the mirror of the factor spectra).  The dot with the radius-2M
+    grid C, built on those rows only and after the transforms to keep it
+    out of their peak memory, is its row x_m = 0 plus twice its rows
+    x_m > 0, read from the wrapped columns x_n = 0..2M and N-2M..N-1.
+
+    At depth 3 the windows are shifted, hence not even; the 2M + 1 points
+    r_n of each row r_m are stacked into one batched fftconvolve, so a row
+    bounds the memory."""
     if d == 3 and M > 16:
         raise ValueError("depth-3 lattice sums limited to M <= 16")
     if d == 1:
@@ -338,17 +361,16 @@ def _block_sum(groups, d: int, tau, M: int) -> float:
     sigma = next((s[1] for s, _ in groups if s[0] and s[1]), 1)
     if d == 2:
         cnt = dict(groups)
-        w = _weights(tau, M, {cnt[1, 0], cnt[0, 1]})
-        a, b = w[cnt[1, 0]], w[cnt[0, 1]]
-        fshape = [_next_fast_len(4 * M + 1)] * 2
-        spec = np.fft.rfftn(a, fshape, (0, 1))
-        spec *= spec if b is a else np.fft.rfftn(b, fshape, (0, 1))
-        # conv(x) for x_m = 0..2M: rows 2M..4M, columns 0..4M of the full
-        # convolution; only these rows take the inverse transform along x_n
-        spec = np.fft.ifft(spec, axis=0)[2 * M : 4 * M + 1]
-        conv = np.fft.irfft(spec, fshape[1], axis=1)[:, : 4 * M + 1]
-        conv *= _weights(tau, 2 * M, {cnt[1, sigma]}, half=True)[cnt[1, sigma]]
-        rows = conv.sum(axis=1)
+        N = _next_fast_len(4 * M + 1)
+        w = _weights(tau, M, {cnt[1, 0], cnt[0, 1]}, half=True)
+        spec = _real_spectrum(w.pop(cnt[1, 0]), N)
+        spec *= spec if not w else _real_spectrum(w.pop(cnt[0, 1]), N)
+        spec = np.fft.rfft(spec, axis=1, norm="forward")[:, : 2 * M + 1]
+        conv = np.fft.irfft(np.ascontiguousarray(spec.T), N, axis=1)
+        del spec
+        c = _weights(tau, 2 * M, {cnt[1, sigma]}, half=True)[cnt[1, sigma]]
+        rows = (np.einsum("ij,ij->i", conv[:, : 2 * M + 1], c[:, 2 * M :])
+                + np.einsum("ij,ij->i", conv[:, N - 2 * M :], c[:, : 2 * M]))
         return float(rows[0] + 2.0 * rows[1:].sum())
     weight = _weights(tau, 3 * M, {cnt for _, cnt in groups})
     radius = {(0, 0): 0, (1, 0): M, (0, 1): M, (1, sigma): 2 * M}

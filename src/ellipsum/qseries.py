@@ -30,6 +30,19 @@ class GuardError(ValueError):
     """A numeric guard (convergence/precision precondition) was violated."""
 
 
+def _mag(c: mp.mpc):
+    """E with 2^(E-1) <= |c| < 2^(E+1/2): the larger binary exponent of the
+    parts of c; -inf for 0, +inf when a part is inf or nan."""
+    e = -math.inf
+    for _, man, exp, bc in c._mpc_:
+        if man:
+            if exp + bc > e:
+                e = exp + bc
+        elif bc:
+            return math.inf
+    return e
+
+
 def check_tau(tau) -> mp.mpc:
     """tau as an mpc at the working precision; GuardError unless Im(tau) > 0.
     Callers read tau inside their ``ctx.workprec()`` block."""
@@ -116,9 +129,15 @@ class QTauSeries:
         return QTauSeries(min(q_order, self.q_order), self.coeffs)
 
     def max_abs_coeff(self) -> mp.mpf:
+        """max |c|, taking ``abs`` (a square root) only of the coefficients
+        whose binary exponent E (see _mag) is within 1 of the largest, E*:
+        one with E <= E* - 2 has |c| < 2^(E* - 3/2), below every |c| with E*."""
         if not self.coeffs:
             return mp.mpf(0)
-        return max(abs(c) for c in self.coeffs.values())
+        coeffs = list(self.coeffs.values())
+        mags = list(map(_mag, coeffs))
+        top = max(mags)
+        return max(abs(c) for m, c in zip(mags, coeffs) if m >= top - 1)
 
     def coeff(self, tau_exp: int, q_exp: int) -> mp.mpc:
         return self.coeffs.get((tau_exp, q_exp), mp.mpc(0))

@@ -476,6 +476,24 @@ def test_conical_calls_load_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_lattice_calls_load_no_scipy():
+    # D_lattice at depths 1, 2 and 3 (banana:2, banana:3, K4) and an R-sum
+    # without an exact reduction: every FFT is numpy's
+    k4 = json.dumps({"vertices": 4, "edges": [[i, j, 1] for i in range(4) for j in range(i + 1, 4)]})
+    runs = [["mgf", "dlattice", "--graph", graph, "--tau", "0.1+1.1i", "--M", M]
+            for graph, M in (("banana:2", "20"), ("banana:3", "20"), (k4, "3"))]
+    runs.append(["mgf", "r", "--m", "2", "2", "2", "--alpha", "1", "--beta", "1"])
+    proc = _fresh_python(
+        "import contextlib, io\n"
+        "from ellipsum import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for argv in {runs!r}:\n"
+        "        assert cli.run(argv) == 0, argv\n"
+        + _PRINT_SCIPY)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_conical_call_imports_conical_lazily():
     proc = _fresh_python(
         "import sys\n"

@@ -191,33 +191,6 @@ def test_D_lattice_K4_matches_loop_momentum_brute_force():
     assert abs(D_lattice(_k4(), tau, 4) - ref) <= 1e-13 * abs(ref)
 
 
-@pytest.mark.parametrize("M", [2, 5])
-def test_block_sum_makes_one_fftconvolve_call_per_row(monkeypatch, M):
-    calls, transforms = [], []
-    real, real_rfftn = mgf.fftconvolve, np.fft.rfftn
-
-    def counted(a, b, axes=None):
-        calls.append(axes)
-        return real(a, b, axes)
-
-    def counted_rfftn(a, *args, **kwargs):
-        transforms.append(a.shape)
-        return real_rfftn(a, *args, **kwargs)
-
-    monkeypatch.setattr(mgf, "fftconvolve", counted)
-    tau = mp.mpc("0.13", "1.05")
-    # depth 2 transforms its factors itself: one squared transform when the
-    # two counts agree (banana:3), one per factor when they differ
-    monkeypatch.setattr(np.fft, "rfftn", counted_rfftn)
-    D_lattice(MultiGraph.banana(3), tau, M)
-    assert calls == [] and len(transforms) == 1
-    transforms.clear()
-    D_lattice(MultiGraph.from_edges(3, [(0, 1, 2), (1, 2, 1), (0, 2, 1)]), tau, M)
-    assert calls == [] and len(transforms) == 2
-    D_lattice(_k4(), tau, M)
-    assert calls == [(1, 2)] * (2 * M + 1)
-
-
 # depth-2 blocks: sigma = +1 with equal counts, sigma = -1 with unequal
 # counts (the triangle with one doubled edge) and with equal ones (theta)
 DEPTH2_GRAPHS = {
@@ -227,7 +200,48 @@ DEPTH2_GRAPHS = {
 }
 
 
-@pytest.mark.parametrize("M", [3, 40, 400])
+@pytest.mark.parametrize("M", [2, 5])
+def test_block_sum_makes_one_fftconvolve_call_per_row(monkeypatch, M):
+    calls, transforms, spectra = [], [], []
+    real, real_spectrum = mgf.fftconvolve, mgf._real_spectrum
+
+    def counted(a, b, axes=None):
+        calls.append(axes)
+        return real(a, b, axes)
+
+    def counted_spectrum(w, N):
+        spectra.append(w.shape)
+        return real_spectrum(w, N)
+
+    def counted_nd(name):
+        transform = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            transforms.append(name)
+            return transform(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mgf, "fftconvolve", counted)
+    monkeypatch.setattr(mgf, "_real_spectrum", counted_spectrum)
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
+        monkeypatch.setattr(np.fft, name, counted_nd(name))
+    tau = mp.mpc("0.13", "1.05")
+    # depth 2 transforms its factors itself, by 1-D transforms only: one
+    # real spectrum per distinct edge count of A and B, squared when the two
+    # agree (banana:3, theta), one per factor when they differ (triangle)
+    for g, n in [(MultiGraph.banana(3), 1), (DEPTH2_GRAPHS["theta"], 1),
+                 (DEPTH2_GRAPHS["triangle211"], 2)]:
+        spectra.clear()
+        D_lattice(g, tau, M)
+        assert calls == [] and transforms == []
+        assert spectra == [(M + 1, 2 * M + 1)] * n
+    D_lattice(_k4(), tau, M)
+    assert calls == [(1, 2)] * (2 * M + 1)
+
+
+# M = 1 and 2: the odd tori N = 5 and 9, whose N/2 + 1 rows only just hold
+# the 2M + 1 rows x_m >= 0 of the convolution
+@pytest.mark.parametrize("M", [1, 2, 3, 40, 400])
 @pytest.mark.parametrize("name", DEPTH2_GRAPHS)
 def test_depth2_block_sum_matches_full_plane(name, M):
     g = DEPTH2_GRAPHS[name]
@@ -238,12 +252,14 @@ def test_depth2_block_sum_matches_full_plane(name, M):
     assert d == 2 and (sigma, cnt[1, 0] == cnt[0, 1]) == {
         "banana3": (1, True), "triangle211": (-1, False), "theta": (-1, True)}[name]
     tau = mp.mpc("0.13", "1.1")
-    # full plane: sum over x of (A * B)(x) C(x), C the radius-2M grid
-    w = mgf._weights(tau, M, {cnt[1, 0], cnt[0, 1]})
-    conv = mgf.fftconvolve(w[cnt[1, 0]], w[cnt[0, 1]])
-    ref = float((conv * mgf._weights(tau, 2 * M, {cnt[1, sigma]})[cnt[1, sigma]]).sum())
-    got = mgf._block_sum(groups, d, tau, M)
-    assert abs(got - ref) <= 1e-14 * abs(ref)
+    # tau and its S and T images: Re tau of either sign, Im tau below 1
+    for t in (tau, -1 / tau, tau + 1):
+        # full plane: sum over x of (A * B)(x) C(x), C the radius-2M grid
+        w = mgf._weights(t, M, {cnt[1, 0], cnt[0, 1]})
+        conv = mgf.fftconvolve(w[cnt[1, 0]], w[cnt[0, 1]])
+        ref = float((conv * mgf._weights(t, 2 * M, {cnt[1, sigma]})[cnt[1, sigma]]).sum())
+        got = mgf._block_sum(groups, d, t, M)
+        assert abs(got - ref) <= 1e-14 * abs(ref), t
 
 
 def test_S_zagier_matches_direct():
@@ -488,6 +504,25 @@ def test_lattice_sum_meets_the_laurent_polynomial():
     assert gap(2, 400) <= 1e-5
     assert gap(3, 400) <= 1e-4
     assert gap(3, 400) < gap(3, 200)
+
+
+def test_triangle_lattice_sums_meet_d3pt():
+    # at tau = iT the triangle with edge counts (l1, l2, l3) is
+    # d3pt(l1, l2, l3) at y = pi T; d3pt carries the normalisation of the
+    # lattice sum itself, so no 4^w division as for d2pt's 4^l.  At M = 400
+    # the one-loop cycle:3 is off by its e^(-2 pi T) = e^(-6 pi) mode, not
+    # by the truncation; the depth-2 triangle (2, 1, 1) converges in M
+    tau = mp.mpc(0, 3)
+    with CTX.workprec():
+        laurent = {l: mp.re(d3pt(*l, ctx=CTX)(3 * mp.pi)) for l in [(1, 1, 1), (1, 1, 2)]}
+    cycle = D_lattice(MultiGraph.cycle(3), tau, 400)
+    assert abs(cycle - laurent[1, 1, 1]) <= 2e-8 * laurent[1, 1, 1]
+
+    def gap(M):
+        return abs(D_lattice(DEPTH2_GRAPHS["triangle211"], tau, M) - laurent[1, 1, 2]) / laurent[1, 1, 2]
+
+    assert gap(400) <= 1e-5
+    assert gap(400) < gap(200)
 
 
 def test_d2pt_drops_coefficients_of_empty_sv_weights():

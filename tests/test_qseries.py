@@ -1,5 +1,7 @@
 """Truncated q/tau series ring and regularized primitive checks."""
 
+import random
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,38 @@ def test_json_roundtrip():
     g = QTauSeries.from_json(f.to_json())
     assert g.q_order == f.q_order
     assert f.sub(g).max_abs_coeff() < mp.mpf("1e-20")
+
+
+@pytest.mark.parametrize("digits", [15, 30, 100])
+def test_max_abs_coeff_equals_max_of_moduli(digits):
+    rng = random.Random(digits)
+    assert QTauSeries(5).max_abs_coeff() == 0  # every coefficient zero
+
+    def part(decades):
+        # zero, or a value of either sign over 2 * decades + 1 decades, built
+        # at up to 150 digits so that a coefficient may carry more bits than
+        # the ctx
+        if rng.random() < 0.3:
+            return mp.mpf(0)
+        with mp.workdps(rng.choice([15, 50, 150])):
+            return mp.mpf(rng.uniform(-1, 1)) * mp.mpf(10) ** rng.randint(-decades, decades) / 3
+
+    with mp.workdps(digits):
+        for decades in [0, 1, 40] * 20:
+            coeffs = {(rng.randint(0, 3), j): mp.mpc(part(decades), part(decades))
+                      for j in range(rng.randint(1, 30))}
+            f = QTauSeries(30, coeffs)
+            ref = max((abs(c) for c in f.coeffs.values()), default=mp.mpf(0))
+            assert f.max_abs_coeff() == ref
+        # equal moduli: real, imaginary and complex, in either order; and a
+        # largest modulus whose parts are both a binary exponent below another
+        # coefficient's (|1.9 + 1.9i| = 2.69 > 2)
+        for coeffs in ([5, 5j, 3 + 4j], [3 - 4j, -5j, -5], [mp.mpf(2) ** 0.5, 1 + 1j],
+                       [2, 1.9 + 1.9j], [1.9 - 1.9j, -2j]):
+            f = QTauSeries(5, {(0, j): c for j, c in enumerate(coeffs)})
+            assert f.max_abs_coeff() == max(abs(mp.mpc(c)) for c in coeffs)
+    # an inf part is never passed over
+    assert QTauSeries(5, {(0, 0): 1, (0, 1): mp.mpc(mp.inf, 0)}).max_abs_coeff() == mp.inf
 
 
 @st.composite
