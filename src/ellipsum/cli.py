@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from . import eisenstein, emzv, genus0, mgf
+from . import eisenstein, emzv, exact, genus0, mgf
 from .laurent import LaurentPoly
 from .numkernel import PrecisionCtx
 from .qseries import GuardError, QTauSeries, auto_q_order, eval_at
@@ -124,8 +124,12 @@ def parse_graph(spec: str) -> mgf.MultiGraph:
 # ---------------------------------------------------------------------------
 
 def _num_str(x, digits: int) -> str:
+    """``digits`` significant digits, or ``digits`` places after the point for
+    an mpf of |x| >= 1, so that rounding stays inside the bound 10^-digits."""
     if isinstance(x, (Fraction, int)):
         return str(x)
+    if isinstance(x, mp.mpf) and abs(x) >= 1:
+        digits += len(str(int(abs(x))))
     return mp.nstr(mp.mpf(x), digits, strip_zeros=False)
 
 
@@ -294,10 +298,11 @@ def _mgf_laurent2(args, ctx):
 
 
 def _mgf_laurent3(args, ctx):
+    poly = mgf.d3pt(*args.l, ctx, cutoff=args.cutoff)  # checks the inputs
     # exact unless an R-sum falls back to the float route, whose truncation
     # error has an empirical O(cutoff^-2) scale
-    bound = 10.0 / args.cutoff**2 if mgf._d3pt_fallback_keys(args.l) else ctx.eps
-    return mgf.d3pt(*args.l, ctx, cutoff=args.cutoff), bound
+    bound = 10.0 / args.cutoff**2 if exact._d3pt_fallback_keys(args.l) else ctx.eps
+    return poly, bound
 
 
 def _mgf_dlattice(args, ctx):
@@ -338,11 +343,11 @@ def _mgf_r(args, ctx):
     key = (*args.m, args.alpha, args.beta)
     if args.method == "direct":
         return mgf.R_direct(*key, args.cutoff), 10.0 / args.cutoff
-    value = mgf.R_structured(*key, cutoff=args.cutoff, ctx=ctx)  # checks the inputs
-    if mgf._R_family(key):
+    mgf._check_R(*key, args.cutoff)
+    if exact._R_family(key):
         # an exact combination of MZVs, evaluated at --prec
-        return mgf._R_exact_value(key, ctx), ctx.eps
-    return value, 10.0 / args.cutoff**2
+        return exact.value(exact._R_exact(key), ctx), ctx.eps
+    return mgf.R_structured(*key, cutoff=args.cutoff, ctx=ctx), 10.0 / args.cutoff**2
 
 
 def _conical_zeta(args, ctx):

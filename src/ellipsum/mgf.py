@@ -1,7 +1,7 @@
 """Modular graph functions: lattice-sum evaluation for multigraphs, the
-two- and three-point Laurent-polynomial parts via nested lattice sums
-(S- and R-sums, the R-sums reduced exactly to MZVs where one of three
-families allows it), identity checks, and finite-difference Laplacians.
+two- and three-point Laurent-polynomial parts via nested lattice sums (S- and
+R-sums, built and summed exactly in ``exact`` but for the float R route),
+identity checks, and finite-difference Laplacians.
 
 Conventions: a multigraph on N vertices with edge multiplicities l_ij has
 weight l = sum of multiplicities; each edge carries a propagator
@@ -12,17 +12,16 @@ assignments conserving momentum at vertices with no zero edge-momentum.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numkernel import PrecisionCtx, _word_groups, mzv, mzv_many, shuffle, stuffle, zeta_int
+from .exact import _d2pt_rows, _d3pt_rows, _R_exact, _R_family, _S_combo, laurent, value
 from .laurent import LaurentPoly
+from .numkernel import PrecisionCtx, zeta_int
 
 __all__ = [
     "MultiGraph",
@@ -435,6 +434,8 @@ def S_direct(m: int, n: int, cutoff: int) -> float:
     harmonic numbers in O(cutoff); m = 4 needs cutoff <= 300."""
     if m < 2:
         raise ValueError("m must be >= 2")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, not {n}")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, not {cutoff}")
     if m == 2:
@@ -475,56 +476,16 @@ def S_direct(m: int, n: int, cutoff: int) -> float:
     return float(sum(row4(a) for a in ks))
 
 
-def _compositions_12(total: int):
-    """All compositions of `total` into parts 1 and 2."""
-    if total == 0:
-        yield ()
-        return
-    for first in (1, 2):
-        if first <= total:
-            for rest in _compositions_12(total - first):
-                yield (first,) + rest
-
-
-def _zagier_terms(m: int, n: int) -> list:
-    """(power of 2, MZV index) of each term of S_zagier(m, n)."""
-    return [(2 * (len(comp) + 1) - m - n, comp + (n + 2,)) for comp in _compositions_12(m - 2)]
-
-
-def _zagier_mzv_ctx(dps: int) -> PrecisionCtx:
-    return PrecisionCtx(max(dps - 10, 10))
-
-
-@functools.lru_cache(maxsize=None)
-def _S_zagier_cached(m: int, n: int, dps: int):
-    terms = _zagier_terms(m, n)
-    ctx = _zagier_mzv_ctx(dps)
-    # one pass for all terms; each value is then read through mzv (a cache
-    # hit), so a per-call trace of mzv still sees one call per MZV
-    mzv_many([idx for _, idx in terms], ctx)
-    with mp.workdps(dps):
-        total = mp.mpf(0)
-        for p, idx in terms:
-            total += mp.mpf(2) ** p * mzv(idx, ctx)
-        return mp.factorial(m) * total
-
-
 def S_zagier(m: int, n: int, ctx: PrecisionCtx | None = None):
     """MZV evaluation: m! sum over {1,2}-compositions a of m-2 of
     2^{2(r+1)-m-n} zeta(a_1, ..., a_r, n+2)."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    ctx = ctx or PrecisionCtx()
-    return _S_zagier_cached(m, n, ctx.dps)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, not {n}")
+    return value(_S_combo(m, n), ctx or PrecisionCtx())
 
 
-def _S_zagier_many(pairs, ctx: PrecisionCtx) -> dict:
-    """S_zagier(m, n) of every (m, n) in pairs, keyed by pair, after one
-    ``mzv_many`` pass over all their MZVs (values as from S_zagier)."""
-    pairs = set(pairs)
-    mzv_many([idx for m, n in pairs for _, idx in _zagier_terms(m, n)],
-             _zagier_mzv_ctx(ctx.dps))
-    return {(m, n): S_zagier(m, n, ctx) for m, n in pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -637,25 +598,29 @@ def _R_values(keys, cutoff: int) -> dict:
     return out
 
 
+def _check_R(m1: int, m2: int, m3: int, alpha: int, beta: int, cutoff: int) -> None:
+    if min(m1, m2, m3, alpha, beta) < 0:
+        raise ValueError(f"m_i, alpha, beta must be >= 0, not {(m1, m2, m3, alpha, beta)}")
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, not {cutoff}")
+
+
 def R_structured(m1: int, m2: int, m3: int, alpha: int, beta: int,
                  cutoff: int = 2000, ctx: PrecisionCtx | None = None) -> float:
     """R(m1, m2, m3; alpha, beta) as a float.
 
-    A key of the three exact families (see _R_family) is its exact reduction
-    evaluated at ``ctx`` precision (default ``PrecisionCtx()``) and rounded to
-    float64; ``cutoff`` is then unused.  Every other key takes the float
-    route _R_values: the layered sum R = R_0 + 2 R_{>0} over the coefficients
-    c_m(l+a, l), with FFT correlations for the coupled denominators, at
-    L = cutoff/4, cutoff/2 and cutoff, followed by a geometric-ratio
-    Richardson step (or, for alpha * beta = 0 and a 1/L tail, a fit of
-    value + log L/L + 1/L + 1/L^2 that adds L/8)."""
-    if min(alpha, beta) < 0:
-        raise ValueError("alpha, beta must be >= 0")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, not {cutoff}")
+    A key of the three exact families (see exact._R_family) is its exact
+    reduction evaluated at ``ctx`` precision (default ``PrecisionCtx()``) and
+    rounded to float64; ``cutoff`` is then unused.  Every other key takes the
+    float route _R_values: the layered sum R = R_0 + 2 R_{>0} over the
+    coefficients c_m(l+a, l), with FFT correlations for the coupled
+    denominators, at L = cutoff/4, cutoff/2 and cutoff, followed by a
+    geometric-ratio Richardson step (or, for alpha * beta = 0 and a 1/L
+    tail, a fit of value + log L/L + 1/L + 1/L^2 that adds L/8)."""
+    _check_R(m1, m2, m3, alpha, beta, cutoff)
     key = (m1, m2, m3, alpha, beta)
     if _R_family(key):
-        return float(_R_exact_value(key, ctx or PrecisionCtx()))
+        return float(value(_R_exact(key), ctx or PrecisionCtx()))
     return _R_values([key], cutoff)[key]
 
 
@@ -683,8 +648,7 @@ def R_direct(m1: int, m2: int, m3: int, alpha: int, beta: int, cutoff: int) -> f
     (common momentum a, per-group absolute-value sums):
     sum_a sum_{s1} T1[a, s1] (T2[a] @ H_alpha[s1]) (T3[a] @ H_beta[s1]) with
     H_e[s1, s2] = (s1 + s2)^-e (0 at s1 + s2 = 0; row sums for e = 0)."""
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, not {cutoff}")
+    _check_R(m1, m2, m3, alpha, beta, cutoff)
     C = cutoff
     A = min(m1, m2, m3) * C
     tables = {m: _k_table(m, C)[m * C - A : m * C + A + 1] for m in {m1, m2, m3}}
@@ -702,372 +666,16 @@ def R_direct(m1: int, m2: int, m3: int, alpha: int, beta: int, cutoff: int) -> f
 
 
 # ---------------------------------------------------------------------------
-# two-point Laurent polynomial
+# Laurent polynomials
 
 
 def d2pt(l: int, ctx: PrecisionCtx | None = None) -> LaurentPoly:
-    """Laurent-polynomial (zero-mode) part d_l(y) of the two-vertex graph
-    with l parallel edges."""
+    """Laurent-polynomial (zero-mode) part d_l(y) of the two-vertex graph with
+    l parallel edges; a coefficient that cancels to within the rounding of
+    its terms is 0 (no single-valued MZV has weight l - e = 1, 2 or 4)."""
     if l < 2:
         raise ValueError("l must be >= 2")
-    ctx = ctx or PrecisionCtx()
-    with ctx.workprec():
-        coeffs: dict[int, mp.mpf] = {}
-        # terminating 2F1(1, -l; 3/2; 3/2) * (y/12)^l
-        hyp = Fraction(0)
-        term = Fraction(1)
-        for k in range(l + 1):
-            hyp += term
-            term = term * (-(l - k)) * Fraction(3, 2) / (Fraction(3, 2) + k)
-        coeffs[l] = mp.mpf(hyp.numerator) / hyp.denominator / mp.mpf(12) ** l
-        mags = {l: abs(coeffs[l])}  # sum of |terms| forming each coefficient
-        terms = [(a, b, c, l - a - b - c) for a in range(l + 1) for b in range(l - a + 1)
-                 for c in range(l - a - b - 1)]  # m = l - a - b - c >= 2
-        S = _S_zagier_many({(m, 2 * a + b + 1) for a, b, c, m in terms}, ctx)
-        for a, b, c, m in terms:
-            coef = (
-                mp.mpf(2)
-                / mp.mpf(4) ** l
-                * mp.factorial(l)
-                * mp.factorial(2 * a + b)
-                / (mp.factorial(a) * mp.factorial(b) * mp.factorial(c) * mp.factorial(m))
-                * (-1) ** b
-                / mp.mpf(6) ** c
-                * S[m, 2 * a + b + 1]
-                * mp.mpf(2) ** (c - a - 1)
-            )
-            e = c - a - 1
-            coeffs[e] = coeffs.get(e, mp.mpf(0)) + coef
-            mags[e] = mags.get(e, 0) + abs(coef)
-        # a coefficient that cancels to within rounding of its terms is 0: the
-        # weights l - e = 1, 2, 4 have no single-valued MZV to carry one
-        return LaurentPoly({e: c for e, c in coeffs.items() if abs(c) > ctx.eps * mags[e]},
-                           variable="y")
-
-
-# ---------------------------------------------------------------------------
-# exact R sums
-#
-# Every R-sum of a key with a group of size 0, two groups of size 1, or one
-# group of size 1 beside two of size 2 reduces to an exact Q-combination of
-# MZV monomials.  Write Z(n; k_1, ..., k_r) for the nested sum over
-# 0 < v_1 < ... < v_{r-1} < n of prod v_i^-k_i, times n^-k_r (the top index
-# is n; the increasing convention of mzv).  Only the top exponent may be 0:
-# Z(n; K, 0) = sum_{m < n} Z(m; K) and Z(n; (0,)) = 1.  A sequence is a dict
-# {(monomial, K): Fraction} for sum c prod(zeta(I) for I in monomial) Z(n; K);
-# an exact value is a dict {monomial: Fraction}.  S_r(n) = r! Z(n; 1^r).
-#
-# For a >= 1 a group of size m with momentum a and l negative units has
-# weight c_m(l + a, l); a group of size 1 forces l = 0 and weight 1/a, an
-# empty group forces a = l = 0, and c_2(l + a, l) = [l = 0] S_2(a) +
-# 2 [l >= 1] / (l (l + a)).  So 2^(alpha + beta) R is
-#   (a) one group empty: a product of two sums, or, when the empty group
-#       sits in a denominator, a sum over n of n^-e times a convolution;
-#   (b) two groups of size 1: 2 F_m(p, q), with F_m(p, q) = sum_{n >= 1}
-#       sum_r C(m, r) S_r(n) n^-q [x^n] Li_p(x) (-log(1 - x))^(m - r);
-#   (c) (1, 2, 2): 2 sum_a a^-1 T_alpha(a) T_beta(a), T_e(a) = sum_l
-#       c_2(l + a, l) (l + a)^-e; (2, 1, 2) and (2, 2, 1): see _R_212.
-
-
-def _acc(out: dict, key, c) -> None:
-    c += out.get(key, 0)
-    if c:
-        out[key] = c
-    else:
-        out.pop(key, None)
-
-
-def _seq(*K, mono=()) -> dict:
-    """The sequence prod(zeta(I) for I in mono) * Z(n; K)."""
-    return {(mono, K): Fraction(1)}
-
-
-def _lin(*terms) -> dict:
-    """sum of c * f over the (c, f) pairs."""
-    out = {}
-    for c, f in terms:
-        for key, v in f.items():
-            _acc(out, key, c * v)
-    return out
-
-
-def _mono(m1, m2) -> tuple:
-    return tuple(sorted(m1 + m2))
-
-
-def _seq_mul(f: dict, g: dict) -> dict:
-    """Pointwise product: Z(n; A, a) Z(n; B, b) is the stuffle of A and B
-    below the common top index n, with top exponent a + b."""
-    out = {}
-    for (m1, K1), c1 in f.items():
-        for (m2, K2), c2 in g.items():
-            lo1, lo2, top = K1[:-1], K2[:-1], (K1[-1] + K2[-1],)
-            merged = (stuffle(lo1, lo2).items() if lo1 and lo2
-                      else [(lo1 or lo2, 1)])
-            for lo, c in merged:
-                _acc(out, (_mono(m1, m2), tuple(lo) + top), c1 * c2 * c)
-    return out
-
-
-def _seq_pow(f: dict, k: int) -> dict:
-    """n^-k times f(n)."""
-    return {(m, K[:-1] + (K[-1] + k,)): c for (m, K), c in f.items()}
-
-
-def _word(K) -> tuple:
-    """Binary word of Li_K(x) = sum_n Z(n; K) x^n (entries >= 1)."""
-    return tuple(a for k in reversed(K) for a in (0,) * (k - 1) + (1,))
-
-
-def _seq_conv(f: dict, g: dict) -> dict:
-    """sum over a + b = n, a, b >= 1, of f(a) g(b): the coefficient of x^n
-    in the product of the generating polylogarithms, a shuffle of words."""
-    out = {}
-    for (m1, K1), c1 in f.items():
-        for (m2, K2), c2 in g.items():
-            for w, c in shuffle(_word(K1), _word(K2)).items():
-                K = tuple(reversed(_word_groups(w)))
-                _acc(out, (_mono(m1, m2), K), c1 * c2 * c)
-    return out
-
-
-def _seq_total(f: dict) -> dict:
-    """sum over n >= 1 of f(n): Z(n; K) sums to zeta(K)."""
-    out = {}
-    for (m, K), c in f.items():
-        if K[-1] < 2 or 0 in K:
-            raise ValueError(f"divergent nested sum Z(n; {K})")
-        _acc(out, _mono(m, (K,)), c)
-    return out
-
-
-def _S_seq(r: int) -> dict:
-    """S_r(n) = [x^n] (-log(1 - x))^r for n >= 1."""
-    return {((), (1,) * r): Fraction(math.factorial(r))} if r else {}
-
-
-def _tail_seq(j: int) -> dict:
-    """sum_{v > n} v^-j, regularised to -H_n at j = 1."""
-    head = [(1, _seq(0, mono=((j,),)))] if j > 1 else []
-    return _lin(*head, (-1, _seq(j, 0)), (-1, _seq(j)))
-
-
-def _diag_seq(m: int) -> dict:
-    """c_m(l, l) for l >= 1 (the only layer of a key with an empty group)."""
-    return _lin(*((math.comb(m, r), _seq_mul(_S_seq(r), _S_seq(m - r)))
-                  for r in range(1, m)))
-
-
-def _T2_seq(e: int) -> dict:
-    """T_e(a) = S_2(a) a^-e + 2 sum_{l >= 1} l^-1 (l + a)^-(e + 1), by
-    partial fractions in l: the sum is -sum_{i=1..e+1} tail_i(a) a^(i-e-2)."""
-    return _lin((1, _seq_pow(_S_seq(2), e)),
-                *((-2, _seq_pow(_tail_seq(i), e + 2 - i)) for i in range(1, e + 2)))
-
-
-def _F(m: int, p: int, q: int) -> dict:
-    """F_m(p, q) = sum_{a >= 1, l >= 0} c_m(l + a, l) / (a^p (l + a)^q)."""
-    terms = []
-    for r in range(1, m + 1):
-        inner = _seq(p) if r == m else _seq_conv(_S_seq(m - r), _seq(p))
-        terms.append((math.comb(m, r), _seq_mul(_seq_pow(_S_seq(r), q), inner)))
-    return _seq_total(_lin(*terms))
-
-
-def _R_212(alpha: int, beta: int) -> dict:
-    """2^(alpha+beta-1) R(2, 1, 2; alpha, beta) = sum_{a >= 1} a^-1 sum_{l1,
-    l3} c(l1) c(l3) b^-alpha (b + l3)^-beta with b = a + l1 and c(l) =
-    c_2(l + a, l).  The l1 = 0 layer is a^-alpha S_2(a) T_beta(a); for
-    l1 >= 1 the l3 = 0 term is one convolution, and partial fractions in l3
-    turn sum_{l3 >= 1} 1 / (l3 (l3 + a) (l3 + b)^beta) into
-    a^-1 [l1^-beta H_a + sum_{j=1..beta} (l1^(j-beta-1) - b^(j-beta-1)) tail_j(b)]."""
-    one, two = _seq(1), _seq(2)
-    terms = [
-        (1, _seq_pow(_seq_mul(_S_seq(2), _T2_seq(beta)), 1 + alpha)),
-        (2, _seq_pow(_seq_conv(_seq_pow(_S_seq(2), 1), one), 1 + alpha + beta)),
-        (4, _seq_pow(_seq_conv(_lin((1, _seq(1, 2)), (1, _seq(3))), _seq(1 + beta)),
-                     1 + alpha)),
-    ]
-    for j in range(1, beta + 1):
-        kernel = _lin((1, _seq_pow(_seq_conv(two, _seq(beta - j + 2)), 1 + alpha)),
-                      (-1, _seq_pow(_seq_conv(two, one), 2 + alpha + beta - j)))
-        terms.append((4, _seq_mul(kernel, _tail_seq(j))))
-    return _seq_total(_lin(*terms))
-
-
-def _R_family(key) -> str | None:
-    """'a', 'b' or 'c' for a key with an exact reduction (any alpha, beta >= 0), else None."""
-    m, alpha, beta = sorted(key[:3]), key[3], key[4]
-    if min(alpha, beta) < 0:
-        return None
-    if m[0] == 0 and m[1] > 0:
-        return "a"
-    if m[:2] == [1, 1]:
-        return "b"
-    if m == [1, 2, 2]:
-        return "c"
-    return None
-
-
-# exact values of R, keyed on (m1, m2, m3, alpha, beta)
-_R_exact_cache: dict = {}
-
-
-def _R_exact(key) -> dict:
-    """R(key) as {MZV monomial: Fraction}, for a key of one of the families."""
-    if key in _R_exact_cache:
-        return _R_exact_cache[key]
-    m1, m2, m3, alpha, beta = key
-    family = _R_family(key)
-    if family == "a":
-        if m1 == 0:
-            left = _seq_total(_seq_pow(_diag_seq(m2), alpha))
-            right = _seq_total(_seq_pow(_diag_seq(m3), beta))
-            value = {}
-            for u, cu in left.items():
-                for v, cv in right.items():
-                    _acc(value, _mono(u, v), cu * cv)
-        elif m2 == 0:  # denominators l1^alpha (l1 + l3)^beta
-            value = _seq_total(_seq_pow(_seq_conv(_seq_pow(_diag_seq(m1), alpha),
-                                                  _diag_seq(m3)), beta))
-        else:  # denominators (l1 + l2)^alpha l1^beta
-            value = _seq_total(_seq_pow(_seq_conv(_seq_pow(_diag_seq(m1), beta),
-                                                  _diag_seq(m2)), alpha))
-        scale = Fraction(1, 2 ** (alpha + beta))
-    elif family == "b":
-        if m2 == m3 == 1:
-            value = _F(m1, 2, alpha + beta)
-        elif m2 == 1:
-            value = _F(m3, 2 + alpha, beta)
-        else:
-            value = _F(m2, 2 + beta, alpha)
-        scale = Fraction(2, 2 ** (alpha + beta))
-    elif family == "c":
-        if m1 == 1:
-            value = _seq_total(_seq_pow(_seq_mul(_T2_seq(alpha), _T2_seq(beta)), 1))
-        else:
-            value = _R_212(alpha, beta) if m2 == 1 else _R_212(beta, alpha)
-        scale = Fraction(2, 2 ** (alpha + beta))
-    else:
-        raise ValueError(f"R{tuple(key)} has no exact reduction")
-    _R_exact_cache[key] = {mono: c * scale for mono, c in value.items()}
-    return _R_exact_cache[key]
-
-
-def _R_exact_value(key, ctx: PrecisionCtx):
-    """R(key) at ``ctx`` precision from its exact reduction, for a key of one
-    of the families (see _R_family): one ``mzv_many`` call."""
-    combo = _R_exact(key)
-    zeta = mzv_many({idx for mono in combo for idx in mono}, ctx)
-    with ctx.workprec():
-        return mp.fsum(mp.mpf(c.numerator) / c.denominator * mp.fprod(zeta[idx] for idx in mono)
-                       for mono, c in combo.items())
-
-
-# ---------------------------------------------------------------------------
-# three-point Laurent polynomial
-
-
-@functools.lru_cache(maxsize=None)
-def _vec_compositions(l, parts) -> tuple:
-    """All tuples of `parts` nonnegative vectors summing to l componentwise."""
-    def comps(n, k):
-        if k == 1:
-            yield (n,)
-            return
-        for first in range(n + 1):
-            for rest in comps(n - first, k - 1):
-                yield (first,) + rest
-
-    return tuple(tuple(zip(*per_coord))
-                 for per_coord in itertools.product(*(comps(li, parts) for li in l)))
-
-
-def _fact_vec(v):
-    out = 1
-    for x in v:
-        out *= math.factorial(x)
-    return out
-
-
-def _multinomial_base(l, a, b, c, m=()) -> Fraction:
-    """l! / (a! b! c! m!) (-1)^|b| / 6^|c|, the factor every three-point
-    term carries."""
-    return Fraction((-1) ** sum(b) * _fact_vec(l),
-                    _fact_vec(a) * _fact_vec(b) * _fact_vec(c) * _fact_vec(m) * 6 ** sum(c))
-
-
-def _dA(l) -> Fraction:
-    """The no-loop contribution: the coefficient of y^|l|."""
-    f = math.factorial
-    total = Fraction(0)
-    for a, b, c in _vec_compositions(l, 3):
-        lam = 2 * sum(a) + sum(b) + 1
-        total += (_multinomial_base(l, a, b, c) * f(2 * a[1] + b[1]) * f(2 * a[2] + b[2])
-                  / (f(2 * (a[1] + a[2]) + b[1] + b[2] + 1) * (lam + 1)))
-    return 2 * 2 ** sum(l) * total
-
-
-def _m_ok_B(m) -> bool:
-    pos = [x for x in m if x > 0]
-    if len(pos) < 2:
-        return False
-    if len(pos) == 2 and min(pos) < 2:
-        return False  # one zero entry forces the others >= 2
-    return True
-
-
-def _dB_terms(l):
-    """(e_pow, coefficient, R key) of each coupled term; the term adds
-    coefficient * R(key) * 2^e_pow at y^e_pow."""
-    f = math.factorial
-    for a, b, c, m in _vec_compositions(l, 4):
-        if not _m_ok_B(m):
-            continue
-        base = 2 * _multinomial_base(l, a, b, c, m)
-        e_pow = sum(c) - sum(a) - 2
-        for u in range(2 * a[2] + b[2] + 1):
-            v = 2 * a[2] + b[2] - u
-            for e in range(2 * a[0] + b[0] + u + 1):
-                g = 2 * a[0] + b[0] + u - e
-                alpha = 2 * a[1] + b[1] + v + g + 1
-                beta = e + 1
-                # (2a2 + b2)! (2a0 + b0 + u)! (alpha - 1)! / (u! v! g!), an integer
-                ratio = (math.comb(2 * a[2] + b[2], u) * f(2 * a[0] + b[0] + u) // f(g)
-                         * f(alpha - 1))
-                yield e_pow, base * (-1) ** v * ratio, (m[0], m[1], m[2], alpha, beta)
-
-
-def _dB_all(l):
-    """_dB_terms of the three orderings that d3pt sums."""
-    for perm in [(0, 1, 2), (1, 0, 2), (2, 1, 0)]:
-        yield from _dB_terms(tuple(l[i] for i in perm))
-
-
-def _d3pt_fallback_keys(l) -> set:
-    """The R keys of d3pt(*l) without an exact reduction: the ones it takes
-    from the float route (_R_values) at its cutoff."""
-    return {key for _, _, key in _dB_all(tuple(l)) if _R_family(key) is None}
-
-
-def _dC_terms(l):
-    """(e, coefficient, (m1, n)) of each single-group term of one ordering;
-    the term adds coefficient * S(m1, n) * 2^e at y^e."""
-    f = math.factorial
-    for a, b, c, m in _vec_compositions(l, 4):
-        if m[1] or m[2] or m[0] < 2:
-            continue
-        base = 2 * _multinomial_base(l, a, b, c, m)
-        e_pow = sum(c) - sum(a) - 2
-        lam = 2 * sum(a) + sum(b) + 1
-        for u in range(2 * a[2] + b[2] + 1):
-            v = 2 * a[2] + b[2] - u
-            pref = base * Fraction((-1) ** v * math.comb(2 * a[2] + b[2], u) * f(lam),
-                                   2 * a[1] + b[1] + v + 1)
-            # constant-in-y piece S(m1, lam + 1) at power e_pow
-            yield e_pow, pref, (m[0], lam + 1)
-            for j in range(lam + 1):
-                yield e_pow + lam - j, pref * Fraction((-1) ** j, f(lam - j)), (m[0], j + 1)
+    return laurent(_d2pt_rows(l), ctx or PrecisionCtx())
 
 
 # R values of d3pt's fallback keys, keyed on ((m1, m2, m3, alpha, beta), cutoff)
@@ -1076,62 +684,20 @@ _R_cache: dict = {}
 
 def d3pt(l1: int, l2: int, l3: int, ctx: PrecisionCtx | None = None,
          cutoff: int = 2000) -> LaurentPoly:
-    """Laurent-polynomial part d_{l1,l2,l3}(y) of the three-vertex graph,
-    as the sum of the no-loop, coupled, and single-group contributions with
-    their symmetrizations.
-
-    Every contribution is an exact Q-combination of MZV monomials, evaluated
-    with one ``mzv_many`` call at ``ctx`` precision, except the coupled terms
-    whose R-sum has no exact reduction (see _R_family; _d3pt_fallback_keys
-    lists them): those take R from the float route (_R_values at
-    ``cutoff``), which is the only use of ``cutoff``.  A coefficient that
-    cancels to within the rounding of its terms is 0, as in d2pt."""
+    """Laurent-polynomial part d_{l1,l2,l3}(y) of the three-vertex graph, exact
+    (exact._d3pt_rows) but for the R-sums of exact._d3pt_fallback_keys: those
+    come from the float route, _R_values at ``cutoff``, its only use."""
     if min(l1, l2, l3) < 1:
         raise ValueError("l_i must be >= 1")
-    ctx = ctx or PrecisionCtx()
-    l = (l1, l2, l3)
-    # {(y power, R key or S pair (m1, n)): coefficient / 2^power} over all orderings
-    sums: dict = {}
-    for e, coef, key in itertools.chain(
-            _dB_all(l), *(_dC_terms(tuple(l[i] for i in perm))
-                          for perm in [(0, 1, 2), (1, 0, 2), (2, 0, 1)])):
-        _acc(sums, (e, key), coef)
-    exact = {sum(l): {(): _dA(l)}}
-    fallback = []
-    for (e, key), coef in sums.items():
-        coef *= Fraction(2) ** e
-        if len(key) == 2:  # S(m1, n) = m1! sum 2^p zeta(index)
-            m1, n = key
-            combo = {(idx,): math.factorial(m1) * Fraction(2) ** p
-                     for p, idx in _zagier_terms(m1, n)}
-        elif _R_family(key):
-            combo = _R_exact(key)
-        else:
-            fallback.append((e, coef, key))
-            continue
-        row = exact.setdefault(e, {})
-        for mono, c in combo.items():
-            _acc(row, mono, coef * c)
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, not {cutoff}")
+    rows, fallback = _d3pt_rows((l1, l2, l3))
     missing = {key for _, _, key in fallback if (key, cutoff) not in _R_cache}
     if missing:
         for key, rval in _R_values(sorted(missing), cutoff).items():
             _R_cache[key, cutoff] = rval
-    zeta = mzv_many({idx for row in exact.values() for mono in row for idx in mono}, ctx)
-    with ctx.workprec():
-        terms: dict[int, list] = {}
-        for e, row in exact.items():
-            for mono, c in row.items():
-                t = mp.mpf(c.numerator) / c.denominator
-                for idx in mono:
-                    t *= zeta[idx]
-                terms.setdefault(e, []).append(t)
-        for e, c, key in fallback:
-            terms.setdefault(e, []).append(mp.mpf(c.numerator) / c.denominator
-                                           * _R_cache[key, cutoff])
-        coeffs = {e: mp.fsum(ts) for e, ts in terms.items()}
-        return LaurentPoly({e: c for e, c in coeffs.items()
-                            if abs(c) > ctx.eps * mp.fsum(terms[e], absolute=True)},
-                           variable="y")
+    return laurent(rows, ctx or PrecisionCtx(),
+                   [(e, c, _R_cache[key, cutoff]) for e, c, key in fallback])
 
 
 # ---------------------------------------------------------------------------

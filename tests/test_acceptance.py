@@ -14,10 +14,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from ellipsum import conical, eisint, emzv, genus0, mgf
+from ellipsum import conical, eisint, emzv, exact, genus0, mgf
 from ellipsum.eisenstein import eis_nonholo, kronecker_F, omega_n
 from ellipsum.laurent import LaurentPoly
-from ellipsum.numkernel import PrecisionCtx, mzv, mzv_many
+from ellipsum.numkernel import PrecisionCtx, mzv
 from ellipsum.qseries import QTauSeries, eval_at, reg_primitive
 
 
@@ -205,14 +205,6 @@ def test_criterion_05_three_point_laurent():
 _D3_ORDERS = [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 1, 5)]
 
 
-def _exact_value(combo, ctx):
-    """Value of an exact {MZV monomial: Fraction} combination."""
-    zeta = mzv_many({idx for mono in combo for idx in mono}, ctx)
-    with ctx.workprec():
-        return mp.fsum(_frac(c.numerator, c.denominator) * mp.fprod(zeta[i] for i in mono)
-                       for mono, c in combo.items())
-
-
 def _eis_laurent(s):
     """Laurent part of E_s in y = pi Im(tau), {power: coefficient}."""
     return {s: 2 * mp.zeta(2 * s) / mp.pi ** (2 * s),
@@ -264,14 +256,14 @@ def test_d3pt_stretch_coefficient_to_full_precision():
 
 def test_exact_R_sums_match_the_float_route():
     ctx = PrecisionCtx(digits=30)
-    keys = sorted({key for l in _D3_ORDERS for _, _, key in mgf._dB_all(l)})
-    assert all(mgf._R_family(key) for key in keys)
+    keys = sorted({key for l in _D3_ORDERS for _, _, key in exact._dB_all(l)})
+    assert all(exact._R_family(key) for key in keys)
     fine, coarse = mgf._R_values(keys, 2000), mgf._R_values(keys, 1000)
     for key in keys:
-        exact = float(_exact_value(mgf._R_exact(key), ctx))
+        value = float(exact.value(exact._R_exact(key), ctx))
         # the float route is good to about its own move from cutoff 1000 to
         # 2000: 1e-8 on geometric tails, 1.3e-3 at R(1,1,5;1,1)
-        assert abs(exact - fine[key]) <= 1e-8 + abs(fine[key] - coarse[key]), key
+        assert abs(value - fine[key]) <= 1e-8 + abs(fine[key] - coarse[key]), key
 
 
 def test_criterion_05_never_reaches_the_float_route(monkeypatch):
@@ -282,7 +274,7 @@ def test_criterion_05_never_reaches_the_float_route(monkeypatch):
     monkeypatch.setattr(mgf, "_R_cache", {})
     ctx = PrecisionCtx(digits=30)
     for l in _D3_ORDERS:
-        assert not mgf._d3pt_fallback_keys(l)
+        assert not exact._d3pt_fallback_keys(l)
         assert mgf.d3pt(*l, ctx=ctx, cutoff=2000).exponents
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from ellipsum import conical, emzv, mgf
+from ellipsum import conical, emzv, exact, mgf
 from ellipsum.cli import build_parser, parse_complex, parse_tau, run
 from ellipsum.emzv import A_depth1
 from ellipsum.numkernel import PrecisionCtx
@@ -118,9 +118,9 @@ def test_mgf_r_takes_the_exact_route_for_the_families(capsys):
                                  "--beta", "1", "--cutoff", "2000"])
     assert rc == 0 and doc["error_bound"] == "1.00000e-30"
     ctx = PrecisionCtx(digits=40)
-    exact = mgf._R_exact_value((1, 1, 5, 1, 1), ctx)
+    value = exact.value(exact._R_exact((1, 1, 5, 1, 1)), ctx)
     with ctx.workprec():
-        assert abs(mp.mpf(doc["value"]) - exact) < mp.mpf("1e-28")
+        assert abs(mp.mpf(doc["value"]) - value) < mp.mpf("1e-28")
     # beta = 0 too: R(1,1,2;1,0) = 10 zeta(5) - 4 zeta(2) zeta(3)
     rc, doc = _run_json(capsys, ["mgf", "r", "--m", "1", "1", "2", "--alpha", "1",
                                  "--beta", "0", "--cutoff", "200"])
@@ -138,8 +138,8 @@ def test_mgf_r_takes_the_exact_route_for_the_families(capsys):
 def test_laurent3_bound_is_exact_unless_an_r_sum_falls_back(capsys):
     # every R-sum of (1,1,2) has an exact reduction; (2,2,2) takes
     # R(2,2,2;1,1) from the float route at the cutoff
-    assert not mgf._d3pt_fallback_keys((1, 1, 2))
-    assert mgf._d3pt_fallback_keys((2, 2, 2)) == {(2, 2, 2, 1, 1)}
+    assert not exact._d3pt_fallback_keys((1, 1, 2))
+    assert exact._d3pt_fallback_keys((2, 2, 2)) == {(2, 2, 2, 1, 1)}
     rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", "1", "1", "2"])
     assert rc == 0 and doc["error_bound"] == "1.00000e-30"
     rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", "2", "2", "2", "--cutoff", "100"])
@@ -201,6 +201,16 @@ def test_guard_violation_exit_code(capsys):
      "cutoff must be >= 1"),
     (["mgf", "s", "--m", "3", "--n", "1", "--method", "direct", "--cutoff", "0"],
      "cutoff must be >= 1"),
+    (["mgf", "laurent3", "--l", "2", "2", "2", "--cutoff", "0"], "cutoff must be >= 1"),
+    (["mgf", "s", "--m", "2", "--n", "-2", "--method", "direct", "--cutoff", "1000"],
+     "n must be >= 0, not -2"),
+    (["mgf", "s", "--m", "2", "--n", "-1", "--method", "direct", "--cutoff", "1000"],
+     "n must be >= 0, not -1"),
+    (["mgf", "s", "--m", "2", "--n", "-3"], "n must be >= 0, not -3"),
+    (["mgf", "r", "--m", "-1", "1", "1", "--alpha", "1", "--beta", "1", "--cutoff", "200"],
+     "m_i, alpha, beta must be >= 0, not (-1, 1, 1, 1, 1)"),
+    (["mgf", "r", "--m", "1", "-2", "1", "--alpha", "1", "--beta", "1", "--method", "direct",
+      "--cutoff", "200"], "m_i, alpha, beta must be >= 0, not (1, -2, 1, 1, 1)"),
 ], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else None)
 def test_size_below_floor_is_refused_by_name(capsys, argv, floor):
     rc, doc = _run_json(capsys, argv)
@@ -246,6 +256,35 @@ LEAF_CASES = [
      "value", "0.0608904"),
     (["eisenstein", "green1", "--xi", "0.3+0.1i", "--tau", "i"], "value", "1.00000e-30"),
 ]
+
+
+# The exact-value leaves of LEAF_CASES (|value| up to 7.6), and more
+# inputs with |value| up to about 1e2, where printing `digits` significant
+# digits would round past the absolute bound (42.6 for the hatA case).
+_EXACT_VALUE_CASES = [argv for argv, kind, bound in LEAF_CASES
+                      if kind == "value" and bound == "1.00000e-30"] + [
+    ["emzv", "hata", "--r", "6", "--tau", "0.3+0.6i"],
+    ["mgf", "s", "--m", "3", "--n", "0"],
+    ["mgf", "s", "--m", "5", "--n", "1"],
+    ["mgf", "r", "--m", "1", "1", "3", "--alpha", "0", "--beta", "0"],
+    ["eisenstein", "nonholo", "--s", "2", "--tau", "20i"],
+]
+
+
+@pytest.mark.parametrize("argv", _EXACT_VALUE_CASES, ids=" ".join)
+def test_printed_value_is_within_its_bound(capsys, argv):
+    rc, doc = _run_json(capsys, argv)
+    assert rc == 0
+    rc, ref = _run_json(capsys, [*argv, "--prec", str(doc["precision_digits"] + 40)])
+    assert rc == 0
+
+    def parts(v):
+        return [v["re"], v["im"]] if isinstance(v, dict) else [v]
+
+    with mp.workdps(doc["precision_digits"] + 50):
+        bound = mp.mpf(doc["error_bound"])
+        for got, want in zip(parts(doc["value"]), parts(ref["value"])):
+            assert abs(mp.mpf(got) - mp.mpf(want)) <= bound, (got, want)
 
 
 def _leaf_name(argv):
@@ -443,11 +482,28 @@ def test_emzv_path_loads_no_numpy():
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("module, loaded", [("ellipsum.emzv", False), ("ellipsum.cli", True)])
+@pytest.mark.parametrize("module, loaded", [("ellipsum.emzv", False), ("ellipsum.exact", False),
+                                            ("ellipsum.cli", True)])
 def test_numpy_loads_only_with_the_lattice_code(module, loaded):
     proc = _fresh_python(f"import sys\nimport {module}\nprint('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(loaded)
+
+
+def test_exact_layer_evaluates_without_numpy():
+    # two-point rows, an S combination and a family R-sum, built and summed
+    # by the exact layer on mpmath alone
+    proc = _fresh_python(
+        "import sys\n"
+        "from ellipsum import exact\n"
+        "from ellipsum.numkernel import PrecisionCtx\n"
+        "ctx = PrecisionCtx(30)\n"
+        "assert exact.laurent(exact._d2pt_rows(5), ctx).exponents\n"
+        "assert exact.value(exact._S_combo(3, 2), ctx) > 0\n"
+        "assert exact.value(exact._R_exact((1, 1, 5, 1, 1)), ctx) > 0\n"
+        "print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_emzv_call_loads_no_scipy():

@@ -4,12 +4,13 @@ polynomials."""
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from ellipsum import mgf, numkernel
+from ellipsum import exact, mgf, numkernel
 from ellipsum.eisenstein import eis_nonholo
 from ellipsum.mgf import (
     D_lattice,
@@ -353,7 +354,7 @@ def test_R_structured_closed_forms(m, alpha, beta, tol):
 @pytest.mark.parametrize("m,alpha,beta", [(m, a, b) for m, a, b, _ in _R_CLOSED_CASES])
 def test_R_exact_closed_forms(m, alpha, beta):
     key = (*m, alpha, beta)
-    value = mgf._R_exact_value(key, CTX)
+    value = exact.value(exact._R_exact(key), CTX)
     with CTX.workprec():
         assert abs(value - _R_closed_form(m, alpha, beta)) < mp.mpf("1e-28")
     assert R_structured(*key) == float(value)
@@ -371,14 +372,14 @@ _R_ZERO_EXPONENT_KEYS = [
 
 
 def test_exact_R_sums_with_a_zero_exponent_match_the_float_route():
-    assert {mgf._R_family(key) for key in _R_ZERO_EXPONENT_KEYS} == {"a", "b", "c"}
+    assert {exact._R_family(key) for key in _R_ZERO_EXPONENT_KEYS} == {"a", "b", "c"}
     fine = mgf._R_values(_R_ZERO_EXPONENT_KEYS, 2000)
     coarse = mgf._R_values(_R_ZERO_EXPONENT_KEYS, 1000)
     for key in _R_ZERO_EXPONENT_KEYS:
-        exact = float(mgf._R_exact_value(key, CTX))
-        assert exact > 0, key
+        value = float(exact.value(exact._R_exact(key), CTX))
+        assert value > 0, key
         # the allowance of test_exact_R_sums_match_the_float_route
-        assert abs(exact - fine[key]) <= 1e-8 + abs(fine[key] - coarse[key]), key
+        assert abs(value - fine[key]) <= 1e-8 + abs(fine[key] - coarse[key]), key
 
 
 def test_R_structured_never_reaches_the_float_route_on_a_family_key(monkeypatch):
@@ -491,6 +492,17 @@ def test_d2pt_weight_two():
         assert abs(poly(y) - ref) < mp.mpf("1e-22")
 
 
+def test_d2pt_leading_term_is_the_terminating_2F1():
+    # d2pt takes its y^l term from d3pt's no-loop term of (l, 0, 0) over 4^l;
+    # the two-point formula is 2F1(1, -l; 3/2; 3/2) (y/12)^l
+    for l in range(2, 13):
+        hyp, term = Fraction(0), Fraction(1)
+        for k in range(l + 1):
+            hyp += term
+            term *= Fraction(-(l - k)) * Fraction(3, 2) / (Fraction(3, 2) + k)
+        assert exact._d2pt_rows(l)[l] == {(): hyp / 12**l}, l
+
+
 def test_lattice_sum_meets_the_laurent_polynomial():
     # at tau = iT, D_lattice(banana:l) / 4^l is d_l(y = pi T) up to
     # O(exp(-2 pi T)) and the lattice truncation, which shrinks with M
@@ -548,7 +560,6 @@ def test_mzv_built_values_ignore_cache_state(monkeypatch):
         monkeypatch.setattr(numkernel, "_mzv_cached", {})
         monkeypatch.setattr(numkernel, "_li_half_cached", {})
         monkeypatch.setattr(mgf, "_R_cache", {})
-        mgf._S_zagier_cached.cache_clear()
 
     def key(v):
         return v.coeffs if hasattr(v, "coeffs") else v
@@ -558,7 +569,6 @@ def test_mzv_built_values_ignore_cache_state(monkeypatch):
     for name, call in calls.items():
         cleared()
         assert key(call()) == warm[name], name
-    mgf._S_zagier_cached.cache_clear()
 
 
 def test_d3pt_permutation_symmetry():
@@ -573,6 +583,8 @@ def test_d3pt_permutation_symmetry():
 def test_d3pt_guard():
     with pytest.raises(ValueError):
         d3pt(0, 1, 1)
+    with pytest.raises(ValueError, match="cutoff must be >= 1"):
+        d3pt(2, 2, 2, cutoff=0)
 
 
 def test_laplace_fd_power_law():
