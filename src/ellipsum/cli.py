@@ -125,12 +125,16 @@ def parse_graph(spec: str) -> mgf.MultiGraph:
 
 def _num_str(x, digits: int) -> str:
     """``digits`` significant digits, or ``digits`` places after the point for
-    an mpf of |x| >= 1, so that rounding stays inside the bound 10^-digits."""
+    an mpf of |x| >= 1, so that rounding stays inside the bound 10^-digits.
+    An mpf is printed at its own precision, which may exceed the ambient one
+    (exact.value widens it for large values)."""
     if isinstance(x, (Fraction, int)):
         return str(x)
-    if isinstance(x, mp.mpf) and abs(x) >= 1:
+    if not isinstance(x, mp.mpf):
+        x = mp.mpf(x)
+    elif abs(x) >= 1:
         digits += len(str(int(abs(x))))
-    return mp.nstr(mp.mpf(x), digits, strip_zeros=False)
+    return mp.nstr(x, digits, strip_zeros=False)
 
 
 def _value_json(x, digits: int):

@@ -35,37 +35,64 @@ def _terms(combo: dict, zeta: dict) -> list:
             for mono, c in combo.items()]
 
 
+# Terms carry a relative error of a few units in 10^-ctx.dps, so the ten guard
+# digits of PrecisionCtx hold the absolute error of a sum of terms of total
+# size up to 10^_GUARD below ctx.eps; larger sums take the difference in digits.
+_GUARD = 8
+
+
+def _row_terms(rows: dict, ctx: PrecisionCtx, extra=()):
+    """The terms of each row {key: combination}, plus c * x for each (key,
+    Fraction c, float x) of ``extra``; the absolute sum of each row's terms;
+    and the context they were made at: ``ctx``, or ctx with ceil(log10 size)
+    - _GUARD more digits when a row's absolute sum exceeds 10^_GUARD."""
+    def made(ctx):
+        zeta = _zeta({idx for row in rows.values() for mono in row for idx in mono}, ctx)
+        with ctx.workprec():
+            terms = {e: _terms(row, zeta) for e, row in rows.items()}
+            for e, c, x in extra:
+                terms.setdefault(e, []).append(mp.mpf(c.numerator) / c.denominator * x)
+            return terms, {e: mp.fsum(ts, absolute=True) for e, ts in terms.items()}
+
+    terms, sizes = made(ctx)
+    size = max(sizes.values(), default=0)
+    if size > 10 ** _GUARD:
+        with ctx.workprec():
+            ctx = PrecisionCtx(ctx.digits + int(mp.ceil(mp.log10(size))) - _GUARD)
+        terms, sizes = made(ctx)
+    return terms, sizes, ctx
+
+
 def value(combo: dict, ctx: PrecisionCtx):
-    """The combination at ``ctx`` precision, summed by one ``fsum``."""
-    zeta = _zeta({idx for mono in combo for idx in mono}, ctx)
+    """The combination summed by one ``fsum``, within the absolute bound
+    ctx.eps (at more digits than ``ctx`` for large terms, see _row_terms)."""
+    terms, _, ctx = _row_terms({0: combo}, ctx)
     with ctx.workprec():
-        return mp.fsum(_terms(combo, zeta))
+        return mp.fsum(terms[0])
 
 
 def laurent(rows: dict, ctx: PrecisionCtx, extra=()) -> LaurentPoly:
     """The polynomial in y with ``rows[e]`` plus c * x for each (e, Fraction c,
-    float x) of ``extra`` at y^e; a coefficient within rounding of 0 is 0."""
-    zeta = _zeta({idx for row in rows.values() for mono in row for idx in mono}, ctx)
+    float x) of ``extra`` at y^e, each coefficient within the absolute bound
+    ctx.eps; a coefficient within rounding of 0 is 0."""
+    terms, sizes, ctx = _row_terms(rows, ctx, extra)
     with ctx.workprec():
-        terms = {e: _terms(row, zeta) for e, row in rows.items()}
-        for e, c, x in extra:
-            terms.setdefault(e, []).append(mp.mpf(c.numerator) / c.denominator * x)
         coeffs = {e: mp.fsum(ts) for e, ts in terms.items()}
-        return LaurentPoly({e: c for e, c in coeffs.items()
-                            if abs(c) > ctx.eps * mp.fsum(terms[e], absolute=True)}, "y")
+        return LaurentPoly({e: c for e, c in coeffs.items() if abs(c) > ctx.eps * sizes[e]}, "y")
 
 
 # ---------------------------------------------------------------------------
 # exact R sums
 #
-# Every R-sum of a key with a group of size 0, two groups of size 1, or one
-# group of size 1 beside two of size 2 reduces to an exact Q-combination of
-# MZV monomials.  Write Z(n; k_1, ..., k_r) for the nested sum over
-# 0 < v_1 < ... < v_{r-1} < n of prod v_i^-k_i, times n^-k_r (the top index
-# is n; the increasing convention of mzv).  Only the top exponent may be 0:
-# Z(n; K, 0) = sum_{m < n} Z(m; K) and Z(n; (0,)) = 1.  A sequence is a dict
-# {(monomial, K): Fraction} for sum c prod(zeta(I) for I in monomial) Z(n; K);
-# an exact value is a dict {monomial: Fraction}.  S_r(n) = r! Z(n; 1^r).
+# Every R-sum of a key with a group of size 0, two groups of size 1, one
+# group of size 1 beside two of size 2, or three groups of size 2 reduces to
+# an exact Q-combination of MZV monomials.  Write Z(n; k_1, ..., k_r) for the
+# nested sum over 0 < v_1 < ... < v_{r-1} < n of prod v_i^-k_i, times n^-k_r
+# (the top index is n; the increasing convention of mzv).  Only the top
+# exponent may be 0: Z(n; K, 0) = sum_{m < n} Z(m; K) and Z(n; (0,)) = 1.
+# A sequence is a dict {(monomial, K): Fraction} for sum c prod(zeta(I) for
+# I in monomial) Z(n; K); an exact value is a dict {monomial: Fraction}.
+# S_r(n) = r! Z(n; 1^r).
 #
 # For a >= 1 a group of size m with momentum a and l negative units has
 # weight c_m(l + a, l); a group of size 1 forces l = 0 and weight 1/a, an
@@ -76,7 +103,9 @@ def laurent(rows: dict, ctx: PrecisionCtx, extra=()) -> LaurentPoly:
 #   (b) two groups of size 1: 2 F_m(p, q), with F_m(p, q) = sum_{n >= 1}
 #       sum_r C(m, r) S_r(n) n^-q [x^n] Li_p(x) (-log(1 - x))^(m - r);
 #   (c) (1, 2, 2): 2 sum_a a^-1 T_alpha(a) T_beta(a), T_e(a) = sum_l
-#       c_2(l + a, l) (l + a)^-e; (2, 1, 2) and (2, 2, 1): see _R_212.
+#       c_2(l + a, l) (l + a)^-e; (2, 1, 2) and (2, 2, 1): see _R_212;
+#   (d) (2, 2, 2): the layer a = 0, where c_2(l, l) = 2 l^-2, plus twice the
+#       layers a >= 1, split at l1 = 0; see _R_222.
 
 
 def _acc(out: dict, key, c) -> None:
@@ -205,8 +234,51 @@ def _R_212(alpha: int, beta: int) -> dict:
     return _seq_total(_lin(*terms))
 
 
+def _U2_seq(e: int) -> dict:
+    """U_e(n) = sum_{l >= 1} c_2(l, l) (n + l)^-e = 2 sum_l l^-2 (n + l)^-e, by
+    partial fractions in l: 2 zeta(2) n^-e + 2 sum_{j=1..e} (e + 1 - j)
+    n^(j-e-2) tail_j(n) (the l^-1 part has regularised sum 0)."""
+    return _lin((2, _seq(e, mono=((2,),))),
+                *((2 * (e + 1 - j), _seq_pow(_tail_seq(j), e + 2 - j)) for j in range(1, e + 1)))
+
+
+def _T2_split(e: int) -> list:
+    """T_e(a, l1) = sum_l c_2(l + a, l) (l + b)^-e for l1 >= 1, b = a + l1:
+    S_2(a) b^-e + 2 a^-1 H_a l1^-e + 2 a^-1 sum_{j=1..e} (l1^(j-e-1) -
+    b^(j-e-1)) tail_j(b) by _R_212's partial fractions, as (f, k, g) triples
+    for the terms f(a) l1^-k g(b); f names the sequence in a, "S" for
+    S_2(a), "H" for 2 a^-1 H_a and "1" for 2 a^-1."""
+    out = [("S", 0, _seq(e)), ("H", e, _seq(0))]
+    for j in range(1, e + 1):
+        out += [("1", e + 1 - j, _tail_seq(j)),
+                ("1", 0, _lin((-1, _seq_pow(_tail_seq(j), e + 1 - j))))]
+    return out
+
+
+def _R_222(alpha: int, beta: int) -> dict:
+    """2^(alpha+beta) R(2, 2, 2; alpha, beta) = sum_{l1} 2 l1^-2 U_alpha(l1)
+    U_beta(l1) (layer a = 0) + 2 sum_{a >= 1} [S_2(a) T_alpha(a) T_beta(a)
+    + sum_{l1 >= 1} 2 l1^-1 b^-1 T_alpha(a, l1) T_beta(a, l1)].  Each product
+    of two _T2_split triples is f1 f2(a) l1^-(k1+k2+1) times g1 g2(b); the
+    sum over a + l1 = b is one convolution per (f1 f2, k), which multiplies
+    the sum of its g1 g2.  Every nested sum converges: the convolution has a
+    top exponent >= 1 and b^-1 adds one."""
+    f = {"S": _S_seq(2), "H": _lin((-2, _seq_pow(_tail_seq(1), 1))), "1": _lin((2, _seq(1)))}
+    terms = [(2, _seq_pow(_seq_mul(_U2_seq(alpha), _U2_seq(beta)), 2)),
+             (2, _seq_mul(_S_seq(2), _seq_mul(_T2_seq(alpha), _T2_seq(beta))))]
+    tails: dict = {}
+    for f1, k1, g1 in _T2_split(alpha):
+        for f2, k2, g2 in _T2_split(beta):
+            tails.setdefault((*sorted((f1, f2)), k1 + k2 + 1), []).append((4, _seq_mul(g1, g2)))
+    for (f1, f2, k), gs in tails.items():
+        conv = _seq_conv(_seq_mul(f[f1], f[f2]), _seq(k))
+        terms.append((1, _seq_mul(conv, _seq_pow(_lin(*gs), 1))))
+    return _seq_total(_lin(*terms))
+
+
 def _R_family(key) -> str | None:
-    """'a', 'b' or 'c' for a key with an exact reduction (any alpha, beta >= 0), else None."""
+    """'a', 'b', 'c' or 'd' for a key with an exact reduction (any alpha,
+    beta >= 0), else None."""
     m, alpha, beta = sorted(key[:3]), key[3], key[4]
     if min(alpha, beta) < 0:
         return None
@@ -216,6 +288,8 @@ def _R_family(key) -> str | None:
         return "b"
     if m == [1, 2, 2]:
         return "c"
+    if m == [2, 2, 2]:
+        return "d"
     return None
 
 
@@ -254,6 +328,9 @@ def _R_exact(key) -> dict:
         else:
             value = _R_212(alpha, beta) if m2 == 1 else _R_212(beta, alpha)
         scale = Fraction(2, 2 ** (alpha + beta))
+    elif family == "d":
+        value = _R_222(alpha, beta)
+        scale = Fraction(1, 2 ** (alpha + beta))
     else:
         raise ValueError(f"R{tuple(key)} has no exact reduction")
     return {mono: c * scale for mono, c in value.items()}

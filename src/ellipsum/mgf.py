@@ -220,9 +220,16 @@ def _weights(tau, R: int, counts, half: bool = False) -> dict:
     t1, t2 = float(mp.re(tau)), float(mp.im(tau))
     m = np.arange(0 if half else -R, R + 1)[:, None]
     n = np.arange(-R, R + 1)[None, :]
-    norm2 = (m * t1 + n) ** 2 + (m * t2) ** 2
+    # one full-size grid, squared and summed in place; the last k takes it over
+    norm2 = np.add(m * t1, n, out=np.empty((m.shape[0], n.shape[1])))
+    np.square(norm2, out=norm2)
+    norm2 += (m * t2) ** 2
     norm2[0 if half else R, R] = np.inf
-    return {k: norm2 ** (-k) for k in counts}
+    *ks, last = sorted(set(counts))
+    out = {k: norm2 ** (-k) for k in ks}
+    norm2 **= -last
+    out[last] = norm2
+    return out
 
 
 def _signatures(edges, block):
@@ -609,10 +616,11 @@ def R_structured(m1: int, m2: int, m3: int, alpha: int, beta: int,
                  cutoff: int = 2000, ctx: PrecisionCtx | None = None) -> float:
     """R(m1, m2, m3; alpha, beta) as a float.
 
-    A key of the three exact families (see exact._R_family) is its exact
-    reduction evaluated at ``ctx`` precision (default ``PrecisionCtx()``) and
-    rounded to float64; ``cutoff`` is then unused.  Every other key takes the
-    float route _R_values: the layered sum R = R_0 + 2 R_{>0} over the
+    A key of the four exact families (see exact._R_family; (2,2,2) is
+    family (d)) is its exact reduction evaluated at ``ctx`` precision
+    (default ``PrecisionCtx()``) and rounded to float64; ``cutoff`` is then
+    unused.  Every other key, from the (1,2,3) shapes on, takes the float
+    route _R_values: the layered sum R = R_0 + 2 R_{>0} over the
     coefficients c_m(l+a, l), with FFT correlations for the coupled
     denominators, at L = cutoff/4, cutoff/2 and cutoff, followed by a
     geometric-ratio Richardson step (or, for alpha * beta = 0 and a 1/L
@@ -686,7 +694,9 @@ def d3pt(l1: int, l2: int, l3: int, ctx: PrecisionCtx | None = None,
          cutoff: int = 2000) -> LaurentPoly:
     """Laurent-polynomial part d_{l1,l2,l3}(y) of the three-vertex graph, exact
     (exact._d3pt_rows) but for the R-sums of exact._d3pt_fallback_keys: those
-    come from the float route, _R_values at ``cutoff``, its only use."""
+    come from the float route, _R_values at ``cutoff``, its only use.  The
+    first graphs with such keys are (1,2,3) and its permutations; (2,2,2)
+    and every graph of total <= 5 have none."""
     if min(l1, l2, l3) < 1:
         raise ValueError("l_i must be >= 1")
     if cutoff < 1:

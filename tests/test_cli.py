@@ -128,21 +128,27 @@ def test_mgf_r_takes_the_exact_route_for_the_families(capsys):
     with ctx.workprec():
         closed = 10 * mp.zeta(5) - 4 * mp.zeta(2) * mp.zeta(3)
         assert abs(mp.mpf(doc["value"]) - closed) < mp.mpf("1e-28")
-    # (2,2,2;1,1) has no exact reduction: the float route and its 10/cutoff^2
+    # (2,2,2;1,1) is family (d)
     rc, doc = _run_json(capsys, ["mgf", "r", "--m", "2", "2", "2", "--alpha", "1",
+                                 "--beta", "1"])
+    assert rc == 0 and doc["error_bound"] == "1.00000e-30"
+    # (1,2,3;1,1) has no exact reduction: the float route and its 10/cutoff^2
+    rc, doc = _run_json(capsys, ["mgf", "r", "--m", "1", "2", "3", "--alpha", "1",
                                  "--beta", "1", "--cutoff", "200"])
     assert doc["error_bound"] == "0.000250000"
-    assert float(doc["value"]) == mgf.R_structured(2, 2, 2, 1, 1, cutoff=200)
+    assert float(doc["value"]) == mgf.R_structured(1, 2, 3, 1, 1, cutoff=200)
 
 
 def test_laurent3_bound_is_exact_unless_an_r_sum_falls_back(capsys):
-    # every R-sum of (1,1,2) has an exact reduction; (2,2,2) takes
-    # R(2,2,2;1,1) from the float route at the cutoff
+    # every R-sum of (1,1,2) and of (2,2,2) has an exact reduction; (1,2,3)
+    # takes three R-sums from the float route at the cutoff
     assert not exact._d3pt_fallback_keys((1, 1, 2))
-    assert exact._d3pt_fallback_keys((2, 2, 2)) == {(2, 2, 2, 1, 1)}
-    rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", "1", "1", "2"])
-    assert rc == 0 and doc["error_bound"] == "1.00000e-30"
-    rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", "2", "2", "2", "--cutoff", "100"])
+    assert not exact._d3pt_fallback_keys((2, 2, 2))
+    assert len(exact._d3pt_fallback_keys((1, 2, 3))) == 3
+    for l in (["1", "1", "2"], ["2", "2", "2"]):
+        rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", *l])
+        assert rc == 0 and doc["error_bound"] == "1.00000e-30"
+    rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", "1", "2", "3", "--cutoff", "100"])
     assert rc == 0 and doc["error_bound"] == "0.00100000"
 
 
@@ -255,12 +261,15 @@ LEAF_CASES = [
     (["eisenstein", "nonholo", "--s", "2", "--tau", "i", "--mode", "lattice", "--M", "20"],
      "value", "0.0608904"),
     (["eisenstein", "green1", "--xi", "0.3+0.1i", "--tau", "i"], "value", "1.00000e-30"),
+    # the case above sits on a zero of the Green function; this one does not
+    (["eisenstein", "green1", "--xi", "0.25+0.3i", "--tau", "i"], "value", "1.00000e-30"),
 ]
 
 
 # The exact-value leaves of LEAF_CASES (|value| up to 7.6), and more
 # inputs with |value| up to about 1e2, where printing `digits` significant
-# digits would round past the absolute bound (42.6 for the hatA case).
+# digits would round past the absolute bound (42.6 for the hatA case), and
+# two of about 1e15, whose terms outgrow the guard digits of the context.
 _EXACT_VALUE_CASES = [argv for argv, kind, bound in LEAF_CASES
                       if kind == "value" and bound == "1.00000e-30"] + [
     ["emzv", "hata", "--r", "6", "--tau", "0.3+0.6i"],
@@ -268,6 +277,8 @@ _EXACT_VALUE_CASES = [argv for argv, kind, bound in LEAF_CASES
     ["mgf", "s", "--m", "5", "--n", "1"],
     ["mgf", "r", "--m", "1", "1", "3", "--alpha", "0", "--beta", "0"],
     ["eisenstein", "nonholo", "--s", "2", "--tau", "20i"],
+    ["mgf", "r", "--m", "1", "1", "14", "--alpha", "0", "--beta", "0"],
+    ["mgf", "s", "--m", "14", "--n", "0"],
 ]
 
 

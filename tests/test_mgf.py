@@ -263,6 +263,22 @@ def test_depth2_block_sum_matches_full_plane(name, M):
         assert abs(got - ref) <= 1e-14 * abs(ref), t
 
 
+@pytest.mark.parametrize("half", [False, True])
+def test_weights_are_bit_identical_to_the_broadcast_expression(half):
+    for tau in (mp.mpc("0.13", "1.1"), mp.mpc("-0.41", "0.93"), mp.mpc("0.5", "0.8660254")):
+        t1, t2 = float(mp.re(tau)), float(mp.im(tau))
+        for R in (1, 7, 60):
+            m = np.arange(0 if half else -R, R + 1)[:, None]
+            n = np.arange(-R, R + 1)[None, :]
+            norm2 = (m * t1 + n) ** 2 + (m * t2) ** 2
+            norm2[0 if half else R, R] = np.inf
+            for counts in ({1}, {2, 1}, [3, 3], {1, 2, 3}):
+                got = mgf._weights(tau, R, counts, half)
+                assert set(got) == set(counts)
+                for k in counts:
+                    assert np.array_equal(got[k], norm2 ** (-k)), (tau, R, k)
+
+
 def test_S_zagier_matches_direct():
     with CTX.workprec():
         for m, n in [(2, 1), (3, 2)]:
@@ -360,7 +376,9 @@ def test_R_exact_closed_forms(m, alpha, beta):
     assert R_structured(*key) == float(value)
 
 
-# family (a), (b), (c) keys with alpha = 0, beta = 0 or both
+# family (a), (b), (c), (d) keys with alpha = 0, beta = 0 or both; (2,2,2;0,0)
+# is left to test_R_222_at_zero_exponents_matches_its_row_sums, because the
+# float route misses it by more than its own move from cutoff 1000 to 2000
 _R_ZERO_EXPONENT_KEYS = [
     (0, 2, 2, 0, 1), (2, 0, 2, 0, 1), (2, 0, 3, 0, 2), (0, 3, 2, 1, 0),
     (0, 2, 2, 0, 0), (2, 2, 0, 0, 0),
@@ -368,11 +386,12 @@ _R_ZERO_EXPONENT_KEYS = [
     (1, 2, 1, 2, 0), (1, 1, 1, 0, 0), (3, 1, 1, 0, 0),
     (1, 2, 2, 0, 1), (2, 1, 2, 0, 1), (2, 1, 2, 0, 2), (2, 1, 2, 1, 0),
     (2, 2, 1, 2, 0), (1, 2, 2, 0, 0), (2, 2, 1, 0, 0),
+    (2, 2, 2, 1, 0), (2, 2, 2, 0, 2), (2, 2, 2, 0, 3),
 ]
 
 
 def test_exact_R_sums_with_a_zero_exponent_match_the_float_route():
-    assert {exact._R_family(key) for key in _R_ZERO_EXPONENT_KEYS} == {"a", "b", "c"}
+    assert {exact._R_family(key) for key in _R_ZERO_EXPONENT_KEYS} == {"a", "b", "c", "d"}
     fine = mgf._R_values(_R_ZERO_EXPONENT_KEYS, 2000)
     coarse = mgf._R_values(_R_ZERO_EXPONENT_KEYS, 1000)
     for key in _R_ZERO_EXPONENT_KEYS:
@@ -387,8 +406,82 @@ def test_R_structured_never_reaches_the_float_route_on_a_family_key(monkeypatch)
         raise AssertionError(f"float R route reached for {keys}")
 
     monkeypatch.setattr(mgf, "_R_layers", refuse)
-    for key in [(1, 1, 2, 1, 0), (0, 2, 2, 0, 0), (2, 1, 2, 0, 1), (1, 1, 5, 1, 1)]:
+    for key in [(1, 1, 2, 1, 0), (0, 2, 2, 0, 0), (2, 1, 2, 0, 1), (1, 1, 5, 1, 1),
+                *((2, 2, 2, a, b) for a in range(4) for b in range(4))]:
         assert R_structured(*key, cutoff=1000) > 0
+
+
+def test_R_222_family():
+    for a, b in itertools.product(range(5), repeat=2):
+        assert exact._R_family((2, 2, 2, a, b)) == "d"
+    assert not exact._d3pt_fallback_keys((2, 2, 2))
+    assert exact._R_exact((2, 2, 2, 1, 2)) == exact._R_exact((2, 2, 2, 2, 1))
+    # the extrapolation of the float route at cutoffs 1000-8000
+    assert abs(R_structured(2, 2, 2, 1, 1) - 2.12820121456) < 1e-9
+
+
+def _geom_extrapolate(vals):
+    """The last of three values plus the geometric tail of their differences."""
+    v1, v2, v3 = vals
+    r = (v3 - v2) / (v2 - v1)
+    assert 0 < r < 1
+    return v3 + (v3 - v2) * r / (1 - r)
+
+
+def _log_fit(cuts, vals):
+    """Criterion 07's fit of value + log(c)/c + 1/c + 1/c^2 to four cutoffs."""
+    c = np.array(cuts, dtype=float)
+    design = np.stack([np.ones(4), -np.log(c) / c, -1 / c, -1 / c**2], axis=1)
+    return np.linalg.solve(design, vals)[0]
+
+
+@pytest.mark.parametrize("alpha,beta", [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2)])
+def test_R_222_lies_within_the_error_of_the_extrapolated_direct_sum(alpha, beta):
+    # R(2,2,2) is symmetric in alpha, beta (see test_R_222_family).  The error
+    # of an extrapolation is its move when the finest cutoff is dropped.
+    if alpha * beta:
+        cuts = (20, 40, 80, 160)
+        vals = [R_direct(2, 2, 2, alpha, beta, c) for c in cuts]
+        fine, coarse = _geom_extrapolate(vals[1:]), _geom_extrapolate(vals[:3])
+    else:
+        cuts = (20, 40, 80, 160, 320)
+        vals = [R_direct(2, 2, 2, alpha, beta, c) for c in cuts]
+        fine, coarse = _log_fit(cuts[1:], vals[1:]), _log_fit(cuts[:4], vals[:4])
+    value = R_structured(2, 2, 2, alpha, beta)
+    assert abs(value - fine) <= abs(fine - coarse), (value, fine, coarse)
+
+
+def test_R_222_at_zero_exponents_matches_its_row_sums():
+    # With alpha = beta = 0 the layers factorise: R = 8 zeta(2)^3 + 2 sum_a
+    # r(a)^3 with the row sum r(a) = sum_l c_2(l + a, l) = 2 (2 H_a - 1/a) / a.
+    # A decreasing bound r(a) <= 4 (ln a + 1) / a puts the terms a > N below
+    # 128 int_N^inf (ln x + 1)^3 x^-3 dx.  (Criterion 07's log fit does not
+    # model this tail, which has log^2 c / c terms.)
+    N = 10**6
+    a = np.arange(1, N + 1, dtype=float)
+    r = 2 * (2 * np.cumsum(1 / a) - 1 / a) / a
+    head = 8 * (math.pi**2 / 6) ** 3 + 2 * math.fsum(r**3)
+    L = math.log(N) + 1
+    tail = 128 * (L**3 / 2 + 3 * L**2 / 4 + 3 * L / 4 + 3 / 8) / N**2
+    value = R_structured(2, 2, 2, 0, 0)
+    assert 0 < value - head <= tail
+
+
+def test_d3pt_222_is_within_the_float_route_bound(monkeypatch):
+    # the polynomial with R(2,2,2;1,1) from the float route, as laurent3 had
+    # it, and its printed bound 10/cutoff^2
+    cutoff = 2000
+    exact_poly = d3pt(2, 2, 2, ctx=CTX, cutoff=cutoff)
+    family = exact._R_family
+    monkeypatch.setattr(exact, "_R_family",
+                        lambda key: None if sorted(key[:3]) == [2, 2, 2] else family(key))
+    monkeypatch.setattr(mgf, "_R_cache", {})
+    assert exact._d3pt_fallback_keys((2, 2, 2)) == {(2, 2, 2, 1, 1)}
+    float_poly = d3pt(2, 2, 2, ctx=CTX, cutoff=cutoff)
+    assert set(exact_poly.exponents) == set(float_poly.exponents)
+    with CTX.workprec():
+        for e in exact_poly.exponents:
+            assert abs(exact_poly.coeff(e) - float_poly.coeff(e)) <= 10 / cutoff**2, e
 
 
 def _R_layers_reference(key, L):
