@@ -351,11 +351,14 @@ def _mgf_r(args, ctx):
     if exact._R_family(key):
         # an exact combination of MZVs, evaluated at --prec
         return exact.value(exact._R_exact(key), ctx), ctx.eps
-    return mgf.R_structured(*key, cutoff=args.cutoff, ctx=ctx), 10.0 / args.cutoff**2
+    # the float route: its own convergence estimate, never below 10/cutoff^2
+    values, errors = mgf._R_values([key], args.cutoff, with_error=True)
+    return values[key], max(10.0 / args.cutoff**2, errors[key])
 
 
 def _conical_zeta(args, ctx):
-    # a float64 shell sum plus an mpf tail: only the float64 digits are real
+    # a float64 shell sum plus a float64 tail, added as mpf: only the float64
+    # digits are real
     value, bound = _conical().zeta_A(parse_matrix(args.matrix), cutoff=args.cutoff,
                                      ctx=ctx, with_bound=True)
     return float(value), bound

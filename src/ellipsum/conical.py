@@ -17,7 +17,7 @@ import mpmath as mp
 import numpy as np
 from numpy.random import default_rng
 
-from .numkernel import PrecisionCtx
+from .numkernel import PrecisionCtx, bernoulli_number
 
 __all__ = [
     "ConeMatrix",
@@ -108,51 +108,115 @@ def _pick_elimination(groups, n):
 
 def _form(f, cols):
     """sum_j f[j] x_j over the nonzero coefficients of f, where cols maps each
-    coordinate j to x_j; the arrays broadcast against each other."""
+    coordinate j to x_j; the arrays broadcast against each other.  A
+    coordinate missing from cols counts as 0."""
     return sum(x if f[j] == 1 else f[j] * x for j, x in cols.items() if f[j])
 
 
-def _shell_faces(d, k):
-    """The points of [1,k]^d with max coordinate exactly k, face by face: face
-    i has coordinate i equal to k, earlier coordinates in [1,k-1] and later
-    ones in [1,k].  A face is d index tuples; tuple t takes coordinate t's
-    range from an axis 1, 2, ... laid along dimension t."""
-    for i in range(d if k > 1 else 1):
-        yield [(slice(None),) * t + (slice(0, k - 1) if t < i else
-                                     slice(k - 1, k) if t == i else slice(0, k),)
-               for t in range(d)]
+def _offset(f, ints) -> np.ndarray:
+    """_form over integer coordinates as an int64 array (0-d when f has none
+    of them)."""
+    return np.asarray(_form(f, ints), dtype=np.int64)
 
 
-def _shell_sums(keep, rest_groups, extra_factor, cutoff: int) -> list:
+def _rest_product(groups, cols):
+    """prod of form**m over ``groups`` at float coordinates ``cols``."""
+    den = 1.0
+    for f, m in groups:
+        form = _form(f, cols)
+        den = den * (form if m == 1 else form**m)
+    return den
+
+
+def _shell_sums(keep, rest_groups, closed, cutoff: int) -> list:
     """The shell sums s_k, k = 1..cutoff: the sum over the points of the
-    coordinates ``keep`` with max coordinate k of extra_factor / prod of the
-    powers of ``rest_groups``' forms."""
+    coordinates ``keep`` with max coordinate k of closed(x) / prod of the
+    powers of ``rest_groups``' forms (``closed`` None: 1).
+
+    d = 1 is one pass over the axis.  For d >= 2 the points are taken in
+    slabs x_z = 1..cutoff of the kept coordinate z that occurs in the fewest
+    forms; the others span the cube [1, cutoff]^(d-1).  Everything free of
+    z is built once on that cube: the product of the z-free forms' powers
+    and the integer z-free part u of every other form, whose power on slab z
+    is a gather at u from a table of t^-m shifted by f[z] z.  A running sum
+    C of the slabs gives the shells without binning: s_z is slab z over the
+    points with inner max <= z plus C over the points with inner max == z."""
     d = len(keep)
-    # the axis 1..cutoff laid along each dimension, as int64 and as float, so
-    # that a face's coordinates broadcast to its grid in every form
-    shapes = [(1,) * t + (-1,) + (1,) * (d - 1 - t) for t in range(d)]
+    forms = closed.forms if closed is not None else ()
     axis = np.arange(1, cutoff + 1, dtype=np.int64)
-    int_axes = [axis.reshape(shape) for shape in shapes]
-    float_axes = [axis.astype(float).reshape(shape) for shape in shapes]
+    if d == 1:
+        ints = {keep[0]: axis}
+        num = closed(ints) if closed is not None else 1.0
+        return (num / _rest_product(rest_groups, {keep[0]: axis.astype(float)})).tolist()
+
+    z = min(keep, key=lambda j: sum(1 for f, _ in rest_groups if f[j])
+            + sum(1 for f in forms if f[j]))
+    e = d - 1
+    ints = {j: axis.reshape((1,) * t + (-1,) + (1,) * (e - 1 - t))
+            for t, j in enumerate(j for j in keep if j != z)}
+    fixed = 1.0 / _rest_product([(f, m) for f, m in rest_groups if not f[z]],
+                                {j: x.astype(float) for j, x in ints.items()})
+    per_slab = []
+    if any(f[z] for f in forms):
+        per_slab.append(closed.slab(ints, z))
+    elif closed is not None:
+        fixed = fixed * closed(ints)
+    top = cutoff * max((sum(f[j] for j in keep) for f, _ in rest_groups), default=0)
+    powers = {}
+    for f, m in rest_groups:
+        if f[z]:
+            if m not in powers:
+                powers[m] = np.zeros(top + 1)
+                powers[m][1:] = np.arange(1, top + 1, dtype=float) ** -m
+            per_slab.append(lambda s, T=powers[m], a=f[z], u=_offset(f, ints):
+                            T[a * s:].take(u))
+
+    C = np.zeros((cutoff,) * e)
+    slab = np.empty_like(C)
     sums = []
-    for k in range(1, cutoff + 1):
-        s = 0.0
-        for face in _shell_faces(d, k):
-            ints = {j: ax[at] for j, ax, at in zip(keep, int_axes, face)}
-            cols = {j: ax[at] for j, ax, at in zip(keep, float_axes, face)}
-            den = 1.0
-            for f, m in rest_groups:
-                form = _form(f, cols)
-                den = den * (form if m == 1 else form**m)
-            s += float((extra_factor(ints) / den).sum())
-        sums.append(s)
+    for s in range(1, cutoff + 1):
+        np.multiply(fixed, per_slab[0](s), out=slab)
+        for factor in per_slab[1:]:
+            slab *= factor(s)
+        total = slab[(slice(0, s),) * e].sum()
+        for i in range(e):  # C over its points with inner max s, face by face
+            total += C[(slice(0, s - 1),) * i + (s - 1,) + (slice(0, s),) * (e - 1 - i)].sum()
+        C += slab
+        sums.append(float(total))
     return sums
+
+
+# B_2j / (2j)! for j = 1..12, the Euler-Maclaurin corrections of _power_tails
+_EM_COEFFS = [float(bernoulli_number(2 * j) / math.factorial(2 * j)) for j in range(1, 13)]
+
+
+def _power_tails(K: int, m: int) -> tuple[float, float]:
+    """(sum_{k>K} k^-m, sum_{k>K} log k k^-m) in float64, by Euler-Maclaurin
+    at K: sum_{k>K} f(k) = int_K^inf f - f(K)/2 - sum_j B_2j/(2j)! f^(2j-1)(K),
+    where f = log x x^-m has f^(r) = (-1)^r (m)_r x^(-m-r) (log x - sum_{i<r}
+    1/(m+i)).  The twelve Bernoulli terms leave under 1e-17 relative for
+    K >= 12 and m = 2, 3, 4."""
+    log_k = math.log(K)
+    head = K ** (1 - m) / (m - 1)
+    plain, logs = 0.0, 0.0
+    rising, harmonic, power = 1.0, 0.0, float(K) ** -m
+    for r in range(1, 2 * len(_EM_COEFFS)):
+        rising *= m + r - 1
+        harmonic += 1.0 / (m + r - 1)
+        power /= K
+        if r % 2:  # odd r: -B_r+1/(r+1)! f^(r)(K), with (-1)^r = -1
+            term = _EM_COEFFS[r // 2] * rising * power
+            plain += term
+            logs += term * (log_k - harmonic)
+    half = float(K) ** -m / 2
+    return (head - half + plain,
+            head * (log_k + 1.0 / (m - 1)) - half * log_k + logs)
 
 
 def _tail_extrapolate(ks, shells, K):
     """Fit shell sums on the window to sum_{m=2..4} (a_m log k + b_m) k^-m and
     return the analytically summed tail beyond K (plus the fit residual as a
-    crude error estimate)."""
+    crude error estimate), both float64."""
     ks = np.asarray(ks, dtype=float)
     shells = np.asarray(shells, dtype=float)
     basis = []
@@ -161,16 +225,12 @@ def _tail_extrapolate(ks, shells, K):
         basis.append(ks ** (-mdeg))
     B = np.stack(basis, axis=1)
     coef, *_ = np.linalg.lstsq(B, shells, rcond=None)
-    # tail sums of log(k)/k^m and 1/k^m beyond K via mpmath
-    tail = mp.mpf(0)
+    tail = 0.0
     for i, mdeg in enumerate((2, 3, 4)):
-        a, b = coef[2 * i], coef[2 * i + 1]
-        zt = mp.zeta(mdeg, K + 1)
-        # sum_{k>K} log k / k^m = -d/ds zeta(s, K+1) at s = m
-        zlog = -mp.zeta(mdeg, K + 1, 1)
-        tail += a * zlog + b * zt
+        plain, logs = _power_tails(K, mdeg)
+        tail += coef[2 * i] * logs + coef[2 * i + 1] * plain
     resid = float(np.abs(shells - B @ coef).max())
-    return tail, resid
+    return float(tail), resid
 
 
 def _harmonic_table(top: int) -> np.ndarray:
@@ -195,36 +255,94 @@ def _hurwitz_table(m: int, c: int, top: int, ctx: PrecisionCtx) -> np.ndarray:
     return Z
 
 
+class _HurwitzFactor:
+    """c^-m zeta(m, o/c + 1) = Z[o + c] at the offset o of the one form f."""
+
+    def __init__(self, f, m: int, c: int, top: int, ctx: PrecisionCtx):
+        self.forms = (f,)
+        self.c = c
+        self.Z = _hurwitz_table(m, c, top + c, ctx)
+
+    def __call__(self, ints):
+        return self.Z[_form(self.forms[0], ints) + self.c]
+
+    def slab(self, ints, z):
+        (f,) = self.forms
+        u, a = _offset(f, ints), f[z]
+        return lambda s: self.Z[a * s + self.c:].take(u)
+
+
+class _PsiFactor:
+    """(psi(o1 + 1) - psi(o2 + 1)) / (o1 - o2) = (H[o1] - H[o2]) / (o1 - o2),
+    or psi'(o1 + 1) = trigamma[o1 + 1] at o1 = o2, at the offsets of the two
+    forms."""
+
+    def __init__(self, f1, f2, top: int, cutoff: int, ctx: PrecisionCtx):
+        self.forms = (f1, f2)
+        self.cutoff = cutoff
+        self.H = _harmonic_table(top)
+        self.trigamma = _hurwitz_table(2, 1, top + 1, ctx)
+
+    def __call__(self, ints):
+        f1, f2 = self.forms
+        o1, o2 = _form(f1, ints), _form(f2, ints)
+        den = _form([a - b for a, b in zip(f1, f2)], ints)
+        eq = den == 0
+        out = self.H.take(o1) - self.H.take(o2)
+        out /= np.where(eq, 1, den)
+        np.copyto(out, self.trigamma.take(o1 + 1), where=eq)
+        return out
+
+    def slab(self, ints, z):
+        (f1, f2), H, trigamma = self.forms, self.H, self.trigamma
+        u1, u2 = _offset(f1, ints), _offset(f2, ints)
+        a1, a2 = f1[z], f2[z]
+        shape = np.broadcast_shapes(u1.shape, u2.shape)
+        h1 = H.take(u1) if not a1 else None
+        h2 = H.take(u2) if not a2 else None
+        du, da = _offset([a - b for a, b in zip(f1, f2)], ints), a1 - a2
+        # the points with o1 = o2 on slab s are those with du = -da s: sorted
+        # once by du, each slab's set is one run of that order
+        flat = np.broadcast_to(du, shape).ravel()
+        order = np.argsort(flat, kind="stable")
+        sorted_du, u1_sorted = flat[order], np.broadcast_to(u1, shape).ravel()[order]
+        # 1 / (o1 - o2) = 1 / (du + da s) from a table over its range, 0 at 0,
+        # read at du - base from the view that starts at base + da s
+        base = int(du.min())
+        low = base + min(da, da * self.cutoff)
+        t = np.arange(low, int(du.max()) + max(da, da * self.cutoff) + 1, dtype=float)
+        recip = np.divide(1.0, t, out=np.zeros_like(t), where=t != 0)
+        du = du - base
+
+        def factor(s):
+            out = np.empty(shape)
+            np.subtract(h1 if h1 is not None else H[a1 * s:].take(u1),
+                        h2 if h2 is not None else H[a2 * s:].take(u2), out=out)
+            out *= recip[base - low + da * s:].take(du)
+            i, j = sorted_du.searchsorted([-da * s, 1 - da * s])
+            if j > i:
+                out.reshape(-1)[order[i:j]] = trigamma[a1 * s + 1:].take(u1_sorted[i:j])
+            return out
+
+        return factor
+
+
 def _closed_form(elim, keep, cutoff: int, ctx: PrecisionCtx):
     """The factor left by summing out variable ``elim[1]`` in closed form, as a
     function of the other integer coordinates (dict var -> int64 arrays that
-    broadcast against each other), each in [1, cutoff].  Every offset
-    sum_j f[j] x_j is a nonnegative integer, so the closed forms are gathers
-    from tables sized to the largest offset the cutoff reaches, each made on
-    the offset's own axes before the offsets broadcast."""
+    broadcast against each other), each in [1, cutoff]; its ``forms`` are the
+    forms whose offsets sum_j f[j] x_j it reads.  Every offset is a
+    nonnegative integer, so the closed forms are gathers from tables sized to
+    the largest offset the cutoff reaches.  ``slab(ints, z)`` gives the
+    factor on the slab x_z = s as a function of s, over the other
+    coordinates ``ints``, with its z-free gathers made once."""
     kind, jvar, occ = elim
     top = cutoff * max(sum(f[j] for j in keep) for f, _ in occ)
-
     if kind == "hurwitz":
         (f, m), = occ
-        c = f[jvar]
-        Z = _hurwitz_table(m, c, top + c, ctx)
-        return lambda cols: Z[_form(f, cols) + c]
+        return _HurwitzFactor(f, m, f[jvar], top, ctx)
     (f1, _), (f2, _) = occ
-    H = _harmonic_table(top)
-    trigamma = _hurwitz_table(2, 1, top + 1, ctx)
-    diff = [a - b for a, b in zip(f1, f2)]
-
-    def psi_difference(cols):
-        # (psi(o1 + 1) - psi(o2 + 1)) / (o1 - o2), or psi'(o1 + 1) at o1 = o2
-        o1, o2, den = _form(f1, cols), _form(f2, cols), _form(diff, cols)
-        eq = den == 0
-        out = H.take(o1) - H.take(o2)
-        out /= np.where(eq, 1, den)
-        np.copyto(out, trigamma.take(o1 + 1), where=eq)
-        return out
-
-    return psi_difference
+    return _PsiFactor(f1, f2, top, cutoff, ctx)
 
 
 def zeta_A(A: ConeMatrix, cutoff: int = 200, ctx: PrecisionCtx | None = None,
@@ -240,10 +358,9 @@ def zeta_A(A: ConeMatrix, cutoff: int = 200, ctx: PrecisionCtx | None = None,
     the fit's window of cutoff // 2 shells is shorter than its 6 basis
     functions.
 
-    Each shell is summed face by face (see ``_shell_faces``): the forms and
-    the closed form are built from broadcast 1-D axes, over their nonzero
-    coefficients, and each point takes one float division by the product of
-    its form powers.
+    The shells are summed slab by slab (see ``_shell_sums``): every factor
+    free of the slab coordinate is built once on the cube of the others, and
+    each slab gathers the rest from tables shifted by its coordinate.
 
     The closed forms are read from float64 tables at the integer offsets o
     (see ``_closed_form``): psi(o1+1) - psi(o2+1) = H_o1 - H_o2 with H the
@@ -254,7 +371,9 @@ def zeta_A(A: ConeMatrix, cutoff: int = 200, ctx: PrecisionCtx | None = None,
     ``with_bound`` also returns 0.05 |tail| + (fit residual) * cutoff, an
     estimate from the tail fit, not a rigorous bound; when the elimination
     leaves no variable, 4 ulps of the one float64 table entry (no truncation).
-    All mpmath work runs at ``ctx`` precision."""
+    The tail fit and its power sums are float64 (``_power_tails``); the
+    table seeds and the final sum of the shells and the tail run at ``ctx``
+    precision."""
     if A.n > 5:
         raise ValueError("cost guard: at most 5 variables")
     if cutoff < 12:
@@ -268,20 +387,20 @@ def zeta_A(A: ConeMatrix, cutoff: int = 200, ctx: PrecisionCtx | None = None,
         jvar = elim[1]
         keep.remove(jvar)
         rest_groups = [(f, m) for f, m in groups if f[jvar] == 0]
-        extra_factor = _closed_form(elim, keep, cutoff, ctx)
+        closed = _closed_form(elim, keep, cutoff, ctx)
     else:
         rest_groups = groups
-        extra_factor = lambda ints: 1.0
+        closed = None
     d = len(keep)
 
     if d == 0:
         # fully eliminated: one table entry, an mp seed rounded once to float64
-        value = float(extra_factor({}))
+        value = float(closed({}))
         with ctx.workprec():
             value, bound = mp.mpf(value), mp.mpf(4 * math.ulp(value))
         return (value, bound) if with_bound else value
 
-    sums = _shell_sums(keep, rest_groups, extra_factor, cutoff)
+    sums = _shell_sums(keep, rest_groups, closed, cutoff)
     total = math.fsum(sums)
     ks, shells = list(range(1, cutoff + 1)), [abs(s) for s in sums]
     # divergence guard: decay exponent over the last decade of shells
@@ -294,10 +413,10 @@ def zeta_A(A: ConeMatrix, cutoff: int = 200, ctx: PrecisionCtx | None = None,
             f"shell sums decay like k^{slope:.2f}; slower than the k^-1.2 "
             "divergence guard"
         )
+    tail, resid = _tail_extrapolate(ks[-w:], shells[-w:], cutoff)
     with ctx.workprec():
-        tail, resid = _tail_extrapolate(ks[-w:], shells[-w:], cutoff)
         value = mp.mpf(total) + tail
-        bound = abs(tail) * mp.mpf(0.05) + resid * cutoff
+        bound = abs(mp.mpf(tail)) * mp.mpf(0.05) + resid * cutoff
     return (value, bound) if with_bound else value
 
 

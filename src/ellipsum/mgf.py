@@ -573,8 +573,8 @@ def _R_layers(keys, L: int) -> dict:
     return {k: t / 2.0 ** (k[3] + k[4]) for k, t in totals.items()}
 
 
-def _R_values(keys, cutoff: int) -> dict:
-    """Extrapolated R for each key from one _R_layers call per cutoff.
+def _R_extrapolate(keys, cutoff: int, layers) -> dict:
+    """Extrapolated R for each key from the layered sums ``layers(keys, L)``.
 
     Every key is evaluated at L/4, L/2 and L.  A key with alpha*beta = 0
     whose observed ratio d2/d1 lies in (3/8, 1) has a 1/L tail: it gets one
@@ -582,10 +582,10 @@ def _R_values(keys, cutoff: int) -> dict:
     four cutoffs.  Every other key takes the geometric-ratio Richardson
     step."""
     cuts = (cutoff // 4, cutoff // 2, cutoff)
-    levels = [_R_layers(keys, L) for L in cuts]
+    levels = [layers(keys, L) for L in cuts]
     out = {}
     slow = []
-    for key in levels[0]:
+    for key in keys:
         v0, v1, v2 = (lv[key] for lv in levels)
         d1, d2 = v1 - v0, v2 - v1
         ratio = d2 / d1 if d1 else 0.0
@@ -596,13 +596,38 @@ def _R_values(keys, cutoff: int) -> dict:
         else:
             out[key] = v2 + d2 * ratio / (1.0 - ratio)
     if slow:
-        eighth = _R_layers(slow, cutoff // 8)
+        eighth = layers(slow, cutoff // 8)
         c = np.array([cutoff // 8, *cuts], dtype=float)
         design = np.stack([np.ones(4), -np.log(c) / c, -1 / c, -1 / c**2], axis=1)
         for key in slow:
             vals = [eighth[key]] + [lv[key] for lv in levels]
             out[key] = float(np.linalg.solve(design, vals)[0])
     return out
+
+
+def _R_values(keys, cutoff: int, with_error: bool = False):
+    """Extrapolated R for each key (see _R_extrapolate), one _R_layers call
+    per level.
+
+    ``with_error`` also returns each key's convergence estimate, twice the
+    move of its extrapolated value from cutoff // 2 to cutoff.  That
+    extrapolation reuses the levels L/4 and L/2 (and L/8 for a 1/L tail) and
+    adds one level below them."""
+    keys = list(dict.fromkeys(keys))
+    done: dict = {}
+
+    def layers(todo, L):
+        level = done.setdefault(L, {})
+        missing = [key for key in todo if key not in level]
+        if missing:
+            level.update(_R_layers(missing, L))
+        return level
+
+    out = _R_extrapolate(keys, cutoff, layers)
+    if not with_error:
+        return out
+    half = _R_extrapolate(keys, cutoff // 2, layers)
+    return out, {key: 2.0 * abs(out[key] - half[key]) for key in keys}
 
 
 def _check_R(m1: int, m2: int, m3: int, alpha: int, beta: int, cutoff: int) -> None:

@@ -89,7 +89,7 @@ def test_conical_integral_prints_a_float(capsys):
 
 
 def test_conical_zeta_prints_a_float(capsys):
-    # a float64 shell sum plus an mpf tail: 17 digits at most, and the float
+    # a float64 shell sum plus a float64 tail: 17 digits at most, and the float
     # is the library's value
     argv = ["conical", "zeta", "--matrix", "[[1,0],[0,1],[1,1]]", "--cutoff", "150"]
     rc, doc = _run_json(capsys, argv)
@@ -132,11 +132,27 @@ def test_mgf_r_takes_the_exact_route_for_the_families(capsys):
     rc, doc = _run_json(capsys, ["mgf", "r", "--m", "2", "2", "2", "--alpha", "1",
                                  "--beta", "1"])
     assert rc == 0 and doc["error_bound"] == "1.00000e-30"
-    # (1,2,3;1,1) has no exact reduction: the float route and its 10/cutoff^2
+    # (1,2,3;1,1) has no exact reduction: the float route and its own
+    # convergence estimate, never below 10/cutoff^2
     rc, doc = _run_json(capsys, ["mgf", "r", "--m", "1", "2", "3", "--alpha", "1",
                                  "--beta", "1", "--cutoff", "200"])
-    assert doc["error_bound"] == "0.000250000"
+    _, errors = mgf._R_values([(1, 2, 3, 1, 1)], 200, with_error=True)
+    assert float(doc["error_bound"]) == pytest.approx(max(2.5e-4, errors[1, 2, 3, 1, 1]),
+                                                      rel=1e-5)
     assert float(doc["value"]) == mgf.R_structured(1, 2, 3, 1, 1, cutoff=200)
+
+
+@pytest.mark.parametrize("key", [(1, 2, 3, 0, 0), (1, 2, 3, 1, 0), (1, 2, 3, 1, 1),
+                                 (1, 3, 3, 0, 0), (1, 2, 4, 0, 0)])
+def test_mgf_r_float_route_bound_covers_a_fourfold_cutoff(capsys, key):
+    # keys outside the exact families: the printed bound at cutoff 250 holds
+    # the move of the value to cutoff 1000
+    m, alpha, beta = key[:3], key[3], key[4]
+    rc, doc = _run_json(capsys, ["mgf", "r", "--m", *map(str, m), "--alpha", str(alpha),
+                                 "--beta", str(beta), "--cutoff", "250"])
+    assert rc == 0
+    fine = mgf._R_values([key], 1000)[key]
+    assert float(doc["error_bound"]) >= abs(float(doc["value"]) - fine)
 
 
 def test_laurent3_bound_is_exact_unless_an_r_sum_falls_back(capsys):

@@ -174,9 +174,9 @@ def test_shell_sums_match_per_point_sum(kind, d, rows):
     assert len(keep) == d
     rest = [(f, m) for f, m in groups if elim is None or f[elim[1]] == 0]
     cutoff = 20 if d < 4 else 12
-    factor = (conical._closed_form(elim, keep, cutoff, CTX) if elim
-              else lambda ints: 1.0)
-    got = conical._shell_sums(keep, rest, factor, cutoff)
+    closed = conical._closed_form(elim, keep, cutoff, CTX) if elim else None
+    factor = closed or (lambda ints: 1.0)
+    got = conical._shell_sums(keep, rest, closed, cutoff)
     terms = [[] for _ in range(cutoff)]
     for x in itertools.product(range(1, cutoff + 1), repeat=d):
         term = float(np.asarray(factor({j: np.array([v]) for j, v in zip(keep, x)})).item())
@@ -187,6 +187,67 @@ def test_shell_sums_match_per_point_sum(kind, d, rows):
     assert len(got) == cutoff
     for k, (g, r) in enumerate(zip(got, ref), 1):
         assert abs(g - r) <= 1e-14 * abs(r), (k, g, r)
+
+
+@pytest.mark.parametrize("kind, d, rows", SHELL_CASES,
+                         ids=[f"{kind}-d{d}" for kind, d, _ in SHELL_CASES])
+def test_shell_sums_match_all_points_reference(kind, d, rows):
+    # every point of [1, c]^d at once, summed per shell with fsum: a cutoff
+    # long enough for many slabs, running-sum faces and o1 = o2 runs
+    A = ConeMatrix(rows)
+    groups = conical._grouped_forms(A)
+    elim = conical._pick_elimination(groups, A.n)
+    keep = [j for j in range(A.n) if elim is None or j != elim[1]]
+    rest = [(f, m) for f, m in groups if elim is None or f[elim[1]] == 0]
+    cutoff = 40 if d < 4 else 14
+    closed = conical._closed_form(elim, keep, cutoff, CTX) if elim else None
+    points = np.indices((cutoff,) * d).reshape(d, -1) + 1
+    ints = dict(zip(keep, points))
+    terms = np.ones(points.shape[1]) if closed is None else closed(ints)
+    for f, m in rest:
+        terms = terms / conical._form(f, ints).astype(float) ** m
+    shell = points.max(axis=0)
+    order = np.argsort(shell, kind="stable")
+    ref = [math.fsum(t) for t in np.split(terms[order], np.cumsum(np.bincount(shell)[1:-1]))]
+    got = conical._shell_sums(keep, rest, closed, cutoff)
+    assert len(got) == len(ref) == cutoff
+    for k, (g, r) in enumerate(zip(got, ref), 1):
+        assert abs(g - r) <= 1e-14 * abs(r), (k, g, r)
+
+
+# zeta_A (value, bound) of the bench matrices A1-A3 at their bench cutoffs
+# and at criterion 10's cutoff 400, as summed face by face before the slab
+# kernel; the tail fit turns rounding-level changes to the shells into
+# ~1e-12 relative moves of the bound
+CONE_REGRESSION = [
+    ([[1, 0], [1, 2], [1, 2]], 225, "0.47949327575407158196", "1.106192296517791e-4"),
+    ([[1, 1], [1, 1], [2, 1]], 225, "0.30051422579829136217", "1.1565123202938652e-4"),
+    ([[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 0, 1], [1, 1, 0, 1]], 175,
+     "0.25705331759618227151", "3.6441815925740338e-4"),
+    ([[1, 0], [1, 2], [1, 2]], 400, "0.47949327574530399295", "6.2344096679828655e-5"),
+    ([[1, 1], [1, 1], [2, 1]], 400, "0.30051422579038475023", "6.5207541806811241e-5"),
+    ([[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 0, 1], [1, 1, 0, 1]], 400,
+     "0.25705257573382575719", "1.6379879566032971e-4"),
+]
+
+
+@pytest.mark.parametrize("rows, cutoff, value, bound", CONE_REGRESSION)
+def test_zeta_A_matches_frozen_values(rows, cutoff, value, bound):
+    got, got_bound = zeta_A(ConeMatrix(rows), cutoff=cutoff, ctx=CTX, with_bound=True)
+    with CTX.workprec():
+        assert abs(got - mp.mpf(value)) <= mp.mpf("1e-12") * mp.mpf(value)
+        assert abs(got_bound - mp.mpf(bound)) <= mp.mpf("1e-9") * mp.mpf(bound)
+
+
+@pytest.mark.parametrize("K", [12, 13, 150, 175, 225, 400])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_power_tails_match_mpmath(K, m):
+    plain, logs = conical._power_tails(K, m)
+    with CTX.workprec():
+        ref_plain = mp.zeta(m, K + 1)
+        ref_logs = -mp.zeta(m, K + 1, 1)  # sum_{k>K} log k / k^m
+        assert abs(plain - ref_plain) <= mp.mpf("1e-15") * ref_plain
+        assert abs(logs - ref_logs) <= mp.mpf("1e-15") * ref_logs
 
 
 def test_integral_oracle_agrees():
