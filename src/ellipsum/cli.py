@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from . import eisenstein, emzv, exact, genus0, mgf
+from . import eisenstein, emzv, genus0, mgf
 from .laurent import LaurentPoly
 from .numkernel import PrecisionCtx
 from .qseries import GuardError, QTauSeries, auto_q_order, eval_at
@@ -98,13 +98,21 @@ def _conical():
     return conical
 
 
+def _read_at(text: str) -> str:
+    """``text``, or the contents of the file that ``@path`` names; a file
+    that cannot be read is a ValueError naming it."""
+    if not text.startswith("@"):
+        return text
+    try:
+        with open(text[1:], encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {text[1:]!r}: {exc.strerror}") from exc
+
+
 def parse_matrix(text: str):
     """Parse a conical matrix given inline as JSON rows or as @path."""
-    if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as fh:
-            text = fh.read()
-    rows = json.loads(text)
-    return _conical().ConeMatrix(rows)
+    return _conical().ConeMatrix(json.loads(_read_at(text)))
 
 
 def parse_graph(spec: str) -> mgf.MultiGraph:
@@ -113,10 +121,7 @@ def parse_graph(spec: str) -> mgf.MultiGraph:
         return mgf.MultiGraph.cycle(int(spec[6:]))
     if spec.startswith("banana:"):
         return mgf.MultiGraph.banana(int(spec[7:]))
-    if spec.startswith("@"):
-        with open(spec[1:], encoding="utf-8") as fh:
-            spec = fh.read()
-    return mgf.MultiGraph.from_json(spec)
+    return mgf.MultiGraph.from_json(_read_at(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +132,7 @@ def _num_str(x, digits: int) -> str:
     """``digits`` significant digits, or ``digits`` places after the point for
     an mpf of |x| >= 1, so that rounding stays inside the bound 10^-digits.
     An mpf is printed at its own precision, which may exceed the ambient one
-    (exact.value widens it for large values)."""
+    (the exact layer widens it for large values)."""
     if isinstance(x, (Fraction, int)):
         return str(x)
     if not isinstance(x, mp.mpf):
@@ -302,11 +307,7 @@ def _mgf_laurent2(args, ctx):
 
 
 def _mgf_laurent3(args, ctx):
-    poly = mgf.d3pt(*args.l, ctx, cutoff=args.cutoff)  # checks the inputs
-    # exact unless an R-sum falls back to the float route, whose truncation
-    # error has an empirical O(cutoff^-2) scale
-    bound = 10.0 / args.cutoff**2 if exact._d3pt_fallback_keys(args.l) else ctx.eps
-    return poly, bound
+    return mgf._d3pt(args.l, ctx, args.cutoff)
 
 
 def _mgf_dlattice(args, ctx):
@@ -347,13 +348,7 @@ def _mgf_r(args, ctx):
     key = (*args.m, args.alpha, args.beta)
     if args.method == "direct":
         return mgf.R_direct(*key, args.cutoff), 10.0 / args.cutoff
-    mgf._check_R(*key, args.cutoff)
-    if exact._R_family(key):
-        # an exact combination of MZVs, evaluated at --prec
-        return exact.value(exact._R_exact(key), ctx), ctx.eps
-    # the float route: its own convergence estimate, never below 10/cutoff^2
-    values, errors = mgf._R_values([key], args.cutoff, with_error=True)
-    return values[key], max(10.0 / args.cutoff**2, errors[key])
+    return mgf._R(key, args.cutoff, ctx)
 
 
 def _conical_zeta(args, ctx):
@@ -407,11 +402,7 @@ def _eisenstein_e(args, ctx):
 
 
 def _eisenstein_nonholo(args, ctx):
-    val = eisenstein.eis_nonholo(args.s, args.tau, ctx, mode=args.mode, M=args.M)
-    if args.mode == "cusp":
-        return val, ctx.eps
-    # the lattice mode is a float64 sum
-    return float(val), 8.0 * math.log(args.M + 1) / args.M ** max(2 * args.s - 2, 1)
+    return eisenstein.eis_nonholo(args.s, args.tau, ctx), ctx.eps
 
 
 def _eisenstein_green1(args, ctx):
@@ -659,8 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
               _eisenstein_nonholo)
     q.add_argument("--s", type=int, required=True)
     q.add_argument("--tau", type=parse_tau, required=True)
-    q.add_argument("--mode", choices=["cusp", "lattice"], default="cusp")
-    q.add_argument("--M", type=int, default=100)
 
     q = _leaf(ps, "green1", "torus Green function G_1(xi, tau)",
               _eisenstein_green1)

@@ -32,7 +32,10 @@ class ConeMatrix:
     """r x n matrix of nonnegative integers; row i is the linear form l_i."""
 
     def __init__(self, data):
-        data = [list(map(int, row)) for row in data]
+        try:
+            data = [list(map(int, row)) for row in data]
+        except TypeError as exc:
+            raise ValueError(f"matrix must be a list of rows of integers, not {data!r}") from exc
         if not data or not data[0]:
             raise ValueError("matrix must be nonempty")
         n = len(data[0])

@@ -337,23 +337,15 @@ def eis_E(k: int, q_order: int) -> QTauSeries:
 # nonholomorphic Eisenstein series
 
 
-def eis_nonholo(s: int, tau, ctx: PrecisionCtx, mode: str = "cusp", M: int = 100):
-    """E(s, tau) = (Im tau / pi)^s sum_{(m,n) != (0,0)} |m tau + n|^{-2s}.
-
-    mode="cusp" uses the exponentially convergent expansion around the cusp;
-    mode="lattice" is a float64 square-cutoff lattice sum (oracle quality).
-    """
+def eis_nonholo(s: int, tau, ctx: PrecisionCtx):
+    """E(s, tau) = (Im tau / pi)^s sum_{(m,n) != (0,0)} |m tau + n|^{-2s}, by
+    the exponentially convergent expansion around the cusp (the float64
+    lattice sum is mgf.D_lattice of the s-cycle)."""
     if s < 2:
         raise ValueError("s must be >= 2")
-    if mode not in ("cusp", "lattice"):
-        raise ValueError("mode must be 'cusp' or 'lattice'")
     n = s
     with ctx.workprec():
         tau = check_tau(tau)
-        if mode == "lattice":
-            from . import mgf
-
-            return mp.mpf(mgf.D_lattice(mgf.MultiGraph.cycle(s), tau, M))
         y = mp.pi * mp.im(tau)
         q = mp.exp(2j * mp.pi * tau)
         absq = abs(q)

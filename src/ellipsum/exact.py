@@ -41,17 +41,15 @@ def _terms(combo: dict, zeta: dict) -> list:
 _GUARD = 8
 
 
-def _row_terms(rows: dict, ctx: PrecisionCtx, extra=()):
-    """The terms of each row {key: combination}, plus c * x for each (key,
-    Fraction c, float x) of ``extra``; the absolute sum of each row's terms;
-    and the context they were made at: ``ctx``, or ctx with ceil(log10 size)
-    - _GUARD more digits when a row's absolute sum exceeds 10^_GUARD."""
+def _row_terms(rows: dict, ctx: PrecisionCtx):
+    """The terms of each row {key: combination}; the absolute sum of each
+    row's terms; and the context they were made at: ``ctx``, or ctx with
+    ceil(log10 size) - _GUARD more digits when a row's absolute sum exceeds
+    10^_GUARD."""
     def made(ctx):
         zeta = _zeta({idx for row in rows.values() for mono in row for idx in mono}, ctx)
         with ctx.workprec():
             terms = {e: _terms(row, zeta) for e, row in rows.items()}
-            for e, c, x in extra:
-                terms.setdefault(e, []).append(mp.mpf(c.numerator) / c.denominator * x)
             return terms, {e: mp.fsum(ts, absolute=True) for e, ts in terms.items()}
 
     terms, sizes = made(ctx)
@@ -71,11 +69,10 @@ def value(combo: dict, ctx: PrecisionCtx):
         return mp.fsum(terms[0])
 
 
-def laurent(rows: dict, ctx: PrecisionCtx, extra=()) -> LaurentPoly:
-    """The polynomial in y with ``rows[e]`` plus c * x for each (e, Fraction c,
-    float x) of ``extra`` at y^e, each coefficient within the absolute bound
-    ctx.eps; a coefficient within rounding of 0 is 0."""
-    terms, sizes, ctx = _row_terms(rows, ctx, extra)
+def laurent(rows: dict, ctx: PrecisionCtx) -> LaurentPoly:
+    """The polynomial in y with ``rows[e]`` at y^e, each coefficient within
+    the absolute bound ctx.eps; a coefficient within rounding of 0 is 0."""
+    terms, sizes, ctx = _row_terms(rows, ctx)
     with ctx.workprec():
         coeffs = {e: mp.fsum(ts) for e, ts in terms.items()}
         return LaurentPoly({e: c for e, c in coeffs.items() if abs(c) > ctx.eps * sizes[e]}, "y")
@@ -436,12 +433,6 @@ def _dB_all(l):
     """_dB_terms of the three orderings that d3pt sums."""
     for perm in [(0, 1, 2), (1, 0, 2), (2, 1, 0)]:
         yield from _dB_terms(tuple(l[i] for i in perm))
-
-
-def _d3pt_fallback_keys(l) -> set:
-    """The R keys of d3pt(*l) without an exact reduction: the ones it takes
-    from the float route (mgf._R_values) at its cutoff."""
-    return {key for _, _, key in _dB_all(tuple(l)) if _R_family(key) is None}
 
 
 def _dC_terms(l):

@@ -202,8 +202,14 @@ class MultiGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "MultiGraph":
+        """The graph of {"vertices": n, "edges": [[i, j, multiplicity], ...]};
+        other JSON is a ValueError naming the text."""
         data = json.loads(text)
-        return cls.from_edges(data["vertices"], data["edges"])
+        try:
+            return cls.from_edges(data["vertices"], data["edges"])
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ValueError('graph JSON must be {"vertices": n, "edges": [[i, j, m], ...]}, '
+                             f"not {text!r}") from exc
 
     def __repr__(self):
         return f"MultiGraph(N={self.N}, weight={self.weight}, depth={self.depth})"
@@ -605,14 +611,12 @@ def _R_extrapolate(keys, cutoff: int, layers) -> dict:
     return out
 
 
-def _R_values(keys, cutoff: int, with_error: bool = False):
+def _R_values(keys, cutoff: int):
     """Extrapolated R for each key (see _R_extrapolate), one _R_layers call
-    per level.
-
-    ``with_error`` also returns each key's convergence estimate, twice the
-    move of its extrapolated value from cutoff // 2 to cutoff.  That
-    extrapolation reuses the levels L/4 and L/2 (and L/8 for a 1/L tail) and
-    adds one level below them."""
+    per level, and each key's convergence estimate: twice the move of its
+    extrapolated value from cutoff // 2 to cutoff.  That second extrapolation
+    reuses the levels L/4 and L/2 (and L/8 for a 1/L tail) and adds one
+    level below them."""
     keys = list(dict.fromkeys(keys))
     done: dict = {}
 
@@ -624,8 +628,6 @@ def _R_values(keys, cutoff: int, with_error: bool = False):
         return level
 
     out = _R_extrapolate(keys, cutoff, layers)
-    if not with_error:
-        return out
     half = _R_extrapolate(keys, cutoff // 2, layers)
     return out, {key: 2.0 * abs(out[key] - half[key]) for key in keys}
 
@@ -637,24 +639,31 @@ def _check_R(m1: int, m2: int, m3: int, alpha: int, beta: int, cutoff: int) -> N
         raise ValueError(f"cutoff must be >= 1, not {cutoff}")
 
 
+def _float_bound(error: float, cutoff: int) -> float:
+    """A float-route R value's bound: its convergence estimate, never below
+    10/cutoff^2, the empirical scale of its truncation error."""
+    return max(10.0 / cutoff**2, error)
+
+
+def _R(key, cutoff: int, ctx: PrecisionCtx):
+    """R(key) and its error bound.  A key of the four exact families (see
+    exact._R_family; (2,2,2) is family (d)) is its exact reduction at
+    ``ctx``, within ctx.eps; ``cutoff`` is then unused.  Every other key,
+    from the (1,2,3) shapes on, takes the float route _R_values: the layered
+    sum R = R_0 + 2 R_{>0} over the coefficients c_m(l+a, l) at L = cutoff/4,
+    cutoff/2 and cutoff, extrapolated (see _R_extrapolate)."""
+    _check_R(*key, cutoff)
+    if _R_family(key):
+        return value(_R_exact(key), ctx), ctx.eps
+    values, errors = _R_values([key], cutoff)
+    return values[key], _float_bound(errors[key], cutoff)
+
+
 def R_structured(m1: int, m2: int, m3: int, alpha: int, beta: int,
                  cutoff: int = 2000, ctx: PrecisionCtx | None = None) -> float:
-    """R(m1, m2, m3; alpha, beta) as a float.
-
-    A key of the four exact families (see exact._R_family; (2,2,2) is
-    family (d)) is its exact reduction evaluated at ``ctx`` precision
-    (default ``PrecisionCtx()``) and rounded to float64; ``cutoff`` is then
-    unused.  Every other key, from the (1,2,3) shapes on, takes the float
-    route _R_values: the layered sum R = R_0 + 2 R_{>0} over the
-    coefficients c_m(l+a, l), with FFT correlations for the coupled
-    denominators, at L = cutoff/4, cutoff/2 and cutoff, followed by a
-    geometric-ratio Richardson step (or, for alpha * beta = 0 and a 1/L
-    tail, a fit of value + log L/L + 1/L + 1/L^2 that adds L/8)."""
-    _check_R(m1, m2, m3, alpha, beta, cutoff)
-    key = (m1, m2, m3, alpha, beta)
-    if _R_family(key):
-        return float(value(_R_exact(key), ctx or PrecisionCtx()))
-    return _R_values([key], cutoff)[key]
+    """R(m1, m2, m3; alpha, beta) as a float: the value of _R at ``ctx``
+    (default ``PrecisionCtx()``), rounded to float64."""
+    return float(_R((m1, m2, m3, alpha, beta), cutoff, ctx or PrecisionCtx())[0])
 
 
 def _k_table(m: int, C: int) -> np.ndarray:
@@ -711,28 +720,36 @@ def d2pt(l: int, ctx: PrecisionCtx | None = None) -> LaurentPoly:
     return laurent(_d2pt_rows(l), ctx or PrecisionCtx())
 
 
-# R values of d3pt's fallback keys, keyed on ((m1, m2, m3, alpha, beta), cutoff)
-_R_cache: dict = {}
+def _d3pt(l, ctx: PrecisionCtx, cutoff: int):
+    """d_{l1,l2,l3}(y) and its error bound: the exact rows of
+    exact._d3pt_rows, within ctx.eps, plus each fallback term c R(key) with R
+    from the float route at ``cutoff``; the bound is then the largest over
+    the powers of y of the sum of |c| _float_bound over the power's terms.
+    The first graphs with fallback terms are (1,2,3) and its permutations."""
+    if min(l) < 1:
+        raise ValueError("l_i must be >= 1")
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, not {cutoff}")
+    rows, fallback = _d3pt_rows(tuple(l))
+    poly = laurent(rows, ctx)
+    if not fallback:
+        return poly, ctx.eps
+    values, errors = _R_values(sorted({key for _, _, key in fallback}), cutoff)
+    terms: dict = {}
+    bounds: dict = {}
+    with ctx.workprec():
+        for e, c, key in fallback:
+            terms.setdefault(e, []).append(mp.mpf(c.numerator) / c.denominator * values[key])
+            bounds[e] = bounds.get(e, 0.0) + abs(c) * _float_bound(errors[key], cutoff)
+        poly += LaurentPoly({e: mp.fsum(ts) for e, ts in terms.items()}, "y")
+    return poly, float(max(bounds.values()))
 
 
 def d3pt(l1: int, l2: int, l3: int, ctx: PrecisionCtx | None = None,
          cutoff: int = 2000) -> LaurentPoly:
-    """Laurent-polynomial part d_{l1,l2,l3}(y) of the three-vertex graph, exact
-    (exact._d3pt_rows) but for the R-sums of exact._d3pt_fallback_keys: those
-    come from the float route, _R_values at ``cutoff``, its only use.  The
-    first graphs with such keys are (1,2,3) and its permutations; (2,2,2)
-    and every graph of total <= 5 have none."""
-    if min(l1, l2, l3) < 1:
-        raise ValueError("l_i must be >= 1")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, not {cutoff}")
-    rows, fallback = _d3pt_rows((l1, l2, l3))
-    missing = {key for _, _, key in fallback if (key, cutoff) not in _R_cache}
-    if missing:
-        for key, rval in _R_values(sorted(missing), cutoff).items():
-            _R_cache[key, cutoff] = rval
-    return laurent(rows, ctx or PrecisionCtx(),
-                   [(e, c, _R_cache[key, cutoff]) for e, c, key in fallback])
+    """Laurent-polynomial part d_{l1,l2,l3}(y) of the three-vertex graph (see
+    _d3pt)."""
+    return _d3pt((l1, l2, l3), ctx or PrecisionCtx(), cutoff)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -760,9 +777,9 @@ def identity_suite(tau, M: int, ctx: PrecisionCtx | None = None) -> dict:
     from .eisenstein import eis_nonholo
 
     ctx = ctx or PrecisionCtx()
-    E2 = float(mp.re(eis_nonholo(2, tau, ctx, mode="cusp")))
-    E3 = float(mp.re(eis_nonholo(3, tau, ctx, mode="cusp")))
-    E4 = float(mp.re(eis_nonholo(4, tau, ctx, mode="cusp")))
+    E2 = float(mp.re(eis_nonholo(2, tau, ctx)))
+    E3 = float(mp.re(eis_nonholo(3, tau, ctx)))
+    E4 = float(mp.re(eis_nonholo(4, tau, ctx)))
     z3 = float(zeta_int(3, ctx))
     # Green-function normalization: 1/4 per edge relative to the bare
     # lattice sum (D_lattice(cycle of N) equals E(N) exactly)

@@ -71,10 +71,6 @@ def test_float_value_prints_the_digits_it_has(capsys):
     ref = mgf.D_lattice(mgf.MultiGraph.cycle(2), mp.mpc(0, 1), 10)
     assert float(doc["value"]) == ref
     assert _significant_digits(doc["value"]) <= 17
-    rc, doc = _run_json(capsys, ["eisenstein", "nonholo", "--s", "2", "--tau", "i",
-                                 "--mode", "lattice", "--M", "20"])
-    assert float(doc["value"]) == mgf.D_lattice(mgf.MultiGraph.cycle(2), mp.mpc(0, 1), 20)
-    assert _significant_digits(doc["value"]) <= 17
     # an mpf result keeps every requested digit
     rc, doc = _run_json(capsys, ["eisenstein", "nonholo", "--s", "2", "--tau", "i"])
     assert _significant_digits(doc["value"]) == 30
@@ -136,7 +132,7 @@ def test_mgf_r_takes_the_exact_route_for_the_families(capsys):
     # convergence estimate, never below 10/cutoff^2
     rc, doc = _run_json(capsys, ["mgf", "r", "--m", "1", "2", "3", "--alpha", "1",
                                  "--beta", "1", "--cutoff", "200"])
-    _, errors = mgf._R_values([(1, 2, 3, 1, 1)], 200, with_error=True)
+    _, errors = mgf._R_values([(1, 2, 3, 1, 1)], 200)
     assert float(doc["error_bound"]) == pytest.approx(max(2.5e-4, errors[1, 2, 3, 1, 1]),
                                                       rel=1e-5)
     assert float(doc["value"]) == mgf.R_structured(1, 2, 3, 1, 1, cutoff=200)
@@ -151,21 +147,36 @@ def test_mgf_r_float_route_bound_covers_a_fourfold_cutoff(capsys, key):
     rc, doc = _run_json(capsys, ["mgf", "r", "--m", *map(str, m), "--alpha", str(alpha),
                                  "--beta", str(beta), "--cutoff", "250"])
     assert rc == 0
-    fine = mgf._R_values([key], 1000)[key]
+    fine = mgf._R_values([key], 1000)[0][key]
     assert float(doc["error_bound"]) >= abs(float(doc["value"]) - fine)
 
 
 def test_laurent3_bound_is_exact_unless_an_r_sum_falls_back(capsys):
     # every R-sum of (1,1,2) and of (2,2,2) has an exact reduction; (1,2,3)
     # takes three R-sums from the float route at the cutoff
-    assert not exact._d3pt_fallback_keys((1, 1, 2))
-    assert not exact._d3pt_fallback_keys((2, 2, 2))
-    assert len(exact._d3pt_fallback_keys((1, 2, 3))) == 3
+    assert not exact._d3pt_rows((1, 1, 2))[1]
+    assert not exact._d3pt_rows((2, 2, 2))[1]
+    assert len({key for _, _, key in exact._d3pt_rows((1, 2, 3))[1]}) == 3
     for l in (["1", "1", "2"], ["2", "2", "2"]):
         rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", *l])
         assert rc == 0 and doc["error_bound"] == "1.00000e-30"
     rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", "1", "2", "3", "--cutoff", "100"])
-    assert rc == 0 and doc["error_bound"] == "0.00100000"
+    assert rc == 0 and doc["error_bound"] == "0.00150000"
+
+
+@pytest.mark.parametrize("l", [(1, 2, 3), (1, 2, 4)], ids=lambda l: "".join(map(str, l)))
+def test_laurent3_bound_covers_a_fourfold_cutoff(capsys, l):
+    # R-sums from the float route: the printed bound at cutoff 250 holds the
+    # largest coefficient move of the polynomial to cutoff 1000
+    rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", *map(str, l), "--cutoff", "250"])
+    assert rc == 0
+    ctx = PrecisionCtx(digits=30)
+    fine = mgf.d3pt(*l, ctx=ctx, cutoff=1000)
+    with ctx.workprec():
+        coarse = {t["exp"]: mp.mpf(t["coeff_re"]) for t in doc["laurent"]["terms"]}
+        move = max(abs(coarse.get(e, 0) - fine.coeff(e))
+                   for e in set(coarse) | set(fine.exponents))
+    assert float(doc["error_bound"]) >= move
 
 
 def test_usage_error_exit_code():
@@ -274,8 +285,6 @@ LEAF_CASES = [
     (["eisenstein", "e", "--k", "4", "--tau", "i"], "value", "1.00000e-30"),
     (["eisenstein", "e", "--k", "4"], "series", None),
     (["eisenstein", "nonholo", "--s", "2", "--tau", "i"], "value", "1.00000e-30"),
-    (["eisenstein", "nonholo", "--s", "2", "--tau", "i", "--mode", "lattice", "--M", "20"],
-     "value", "0.0608904"),
     (["eisenstein", "green1", "--xi", "0.3+0.1i", "--tau", "i"], "value", "1.00000e-30"),
     # the case above sits on a zero of the Green function; this one does not
     (["eisenstein", "green1", "--xi", "0.25+0.3i", "--tau", "i"], "value", "1.00000e-30"),
@@ -594,6 +603,16 @@ def test_conical_call_imports_conical_lazily():
     ["mgf", "dlattice", "--graph", "banana:3", "--tau", "0.1+1.1i", "--M", "0"],
     ["mgf", "r", "--m", "1", "1", "1", "--alpha", "0", "--beta", "0", "--cutoff", "0"],
     ["mgf", "s", "--m", "4", "--n", "1", "--method", "direct", "--cutoff", "1000"],
+    # malformed --graph and --matrix inputs are refused by name, not a traceback
+    pytest.param(["mgf", "dlattice", "--graph", "@no-such-dir/graph.json", "--tau", "i"],
+                 id="mgf dlattice missing file"),
+    pytest.param(["conical", "zeta", "--matrix", "@no-such-dir/matrix.json"],
+                 id="conical zeta missing file"),
+    pytest.param(["mgf", "dlattice", "--graph", '{"vertices": 2}', "--tau", "i"],
+                 id="mgf dlattice no edges"),
+    pytest.param(["mgf", "dlattice", "--graph", "[1,2]", "--tau", "i"],
+                 id="mgf dlattice not an object"),
+    pytest.param(["conical", "zeta", "--matrix", "[1,2]"], id="conical zeta not rows"),
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_error_stdout_is_one_json_document(argv):
     # a fresh process: capsys cannot see what C code (LAPACK) writes to fd 1

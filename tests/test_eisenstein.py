@@ -22,6 +22,7 @@ from ellipsum.eisenstein import (
     theta,
     theta_prime0,
 )
+from ellipsum.mgf import D_lattice, MultiGraph
 from ellipsum.numkernel import PrecisionCtx
 from ellipsum.qseries import GuardError
 
@@ -131,8 +132,8 @@ def test_eisenstein_series_constants():
 def test_nonholo_cusp_vs_lattice():
     with CTX.workprec():
         for s in (2, 3):
-            a = eis_nonholo(s, mp.mpc(0, 1), CTX, mode="cusp")
-            b = eis_nonholo(s, mp.mpc(0, 1), CTX, mode="lattice", M=100)
+            a = eis_nonholo(s, mp.mpc(0, 1), CTX)
+            b = D_lattice(MultiGraph.cycle(s), mp.mpc(0, 1), 100)
             assert abs(a - b) < mp.mpf("1e-3")
 
 

@@ -50,7 +50,7 @@ def test_cycle_equals_nonholo_eisenstein():
         tau = mp.mpc("0.3", "1.7")
         for n in (2, 3):
             d = D_lattice(MultiGraph.cycle(n), tau, 120, CTX, with_bound=True)
-            e = eis_nonholo(n, tau, CTX, mode="cusp")
+            e = eis_nonholo(n, tau, CTX)
             val, bound = d
             assert abs(val - float(e)) < max(float(abs(e)) * bound, 1e-4)
 
@@ -364,7 +364,7 @@ def test_R_structured_closed_forms(m, alpha, beta, tol):
     with CTX.workprec():
         ref = float(_R_closed_form(m, alpha, beta))
     key = (*m, alpha, beta)
-    assert abs(mgf._R_values([key], 1000)[key] - ref) < tol
+    assert abs(mgf._R_values([key], 1000)[0][key] - ref) < tol
 
 
 @pytest.mark.parametrize("m,alpha,beta", [(m, a, b) for m, a, b, _ in _R_CLOSED_CASES])
@@ -392,13 +392,13 @@ _R_ZERO_EXPONENT_KEYS = [
 
 def test_exact_R_sums_with_a_zero_exponent_match_the_float_route():
     assert {exact._R_family(key) for key in _R_ZERO_EXPONENT_KEYS} == {"a", "b", "c", "d"}
-    fine = mgf._R_values(_R_ZERO_EXPONENT_KEYS, 2000)
-    coarse = mgf._R_values(_R_ZERO_EXPONENT_KEYS, 1000)
+    # errors[key] / 2 is the move of the value from cutoff 1000 to 2000
+    fine, errors = mgf._R_values(_R_ZERO_EXPONENT_KEYS, 2000)
     for key in _R_ZERO_EXPONENT_KEYS:
         value = float(exact.value(exact._R_exact(key), CTX))
         assert value > 0, key
         # the allowance of test_exact_R_sums_match_the_float_route
-        assert abs(value - fine[key]) <= 1e-8 + abs(fine[key] - coarse[key]), key
+        assert abs(value - fine[key]) <= 1e-8 + errors[key] / 2, key
 
 
 def test_R_structured_never_reaches_the_float_route_on_a_family_key(monkeypatch):
@@ -414,7 +414,7 @@ def test_R_structured_never_reaches_the_float_route_on_a_family_key(monkeypatch)
 def test_R_222_family():
     for a, b in itertools.product(range(5), repeat=2):
         assert exact._R_family((2, 2, 2, a, b)) == "d"
-    assert not exact._d3pt_fallback_keys((2, 2, 2))
+    assert not exact._d3pt_rows((2, 2, 2))[1]
     assert exact._R_exact((2, 2, 2, 1, 2)) == exact._R_exact((2, 2, 2, 2, 1))
     # the extrapolation of the float route at cutoffs 1000-8000
     assert abs(R_structured(2, 2, 2, 1, 1) - 2.12820121456) < 1e-9
@@ -475,8 +475,7 @@ def test_d3pt_222_is_within_the_float_route_bound(monkeypatch):
     family = exact._R_family
     monkeypatch.setattr(exact, "_R_family",
                         lambda key: None if sorted(key[:3]) == [2, 2, 2] else family(key))
-    monkeypatch.setattr(mgf, "_R_cache", {})
-    assert exact._d3pt_fallback_keys((2, 2, 2)) == {(2, 2, 2, 1, 1)}
+    assert {key for _, _, key in exact._d3pt_rows((2, 2, 2))[1]} == {(2, 2, 2, 1, 1)}
     float_poly = d3pt(2, 2, 2, ctx=CTX, cutoff=cutoff)
     assert set(exact_poly.exponents) == set(float_poly.exponents)
     with CTX.workprec():
@@ -525,23 +524,14 @@ def test_R_layers_matches_per_layer_reference(L):
         assert abs(got[key] - ref) <= 1e-13 * abs(ref), key
 
 
-def test_R_value_independent_of_batch_and_cache(monkeypatch):
+def test_R_value_independent_of_batch_and_cache():
     cutoff = 120
     keys = [(1, 1, 2, 1, 0), (0, 2, 2, 2, 0), (2, 1, 1, 1, 2), (1, 2, 1, 2, 1)]
-    alone = {key: mgf._R_values([key], cutoff)[key] for key in keys}
+    alone = {key: mgf._R_values([key], cutoff) for key in keys}
     for batch in (keys, keys[::-1] + [(2, 2, 2, 1, 1), (0, 2, 2, 0, 1)]):
-        values = mgf._R_values(batch, cutoff)
-        assert all(values[key] == alone[key] for key in keys)
-    ctx = PrecisionCtx(digits=20)
-    with ctx.workprec():
-        monkeypatch.setattr(mgf, "_R_cache", {})
-        fresh = d3pt(1, 2, 2, ctx=ctx, cutoff=cutoff)
-        monkeypatch.setattr(mgf, "_R_cache", {})
-        d3pt(1, 1, 2, ctx=ctx, cutoff=cutoff)
-        reused = d3pt(1, 2, 2, ctx=ctx, cutoff=cutoff)
-    assert fresh.coeffs == reused.coeffs
-    for (key, cut), value in mgf._R_cache.items():
-        assert value == R_structured(*key, cutoff=cut)
+        values, errors = mgf._R_values(batch, cutoff)
+        assert all((values[key], errors[key]) == (alone[key][0][key], alone[key][1][key])
+                   for key in keys)
 
 
 @pytest.mark.parametrize("L", [250, 500, 1000, 1010])
@@ -652,7 +642,6 @@ def test_mzv_built_values_ignore_cache_state(monkeypatch):
     def cleared():
         monkeypatch.setattr(numkernel, "_mzv_cached", {})
         monkeypatch.setattr(numkernel, "_li_half_cached", {})
-        monkeypatch.setattr(mgf, "_R_cache", {})
 
     def key(v):
         return v.coeffs if hasattr(v, "coeffs") else v

@@ -46,9 +46,7 @@ CASES = {
     "eisenstein.kronecker_F": {"": lambda: eisenstein.kronecker_F(XI, ALPHA, TAU, CTX)},
     "eisenstein.f_n": {"": lambda: eisenstein.f_n(3, XI, TAU, CTX)},
     "eisenstein.omega_n": {"": lambda: eisenstein.omega_n(2, XI, TAU, CTX)},
-    "eisenstein.eis_nonholo": {"cusp": lambda: eisenstein.eis_nonholo(3, TAU, CTX),
-                               "lattice": lambda: eisenstein.eis_nonholo(
-                                   3, TAU, CTX, mode="lattice", M=20)},
+    "eisenstein.eis_nonholo": {"cusp": lambda: eisenstein.eis_nonholo(3, TAU, CTX)},
     "eisenstein.green1": {"theta": lambda: eisenstein.green1(XI, TAU, CTX),
                           "fourier": lambda: eisenstein.green1(XI, TAU, CTX, mode="fourier")},
     "eisenstein.p_part": {"": lambda: eisenstein.p_part(XI, TAU, CTX)},
