@@ -33,7 +33,12 @@ class ConeMatrix:
 
     def __init__(self, data):
         try:
-            data = [list(map(int, row)) for row in data]
+            data = [list(row) for row in data]
+            for i, row in enumerate(data):
+                for j, x in enumerate(row):
+                    row[j] = int(x)
+                    if row[j] != x:
+                        raise ValueError(f"matrix entry [{i}][{j}] must be an integer, not {x!r}")
         except TypeError as exc:
             raise ValueError(f"matrix must be a list of rows of integers, not {data!r}") from exc
         if not data or not data[0]:

@@ -78,7 +78,12 @@ class MultiGraph:
     """Undirected multigraph given by a symmetric multiplicity matrix."""
 
     def __init__(self, mult):
-        mult = [list(map(int, row)) for row in mult]
+        mult = [list(row) for row in mult]
+        for i, row in enumerate(mult):
+            for j, x in enumerate(row):
+                row[j] = int(x)
+                if row[j] != x:
+                    raise ValueError(f"multiplicity [{i}][{j}] must be an integer, not {x!r}")
         n = len(mult)
         if any(len(row) != n for row in mult):
             raise ValueError("multiplicity matrix must be square")
@@ -95,6 +100,10 @@ class MultiGraph:
     def from_edges(cls, n: int, edges) -> "MultiGraph":
         mult = [[0] * n for _ in range(n)]
         for i, j, m in edges:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge [{i}, {j}, {m}] names a vertex outside 0..{n - 1}")
+            if m < 0:
+                raise ValueError(f"edge [{i}, {j}, {m}] has a negative multiplicity")
             mult[i][j] += m
             mult[j][i] += m
         return cls(mult)
@@ -219,18 +228,27 @@ class MultiGraph:
 # lattice evaluation
 
 
+def _norm2(t1: float, t2: float, m0: int, R: int, out: np.ndarray) -> np.ndarray:
+    """|m tau + n|^2, tau = t1 + i t2, into ``out`` on its rows m = m0, m0 + 1,
+    ... and columns n = -R..R, inf at the origin (whose weight is 0)."""
+    m = np.arange(m0, m0 + out.shape[0])[:, None]
+    n = np.arange(-R, R + 1)[None, :]
+    np.add(m * t1, n, out=out)
+    np.square(out, out=out)
+    out += (m * t2) ** 2
+    if 0 <= -m0 < out.shape[0]:
+        out[-m0, R] = np.inf
+    return out
+
+
 def _weights(tau, R: int, counts, half: bool = False) -> dict:
     """|m tau + n|^(-2k) on the square |m|, |n| <= R (origin at the center,
     where the weight is 0), one grid per k in counts.  With ``half`` only the
     rows m = 0..R are built, so the origin sits at row 0, column R."""
     t1, t2 = float(mp.re(tau)), float(mp.im(tau))
-    m = np.arange(0 if half else -R, R + 1)[:, None]
-    n = np.arange(-R, R + 1)[None, :]
+    m0 = 0 if half else -R
     # one full-size grid, squared and summed in place; the last k takes it over
-    norm2 = np.add(m * t1, n, out=np.empty((m.shape[0], n.shape[1])))
-    np.square(norm2, out=norm2)
-    norm2 += (m * t2) ** 2
-    norm2[0 if half else R, R] = np.inf
+    norm2 = _norm2(t1, t2, m0, R, np.empty((R + 1 - m0, 2 * R + 1)))
     *ks, last = sorted(set(counts))
     out = {k: norm2 ** (-k) for k in ks}
     norm2 **= -last
@@ -318,20 +336,20 @@ def _shifted(ext, delta, M):
     return ext[c + dm - M : c + dm + M + 1, c + dn - M : c + dn + M + 1]
 
 
-def _real_spectrum(w: np.ndarray, N: int) -> np.ndarray:
-    """Real N x N spectrum of a centrosymmetric (2M+1)^2 grid from its rows
-    m = 0..M (origin at column M), laid out [k_n, k_m] and mirrored in k_m.
-
-    The rfft along x_n with the phase e^(2 pi i k_n M / N) gives the row
-    transforms G(m, k_n) with the origin at x_n = 0; rows m < 0 are their
-    conjugates, so a row k_n of the 2-D transform is the Hermitian series
-    G(0, k_n) + 2 Re sum_{m > 0} G(m, k_n) e^(2 pi i k_m m / N), which one
-    unscaled irfft along x_m sums on contiguous rows.  The sign of that
-    exponent is the mirror k_m -> -k_m."""
+def _row_transforms(w: np.ndarray, N: int) -> np.ndarray:
+    """Row transforms G(m, k_n), m = 0..M and k_n = 0..N/2, of a
+    centrosymmetric (2M+1)^2 grid from its rows m = 0..M (origin at column
+    M): the length-N rfft of each row at its own width, times the phase
+    e^(2 pi i k_n M / N) that moves the origin to x_n = 0.  Rows m < 0 would
+    be their conjugates."""
     M = w.shape[0] - 1
     f = np.fft.rfft(w, N, axis=1)
     f *= np.exp(2j * np.pi * M / N * np.arange(f.shape[1]))
-    return np.fft.irfft(np.ascontiguousarray(f.T), N, axis=1, norm="forward")
+    return f
+
+
+# rows per block of the two middle stages of a depth-2 sum
+_D2_BLOCK = 32
 
 
 def _block_sum(groups, d: int, tau, M: int) -> float:
@@ -348,15 +366,25 @@ def _block_sum(groups, d: int, tau, M: int) -> float:
 
     At depth 2 each factor is one centred grid |m tau + n|^(-2 cnt), real and
     even (x -> -x), so B needs no reversal for sigma = -1 and its spectrum
-    on an N x N torus, N >= 4M + 1, is real: each factor is transformed
-    from its rows m = 0..M alone (_real_spectrum), one spectrum per distinct
-    count (squared when the two agree), and the product is real.  A * B is
-    even too, so one rfft along k_m returns the rows x_m = 0..N/2, of which
-    the 2M + 1 rows x_m >= 0 take the irfft along x_n (the rfft's own sign
-    undoes the mirror of the factor spectra).  The dot with the radius-2M
-    grid C, built on those rows only and after the transforms to keep it
-    out of their peak memory, is its row x_m = 0 plus twice its rows
-    x_m > 0, read from the wrapped columns x_n = 0..2M and N-2M..N-1.
+    on an N x N torus, N >= 4M + 1, is real.  Three stages:
+
+    - F: each distinct count's row transforms G(m, k_n) from its rows
+      m = 0..M alone (_row_transforms), (M+1) x (N/2+1) complex;
+    - k_n blocks: one unscaled irfft along k_m of a block of F's columns sums
+      the Hermitian series G(0, k_n) + 2 Re sum_{m > 0} G(m, k_n)
+      e^(2 pi i k_m m / N), the rows k_n of the real spectrum mirrored in
+      k_m; the product (squared when the two counts agree) is real and even,
+      so its rfft along k_m returns the rows x_m = 0..N/2, of which the
+      2M + 1 rows x_m >= 0 go into H, (N/2+1) x (2M+1) complex (the rfft's
+      own sign undoes the mirror);
+    - x_m blocks: the irfft along k_n of a block of H's columns gives rows of
+      A * B, dotted with the same rows of the radius-2M grid C, built there:
+      the sum is row x_m = 0 plus twice the rows x_m > 0, read from the
+      wrapped columns x_n = 0..2M and N-2M..N-1.
+
+    Only F and H are full size: 16 (N/2+1)(3M+2) bytes, plus
+    16 (M+1)(N/2+1) when the counts differ, and buffers of _D2_BLOCK rows
+    (about 16 MB for banana:3 at M = 400).
 
     At depth 3 the windows are shifted, hence not even; the 2M + 1 points
     r_n of each row r_m are stacked into one batched fftconvolve, so a row
@@ -375,14 +403,34 @@ def _block_sum(groups, d: int, tau, M: int) -> float:
         cnt = dict(groups)
         N = _next_fast_len(4 * M + 1)
         w = _weights(tau, M, {cnt[1, 0], cnt[0, 1]}, half=True)
-        spec = _real_spectrum(w.pop(cnt[1, 0]), N)
-        spec *= spec if not w else _real_spectrum(w.pop(cnt[0, 1]), N)
-        spec = np.fft.rfft(spec, axis=1, norm="forward")[:, : 2 * M + 1]
-        conv = np.fft.irfft(np.ascontiguousarray(spec.T), N, axis=1)
-        del spec
-        c = _weights(tau, 2 * M, {cnt[1, sigma]}, half=True)[cnt[1, sigma]]
-        rows = (np.einsum("ij,ij->i", conv[:, : 2 * M + 1], c[:, 2 * M :])
-                + np.einsum("ij,ij->i", conv[:, N - 2 * M :], c[:, : 2 * M]))
+        F = [_row_transforms(w.pop(cnt[1, 0]), N)]
+        if w:
+            F.append(_row_transforms(w.pop(cnt[0, 1]), N))
+        del w
+        K, X, B = N // 2 + 1, 2 * M + 1, _D2_BLOCK
+        H = np.empty((K, X), complex)
+        # block buffers, allocated once for both stages
+        real = np.empty((len(F), B, N))
+        spec = np.empty((B, K), complex)
+        for a in range(0, K, B):
+            r = min(B, K - a)
+            for f, s in zip(F, real):
+                np.fft.irfft(f[:, a : a + r].T, N, axis=1, norm="forward", out=s[:r])
+            prod = real[0, :r]
+            prod *= prod if len(F) == 1 else real[1, :r]
+            np.fft.rfft(prod, axis=1, norm="forward", out=spec[:r])
+            H[a : a + r] = spec[:r, :X]
+        del F, f  # f holds the last factor
+        t1, t2 = float(mp.re(tau)), float(mp.im(tau))
+        conv, c = real[0], np.empty((B, 4 * M + 1))
+        rows = np.empty(X)
+        for a in range(0, X, B):
+            r = min(B, X - a)
+            np.fft.irfft(H[:, a : a + r].T, N, axis=1, out=conv[:r])
+            cr = _norm2(t1, t2, a, 2 * M, c[:r])
+            cr **= -cnt[1, sigma]
+            rows[a : a + r] = (np.einsum("ij,ij->i", conv[:r, :X], cr[:, 2 * M :])
+                               + np.einsum("ij,ij->i", conv[:r, N - 2 * M :], cr[:, : 2 * M]))
         return float(rows[0] + 2.0 * rows[1:].sum())
     weight = _weights(tau, 3 * M, {cnt for _, cnt in groups})
     radius = {(0, 0): 0, (1, 0): M, (0, 1): M, (1, sigma): 2 * M}
@@ -411,8 +459,11 @@ def D_lattice(g: MultiGraph, tau, M: int, ctx: PrecisionCtx | None = None,
     non-tree edge of its lowest-index spanning tree, each edge carries the
     signed sum of the momenta of the fundamental cycles through it, and every
     loop momentum (m, n) runs over |m|, |n| <= M.  Blocks of depth 2 and 3
-    are summed as one FFT loop sum (see _block_sum).  Graphs with a bridge
-    evaluate to exactly 0; values factorize over biconnected blocks."""
+    are summed as one FFT loop sum (see _block_sum).  A depth-2 block holds
+    16 (N/2+1)(3M+2) bytes, N the 5-smooth length >= 4M + 1, plus
+    16 (M+1)(N/2+1) when its two loop edges differ in multiplicity: 15.6 MB
+    at M = 400, 97 MB at M = 1000.  Graphs with a bridge evaluate to exactly
+    0; values factorize over biconnected blocks."""
     if M < 1:
         raise ValueError(f"M must be >= 1, not {M}")
     if not g.is_connected():

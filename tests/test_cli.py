@@ -252,6 +252,25 @@ def test_size_below_floor_is_refused_by_name(capsys, argv, floor):
     assert floor in doc["error"]["message"]
 
 
+# inputs that int() or list indexing would silently change into another
+# graph or matrix
+@pytest.mark.parametrize("argv,message", [
+    (["mgf", "dlattice", "--graph", '{"vertices":2,"edges":[[0,-1,2]]}', "--tau", "i",
+      "--M", "10"], "edge [0, -1, 2] names a vertex outside 0..1"),
+    (["mgf", "dlattice", "--graph", '{"vertices":2,"edges":[[0,1,-1],[0,1,3]]}', "--tau", "i",
+      "--M", "10"], "edge [0, 1, -1] has a negative multiplicity"),
+    (["mgf", "dlattice", "--graph", '{"vertices":2,"edges":[[0,1,1.5]]}', "--tau", "i",
+      "--M", "10"], "multiplicity [0][1] must be an integer, not 1.5"),
+    (["conical", "zeta", "--matrix", "[[1.7,0],[0,1],[1,1]]", "--cutoff", "50"],
+     "matrix entry [0][0] must be an integer, not 1.7"),
+], ids=["negative-vertex", "negative-multiplicity", "fractional-multiplicity",
+        "fractional-cone-entry"])
+def test_input_that_would_change_is_refused_by_name(capsys, argv, message):
+    rc, doc = _run_json(capsys, argv)
+    assert rc == 3
+    assert doc["error"] == {"type": "ValueError", "message": message}
+
+
 # One cheap argv per subcommand (plus the branches with other bounds) and the
 # frozen envelope it must print: (argv, kind, error_bound).
 _TAU = "0.2+1.1i"

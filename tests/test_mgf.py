@@ -4,6 +4,7 @@ polynomials."""
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -204,7 +205,7 @@ DEPTH2_GRAPHS = {
 @pytest.mark.parametrize("M", [2, 5])
 def test_block_sum_makes_one_fftconvolve_call_per_row(monkeypatch, M):
     calls, transforms, spectra = [], [], []
-    real, real_spectrum = mgf.fftconvolve, mgf._real_spectrum
+    real, row_transforms = mgf.fftconvolve, mgf._row_transforms
 
     def counted(a, b, axes=None):
         calls.append(axes)
@@ -212,7 +213,7 @@ def test_block_sum_makes_one_fftconvolve_call_per_row(monkeypatch, M):
 
     def counted_spectrum(w, N):
         spectra.append(w.shape)
-        return real_spectrum(w, N)
+        return row_transforms(w, N)
 
     def counted_nd(name):
         transform = getattr(np.fft, name)
@@ -223,13 +224,14 @@ def test_block_sum_makes_one_fftconvolve_call_per_row(monkeypatch, M):
         return wrapper
 
     monkeypatch.setattr(mgf, "fftconvolve", counted)
-    monkeypatch.setattr(mgf, "_real_spectrum", counted_spectrum)
+    monkeypatch.setattr(mgf, "_row_transforms", counted_spectrum)
     for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
         monkeypatch.setattr(np.fft, name, counted_nd(name))
     tau = mp.mpc("0.13", "1.05")
     # depth 2 transforms its factors itself, by 1-D transforms only: one
-    # real spectrum per distinct edge count of A and B, squared when the two
-    # agree (banana:3, theta), one per factor when they differ (triangle)
+    # set of row transforms per distinct edge count of A and B, squared when
+    # the two agree (banana:3, theta), one per factor when they differ
+    # (triangle)
     for g, n in [(MultiGraph.banana(3), 1), (DEPTH2_GRAPHS["theta"], 1),
                  (DEPTH2_GRAPHS["triangle211"], 2)]:
         spectra.clear()
@@ -241,8 +243,9 @@ def test_block_sum_makes_one_fftconvolve_call_per_row(monkeypatch, M):
 
 
 # M = 1 and 2: the odd tori N = 5 and 9, whose N/2 + 1 rows only just hold
-# the 2M + 1 rows x_m >= 0 of the convolution
-@pytest.mark.parametrize("M", [1, 2, 3, 40, 400])
+# the 2M + 1 rows x_m >= 0 of the convolution; M = 47: N = 192, so neither
+# the 95 rows x_m >= 0 nor the 97 columns k_n fill whole blocks
+@pytest.mark.parametrize("M", [1, 2, 3, 40, 47, 400])
 @pytest.mark.parametrize("name", DEPTH2_GRAPHS)
 def test_depth2_block_sum_matches_full_plane(name, M):
     g = DEPTH2_GRAPHS[name]
@@ -261,6 +264,40 @@ def test_depth2_block_sum_matches_full_plane(name, M):
         ref = float((conv * mgf._weights(t, 2 * M, {cnt[1, sigma]})[cnt[1, sigma]]).sum())
         got = mgf._block_sum(groups, d, t, M)
         assert abs(got - ref) <= 1e-14 * abs(ref), t
+
+
+def test_depth2_block_sum_values_are_frozen():
+    # banana:3 at M = 400, at tau and its S and T images, as the kernel gave
+    # them before its middle stages ran in blocks: the blocks change no
+    # transform and no row sum, so the values agree bit for bit
+    g = MultiGraph.banana(3)
+    (block,) = g.blocks()
+    groups, d = mgf._signatures(g.edge_list, block)
+    tau = mp.mpc("0.13", "1.1")
+    got = [mgf._block_sum(groups, d, t, 400) for t in (tau, -1 / tau, tau + 1)]
+    assert got == [31.600147916106135, 58.36017894731076, 31.59942873799361]
+
+
+@pytest.mark.parametrize("name", ["banana3", "triangle211"])
+def test_depth2_block_sum_memory_is_F_plus_H(name):
+    # only the row transforms F of each distinct factor and the half
+    # spectrum H are full size; the block buffers stay within a quarter
+    g, M = DEPTH2_GRAPHS[name], 200
+    (block,) = g.blocks()
+    groups, d = mgf._signatures(g.edge_list, block)
+    cnt = dict(groups)
+    N = mgf._next_fast_len(4 * M + 1)
+    factors = len({cnt[1, 0], cnt[0, 1]})
+    f_and_h = 16 * (N // 2 + 1) * (factors * (M + 1) + 2 * M + 1)
+    tau = mp.mpc("0.13", "1.1")
+    mgf._block_sum(groups, d, tau, M)  # caches and plans outside the trace
+    tracemalloc.start()
+    try:
+        mgf._block_sum(groups, d, tau, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * f_and_h, (peak, f_and_h)
 
 
 @pytest.mark.parametrize("half", [False, True])
