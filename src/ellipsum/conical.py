@@ -353,6 +353,15 @@ def _closed_form(elim, keep, cutoff: int, ctx: PrecisionCtx):
     return _PsiFactor(f1, f2, top, cutoff, ctx)
 
 
+def _check_rows(A: ConeMatrix) -> None:
+    """ValueError naming the first all-zero row of A: its form vanishes
+    identically, so the sum (and the integral) has no finite value.
+    ``ConeMatrix`` itself accepts such rows, for the matrix predicates."""
+    for i, row in enumerate(A.data):
+        if not any(row):
+            raise ValueError(f"row {i} is zero (its linear form vanishes identically)")
+
+
 def zeta_A(A: ConeMatrix, cutoff: int = 200, ctx: PrecisionCtx | None = None,
            with_bound: bool = False):
     """Direct evaluation of the conical sum of A.
@@ -382,6 +391,7 @@ def zeta_A(A: ConeMatrix, cutoff: int = 200, ctx: PrecisionCtx | None = None,
     The tail fit and its power sums are float64 (``_power_tails``); the
     table seeds and the final sum of the shells and the tail run at ``ctx``
     precision."""
+    _check_rows(A)
     if A.n > 5:
         raise ValueError("cost guard: at most 5 variables")
     if cutoff < 12:
@@ -479,6 +489,7 @@ def zeta_A_integral(A: ConeMatrix, samples: int = 1 << 16,
     can be several standard errors).  The mean is a float64.  Raises for
     samples < 128, below the floor of 8 batches of 16 points, and for samples
     that the 8 batches cannot share equally."""
+    _check_rows(A)
     nbatch = 8
     if samples < nbatch * 16:
         raise ValueError(f"samples must be >= 128 (8 batches of at least 16 points), "

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath as mp
 
-from .numkernel import (PrecisionCtx, _bern, _fixed_cmul, _fixed_mpc, _to_fixed,
-                        bernoulli_periodic, bernoulli_poly, zeta_int)
-from .qseries import GuardError, QTauSeries, check_tau
+from .numkernel import (PrecisionCtx, _bern, _fixed_cmul, _fixed_horner, _fixed_mpc,
+                        _to_fixed, bernoulli_periodic, bernoulli_poly, zeta_int)
+from .qseries import (GuardError, QTauSeries, _log2_absq, _row_bits, _tau_poly,
+                      _truncation_bound, check_tau)
 
 __all__ = [
     "theta",
@@ -38,7 +40,7 @@ __all__ = [
     "d_ab_average",
 ]
 
-_MAX_TERMS = 200000  # iteration cap of _series_sum and _q_product
+_MAX_TERMS = 200000  # iteration cap of _series_sum, _q_product and eis_nonholo's cusp sum
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +68,83 @@ def _divisor_series(terms: dict, q_order: int, head=None) -> QTauSeries:
     for (i, n, k, p), c in terms.items():
         if not c:
             continue
-        c = Fraction(c)
-        pref = c.numerator * (2j * mp.pi) ** p / c.denominator
+        pref = _prefactor(c, p)
         for N in range(1, q_order + 1):
             t = pref * (mp.mpf(sigma[n][N]) / N**k)
             coeffs[i, N] = coeffs[i, N] + t if (i, N) in coeffs else t
     return QTauSeries(q_order, coeffs)
+
+
+def _prefactor(c, p: int):
+    """c (2 pi i)^p for a rational c, the numerator multiplied first."""
+    c = Fraction(c)
+    return c.numerator * (2j * mp.pi) ** p / c.denominator
+
+
+def _divisor_fixed(keys: list, sigma: dict, q_order: int, log2q: float, bits: int):
+    """The q-coefficients a_N = sum over ``keys`` (n, k, C) of
+    C sigma_{n-1}(N)/N^k, N = 1..q_order (a_0 = 0), as Gaussian integers scaled
+    by 2^W; returns (coefficients, W). ``sigma[n]`` is ``_sigma_table(n - 1, q_order)``.
+
+    W = bits - an upper bound on the binary magnitude of the largest term
+    |C| sigma/N^k |q|^N (``log2q`` = log2|q|), from bit lengths alone: sigma
+    < 2^b(sigma) and N^k >= 2^(b(N^k) - 1). Each C is taken at the scale
+    2^(W+s), s being one bit more than the largest such bound on sigma/N^k plus
+    the bits of the number of keys, so its truncation, times sigma/N^k, and
+    each floor division by N^k move a_N by less than one unit of 2^-W in all
+    after the final shift by s."""
+    powers = {k: [N**k for N in range(q_order + 1)] for k in {key[1] for key in keys}}
+    top, s = -math.inf, 0
+    for n, k, c in keys:
+        excess = [a.bit_length() - b.bit_length() for a, b in zip(sigma[n], powers[k])]
+        largest = max(e + N * log2q for N, e in enumerate(excess) if N)
+        top = max(top, mp.mag(c) + 1 + largest)
+        s = max(s, max(excess[1:]) + 1)
+    w = bits - math.ceil(top)
+    s += len(keys).bit_length()
+    re, im = [0] * q_order, [0] * q_order
+    for n, k, c in keys:
+        sig, pk = sigma[n][1:], powers[k][1:]
+        for part, x in zip((re, im), _to_fixed(c, w + s)):
+            if x:  # c (2 pi i)^p is real or imaginary: skip the zero part
+                part[:] = map(operator.add, part, [x * t // d for t, d in zip(sig, pk)])
+    return [(0, 0), *zip([x >> s for x in re], [x >> s for x in im])], w
+
+
+def _divisor_value(terms: dict, q_order: int, tau, ctx: PrecisionCtx, head=None):
+    """``eval_with_bound(_divisor_series(terms, q_order, head), tau, ctx)``,
+    (value, truncation bound), without building the series: ``head`` maps
+    (tau power, 0) to a constant, and each tau power's q-coefficients are
+    Gaussian integers from the exact term map (``_divisor_fixed``), summed by
+    Horner's rule at ``qseries._row_bits(q_order + 1)`` + 2 bits (the 2 cover
+    the slack of the bit-length bound and the truncations of a coefficient).
+    The truncation guard is ``eval_with_bound``'s, with max|c| over the head and
+    the integer coefficients; the head is added to each row's sum in mpc."""
+    if any(j for _, j in head or {}):
+        raise ValueError("the head holds constants in q, keys (i, 0)")
+    head = {i: c for (i, _), c in (head or {}).items() if c}
+    with ctx.workprec():
+        tau = check_tau(tau)
+        rows: dict[int, list] = {}
+        for (i, n, k, p), c in terms.items():
+            if c and q_order:
+                rows.setdefault(i, []).append((n, k, _prefactor(c, p)))
+        sigma = {n: _sigma_table(n - 1, q_order) for n in {key[0] for row in rows.values()
+                                                               for key in row}}
+        log2q, bits = _log2_absq(tau), _row_bits(q_order + 1) + 2
+        fixed = {i: _divisor_fixed(row, sigma, q_order, log2q, bits) for i, row in rows.items()}
+        maxc = max(map(abs, head.values()), default=0)
+        if fixed:
+            square = max(mp.ldexp(max(re * re + im * im for re, im in coeffs), -2 * w)
+                         for coeffs, w in fixed.values())
+            maxc = max(maxc, mp.sqrt(square))
+        bound = _truncation_bound(q_order, maxc, tau, ctx)
+        q = mp.exp(2j * mp.pi * tau)
+        in_q = {i: _fixed_mpc(*_fixed_horner(coeffs, q, bits), w)
+                for i, (coeffs, w) in fixed.items()}
+        for i, c in head.items():
+            in_q[i] = in_q[i] + c if i in in_q else c
+        return _tau_poly(in_q, tau), +bound
 
 
 def _series_sum(terms, ctx, what):
@@ -318,8 +391,17 @@ def eis_G(k: int, q_order: int) -> QTauSeries:
 
 
 def eis_Gbb(k: int, q_order: int) -> QTauSeries:
-    """Normalized series G_k / (2 pi i)^{k-1}; the k = 0 case is -2 pi i."""
-    return eis_G(k, q_order).scale((2j * mp.pi) ** (1 - k))
+    """Normalized series G_k / (2 pi i)^{k-1}: for even k >= 2,
+    2 zeta(k) (2 pi i)^{1-k} + 2 (2 pi i)/(k-1)! sum sigma_{k-1}(N) q^N; the
+    k = 0 case is -2 pi i, odd k give the zero series."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k == 0:
+        return QTauSeries.constant(-2j * mp.pi, q_order)
+    if k % 2 == 1:
+        return QTauSeries(q_order, {})
+    return _divisor_series({(0, k, 0, 1): Fraction(2, math.factorial(k - 1))}, q_order,
+                           {(0, 0): 2 * mp.zeta(k) * (2j * mp.pi) ** (1 - k)})
 
 
 def eis_E(k: int, q_order: int) -> QTauSeries:
@@ -340,43 +422,37 @@ def eis_E(k: int, q_order: int) -> QTauSeries:
 def eis_nonholo(s: int, tau, ctx: PrecisionCtx):
     """E(s, tau) = (Im tau / pi)^s sum_{(m,n) != (0,0)} |m tau + n|^{-2s}, by
     the exponentially convergent expansion around the cusp (the float64
-    lattice sum is mgf.D_lattice of the s-cycle)."""
+    lattice sum is mgf.D_lattice of the s-cycle): with y = pi Im tau, its
+    q-part is 2 Re sum_m a_m sum_N sigma_{2s-1}(N)/N^{s+m} q^N, m < s, with
+    the real a_m = 2 c_m (4y)^{-m}/(s-1)!, summed in integers
+    (``_divisor_fixed``) up to an a-priori N."""
     if s < 2:
         raise ValueError("s must be >= 2")
     n = s
     with ctx.workprec():
         tau = check_tau(tau)
         y = mp.pi * mp.im(tau)
-        q = mp.exp(2j * mp.pi * tau)
-        absq = abs(q)
         z = zeta_int(2 * n - 1, ctx)
         lead = (-1) ** (n - 1) * _bern(2 * n) / mp.factorial(2 * n) * (4 * y) ** n
         sub = (4 * mp.factorial(2 * n - 3) / (mp.factorial(n - 2) * mp.factorial(n - 1))
                * z * (4 * y) ** (1 - n))
         coef = [mp.factorial(n + m - 1) / (mp.factorial(m) * mp.factorial(n - m - 1))
                 for m in range(n)]
-
-        def inner(N):
-            return sum(c * (4 * N * y) ** (-m) for m, c in enumerate(coef))
-
-        # |term_N| <= K N^{n-1} |q|^N (sigma_{1-2n}(N) <= zeta(2n-1), inner(N) <= inner(1)); for
-        # N >= (n-1)/y its tail is <= C e^{-yN}, C = K ((n-1)/(e y))^{n-1}/(e^y - 1): sieve that far
-        K = 4 * z * inner(1) / mp.factorial(n - 1)
+        # |term_N| <= K N^{n-1} |q|^N (sigma_{1-2n}(N) <= zeta(2n-1), the m-sum at N is at
+        # most the one at N = 1); for N >= (n-1)/y its tail is <= C e^{-yN},
+        # C = K ((n-1)/(e y))^{n-1}/(e^y - 1): summed that far, the tail is <= 10^-dps
+        K = 4 * z * sum(c * (4 * y) ** (-m) for m, c in enumerate(coef)) / mp.factorial(n - 1)
         C = K * ((n - 1) / (mp.e * y)) ** (n - 1) / (mp.exp(y) - 1)
-        sig = _sigma_table(2 * n - 1, int(max(n - 1, mp.log(C) + ctx.dps * mp.ln10) / y) + 1)
-
-        def terms():
-            qN = q
-            for N in range(1, len(sig)):
-                # exact rational sigma_{1-2n}(N) = sigma_{2n-1}(N) / N^{2n-1}
-                sig_neg = mp.mpf(sig[N]) / mp.mpf(N) ** (2 * n - 1)
-                term = (2 / mp.factorial(n - 1) * mp.mpf(N) ** (n - 1) * sig_neg
-                        * (qN + mp.conj(qN)) * inner(N))
-                ratio = ((N + 1) / N) ** (n - 1) * absq
-                yield term, _geometric_tail(K * N ** (n - 1) * absq**N, ratio)
-                qN *= q
-
-        return mp.re(lead + sub + _series_sum(terms(), ctx, "cusp expansion"))
+        n_max = int(max(n - 1, mp.log(C) + ctx.dps * mp.ln10) / y) + 1
+        if n_max > _MAX_TERMS:
+            raise GuardError("cusp expansion did not converge")
+        keys = [(2 * n, n + m, 2 * c * (4 * y) ** (-m) / mp.factorial(n - 1))
+                for m, c in enumerate(coef)]
+        bits = _row_bits(n_max + 1) + 2
+        coeffs, w = _divisor_fixed(keys, {2 * n: _sigma_table(2 * n - 1, n_max)}, n_max,
+                                   _log2_absq(tau), bits)
+        cusp = _fixed_mpc(*_fixed_horner(coeffs, mp.exp(2j * mp.pi * tau), bits), w)
+        return lead + sub + 2 * mp.re(cusp)
 
 
 # ---------------------------------------------------------------------------

@@ -93,13 +93,20 @@ def eichler_E(k: int, q_order: int) -> QTauSeries:
     """Eichler-type series of weight k (even, >= 4):
     (1/2) zeta(1-k) (2 pi i tau)^{k-1}/(k-1)! + zeta(k-1)/2
     + sum_{j>=1} sigma_{1-k}(j) q^j."""
+    terms, head = _eichler_terms(k)
+    return _divisor_series(terms, q_order, head)
+
+
+def _eichler_terms(k: int):
+    """``eichler_E(k)`` as (divisor-sum term map, head), the head's constants
+    at the working precision."""
     if k < 4 or k % 2 == 1:
         raise ValueError("k must be an even integer >= 4")
     zeta_neg = -_bern(k) / k  # zeta(1-k)
-    return _divisor_series({(0, k, k - 1, 0): 1}, q_order, {
+    return {(0, k, k - 1, 0): 1}, {
         (k - 1, 0): zeta_neg / 2 * (2j * mp.pi) ** (k - 1) / mp.factorial(k - 1),
         (0, 0): mp.zeta(k - 1) / 2,
-    })
+    }
 
 
 class CocyclePoly(dict):

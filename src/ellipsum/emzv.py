@@ -17,8 +17,8 @@ import mpmath as mp
 
 from .numkernel import PrecisionCtx, _bern, bernoulli_number
 from .qseries import GuardError, QTauSeries, auto_q_order, check_tau, eval_at
-from .eisenstein import _divisor_series, eis_Gbb, f_n
-from .eisint import eichler_E
+from .eisenstein import _divisor_series, _divisor_value, eis_Gbb, f_n
+from .eisint import _eichler_terms
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -117,8 +117,10 @@ def A_depth1(n: int, r: int, tau=None, ctx: PrecisionCtx | None = None, q_order=
         if tau is not None:
             tau = check_tau(tau)
         N = q_order if q_order is not None else (30 if tau is None else auto_q_order(tau, ctx))
-        series = _divisor_series(_A_depth1_terms(n, r), N, {(0, 0): A_inf_depth1(n, r, ctx)})
-        return series if tau is None else eval_at(series, tau, ctx)
+        terms, head = _A_depth1_terms(n, r), {(0, 0): A_inf_depth1(n, r, ctx)}
+        if tau is None:
+            return _divisor_series(terms, N, head)
+        return _divisor_value(terms, N, tau, ctx, head)[0]
 
 
 def A_depth1_general(s: int, n: int, r: int, tau, ctx: PrecisionCtx | None = None):
@@ -224,16 +226,21 @@ def A_len2(n1: int, n2: int, tau, ctx: PrecisionCtx | None = None):
     with ctx.workprec():
         tau = check_tau(tau)
         const = _A_inf_len2(n1, n2, ctx)
-        a: dict[int, Fraction] = {}
-        for c, (m,), k in _diff_A_terms((n1, n2)):
-            if k % 2 == 0:
-                a[k] = a.get(k, 0) + c * _len1_over_2pii(m)
-        if sum(c * _len1_over_2pii(k) for k, c in a.items()):
-            raise GuardError("derivative series has a non-vanishing cusp constant")
-        terms = {(0, k, 1, 1): 2 * c / math.factorial(k - 1) for k, c in a.items() if k and c}
+        terms = _A_len2_terms(n1, n2)
         if not terms:
             return const
-        return eval_at(_divisor_series(terms, auto_q_order(tau, ctx), {(0, 0): const}), tau, ctx)
+        return _divisor_value(terms, auto_q_order(tau, ctx), tau, ctx, {(0, 0): const})[0]
+
+
+def _A_len2_terms(n1: int, n2: int) -> dict:
+    """Divisor-sum term map of A(n1, n2) minus its cusp constant (see ``A_len2``)."""
+    a: dict[int, Fraction] = {}
+    for c, (m,), k in _diff_A_terms((n1, n2)):
+        if k % 2 == 0:
+            a[k] = a.get(k, 0) + c * _len1_over_2pii(m)
+    if sum(c * _len1_over_2pii(k) for k, c in a.items()):
+        raise GuardError("derivative series has a non-vanishing cusp constant")
+    return {(0, k, 1, 1): 2 * c / math.factorial(k - 1) for k, c in a.items() if k and c}
 
 
 def A_len2_cordouble(n1: int, n2: int, tau, ctx: PrecisionCtx):
@@ -281,8 +288,7 @@ def hatA(r: int, tau, ctx: PrecisionCtx | None = None, form: str = "direct"):
             terms = _A_depth1_terms(1, r)
             for (i, m, k, p), c in _A_depth1_terms(1, 2).items():
                 terms[i, m, k, p + r - 2] -= c / math.factorial(r - 1)
-            return eval_at(_divisor_series(terms, auto_q_order(tau, ctx), {(0, 0): const}),
-                           tau, ctx)
+            return _divisor_value(terms, auto_q_order(tau, ctx), tau, ctx, {(0, 0): const})[0]
         if form != "eichler":
             raise ValueError("form must be 'direct' or 'eichler'")
         N, P = auto_q_order(tau, ctx), 2j * mp.pi
@@ -291,7 +297,8 @@ def hatA(r: int, tau, ctx: PrecisionCtx | None = None, form: str = "direct"):
             total -= (P**r * _bern(2 + j) / mp.factorial(2 + j) * tau ** (j + 1)
                       / mp.factorial(r - j - 1))
             if j % 2 == 0:
-                e_val = eval_at(eichler_E(2 + j, N), tau, ctx)
+                terms, head = _eichler_terms(2 + j)
+                e_val = _divisor_value(terms, N, tau, ctx, head)[0]
                 total -= 2 * P**r * P ** (-1 - j) / mp.factorial(r - j - 1) * e_val
         return total
 
@@ -359,12 +366,16 @@ def B_depth1(n: int, r: int, tau, ctx: PrecisionCtx | None = None, q_order=None)
     with ctx.workprec():
         tau = check_tau(tau)
         N = q_order if q_order is not None else auto_q_order(tau, ctx)
-        terms = {(n - k + r - 2, n + j, k, r - k):
-                 Fraction(2 * (-1) ** k * math.comb(n - 1, k - j) * math.factorial(k - 1),
-                          math.factorial(n - 1) * math.factorial(r - j) * math.factorial(j - 1))
-                 for j in range(2 - n % 2, r, 2) for k in range(j, n + j)}
         return (B_inf_depth1(n, r - 1, ctx)(tau)
-                + tau ** (2 - r) * eval_at(_divisor_series(terms, N), tau, ctx))
+                + tau ** (2 - r) * _divisor_value(_B_depth1_terms(n, r), N, tau, ctx)[0])
+
+
+def _B_depth1_terms(n: int, r: int) -> dict:
+    """Divisor-sum term map of the q-parts of ``B_depth1(n, r)`` times tau^(r-2)."""
+    return {(n - k + r - 2, n + j, k, r - k):
+            Fraction(2 * (-1) ** k * math.comb(n - 1, k - j) * math.factorial(k - 1),
+                     math.factorial(n - 1) * math.factorial(r - j) * math.factorial(j - 1))
+            for j in range(2 - n % 2, r, 2) for k in range(j, n + j)}
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,21 @@ def _fixed_cmul(ar: int, ai: int, br: int, bi: int, wp: int) -> tuple[int, int]:
     return (ar * br - ai * bi) >> wp, (ar * bi + ai * br) >> wp
 
 
+def _fixed_horner(coeffs: list, q, bits: int) -> tuple[int, int]:
+    """sum_j coeffs[j] q^j by Horner's rule, the coefficients Gaussian integers
+    (re, im) at any one scale and the mpc q taken with ``bits`` significant
+    bits (scaled by 2^(bits - mag(q))); the sum is at the coefficients' scale,
+    each step off by less than one unit of it per part."""
+    wq = bits - mp.mag(q)
+    qr, qi = _to_fixed(q, wq)
+    acc_re, acc_im = coeffs[-1]
+    for cr, ci in reversed(coeffs[:-1]):
+        # _fixed_cmul(acc, q) inlined: this loop is the q-series kernel
+        acc_re, acc_im = (((acc_re * qr - acc_im * qi) >> wq) + cr,
+                          ((acc_re * qi + acc_im * qr) >> wq) + ci)
+    return acc_re, acc_im
+
+
 def _fixed_mpc(re: int, im: int, wp: int) -> mp.mpc:
     """The Gaussian integer re + i im scaled by 2^-wp, rounded once to the
     working precision."""

@@ -14,7 +14,7 @@ import math
 
 import mpmath as mp
 
-from .numkernel import PrecisionCtx, _decimal, _fixed_cmul, _fixed_mpc, _to_fixed
+from .numkernel import PrecisionCtx, _decimal, _fixed_horner, _fixed_mpc, _to_fixed
 
 __all__ = [
     "QTauSeries",
@@ -201,61 +201,76 @@ def auto_q_order(tau, ctx: PrecisionCtx) -> int:
         return max(1, int(mp.ceil(ctx.dps / decay)) )
 
 
+def _row_bits(length: int) -> int:
+    """Bits a q-series row of ``length`` coefficients keeps below its largest
+    term: the working precision plus 2 log2(length) + 6 guard bits."""
+    return mp.mp.prec + 2 * length.bit_length() + 6
+
+
 def _eval_row(row: dict, q, log2q: float):
     """sum_j row[j] q^j by Horner's rule in Gaussian-integer fixed point.
 
-    With L = max(row) + 1 and guard = 2 log2(L) + 6 bits, the coefficients
-    are scaled by 2^W, W = prec + guard - the binary magnitude of the largest
-    term |row[j]| |q|^j (``log2q`` = log2|q|), so the sum keeps the working
-    precision relative to that term however large or small the row is. q is
-    scaled by 2^Wq, Wq = prec + guard - mag(q), so it has as many significant
-    bits. Each conversion and step loses less than one unit of 2^-W per part,
-    and q's own error moves the j-th term by at most about 4 j 2^-(prec + guard)
-    of itself, so the integer sum is within 2^-prec of the largest term; the
-    one rounding to the working precision adds 2^-prec of the sum."""
-    prec, top_j = mp.mp.prec, max(row)
-    guard = 2 * (top_j + 1).bit_length() + 6
-    w = prec + guard - math.ceil(max(mp.mag(c) + j * log2q for j, c in row.items()))
-    wq = prec + guard - mp.mag(q)
-    qr, qi = _to_fixed(q, wq)
-    fixed = {j: _to_fixed(c, w) for j, c in row.items()}
-    acc_re, acc_im = fixed[top_j]
-    for j in range(top_j - 1, -1, -1):
-        acc_re, acc_im = _fixed_cmul(acc_re, acc_im, qr, qi, wq)
-        if j in fixed:
-            cr, ci = fixed[j]
-            acc_re += cr
-            acc_im += ci
-    return _fixed_mpc(acc_re, acc_im, w)
+    With bits = ``_row_bits(max(row) + 1)``, the coefficients are scaled by
+    2^W, W = bits - the binary magnitude of the largest term |row[j]| |q|^j
+    (``log2q`` = log2|q|), so the sum keeps the working precision relative to
+    that term however large or small the row is. q is scaled by 2^Wq,
+    Wq = bits - mag(q), so it has as many significant bits
+    (``numkernel._fixed_horner``). Each conversion and step loses less than
+    one unit of 2^-W per part, and q's own error moves the j-th term by at most
+    about 4 j 2^-bits of itself, so the integer sum is within 2^-prec of the
+    largest term; the one rounding to the working precision adds 2^-prec of
+    the sum."""
+    top_j = max(row)
+    bits = _row_bits(top_j + 1)
+    w = bits - math.ceil(max(mp.mag(c) + j * log2q for j, c in row.items()))
+    fixed = [_to_fixed(row[j], w) if j in row else (0, 0) for j in range(top_j + 1)]
+    return _fixed_mpc(*_fixed_horner(fixed, q, bits), w)
+
+
+def _truncation_bound(q_order: int, maxc, tau, ctx: PrecisionCtx):
+    """The truncation bound |q|^(q_order+1)/(1 - |q|) max|c| of a series whose
+    coefficients are at most ``maxc``, at the working precision and tau already
+    checked; GuardError if it exceeds the context's target error."""
+    absq = mp.exp(-2 * mp.pi * mp.im(tau))
+    bound = absq ** (q_order + 1) / (1 - absq) * maxc
+    if maxc > 0 and bound > ctx.eps:
+        raise GuardError(
+            f"q_order={q_order} insufficient at Im(tau)={mp.nstr(mp.im(tau), 8)}: "
+            f"truncation bound {mp.nstr(bound, 5)} exceeds target {mp.nstr(ctx.eps, 5)}"
+        )
+    return bound
+
+
+def _log2_absq(tau) -> float:
+    """log2|q| = -2 pi Im(tau)/log 2 as a float."""
+    return -2 * math.pi / math.log(2) * float(mp.im(tau))
 
 
 def eval_with_bound(f: QTauSeries, tau, ctx: PrecisionCtx):
     """Evaluate the series at tau; returns ``(value, truncation_bound)``.
 
     Raises :class:`GuardError` if the truncation bound is not below the
-    context's target error. Each tau power's q-series is summed in
-    block-scaled fixed point (``_eval_row``), within a few units of 2^-prec
-    of its largest term; the tau-polynomial of those sums is evaluated in mpc.
+    context's target error (``_truncation_bound``). Each tau power's q-series
+    is summed in block-scaled fixed point (``_eval_row``), within a few units
+    of 2^-prec of its largest term; the tau-polynomial of those sums is
+    evaluated in mpc.
     """
     with ctx.workprec():
         tau = check_tau(tau)
-        absq = mp.exp(-2 * mp.pi * mp.im(tau))
-        maxc = f.max_abs_coeff()
-        bound = absq ** (f.q_order + 1) / (1 - absq) * maxc
-        if maxc > 0 and bound > ctx.eps:
-            raise GuardError(
-                f"q_order={f.q_order} insufficient at Im(tau)={mp.nstr(mp.im(tau), 8)}: "
-                f"truncation bound {mp.nstr(bound, 5)} exceeds target {mp.nstr(ctx.eps, 5)}"
-            )
+        bound = _truncation_bound(f.q_order, f.max_abs_coeff(), tau, ctx)
         # Horner's rule in q within each tau power, then in tau
         rows: dict[int, dict[int, mp.mpc]] = {}
         for (i, j), c in f.coeffs.items():
             rows.setdefault(i, {})[j] = c
         q = mp.exp(2j * mp.pi * tau)
-        log2q = -2 * math.pi / math.log(2) * float(mp.im(tau))
-        in_q = {i: _eval_row(row, q, log2q) for i, row in rows.items()}
-        total = mp.polyval([in_q.get(i, 0) for i in range(max(in_q, default=0), -1, -1)], tau)
-        return +mp.mpc(total), +bound
+        log2q = _log2_absq(tau)
+        return _tau_poly({i: _eval_row(row, q, log2q) for i, row in rows.items()}, tau), +bound
+
+
+def _tau_poly(in_q: dict, tau):
+    """sum_i in_q[i] tau^i in mpc, rounded once more to the working precision."""
+    total = mp.polyval([in_q.get(i, 0) for i in range(max(in_q, default=0), -1, -1)], tau)
+    return +mp.mpc(total)
 
 
 def eval_at(f: QTauSeries, tau, ctx: PrecisionCtx):

@@ -271,6 +271,19 @@ def test_input_that_would_change_is_refused_by_name(capsys, argv, message):
     assert doc["error"] == {"type": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("leaf, size", [("zeta", ["--cutoff", "50"]),
+                                        ("integral", ["--samples", "128"])])
+def test_all_zero_cone_row_is_refused_by_name(capsys, leaf, size):
+    # a form that vanishes identically has no finite sum; ConeMatrix keeps
+    # accepting the row for the matrix predicates
+    rc, doc = _run_json(capsys, ["conical", leaf, "--matrix", "[[0,0],[1,1]]", *size])
+    assert rc == 3
+    assert doc["error"] == {"type": "ValueError",
+                            "message": "row 0 is zero (its linear form vanishes identically)"}
+    A = conical.ConeMatrix([[0, 0], [1, 1]])
+    assert conical.is_C1s(A) and conical.is_TU(A)
+
+
 # One cheap argv per subcommand (plus the branches with other bounds) and the
 # frozen envelope it must print: (argv, kind, error_bound).
 _TAU = "0.2+1.1i"

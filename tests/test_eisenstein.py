@@ -137,6 +137,43 @@ def test_nonholo_cusp_vs_lattice():
             assert abs(a - b) < mp.mpf("1e-3")
 
 
+def _nonholo_bessel(s, tau, digits):
+    """E(s, tau) from its Bessel-K Fourier expansion at digits + 20,
+    pi^-s (2 zeta(2s) y^s + 2 sqrt(pi) Gamma(s - 1/2)/Gamma(s) zeta(2s - 1) y^(1-s)
+    + 8 pi^s sqrt(y)/Gamma(s) sum_n n^(s-1/2) sigma_{1-2s}(n) K_{s-1/2}(2 pi n y) cos(2 pi n x)),
+    the n-sum taken to a fixed n where e^(-2 pi n y) < 10^-(digits + 30), with no
+    stop at a small term (a cosine factor can make one small long before the tail)."""
+    with mp.workdps(digits + 20):
+        x, y = mp.re(tau), mp.im(tau)
+        nu = mp.mpf(2 * s - 1) / 2
+        n_max = int((digits + 30) * mp.ln10 / (2 * mp.pi * y)) + 1
+        fourier = mp.fsum(
+            mp.mpf(n) ** nu * mp.fsum(mp.mpf(d) ** (1 - 2 * s) for d in range(1, n + 1)
+                                      if n % d == 0)
+            * mp.besselk(nu, 2 * mp.pi * n * y) * mp.cos(2 * mp.pi * n * x)
+            for n in range(1, n_max + 1))
+        total = (2 * mp.zeta(2 * s) * y**s
+                 + 2 * mp.sqrt(mp.pi) * mp.gamma(nu) / mp.gamma(s) * mp.zeta(2 * s - 1)
+                 * y ** (1 - s)
+                 + 8 * mp.pi**s * mp.sqrt(y) / mp.gamma(s) * fourier)
+        return total / mp.pi**s
+
+
+@pytest.mark.parametrize("s, re_tau, im_tau, digits",
+                         [(s, "-0.37", "0.8", 50) for s in (2, 3, 4, 5)]
+                         + [(3, "-0.03", "0.6", 70), (4, "-0.05", "0.9", 100)])
+def test_nonholo_cusp_sum_matches_bessel_expansion(s, re_tau, im_tau, digits):
+    # the last two cases are points where cos(2 pi n x) nearly vanishes at
+    # n = 25 and n = 5, long before the Fourier tail is small
+    ctx = PrecisionCtx(digits)
+    with mp.workdps(digits + 20):
+        tau = mp.mpc(re_tau, im_tau)
+    ref = _nonholo_bessel(s, tau, digits)
+    got = eis_nonholo(s, tau, ctx)
+    with mp.workdps(digits + 20):
+        assert abs(got - ref) <= ctx.eps * abs(ref)
+
+
 def test_green1_theta_vs_fourier():
     with CTX.workprec():
         xi, tau = mp.mpc("0.3", "0.4"), mp.mpc(0, 1)

@@ -231,48 +231,95 @@ KERNEL_TAUS = [("-0.5", "0.6"), ("0.23", "0.6"), ("0.5", "1"), ("-0.31", "1"),
                ("0", "1.5"), ("0.41", "1.5"), ("7.3", "0.8")]
 
 
-def _library_series(tau, ctx, monkeypatch):
+def _library_maps(ctx):
+    """(term map, head) of divisor-sum values the library sums, the head's
+    constants at ctx: A_depth1, A_len2, B_depth1 (one tau power, and four),
+    the Eichler series of hatA's "eichler" form and eis_E(12)."""
+    from ellipsum import eisenstein, eisint, emzv
+
+    with ctx.workprec():
+        maps = [(emzv._A_depth1_terms(n, r), {(0, 0): emzv.A_inf_depth1(n, r, ctx)})
+                for n, r in [(3, 2), (2, 5)]]
+        maps += [(emzv._A_len2_terms(n1, n2), {(0, 0): emzv._A_inf_len2(n1, n2, ctx)})
+                 for n1, n2 in [(3, 2), (1, 4)]]
+        maps += [(emzv._B_depth1_terms(n, r), None) for n, r in [(3, 2), (5, 4)]]
+        maps.append(eisint._eichler_terms(6))
+        maps.append(({(0, 12, 0, 0): 1}, {(0, 0): eisenstein.eis_E(12, 0).coeff(0, 0)}))
+    return maps
+
+
+def _library_series(tau, ctx):
     """Eisenstein, iterated-Eisenstein and eMZV series as the library builds
     them at ctx: eis_E for k = 4..24 at three times the automatic q_order (so
     the guard passes at every k), eisint.gamma of depth one and two, two of
     them scaled by 2^-300 and 2^-150 (the accuracy is relative to the terms,
-    however small), and the series that A_depth1, A_len2 and B_depth1
-    evaluate at tau."""
-    from ellipsum import eisenstein, eisint, emzv
+    however small), and the series of the term maps that A_depth1, A_len2 and
+    B_depth1 sum at tau (``_library_maps``)."""
+    from ellipsum import eisenstein, eisint
 
     with ctx.workprec():
         N = auto_q_order(tau, ctx)
         out = [eisenstein.eis_E(k, 3 * N) for k in range(4, 25, 2)]
         out += [eisint.gamma(nvec, N) for nvec in [(4,), (8,), (0, 4), (4, 0), (4, 6)]]
         out += [out[4].scale(mp.ldexp(1, -300)), out[-1].scale(mp.ldexp(1, -150))]
-    seen = []
+        out += [eisenstein._divisor_series(terms, N, head)
+                for terms, head in _library_maps(ctx)[:5]]  # A_depth1, A_len2, B_depth1(3, 2)
+    return out
 
-    def spy(f, tau, ctx):
-        seen.append(f)
-        return eval_at(f, tau, ctx)
 
-    monkeypatch.setattr(emzv, "eval_at", spy)
-    emzv.A_depth1(3, 2, tau, ctx)
-    emzv.A_depth1(2, 5, tau, ctx)
-    emzv.A_len2(3, 2, tau, ctx)
-    emzv.A_len2(1, 4, tau, ctx)
-    emzv.B_depth1(3, 2, tau, ctx)
-    assert len(seen) == 5
-    return out + seen
+def _naive_sum(f, tau, ctx):
+    """(sum of the terms c tau^i q^j of f, sum of their moduli) at ctx."""
+    with ctx.workprec():
+        q = mp.exp(2j * mp.pi * tau)
+        terms = [c * tau**i * q**j for (i, j), c in f.coeffs.items()]
+        return mp.fsum(terms), mp.fsum(abs(t) for t in terms)
 
 
 @pytest.mark.parametrize("digits", [30, 100])
 @pytest.mark.parametrize("re_tau, im_tau", KERNEL_TAUS)
-def test_fixed_point_eval_matches_naive_sum_of_library_series(re_tau, im_tau, digits,
-                                                               monkeypatch):
+def test_fixed_point_eval_matches_naive_sum_of_library_series(re_tau, im_tau, digits):
     # the block-scaled kernel of eval_with_bound against the term-by-term sum
     # at +20 digits, within 10^-(digits+5) of the sum of |terms|
     ctx, ref_ctx = PrecisionCtx(digits), PrecisionCtx(digits + 20)
     tau = mp.mpc(re_tau, im_tau)
-    for f in _library_series(tau, ctx, monkeypatch):
+    for f in _library_series(tau, ctx):
         got = eval_at(f, tau, ctx)
+        ref, scale = _naive_sum(f, tau, ref_ctx)
         with ref_ctx.workprec():
-            q = mp.exp(2j * mp.pi * tau)
-            terms = [c * tau**i * q**j for (i, j), c in f.coeffs.items()]
-            ref, scale = mp.fsum(terms), mp.fsum(abs(t) for t in terms)
             assert abs(got - ref) <= mp.mpf(10) ** -(digits + 5) * scale, f
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("re_tau, im_tau", KERNEL_TAUS)
+def test_divisor_value_matches_naive_sum_and_series_route(re_tau, im_tau, digits):
+    # the integer route of eisenstein._divisor_value against the term-by-term
+    # sum of the map's series at +20 digits, within 10^-(digits+5) of the sum of
+    # |terms|, and against eval_with_bound of the series: the same value within
+    # that tolerance and the same bound, or the same GuardError; at half the
+    # automatic q_order every map trips the guard
+    from ellipsum.eisenstein import _divisor_series, _divisor_value
+
+    ctx, ref_ctx = PrecisionCtx(digits), PrecisionCtx(digits + 20)
+    tau = mp.mpc(re_tau, im_tau)
+    N = auto_q_order(tau, ctx)
+    maps, trips = _library_maps(ctx), 0
+    for terms, head in maps:
+        for order in (N // 2, N, 3 * N):
+            with ctx.workprec():
+                series = _divisor_series(terms, order, head)
+            try:
+                want, want_bound = eval_with_bound(series, tau, ctx)
+            except GuardError as error:
+                with pytest.raises(GuardError) as got_error:
+                    _divisor_value(terms, order, tau, ctx, head)
+                assert str(got_error.value) == str(error)
+                trips += order < N
+                continue
+            got, bound = _divisor_value(terms, order, tau, ctx, head)
+            with ref_ctx.workprec():
+                ref, scale = _naive_sum(_divisor_series(terms, order, head), tau, ref_ctx)
+                tol = mp.mpf(10) ** -(digits + 5) * scale
+                assert abs(got - ref) <= tol, (terms, order)
+                assert abs(got - want) <= tol, (terms, order)
+                assert abs(bound - want_bound) <= mp.mpf("1e-20") * want_bound, (terms, order)
+    assert trips == len(maps)
