@@ -41,24 +41,25 @@ def _terms(combo: dict, zeta: dict) -> list:
 _GUARD = 8
 
 
+def _size_bound(combo: dict) -> float:
+    """sum |c| zeta(2)^len(mono), at least the absolute sum of the terms: no
+    admissible MZV exceeds zeta(2)."""
+    zeta2 = math.pi**2 / 6
+    return sum(abs(c.numerator) / c.denominator * zeta2 ** len(mono) for mono, c in combo.items())
+
+
 def _row_terms(rows: dict, ctx: PrecisionCtx):
     """The terms of each row {key: combination}; the absolute sum of each
     row's terms; and the context they were made at: ``ctx``, or ctx with
-    ceil(log10 size) - _GUARD more digits when a row's absolute sum exceeds
-    10^_GUARD."""
-    def made(ctx):
-        zeta = _zeta({idx for row in rows.values() for mono in row for idx in mono}, ctx)
-        with ctx.workprec():
-            terms = {e: _terms(row, zeta) for e, row in rows.items()}
-            return terms, {e: mp.fsum(ts, absolute=True) for e, ts in terms.items()}
-
-    terms, sizes = made(ctx)
-    size = max(sizes.values(), default=0)
+    ceil(log10 size) - _GUARD more digits when a row's _size_bound exceeds
+    10^_GUARD, fixed before one mzv_many pass."""
+    size = max(map(_size_bound, rows.values()), default=0)
     if size > 10 ** _GUARD:
-        with ctx.workprec():
-            ctx = PrecisionCtx(ctx.digits + int(mp.ceil(mp.log10(size))) - _GUARD)
-        terms, sizes = made(ctx)
-    return terms, sizes, ctx
+        ctx = PrecisionCtx(ctx.digits + math.ceil(math.log10(size)) - _GUARD)
+    zeta = _zeta({idx for row in rows.values() for mono in row for idx in mono}, ctx)
+    with ctx.workprec():
+        terms = {e: _terms(row, zeta) for e, row in rows.items()}
+        return terms, {e: mp.fsum(ts, absolute=True) for e, ts in terms.items()}, ctx
 
 
 def value(combo: dict, ctx: PrecisionCtx):
@@ -81,28 +82,35 @@ def laurent(rows: dict, ctx: PrecisionCtx) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # exact R sums
 #
-# Every R-sum of a key with a group of size 0, two groups of size 1, one
-# group of size 1 beside two of size 2, or three groups of size 2 reduces to
-# an exact Q-combination of MZV monomials.  Write Z(n; k_1, ..., k_r) for the
-# nested sum over 0 < v_1 < ... < v_{r-1} < n of prod v_i^-k_i, times n^-k_r
-# (the top index is n; the increasing convention of mzv).  Only the top
-# exponent may be 0: Z(n; K, 0) = sum_{m < n} Z(m; K) and Z(n; (0,)) = 1.
-# A sequence is a dict {(monomial, K): Fraction} for sum c prod(zeta(I) for
-# I in monomial) Z(n; K); an exact value is a dict {monomial: Fraction}.
-# S_r(n) = r! Z(n; 1^r).
+# Write Z(n; k_1, ..., k_r) for the nested sum over 0 < v_1 < ... < v_{r-1} <
+# n of prod v_i^-k_i, times n^-k_r (the top index is n; the increasing
+# convention of mzv).  Only the top exponent may be 0: Z(n; K, 0) = sum_{m <
+# n} Z(m; K) and Z(n; (0,)) = 1.  A sequence is a dict {(monomial, K):
+# Fraction} for sum c prod(zeta(I) for I in monomial) Z(n; K); an exact value
+# is a dict {monomial: Fraction}.  S_r(n) = r! Z(n; 1^r), S_0(n) = [n = 0].
 #
-# For a >= 1 a group of size m with momentum a and l negative units has
-# weight c_m(l + a, l); a group of size 1 forces l = 0 and weight 1/a, an
-# empty group forces a = l = 0, and c_2(l + a, l) = [l = 0] S_2(a) +
-# 2 [l >= 1] / (l (l + a)).  So 2^(alpha + beta) R is
-#   (a) one group empty: a product of two sums, or, when the empty group
-#       sits in a denominator, a sum over n of n^-e times a convolution;
-#   (b) two groups of size 1: 2 F_m(p, q), with F_m(p, q) = sum_{n >= 1}
-#       sum_r C(m, r) S_r(n) n^-q [x^n] Li_p(x) (-log(1 - x))^(m - r);
-#   (c) (1, 2, 2): 2 sum_a a^-1 T_alpha(a) T_beta(a), T_e(a) = sum_l
-#       c_2(l + a, l) (l + a)^-e; (2, 1, 2) and (2, 2, 1): see _R_212;
-#   (d) (2, 2, 2): the layer a = 0, where c_2(l, l) = 2 l^-2, plus twice the
-#       layers a >= 1, split at l1 = 0; see _R_222.
+# A group of size m with momentum a and l negative units weighs c_m(l + a, l)
+# = sum_r C(m, r) S_r(l + a) S_{m-r}(l).  Group 1, with l1, sits in both
+# denominators (b + l2)^alpha and (b + l3)^beta, b = a + l1.  The layer rule
+# (_layer_rule) writes 2^(alpha + beta) R as points p(n), summed directly,
+# and triples f(x) h(y) g(x + y), one convolution per distinct (f, h):
+#   - a = 0: every group on its diagonal c_m(l, l) (_diag_seq; 0 for m = 1).
+#     m1 = 0 pins l1 = 0, a product of two sums; m2 or m3 = 0 pins its own
+#     l, l1^-e c_m1(l1) convolved with the other group; groups 2 and 3 of
+#     size 2 sum over their l in closed form (_U2_seq);
+#   - a >= 1, twice: a group of size 0 vanishes, and a pivot group splits
+#     into S_m(a) at l = 0 and C(m, r) S_r(b) S_{m-r}(l), 0 < r < m, at
+#     l >= 1 (_pivot_layers).  The pivot is group 1, whose partners of size
+#     1 and 2 are closed forms in a at l1 = 0 and triples f(a) l1^-k g(b) at
+#     l1 >= 1 (_closed); m1 = 1 leaves l1 = 0 alone, and the larger of
+#     unequal groups 2 and 3 is then the pivot instead.
+# The families: (a) a group of size 0, the layer a = 0 alone; (b) two groups
+# of size 1, the size-m group as pivot, sum_{a, l} c_m(l + a, l) a^-p
+# (l + a)^-q; (c) (1, 2, 2), the one point a^-1 T_alpha(a) T_beta(a), and
+# (2, 1, 2), (2, 2, 1), pivot group 1 with partners of sizes 1 and 2; (d)
+# (2, 2, 2), the closed diagonal layer and pivot group 1.  The rule reduces
+# some other keys too, R(1, 2, 3; 1, 1) among them; _R_family keeps the
+# exact domain to the families.
 
 
 def _acc(out: dict, key, c) -> None:
@@ -189,7 +197,7 @@ def _tail_seq(j: int) -> dict:
 
 
 def _diag_seq(m: int) -> dict:
-    """c_m(l, l) for l >= 1 (the only layer of a key with an empty group)."""
+    """c_m(l, l) for l >= 1."""
     return _lin(*((math.comb(m, r), _seq_mul(_S_seq(r), _S_seq(m - r)))
                   for r in range(1, m)))
 
@@ -199,36 +207,6 @@ def _T2_seq(e: int) -> dict:
     partial fractions in l: the sum is -sum_{i=1..e+1} tail_i(a) a^(i-e-2)."""
     return _lin((1, _seq_pow(_S_seq(2), e)),
                 *((-2, _seq_pow(_tail_seq(i), e + 2 - i)) for i in range(1, e + 2)))
-
-
-def _F(m: int, p: int, q: int) -> dict:
-    """F_m(p, q) = sum_{a >= 1, l >= 0} c_m(l + a, l) / (a^p (l + a)^q)."""
-    terms = []
-    for r in range(1, m + 1):
-        inner = _seq(p) if r == m else _seq_conv(_S_seq(m - r), _seq(p))
-        terms.append((math.comb(m, r), _seq_mul(_seq_pow(_S_seq(r), q), inner)))
-    return _seq_total(_lin(*terms))
-
-
-def _R_212(alpha: int, beta: int) -> dict:
-    """2^(alpha+beta-1) R(2, 1, 2; alpha, beta) = sum_{a >= 1} a^-1 sum_{l1,
-    l3} c(l1) c(l3) b^-alpha (b + l3)^-beta with b = a + l1 and c(l) =
-    c_2(l + a, l).  The l1 = 0 layer is a^-alpha S_2(a) T_beta(a); for
-    l1 >= 1 the l3 = 0 term is one convolution, and partial fractions in l3
-    turn sum_{l3 >= 1} 1 / (l3 (l3 + a) (l3 + b)^beta) into
-    a^-1 [l1^-beta H_a + sum_{j=1..beta} (l1^(j-beta-1) - b^(j-beta-1)) tail_j(b)]."""
-    one, two = _seq(1), _seq(2)
-    terms = [
-        (1, _seq_pow(_seq_mul(_S_seq(2), _T2_seq(beta)), 1 + alpha)),
-        (2, _seq_pow(_seq_conv(_seq_pow(_S_seq(2), 1), one), 1 + alpha + beta)),
-        (4, _seq_pow(_seq_conv(_lin((1, _seq(1, 2)), (1, _seq(3))), _seq(1 + beta)),
-                     1 + alpha)),
-    ]
-    for j in range(1, beta + 1):
-        kernel = _lin((1, _seq_pow(_seq_conv(two, _seq(beta - j + 2)), 1 + alpha)),
-                      (-1, _seq_pow(_seq_conv(two, one), 2 + alpha + beta - j)))
-        terms.append((4, _seq_mul(kernel, _tail_seq(j))))
-    return _seq_total(_lin(*terms))
 
 
 def _U2_seq(e: int) -> dict:
@@ -242,35 +220,76 @@ def _U2_seq(e: int) -> dict:
 def _T2_split(e: int) -> list:
     """T_e(a, l1) = sum_l c_2(l + a, l) (l + b)^-e for l1 >= 1, b = a + l1:
     S_2(a) b^-e + 2 a^-1 H_a l1^-e + 2 a^-1 sum_{j=1..e} (l1^(j-e-1) -
-    b^(j-e-1)) tail_j(b) by _R_212's partial fractions, as (f, k, g) triples
-    for the terms f(a) l1^-k g(b); f names the sequence in a, "S" for
-    S_2(a), "H" for 2 a^-1 H_a and "1" for 2 a^-1."""
-    out = [("S", 0, _seq(e)), ("H", e, _seq(0))]
+    b^(j-e-1)) tail_j(b), by partial fractions in l, as (f, k, g) triples
+    for the terms f(a) l1^-k g(b)."""
+    two = _lin((2, _seq(1)))
+    out = [(_S_seq(2), 0, _seq(e)), (_lin((-2, _seq_pow(_tail_seq(1), 1))), e, _seq(0))]
     for j in range(1, e + 1):
-        out += [("1", e + 1 - j, _tail_seq(j)),
-                ("1", 0, _lin((-1, _seq_pow(_tail_seq(j), e + 1 - j))))]
+        out += [(two, e + 1 - j, _tail_seq(j)),
+                (two, 0, _lin((-1, _seq_pow(_tail_seq(j), e + 1 - j))))]
     return out
 
 
-def _R_222(alpha: int, beta: int) -> dict:
-    """2^(alpha+beta) R(2, 2, 2; alpha, beta) = sum_{l1} 2 l1^-2 U_alpha(l1)
-    U_beta(l1) (layer a = 0) + 2 sum_{a >= 1} [S_2(a) T_alpha(a) T_beta(a)
-    + sum_{l1 >= 1} 2 l1^-1 b^-1 T_alpha(a, l1) T_beta(a, l1)].  Each product
-    of two _T2_split triples is f1 f2(a) l1^-(k1+k2+1) times g1 g2(b); the
-    sum over a + l1 = b is one convolution per (f1 f2, k), which multiplies
-    the sum of its g1 g2.  Every nested sum converges: the convolution has a
-    top exponent >= 1 and b^-1 adds one."""
-    f = {"S": _S_seq(2), "H": _lin((-2, _seq_pow(_tail_seq(1), 1))), "1": _lin((2, _seq(1)))}
-    terms = [(2, _seq_pow(_seq_mul(_U2_seq(alpha), _U2_seq(beta)), 2)),
-             (2, _seq_mul(_S_seq(2), _seq_mul(_T2_seq(alpha), _T2_seq(beta))))]
-    tails: dict = {}
-    for f1, k1, g1 in _T2_split(alpha):
-        for f2, k2, g2 in _T2_split(beta):
-            tails.setdefault((*sorted((f1, f2)), k1 + k2 + 1), []).append((4, _seq_mul(g1, g2)))
-    for (f1, f2, k), gs in tails.items():
-        conv = _seq_conv(_seq_mul(f[f1], f[f2]), _seq(k))
-        terms.append((1, _seq_mul(conv, _seq_pow(_lin(*gs), 1))))
-    return _seq_total(_lin(*terms))
+def _closed(m: int, e: int, split: bool):
+    """A partner of size 1 or 2 of pivot group 1: T_e(a) at l1 = 0, or with
+    ``split`` the (f, k, g) triples of T_e(a, l1) at l1 >= 1."""
+    if m == 1:
+        return [(_seq(1), 0, _seq(e))] if split else _seq(1 + e)
+    if m == 2:
+        return _T2_split(e) if split else _T2_seq(e)
+    raise ValueError(f"a group of size {m} has no closed form")
+
+
+def _pivot_layers(m: int, e: int, point: dict, triples: list):
+    """Twice the layers a >= 1 summed over the l units of a pivot group of
+    size m, with b = a + l and the factor b^-e, given the rest of the summand
+    as ``point`` (a sequence in a) at l = 0 and as ``triples`` f(a) l^-k g(b)
+    at l >= 1.  Returns the point 2 S_m(a) a^-e point(a) and, for 0 < r < m,
+    the triples (f, S_{m-r} l^-k, 2 C(m, r) S_r b^-e g), the g of each (f, k)
+    summed first."""
+    sums: dict = {}
+    for f, k, g in triples:
+        sums.setdefault((frozenset(f.items()), k), (f, []))[1].append((1, g))
+    out = []
+    for r in range(1, m):
+        g0 = _lin((2 * math.comb(m, r), _seq_pow(_S_seq(r), e)))
+        out += [(f, _seq_pow(_S_seq(m - r), k), _seq_mul(g0, _lin(*gs)))
+                for (_, k), (f, gs) in sums.items()]
+    return _lin((2, _seq_mul(_seq_pow(_S_seq(m), e), point))), out
+
+
+def _layer_rule(m1: int, m2: int, m3: int, alpha: int, beta: int) -> dict:
+    """2^(alpha + beta) R(m1, m2, m3; alpha, beta) for a key with at most one
+    group of size 0; ValueError where a group the rule needs in closed form
+    has none."""
+    if m1 == 0:  # l1 = 0: a product of two sums
+        left, right = (_seq_total(_seq_pow(_diag_seq(m), e)) for m, e in ((m2, alpha), (m3, beta)))
+        out: dict = {}
+        for u, cu in left.items():
+            for v, cv in right.items():
+                _acc(out, _mono(u, v), cu * cv)
+        return out
+    points, triples = [], []
+    (mi, ei), (m, e) = sorted(((m2, alpha), (m3, beta)))
+    if mi == 0:  # the layer a = 0 alone, l2 or l3 = 0
+        triples.append((_seq_pow(_diag_seq(m1), ei), _diag_seq(m), _seq(e)))
+    elif m1 == 1 and mi != m:
+        rest = _seq_mul(_S_seq(1), _closed(mi, ei, False))
+        point, triples = _pivot_layers(m, e, rest, [(rest, 0, _seq(0))])
+        points.append(point)
+    else:
+        if 1 not in (m1, m2, m3):
+            if (m2, m3) != (2, 2):
+                raise ValueError(f"groups of sizes {(m2, m3)} have no closed diagonal")
+            points.append(_seq_mul(_diag_seq(m1), _seq_mul(_U2_seq(alpha), _U2_seq(beta))))
+        pairs = [(_seq_mul(f2, f3), k2 + k3, _seq_mul(g2, g3))
+                 for f2, k2, g2 in _closed(m2, alpha, True)
+                 for f3, k3, g3 in _closed(m3, beta, True)] if m1 > 1 else []
+        point, triples = _pivot_layers(
+            m1, 0, _seq_mul(_closed(m2, alpha, False), _closed(m3, beta, False)), pairs)
+        points.append(point)
+    return _seq_total(_lin(*((1, p) for p in points),
+                           *((1, _seq_mul(_seq_conv(f, h), g)) for f, h, g in triples)))
 
 
 def _R_family(key) -> str | None:
@@ -294,43 +313,10 @@ def _R_family(key) -> str | None:
 def _R_exact(key) -> dict:
     """R(key) as {MZV monomial: Fraction}, for a key of one of the families;
     cached, so the caller must not change it."""
-    m1, m2, m3, alpha, beta = key
-    family = _R_family(key)
-    if family == "a":
-        if m1 == 0:
-            left = _seq_total(_seq_pow(_diag_seq(m2), alpha))
-            right = _seq_total(_seq_pow(_diag_seq(m3), beta))
-            value = {}
-            for u, cu in left.items():
-                for v, cv in right.items():
-                    _acc(value, _mono(u, v), cu * cv)
-        elif m2 == 0:  # denominators l1^alpha (l1 + l3)^beta
-            value = _seq_total(_seq_pow(_seq_conv(_seq_pow(_diag_seq(m1), alpha),
-                                                  _diag_seq(m3)), beta))
-        else:  # denominators (l1 + l2)^alpha l1^beta
-            value = _seq_total(_seq_pow(_seq_conv(_seq_pow(_diag_seq(m1), beta),
-                                                  _diag_seq(m2)), alpha))
-        scale = Fraction(1, 2 ** (alpha + beta))
-    elif family == "b":
-        if m2 == m3 == 1:
-            value = _F(m1, 2, alpha + beta)
-        elif m2 == 1:
-            value = _F(m3, 2 + alpha, beta)
-        else:
-            value = _F(m2, 2 + beta, alpha)
-        scale = Fraction(2, 2 ** (alpha + beta))
-    elif family == "c":
-        if m1 == 1:
-            value = _seq_total(_seq_pow(_seq_mul(_T2_seq(alpha), _T2_seq(beta)), 1))
-        else:
-            value = _R_212(alpha, beta) if m2 == 1 else _R_212(beta, alpha)
-        scale = Fraction(2, 2 ** (alpha + beta))
-    elif family == "d":
-        value = _R_222(alpha, beta)
-        scale = Fraction(1, 2 ** (alpha + beta))
-    else:
+    if not _R_family(key):
         raise ValueError(f"R{tuple(key)} has no exact reduction")
-    return {mono: c * scale for mono, c in value.items()}
+    scale = Fraction(1, 2 ** (key[3] + key[4]))
+    return {mono: c * scale for mono, c in _layer_rule(*key).items()}
 
 
 # ---------------------------------------------------------------------------

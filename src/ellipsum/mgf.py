@@ -351,6 +351,21 @@ def _row_transforms(w: np.ndarray, N: int) -> np.ndarray:
 # rows per block of the two middle stages of a depth-2 sum
 _D2_BLOCK = 32
 
+# the most bytes a lattice block may predict (_lattice_bytes) before it runs
+_LATTICE_BYTES = 2**30
+
+
+def _lattice_bytes(groups, d: int, M: int) -> int:
+    """Bytes a block of depth d <= 2 holds at cutoff M: the (2M+1)^2 grid at
+    depth 1; at depth 2 the half weight grids, (M+1)(2M+1) floats per
+    distinct loop-edge count, plus F and H (see _block_sum)."""
+    if d == 1:
+        return 8 * (2 * M + 1) ** 2
+    cnt = dict(groups)
+    K = _next_fast_len(4 * M + 1) // 2 + 1
+    return (len({cnt[1, 0], cnt[0, 1]}) * (8 * (M + 1) * (2 * M + 1) + 16 * (M + 1) * K)
+            + 16 * K * (2 * M + 1))
+
 
 def _block_sum(groups, d: int, tau, M: int) -> float:
     """Sum over loop momenta p_1..p_d, each with |p_k|_inf <= M, of the
@@ -388,9 +403,7 @@ def _block_sum(groups, d: int, tau, M: int) -> float:
 
     At depth 3 the windows are shifted, hence not even; the 2M + 1 points
     r_n of each row r_m are stacked into one batched fftconvolve, so a row
-    bounds the memory."""
-    if d == 3 and M > 16:
-        raise ValueError("depth-3 lattice sums limited to M <= 16")
+    bounds the memory; D_lattice keeps it to M <= 16."""
     if d == 1:
         ((_, cnt),) = groups
         return float(_weights(tau, M, {cnt})[cnt].sum())
@@ -462,8 +475,11 @@ def D_lattice(g: MultiGraph, tau, M: int, ctx: PrecisionCtx | None = None,
     are summed as one FFT loop sum (see _block_sum).  A depth-2 block holds
     16 (N/2+1)(3M+2) bytes, N the 5-smooth length >= 4M + 1, plus
     16 (M+1)(N/2+1) when its two loop edges differ in multiplicity: 15.6 MB
-    at M = 400, 97 MB at M = 1000.  Graphs with a bridge evaluate to exactly
-    0; values factorize over biconnected blocks."""
+    at M = 400, 97 MB at M = 1000.  An M whose block would hold more than
+    _LATTICE_BYTES (_lattice_bytes), or M > 16 at depth 3, is refused
+    before any block runs.
+    Graphs with a bridge evaluate to exactly 0; values factorize over
+    biconnected blocks."""
     if M < 1:
         raise ValueError(f"M must be >= 1, not {M}")
     if not g.is_connected():
@@ -472,13 +488,19 @@ def D_lattice(g: MultiGraph, tau, M: int, ctx: PrecisionCtx | None = None,
     blocks = g.blocks()
     if any(len(b) == 1 for b in blocks):
         return (0.0, 0.0) if with_bound else 0.0
+    signatures = [_signatures(edges, b) for b in blocks]
+    for groups, d in signatures:
+        if d > 3:
+            raise ValueError("block depth exceeds the cost guard (3)")
+        if d == 3 and M > 16:
+            raise ValueError("depth-3 lattice sums limited to M <= 16")
+        if d < 3 and (nbytes := _lattice_bytes(groups, d, M)) > _LATTICE_BYTES:
+            raise ValueError(f"M = {M} needs {nbytes:.3g} bytes for a depth-{d} block, "
+                             f"over the cap of {_LATTICE_BYTES} bytes")
     t2 = float(mp.im(tau))
     value = (t2 / math.pi) ** g.weight
     bound_rel = 0.0
-    for b in blocks:
-        groups, d = _signatures(edges, b)
-        if d > 3:
-            raise ValueError("block depth exceeds the cost guard (3)")
+    for groups, d in signatures:
         value *= _block_sum(groups, d, tau, M)
         # slowest-decaying tail: the lightest group on the block
         kmin = min(cnt for _, cnt in groups)
@@ -667,7 +689,10 @@ def _R_values(keys, cutoff: int):
     per level, and each key's convergence estimate: twice the move of its
     extrapolated value from cutoff // 2 to cutoff.  That second extrapolation
     reuses the levels L/4 and L/2 (and L/8 for a 1/L tail) and adds one
-    level below them."""
+    level below them.  A cutoff below 8 is refused: it would put a level of
+    the value or of its estimate at L = 0."""
+    if cutoff < 8:
+        raise ValueError(f"cutoff must be >= 8 on the float R route, not {cutoff}")
     keys = list(dict.fromkeys(keys))
     done: dict = {}
 
@@ -782,10 +807,10 @@ def _d3pt(l, ctx: PrecisionCtx, cutoff: int):
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, not {cutoff}")
     rows, fallback = _d3pt_rows(tuple(l))
-    poly = laurent(rows, ctx)
     if not fallback:
-        return poly, ctx.eps
+        return laurent(rows, ctx), ctx.eps
     values, errors = _R_values(sorted({key for _, _, key in fallback}), cutoff)
+    poly = laurent(rows, ctx)
     terms: dict = {}
     bounds: dict = {}
     with ctx.workprec():

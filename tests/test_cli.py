@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -282,6 +283,41 @@ def test_all_zero_cone_row_is_refused_by_name(capsys, leaf, size):
                             "message": "row 0 is zero (its linear form vanishes identically)"}
     A = conical.ConeMatrix([[0, 0], [1, 1]])
     assert conical.is_C1s(A) and conical.is_TU(A)
+
+
+def test_dlattice_refuses_an_M_over_the_memory_cap_by_name(capsys):
+    # banana:3 at M = 100000 would hold about 1.1e12 bytes: refused before
+    # any grid is allocated
+    tracemalloc.start()
+    try:
+        rc, doc = _run_json(capsys, ["mgf", "dlattice", "--graph", "banana:3", "--tau", "i",
+                                     "--M", "100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3 and doc["error"]["type"] == "ValueError"
+    assert doc["error"]["message"].startswith("M = 100000 needs 1.13e+12 bytes")
+    assert peak < 2**20
+    rc, doc = _run_json(capsys, ["mgf", "dlattice", "--graph", "banana:3", "--tau", "i",
+                                 "--M", "400"])
+    assert rc == 0
+    assert float(doc["value"]) == mgf.D_lattice(mgf.MultiGraph.banana(3), mp.mpc(0, 1), 400)
+
+
+def test_float_r_route_refuses_a_cutoff_below_8_by_name(capsys):
+    # below 8 a level of the extrapolation or of its estimate sits at L = 0;
+    # a family key never takes the float route, so any cutoff >= 1 stays
+    message = {"type": "ValueError", "message": "cutoff must be >= 8 on the float R route, not 3"}
+    rc, doc = _run_json(capsys, ["mgf", "r", "--m", "1", "2", "3", "--alpha", "0",
+                                 "--beta", "0", "--cutoff", "3"])
+    assert rc == 3 and doc["error"] == message
+    rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", "1", "2", "3", "--cutoff", "3"])
+    assert rc == 3 and doc["error"] == message
+    rc, doc = _run_json(capsys, ["mgf", "r", "--m", "1", "1", "2", "--alpha", "1",
+                                 "--beta", "0", "--cutoff", "3"])
+    assert rc == 0 and doc["error_bound"] == "1.00000e-30"
+    rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", "1", "1", "2", "--cutoff", "3"])
+    assert rc == 0 and doc["error_bound"] == "1.00000e-30"
 
 
 # One cheap argv per subcommand (plus the branches with other bounds) and the

@@ -193,6 +193,17 @@ def test_D_lattice_K4_matches_loop_momentum_brute_force():
     assert abs(D_lattice(_k4(), tau, 4) - ref) <= 1e-13 * abs(ref)
 
 
+def test_D_lattice_refuses_a_depth3_M_before_any_block_runs(monkeypatch):
+    # a depth-1 block (two edges) and a depth-3 block (four edges) at M = 17
+    g = MultiGraph.from_edges(3, [(0, 1, 2), (1, 2, 4)])
+    runs = []
+    monkeypatch.setattr(mgf, "_block_sum", lambda *args: runs.append(args) or 1.0)
+    with pytest.raises(ValueError, match="depth-3 lattice sums limited to M <= 16"):
+        D_lattice(g, mp.mpc(0, 1), 17)
+    assert not runs
+    assert D_lattice(g, mp.mpc(0, 1), 16) and len(runs) == 2
+
+
 # depth-2 blocks: sigma = +1 with equal counts, sigma = -1 with unequal
 # counts (the triangle with one doubled edge) and with equal ones (theta)
 DEPTH2_GRAPHS = {
