@@ -104,13 +104,15 @@ def laurent(rows: dict, ctx: PrecisionCtx) -> LaurentPoly:
 #     1 and 2 are closed forms in a at l1 = 0 and triples f(a) l1^-k g(b) at
 #     l1 >= 1 (_closed); m1 = 1 leaves l1 = 0 alone, and the larger of
 #     unequal groups 2 and 3 is then the pivot instead.
-# The families: (a) a group of size 0, the layer a = 0 alone; (b) two groups
-# of size 1, the size-m group as pivot, sum_{a, l} c_m(l + a, l) a^-p
-# (l + a)^-q; (c) (1, 2, 2), the one point a^-1 T_alpha(a) T_beta(a), and
-# (2, 1, 2), (2, 2, 1), pivot group 1 with partners of sizes 1 and 2; (d)
-# (2, 2, 2), the closed diagonal layer and pivot group 1.  The rule reduces
-# some other keys too, R(1, 2, 3; 1, 1) among them; _R_family keeps the
-# exact domain to the families.
+# The rule's reach is the exact domain (_R_exact, which also tries the
+# orders of equal value at a zero exponent).  It does not reach a group of
+# size >= 3 beside a pivot of size >= 2, as in (2, 1, 3); equal partners of
+# size >= 3, as in (1, 3, 3); or, with no group of size 1, a diagonal beside
+# sizes other than (2, 2), as in (2, 2, 3).
+
+
+class _NoClosedForm(ValueError):
+    """The layer rule needs a group in a closed form it does not have."""
 
 
 def _acc(out: dict, key, c) -> None:
@@ -237,7 +239,7 @@ def _closed(m: int, e: int, split: bool):
         return [(_seq(1), 0, _seq(e))] if split else _seq(1 + e)
     if m == 2:
         return _T2_split(e) if split else _T2_seq(e)
-    raise ValueError(f"a group of size {m} has no closed form")
+    raise _NoClosedForm(f"a group of size {m} has no closed form")
 
 
 def _pivot_layers(m: int, e: int, point: dict, triples: list):
@@ -260,7 +262,7 @@ def _pivot_layers(m: int, e: int, point: dict, triples: list):
 
 def _layer_rule(m1: int, m2: int, m3: int, alpha: int, beta: int) -> dict:
     """2^(alpha + beta) R(m1, m2, m3; alpha, beta) for a key with at most one
-    group of size 0; ValueError where a group the rule needs in closed form
+    group of size 0; _NoClosedForm where a group the rule needs in closed form
     has none."""
     if m1 == 0:  # l1 = 0: a product of two sums
         left, right = (_seq_total(_seq_pow(_diag_seq(m), e)) for m, e in ((m2, alpha), (m3, beta)))
@@ -280,7 +282,7 @@ def _layer_rule(m1: int, m2: int, m3: int, alpha: int, beta: int) -> dict:
     else:
         if 1 not in (m1, m2, m3):
             if (m2, m3) != (2, 2):
-                raise ValueError(f"groups of sizes {(m2, m3)} have no closed diagonal")
+                raise _NoClosedForm(f"groups of sizes {(m2, m3)} have no closed diagonal")
             points.append(_seq_mul(_diag_seq(m1), _seq_mul(_U2_seq(alpha), _U2_seq(beta))))
         pairs = [(_seq_mul(f2, f3), k2 + k3, _seq_mul(g2, g3))
                  for f2, k2, g2 in _closed(m2, alpha, True)
@@ -292,31 +294,26 @@ def _layer_rule(m1: int, m2: int, m3: int, alpha: int, beta: int) -> dict:
                            *((1, _seq_mul(_seq_conv(f, h), g)) for f, h, g in triples)))
 
 
-def _R_family(key) -> str | None:
-    """'a', 'b', 'c' or 'd' for a key with an exact reduction (any alpha,
-    beta >= 0), else None."""
-    m, alpha, beta = sorted(key[:3]), key[3], key[4]
-    if min(alpha, beta) < 0:
-        return None
-    if m[0] == 0 and m[1] > 0:
-        return "a"
-    if m[:2] == [1, 1]:
-        return "b"
-    if m == [1, 2, 2]:
-        return "c"
-    if m == [2, 2, 2]:
-        return "d"
-    return None
-
-
 @functools.lru_cache(maxsize=None)
-def _R_exact(key) -> dict:
-    """R(key) as {MZV monomial: Fraction}, for a key of one of the families;
-    cached, so the caller must not change it."""
-    if not _R_family(key):
-        raise ValueError(f"R{tuple(key)} has no exact reduction")
-    scale = Fraction(1, 2 ** (key[3] + key[4]))
-    return {mono: c * scale for mono, c in _layer_rule(*key).items()}
+def _R_exact(key) -> dict | None:
+    """R(key) as {MZV monomial: Fraction} where the layer rule reduces the key
+    in its own order of groups or in one of equal value (alpha = 0: groups 1
+    and 3 trade places; beta = 0: groups 1 and 2; both 0: any order), else
+    None, as for a negative entry or two empty groups.  Both outcomes are
+    cached, so the caller must not change the dict."""
+    m, alpha, beta = key[:3], key[3], key[4]
+    if min(key) < 0 or m.count(0) > 1:
+        return None
+    # the rule treats groups 2 and 3 alike, so at alpha = beta = 0 these
+    # three orders reach every pivot
+    orders = [m] + [(m[2], m[1], m[0])] * (alpha == 0) + [(m[1], m[0], m[2])] * (beta == 0)
+    for order in orders:
+        try:
+            combo = _layer_rule(*order, alpha, beta)
+        except _NoClosedForm:
+            continue
+        return {mono: c / 2 ** (alpha + beta) for mono, c in combo.items()}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +453,7 @@ def _d3pt_rows(l) -> tuple[dict, list]:
         coef *= Fraction(2) ** e
         if len(key) == 2:
             combo = _S_combo(*key)
-        elif _R_family(key):
-            combo = _R_exact(key)
-        else:
+        elif (combo := _R_exact(key)) is None:
             fallback.append((e, coef, key))
             continue
         row = rows.setdefault(e, {})

@@ -19,7 +19,7 @@ import mpmath as mp
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exact import _d2pt_rows, _d3pt_rows, _R_exact, _R_family, _S_combo, laurent, value
+from .exact import _d2pt_rows, _d3pt_rows, _R_exact, _S_combo, laurent, value
 from .laurent import LaurentPoly
 from .numkernel import PrecisionCtx, zeta_int
 
@@ -351,8 +351,9 @@ def _row_transforms(w: np.ndarray, N: int) -> np.ndarray:
 # rows per block of the two middle stages of a depth-2 sum
 _D2_BLOCK = 32
 
-# the most bytes a lattice block may predict (_lattice_bytes) before it runs
-_LATTICE_BYTES = 2**30
+# the most bytes a lattice block (_lattice_bytes) or a float R route
+# (_layers_bytes, _direct_bytes) may predict before it runs
+_MAX_BYTES = 2**30
 
 
 def _lattice_bytes(groups, d: int, M: int) -> int:
@@ -476,7 +477,7 @@ def D_lattice(g: MultiGraph, tau, M: int, ctx: PrecisionCtx | None = None,
     16 (N/2+1)(3M+2) bytes, N the 5-smooth length >= 4M + 1, plus
     16 (M+1)(N/2+1) when its two loop edges differ in multiplicity: 15.6 MB
     at M = 400, 97 MB at M = 1000.  An M whose block would hold more than
-    _LATTICE_BYTES (_lattice_bytes), or M > 16 at depth 3, is refused
+    _MAX_BYTES (_lattice_bytes), or M > 16 at depth 3, is refused
     before any block runs.
     Graphs with a bridge evaluate to exactly 0; values factorize over
     biconnected blocks."""
@@ -494,9 +495,9 @@ def D_lattice(g: MultiGraph, tau, M: int, ctx: PrecisionCtx | None = None,
             raise ValueError("block depth exceeds the cost guard (3)")
         if d == 3 and M > 16:
             raise ValueError("depth-3 lattice sums limited to M <= 16")
-        if d < 3 and (nbytes := _lattice_bytes(groups, d, M)) > _LATTICE_BYTES:
+        if d < 3 and (nbytes := _lattice_bytes(groups, d, M)) > _MAX_BYTES:
             raise ValueError(f"M = {M} needs {nbytes:.3g} bytes for a depth-{d} block, "
-                             f"over the cap of {_LATTICE_BYTES} bytes")
+                             f"over the cap of {_MAX_BYTES} bytes")
     t2 = float(mp.im(tau))
     value = (t2 / math.pi) ** g.weight
     bound_rel = 0.0
@@ -652,6 +653,22 @@ def _R_layers(keys, L: int) -> dict:
     return {k: t / 2.0 ** (k[3] + k[4]) for k, t in totals.items()}
 
 
+def _layers_bytes(keys, L: int) -> int:
+    """Bytes _R_layers(keys, L) holds: per block of rows, the c rows of each
+    group twice (the block's and the last one's), the correlation T of each
+    (m, e) with e > 0 and four more rows of L + 1 floats; the spectrum of
+    each correlated group and two more rows of n/2 + 1 complex; and the S
+    and kernel tables."""
+    rows = min(_R_BLOCK, L + 1)
+    n = _next_fast_len(2 * L + rows)
+    corrs = {(k[1], k[3]) for k in keys if k[3]} | {(k[2], k[4]) for k in keys if k[4]}
+    groups = {m for k in keys for m in k[:3]}
+    spectra = {m for m, _ in corrs}
+    return (8 * rows * (L + 1) * (2 * len(groups) + len(corrs) + 4)
+            + 16 * rows * (n // 2 + 1) * (len(spectra) + 2 * bool(spectra))
+            + 8 * (3 * L + 1) * (max(groups) + 1 + 3 * len({e for _, e in corrs})))
+
+
 def _R_extrapolate(keys, cutoff: int, layers) -> dict:
     """Extrapolated R for each key from the layered sums ``layers(keys, L)``.
 
@@ -690,10 +707,14 @@ def _R_values(keys, cutoff: int):
     extrapolated value from cutoff // 2 to cutoff.  That second extrapolation
     reuses the levels L/4 and L/2 (and L/8 for a 1/L tail) and adds one
     level below them.  A cutoff below 8 is refused: it would put a level of
-    the value or of its estimate at L = 0."""
+    the value or of its estimate at L = 0; so is one whose level L = cutoff
+    would hold more than _MAX_BYTES (_layers_bytes)."""
     if cutoff < 8:
         raise ValueError(f"cutoff must be >= 8 on the float R route, not {cutoff}")
     keys = list(dict.fromkeys(keys))
+    if (nbytes := _layers_bytes(keys, cutoff)) > _MAX_BYTES:
+        raise ValueError(f"cutoff = {cutoff} needs {nbytes:.3g} bytes on the float R route, "
+                         f"over the cap of {_MAX_BYTES} bytes")
     done: dict = {}
 
     def layers(todo, L):
@@ -722,15 +743,15 @@ def _float_bound(error: float, cutoff: int) -> float:
 
 
 def _R(key, cutoff: int, ctx: PrecisionCtx):
-    """R(key) and its error bound.  A key of the four exact families (see
-    exact._R_family; (2,2,2) is family (d)) is its exact reduction at
-    ``ctx``, within ctx.eps; ``cutoff`` is then unused.  Every other key,
-    from the (1,2,3) shapes on, takes the float route _R_values: the layered
-    sum R = R_0 + 2 R_{>0} over the coefficients c_m(l+a, l) at L = cutoff/4,
-    cutoff/2 and cutoff, extrapolated (see _R_extrapolate)."""
+    """R(key) and its error bound.  A key with an exact reduction
+    (exact._R_exact) is its value at ``ctx``, within ctx.eps; ``cutoff`` is
+    then unused.  Every other key, such as (2,1,3;1,1) or (1,3,3;0,0), takes
+    the float route _R_values: the layered sum R = R_0 + 2 R_{>0} over the
+    coefficients c_m(l+a, l) at L = cutoff/4, cutoff/2 and cutoff,
+    extrapolated (see _R_extrapolate)."""
     _check_R(*key, cutoff)
-    if _R_family(key):
-        return value(_R_exact(key), ctx), ctx.eps
+    if (combo := _R_exact(key)) is not None:
+        return value(combo, ctx), ctx.eps
     values, errors = _R_values([key], cutoff)
     return values[key], _float_bound(errors[key], cutoff)
 
@@ -761,12 +782,26 @@ def _k_table(m: int, C: int) -> np.ndarray:
     return T
 
 
+def _direct_bytes(m1: int, m2: int, m3: int, C: int) -> int:
+    """Bytes R_direct holds at cutoff C: each group's _k_table, (2mC+1)(mC+1)
+    floats, two more tables of the largest group while one is built, and
+    the grids of width m1 C + 1 that couple the groups."""
+    tables = [8 * (2 * m * C + 1) * (m * C + 1) for m in {m1, m2, m3}]
+    rows = 2 * min(m1, m2, m3) * C + 1
+    return sum(tables) + 2 * max(tables) + 8 * (m1 * C + 1) * (3 * (max(m2, m3) * C + 1) + 4 * rows)
+
+
 def R_direct(m1: int, m2: int, m3: int, alpha: int, beta: int, cutoff: int) -> float:
     """Direct triple-constrained sum, truncated at |k_i| <= cutoff; grouped by
     (common momentum a, per-group absolute-value sums):
     sum_a sum_{s1} T1[a, s1] (T2[a] @ H_alpha[s1]) (T3[a] @ H_beta[s1]) with
-    H_e[s1, s2] = (s1 + s2)^-e (0 at s1 + s2 = 0; row sums for e = 0)."""
+    H_e[s1, s2] = (s1 + s2)^-e (0 at s1 + s2 = 0; row sums for e = 0).  A
+    cutoff that would hold more than _MAX_BYTES (_direct_bytes) is refused
+    before any table is built."""
     _check_R(m1, m2, m3, alpha, beta, cutoff)
+    if (nbytes := _direct_bytes(m1, m2, m3, cutoff)) > _MAX_BYTES:
+        raise ValueError(f"cutoff = {cutoff} needs {nbytes:.3g} bytes on the direct R route, "
+                         f"over the cap of {_MAX_BYTES} bytes")
     C = cutoff
     A = min(m1, m2, m3) * C
     tables = {m: _k_table(m, C)[m * C - A : m * C + A + 1] for m in {m1, m2, m3}}

@@ -110,7 +110,7 @@ def test_conical_zeta_fully_eliminated_bound_holds(capsys, matrix):
 
 
 def test_mgf_r_takes_the_exact_route_for_the_families(capsys):
-    # (1,1,5;1,1) is family (b): exact at --prec, whatever the cutoff
+    # (1,1,5;1,1) has an exact reduction: exact at --prec, whatever the cutoff
     rc, doc = _run_json(capsys, ["mgf", "r", "--m", "1", "1", "5", "--alpha", "1",
                                  "--beta", "1", "--cutoff", "2000"])
     assert rc == 0 and doc["error_bound"] == "1.00000e-30"
@@ -125,24 +125,27 @@ def test_mgf_r_takes_the_exact_route_for_the_families(capsys):
     with ctx.workprec():
         closed = 10 * mp.zeta(5) - 4 * mp.zeta(2) * mp.zeta(3)
         assert abs(mp.mpf(doc["value"]) - closed) < mp.mpf("1e-28")
-    # (2,2,2;1,1) is family (d)
-    rc, doc = _run_json(capsys, ["mgf", "r", "--m", "2", "2", "2", "--alpha", "1",
-                                 "--beta", "1"])
-    assert rc == 0 and doc["error_bound"] == "1.00000e-30"
-    # (1,2,3;1,1) has no exact reduction: the float route and its own
+    # so have (2,2,2;1,1) and (1,2,3;1,1)
+    for m in (["2", "2", "2"], ["1", "2", "3"]):
+        rc, doc = _run_json(capsys, ["mgf", "r", "--m", *m, "--alpha", "1", "--beta", "1"])
+        assert rc == 0 and doc["error_bound"] == "1.00000e-30"
+    with ctx.workprec():
+        value = exact.value(exact._R_exact((1, 2, 3, 1, 1)), ctx)
+        assert abs(mp.mpf(doc["value"]) - value) < mp.mpf("1e-28")
+    # (2,1,3;1,1) has no exact reduction: the float route and its own
     # convergence estimate, never below 10/cutoff^2
-    rc, doc = _run_json(capsys, ["mgf", "r", "--m", "1", "2", "3", "--alpha", "1",
+    rc, doc = _run_json(capsys, ["mgf", "r", "--m", "2", "1", "3", "--alpha", "1",
                                  "--beta", "1", "--cutoff", "200"])
-    _, errors = mgf._R_values([(1, 2, 3, 1, 1)], 200)
-    assert float(doc["error_bound"]) == pytest.approx(max(2.5e-4, errors[1, 2, 3, 1, 1]),
+    _, errors = mgf._R_values([(2, 1, 3, 1, 1)], 200)
+    assert float(doc["error_bound"]) == pytest.approx(max(2.5e-4, errors[2, 1, 3, 1, 1]),
                                                       rel=1e-5)
-    assert float(doc["value"]) == mgf.R_structured(1, 2, 3, 1, 1, cutoff=200)
+    assert float(doc["value"]) == mgf.R_structured(2, 1, 3, 1, 1, cutoff=200)
 
 
-@pytest.mark.parametrize("key", [(1, 2, 3, 0, 0), (1, 2, 3, 1, 0), (1, 2, 3, 1, 1),
-                                 (1, 3, 3, 0, 0), (1, 2, 4, 0, 0)])
+@pytest.mark.parametrize("key", [(1, 3, 3, 0, 0), (1, 3, 3, 1, 0), (2, 1, 3, 1, 1),
+                                 (2, 2, 3, 1, 1), (1, 3, 4, 1, 1)])
 def test_mgf_r_float_route_bound_covers_a_fourfold_cutoff(capsys, key):
-    # keys outside the exact families: the printed bound at cutoff 250 holds
+    # keys with no exact reduction: the printed bound at cutoff 250 holds
     # the move of the value to cutoff 1000
     m, alpha, beta = key[:3], key[3], key[4]
     rc, doc = _run_json(capsys, ["mgf", "r", "--m", *map(str, m), "--alpha", str(alpha),
@@ -154,15 +157,15 @@ def test_mgf_r_float_route_bound_covers_a_fourfold_cutoff(capsys, key):
 
 def test_laurent3_bound_is_exact_unless_an_r_sum_falls_back(capsys):
     # every R-sum of (1,1,2) and of (2,2,2) has an exact reduction; (1,2,3)
-    # takes three R-sums from the float route at the cutoff
+    # takes one R-sum, (2,1,3;1,1), from the float route at the cutoff
     assert not exact._d3pt_rows((1, 1, 2))[1]
     assert not exact._d3pt_rows((2, 2, 2))[1]
-    assert len({key for _, _, key in exact._d3pt_rows((1, 2, 3))[1]}) == 3
+    assert len({key for _, _, key in exact._d3pt_rows((1, 2, 3))[1]}) == 1
     for l in (["1", "1", "2"], ["2", "2", "2"]):
         rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", *l])
         assert rc == 0 and doc["error_bound"] == "1.00000e-30"
     rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", "1", "2", "3", "--cutoff", "100"])
-    assert rc == 0 and doc["error_bound"] == "0.00150000"
+    assert rc == 0 and doc["error_bound"] == "0.000500000"
 
 
 @pytest.mark.parametrize("l", [(1, 2, 3), (1, 2, 4)], ids=lambda l: "".join(map(str, l)))
@@ -306,9 +309,10 @@ def test_dlattice_refuses_an_M_over_the_memory_cap_by_name(capsys):
 
 def test_float_r_route_refuses_a_cutoff_below_8_by_name(capsys):
     # below 8 a level of the extrapolation or of its estimate sits at L = 0;
-    # a family key never takes the float route, so any cutoff >= 1 stays
+    # a key with an exact reduction never takes the float route, so any
+    # cutoff >= 1 stays
     message = {"type": "ValueError", "message": "cutoff must be >= 8 on the float R route, not 3"}
-    rc, doc = _run_json(capsys, ["mgf", "r", "--m", "1", "2", "3", "--alpha", "0",
+    rc, doc = _run_json(capsys, ["mgf", "r", "--m", "1", "3", "3", "--alpha", "0",
                                  "--beta", "0", "--cutoff", "3"])
     assert rc == 3 and doc["error"] == message
     rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", "1", "2", "3", "--cutoff", "3"])
@@ -318,6 +322,39 @@ def test_float_r_route_refuses_a_cutoff_below_8_by_name(capsys):
     assert rc == 0 and doc["error_bound"] == "1.00000e-30"
     rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", "1", "1", "2", "--cutoff", "3"])
     assert rc == 0 and doc["error_bound"] == "1.00000e-30"
+    rc, doc = _run_json(capsys, ["mgf", "r", "--m", "1", "2", "3", "--alpha", "0",
+                                 "--beta", "0", "--cutoff", "3"])
+    assert rc == 0 and doc["error_bound"] == "1.00000e-30"
+
+
+@pytest.mark.parametrize("m", [("1", "2", "3"), ("2", "1", "3")], ids=lambda m: "".join(m))
+def test_mgf_r_takes_the_exact_route_where_the_layer_rule_reaches(capsys, m):
+    # the float route printed 97.89 +- 78.0 for (1,2,3;0,0) at cutoff 8;
+    # (2,1,3;0,0) reaches the rule in the order (1,2,3) of equal value
+    rc, doc = _run_json(capsys, ["mgf", "r", "--m", *m, "--alpha", "0", "--beta", "0",
+                                 "--cutoff", "8"])
+    assert rc == 0 and doc["error_bound"] == "1.00000e-30"
+    assert doc["value"] == "186.173780343154192567756781151738"
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["--m", "1", "2", "3", "--method", "direct"], "cutoff = 2000 needs 2.59e+09 bytes on the direct"),
+    (["--m", "1", "3", "3", "--cutoff", "10000000"],
+     "cutoff = 10000000 needs 7.87e+10 bytes on the float"),
+], ids=["direct", "layered"])
+def test_mgf_r_refuses_a_cutoff_over_the_memory_cap_by_name(capsys, argv, named):
+    # R_direct at the default cutoff 2000 would hold about 2.6e9 bytes, the
+    # layered float route at cutoff 10^7 about 7.9e10: refused before any
+    # table is built
+    tracemalloc.start()
+    try:
+        rc, doc = _run_json(capsys, ["mgf", "r", *argv, "--alpha", "1", "--beta", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3 and doc["error"]["type"] == "ValueError"
+    assert doc["error"]["message"].startswith(named)
+    assert peak < 2**20
 
 
 # One cheap argv per subcommand (plus the branches with other bounds) and the

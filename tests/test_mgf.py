@@ -424,9 +424,10 @@ def test_R_exact_closed_forms(m, alpha, beta):
     assert R_structured(*key) == float(value)
 
 
-# family (a), (b), (c), (d) keys with alpha = 0, beta = 0 or both; (2,2,2;0,0)
-# is left to test_R_222_at_zero_exponents_matches_its_row_sums, because the
-# float route misses it by more than its own move from cutoff 1000 to 2000
+# exact keys with alpha = 0, beta = 0 or both, of the shapes (0,m,m'), (1,1,m),
+# (1,2,2) and (2,2,2) in their orders; (2,2,2;0,0) is left to
+# test_R_222_at_zero_exponents_matches_its_row_sums, because the float route
+# misses it by more than its own move from cutoff 1000 to 2000
 _R_ZERO_EXPONENT_KEYS = [
     (0, 2, 2, 0, 1), (2, 0, 2, 0, 1), (2, 0, 3, 0, 2), (0, 3, 2, 1, 0),
     (0, 2, 2, 0, 0), (2, 2, 0, 0, 0),
@@ -439,7 +440,7 @@ _R_ZERO_EXPONENT_KEYS = [
 
 
 def test_exact_R_sums_with_a_zero_exponent_match_the_float_route():
-    assert {exact._R_family(key) for key in _R_ZERO_EXPONENT_KEYS} == {"a", "b", "c", "d"}
+    assert all(exact._R_exact(key) is not None for key in _R_ZERO_EXPONENT_KEYS)
     # errors[key] / 2 is the move of the value from cutoff 1000 to 2000
     fine, errors = mgf._R_values(_R_ZERO_EXPONENT_KEYS, 2000)
     for key in _R_ZERO_EXPONENT_KEYS:
@@ -447,6 +448,42 @@ def test_exact_R_sums_with_a_zero_exponent_match_the_float_route():
         assert value > 0, key
         # the allowance of test_exact_R_sums_match_the_float_route
         assert abs(value - fine[key]) <= 1e-8 + errors[key] / 2, key
+
+
+def test_keys_that_left_the_float_route_lie_within_its_bound():
+    # the keys of the box m_i <= 4, alpha, beta <= 2 with an exact reduction
+    # outside the shapes (0,m,m'), (1,1,m), (1,2,2) and (2,2,2), which took
+    # the float route before the layer rule decided its own domain
+    def old_shape(m):
+        return m[0] == 0 or m[:2] == [1, 1] or m in ([1, 2, 2], [2, 2, 2])
+
+    keys = [key for key in itertools.product(*[range(5)] * 3, *[range(3)] * 2)
+            if not old_shape(sorted(key[:3])) and exact._R_exact(key) is not None]
+    assert len(keys) == 122
+    values, errors = mgf._R_values(keys, 1000)
+    terms, _, ctx = exact._row_terms({key: exact._R_exact(key) for key in keys}, CTX)
+    with ctx.workprec():
+        for key in keys:
+            error = abs(float(mp.fsum(terms[key])) - values[key])
+            assert error <= mgf._float_bound(errors[key], 1000), key
+
+
+def test_R_memory_predictions_hold_the_traced_peak():
+    # the bytes each float route predicts before it runs (and refuses over
+    # mgf._MAX_BYTES) are at least what it then holds
+    def peak(f, *args):
+        tracemalloc.start()
+        try:
+            f(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for key, cutoff in itertools.product([(1, 2, 3, 1, 1), (1, 3, 3, 1, 1)], (100, 200)):
+        assert mgf._direct_bytes(*key[:3], cutoff) >= peak(R_direct, *key, cutoff), key
+    float_keys = sorted({k for _, _, k in exact._d3pt_rows((1, 3, 3))[1]})
+    for keys, cutoff in (([(2, 1, 3, 1, 1)], 2000), (float_keys, 1000)):
+        assert mgf._layers_bytes(keys, cutoff) >= peak(mgf._R_values, keys, cutoff)
 
 
 def test_R_structured_never_reaches_the_float_route_on_a_family_key(monkeypatch):
@@ -461,7 +498,7 @@ def test_R_structured_never_reaches_the_float_route_on_a_family_key(monkeypatch)
 
 def test_R_222_family():
     for a, b in itertools.product(range(5), repeat=2):
-        assert exact._R_family((2, 2, 2, a, b)) == "d"
+        assert exact._R_exact((2, 2, 2, a, b)) is not None
     assert not exact._d3pt_rows((2, 2, 2))[1]
     assert exact._R_exact((2, 2, 2, 1, 2)) == exact._R_exact((2, 2, 2, 2, 1))
     # the extrapolation of the float route at cutoffs 1000-8000
@@ -520,9 +557,9 @@ def test_d3pt_222_is_within_the_float_route_bound(monkeypatch):
     # it, and its printed bound 10/cutoff^2
     cutoff = 2000
     exact_poly = d3pt(2, 2, 2, ctx=CTX, cutoff=cutoff)
-    family = exact._R_family
-    monkeypatch.setattr(exact, "_R_family",
-                        lambda key: None if sorted(key[:3]) == [2, 2, 2] else family(key))
+    reduce = exact._R_exact
+    monkeypatch.setattr(exact, "_R_exact",
+                        lambda key: None if sorted(key[:3]) == [2, 2, 2] else reduce(key))
     assert {key for _, _, key in exact._d3pt_rows((2, 2, 2))[1]} == {(2, 2, 2, 1, 1)}
     float_poly = d3pt(2, 2, 2, ctx=CTX, cutoff=cutoff)
     assert set(exact_poly.exponents) == set(float_poly.exponents)
