@@ -3,22 +3,34 @@ series, and the Eisenstein period cocycle.
 
 ``gamma((n1, ..., nr), N)`` is the length-r iterated integral from tau to the
 cusp of the normalized Eisenstein series Gbb_{n1} ... Gbb_{nr} (outermost
-integration first), built by the regularized-primitive recursion
+integration first), the regularized primitive
 ``gamma(n1, rest) = reg_primitive(Gbb_{n1} * gamma(rest))`` with
 ``gamma(()) = 1``.  In particular ``gamma((0,)) = 2 pi i tau``.
+
+It is built exactly, in T = 2 pi i tau.  Gbb_k = 2 pi i g_k(q) with g_k in
+Q[[q]] (constant term -B_k/k!, and g_0 = -1), and d/dtau = 2 pi i d/dT, so
+gamma(n1, rest) is minus the primitive in T of g_{n1} gamma(rest): T^i q^j
+with j > 0 goes to a rational combination of T^(i-s) q^j, s = 0..i, and T^i
+to -T^(i+1)/(i+1).  By induction on the length, the coefficient of
+tau^i q^j is a rational r_ij times (2 pi i)^i.  The rows (r_i0, ..., r_iN)
+are kept as Python integers over one common denominator and cached on
+(word, N) alone; each call converts them to mpc at the working precision,
+every coefficient rounded once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, fzero, mpf_neg, round_nearest
 
-from .numkernel import PrecisionCtx, _bern, zeta_int
-from .qseries import QTauSeries, auto_q_order, check_tau, eval_at, reg_primitive
-from .eisenstein import eis_Gbb, _divisor_series
+from .numkernel import PrecisionCtx, _bern, bernoulli_number, zeta_int
+from .qseries import QTauSeries, auto_q_order, check_tau, eval_at
+from .eisenstein import _divisor_series, _sigma_table
 
 __all__ = [
     "gamma",
@@ -31,22 +43,110 @@ __all__ = [
     "CocyclePoly",
 ]
 
-
-@functools.lru_cache(maxsize=None)
-def _gamma_cached(nvec: tuple, q_order: int, dps: int) -> QTauSeries:
-    with mp.workdps(dps):
-        if not nvec:
-            return QTauSeries.constant(1, q_order)
-        head, rest = nvec[0], nvec[1:]
-        return reg_primitive(eis_Gbb(head, q_order).mul(_gamma_cached(rest, q_order, dps)))
+_GUARD_BITS = 8  # extra bits of (2 pi)^i and of each quotient before the one rounding
 
 
 def gamma(nvec, q_order: int) -> QTauSeries:
-    """Iterated Eisenstein integral as a q-tau series."""
-    nvec = tuple(int(n) for n in nvec)
-    if any(n < 0 for n in nvec):
-        raise ValueError("indices must be nonnegative")
-    return _gamma_cached(nvec, q_order, mp.mp.dps)
+    """Iterated Eisenstein integral as a q-tau series at the working
+    precision, each coefficient rounded once from its exact value."""
+    nvec = list(nvec)
+    word = tuple(map(int, nvec))
+    for n, m in zip(nvec, word):
+        if m != n:
+            raise ValueError(f"index {n!r} of nvec must be an integer")
+        if m < 0:
+            raise ValueError("indices must be nonnegative")
+    if int(q_order) != q_order or q_order < 0:
+        raise ValueError(f"q_order must be a nonnegative integer, not {q_order!r}")
+    q_order = int(q_order)
+    return _rows_series(*_gamma_rows(word, q_order), q_order)
+
+
+@functools.lru_cache(maxsize=None)
+def _gamma_rows(nvec: tuple, q_order: int):
+    """(rows, den) with gamma(nvec) = sum_ij rows[i][j]/den T^i q^j, T = 2 pi i tau,
+    j = 0..q_order; no rows when an index is odd (Gbb_odd = 0)."""
+    if not nvec:
+        return ((1,) + (0,) * q_order,), 1
+    head = nvec[0]
+    inner, den = _gamma_rows(nvec[1:], q_order)
+    if head % 2 or not inner:
+        return (), 1
+    g, g_den = _g_row(head, q_order)
+    m, inv = _primitive_weights(q_order, len(inner))
+    out = [[0] * (q_order + 1) for _ in range(len(inner) + 1)]
+    for i, row in enumerate(inner):
+        prod = _convolve(g, row)
+        # T^i -> -T^(i+1)/(i+1); T^i q^j -> -sum_k (-1)^k fall_k T^(i-k) q^j / j^(k+1)
+        out[i + 1][0] -= prod[0] * (m // (i + 1))
+        fall = 1  # i (i-1) ... (i-k+1)
+        for k in range(i + 1):
+            f = fall if k % 2 else -fall
+            target = out[i - k]
+            target[1:] = map(operator.add, target[1:],
+                             map(f.__mul__, map(operator.mul, prod[1:], inv[k])))
+            fall *= i - k
+    den *= g_den * m
+    common = math.gcd(den, *(x for row in out for x in row))
+    return tuple(tuple(x // common for x in row) for row in out), den // common
+
+
+@functools.lru_cache(maxsize=None)
+def _g_row(n: int, q_order: int):
+    """g_n = Gbb_n/(2 pi i), n even, as (integer row over q^0..q^q_order, den):
+    -B_n/n! + 2/(n-1)! sum sigma_{n-1}(N) q^N, and -1 at n = 0."""
+    if n == 0:
+        return (-1,) + (0,) * q_order, 1
+    c0 = -bernoulli_number(n) / math.factorial(n)
+    fact = math.factorial(n - 1)
+    den = math.lcm(c0.denominator, fact)
+    scale = 2 * (den // fact)
+    return (c0.numerator * (den // c0.denominator),
+            *(scale * s for s in _sigma_table(n - 1, q_order)[1:])), den
+
+
+@functools.lru_cache(maxsize=None)
+def _primitive_weights(q_order: int, rows: int):
+    """(m, inv): a multiplier m that every 1/j^(k+1), k < ``rows``, j <= q_order,
+    and every 1/(i+1), i < ``rows``, turns into an integer, and
+    inv[k][j-1] = m / j^(k+1)."""
+    m = math.lcm(*range(1, q_order + 1)) ** rows * math.lcm(*range(1, rows + 1))
+    return m, tuple(tuple(m // j ** (k + 1) for j in range(1, q_order + 1)) for k in range(rows))
+
+
+def _convolve(a, b) -> list:
+    """The product of two q-rows of equal length, truncated to that length."""
+    n = len(a)
+    out = [0] * n
+    for t, x in enumerate(a):
+        if x:
+            out[t:] = map(operator.add, out[t:], map(x.__mul__, b[:n - t]))
+    return out
+
+
+def _rows_series(rows, den: int, q_order: int) -> QTauSeries:
+    """sum_ij rows[i][j]/den (2 pi i tau)^i q^j as a QTauSeries at the working
+    precision.  (2 pi)^i carries _GUARD_BITS more bits, each numerator times its
+    mantissa is divided by den in integers to as many bits, and the quotient is
+    rounded once; i^i puts it in the real or imaginary part, with its sign."""
+    prec = mp.mp.prec
+    wp = prec + _GUARD_BITS
+    dbits = den.bit_length()
+    coeffs = {}
+    for i, row in enumerate(rows):
+        with mp.workprec(wp):
+            _, pman, pexp, _ = ((2 * mp.pi) ** i)._mpf_
+        for j, x in enumerate(row):
+            if not x:
+                continue
+            x *= pman
+            sh = wp + dbits + 1 - x.bit_length()
+            y = (x << sh) // den if sh >= 0 else x // (den << -sh)
+            part = from_man_exp(y, pexp - sh, prec, round_nearest)
+            if i % 4 >= 2:
+                part = mpf_neg(part)
+            coeffs[i, j] = mp.make_mpc((fzero, part) if i % 2 else (part, fzero))
+    return QTauSeries(q_order, coeffs)
 
 
 def gamma_inf(nvec, q_order: int) -> QTauSeries:

@@ -10,12 +10,13 @@ Word convention: ``(n1, ..., nr)`` labels the iterated integral with the
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import mpmath as mp
 
-from .numkernel import PrecisionCtx, _bern, bernoulli_number
+from .numkernel import PrecisionCtx, _bern, bernoulli_number, zeta_int
 from .qseries import GuardError, QTauSeries, auto_q_order, check_tau, eval_at
 from .eisenstein import _divisor_series, _divisor_value, eis_Gbb, f_n
 from .eisint import _eichler_terms
@@ -310,37 +311,37 @@ def hatA(r: int, tau, ctx: PrecisionCtx | None = None, form: str = "direct"):
 def B_inf_depth1(n: int, r: int, ctx: PrecisionCtx | None = None) -> LaurentPoly:
     """Cusp asymptotics of the depth-one B-value for the word ``(n, 0^r)``
     (``r`` counts the zeros); a Laurent polynomial in tau with exponents in
-    [-r, n]."""
+    [-r, n], evaluated at the precision of ``ctx`` from its exact map
+    (``_B_inf_terms``)."""
     if n < 2:
         raise ValueError("n must be >= 2 (n = 1 develops a log tau term)")
     if r < 0:
         raise ValueError("r must be >= 0")
-    with (ctx or PrecisionCtx()).workprec():
+    ctx = ctx or PrecisionCtx()
+    with ctx.workprec():
         two_pi_i = 2j * mp.pi
-        coeffs: dict[int, mp.mpc] = {}
-        lead = mp.mpf(0)
-        for k in range(n + 1):
-            lead += _bern(k) / (mp.factorial(k) * mp.factorial(n - k) * (n - k + r + 1))
-        coeffs[n] = two_pi_i ** (r + 1) / mp.factorial(r) * lead
-        for p in range(r):
-            c = _gen_binom(n + p - 1, p)
-            coeffs[-p] = coeffs.get(-p, 0) - (
-                mp.mpf(1)
-                / mp.factorial(r - p)
-                * mp.mpf(c.numerator)
-                / c.denominator
-                * mp.zeta(n + p)
-                / two_pi_i ** (n + p - r - 1)
-            )
-        c = _gen_binom(n + r - 1, r)
-        coeffs[-r] = coeffs.get(-r, 0) - (
-            (1 + (-1) ** (n + r))
-            * mp.mpf(c.numerator)
-            / c.denominator
-            * mp.zeta(n + r)
-            / two_pi_i ** (n - 1)
-        )
-        return LaurentPoly(coeffs, variable="tau")
+        return LaurentPoly({e: mp.mpf(c.numerator) / c.denominator
+                            * (zeta_int(m, ctx) if m else 1) * two_pi_i ** p
+                            for e, (c, m, p) in _B_inf_terms(n, r).items() if c},
+                           variable="tau")
+
+
+@functools.lru_cache(maxsize=None)
+def _B_inf_terms(n: int, r: int) -> dict:
+    """``B_inf_depth1(n, r)`` as {exponent: (c, m, p)}: the coefficient of
+    tau^exponent is c zeta(m) (2 pi i)^p, c rational, with no zeta when m is
+    None.  With lead = sum_k B_k/(k! (n-k)! (n-k+r+1)),
+
+        (2 pi i)^(r+1) lead/r! tau^n
+        - sum_{p<r} C(n+p-1, p)/(r-p)! zeta(n+p) (2 pi i)^(r+1-n-p) tau^-p
+        - (1 + (-1)^(n+r)) C(n+r-1, r) zeta(n+r) (2 pi i)^(1-n) tau^-r."""
+    lead = sum(bernoulli_number(k) / (math.factorial(k) * math.factorial(n - k) * (n - k + r + 1))
+               for k in range(n + 1))
+    terms = {n: (lead / math.factorial(r), None, r + 1)}
+    for p in range(r):
+        terms[-p] = (-_gen_binom(n + p - 1, p) / math.factorial(r - p), n + p, r + 1 - n - p)
+    terms[-r] = (-(1 + (-1) ** (n + r)) * _gen_binom(n + r - 1, r), n + r, 1 - n)
+    return terms
 
 
 def B_depth1(n: int, r: int, tau, ctx: PrecisionCtx | None = None, q_order=None):

@@ -1,10 +1,15 @@
 """Iterated Eisenstein integral checks."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
 
 from ellipsum.eisenstein import _sigma_table, eis_E, eis_G, eis_Gbb
 from ellipsum.eisint import (
+    _gamma_rows,
     b30_reference,
     cocycle_S,
     eichler_E,
@@ -15,7 +20,7 @@ from ellipsum.eisint import (
 )
 from ellipsum.emzv import B_depth1
 from ellipsum.numkernel import PrecisionCtx, bernoulli_number
-from ellipsum.qseries import QTauSeries, eval_at
+from ellipsum.qseries import QTauSeries, eval_at, reg_primitive
 
 CTX = PrecisionCtx(digits=30)
 N = 30
@@ -27,18 +32,75 @@ def test_gamma_zero_word():
     assert abs(g.coeff(1, 0) - 2j * mp.pi) < mp.mpf("1e-14")
 
 
-def test_gamma_derivative_rule():
-    # d/dtau Gamma(n1, rest) = -Gbb_{n1} * Gamma(rest)
-    with CTX.workprec():
-        for nvec in [(4,), (0, 4), (4, 0), (4, 6)]:
-            lhs = gamma(nvec, N).dtau()
+def _ring_gamma(nvec, q_order):
+    """gamma by the mpc ring recursion reg_primitive(Gbb_{n1} * gamma(rest))."""
+    if not nvec:
+        return QTauSeries.constant(1, q_order)
+    return reg_primitive(eis_Gbb(nvec[0], q_order).mul(_ring_gamma(nvec[1:], q_order)))
+
+
+@pytest.mark.parametrize("dps", [30, 100])
+def test_gamma_derivative_rule(dps):
+    # d/dtau Gamma(n1, rest) = -Gbb_{n1} * Gamma(rest), and the coefficients
+    # are those of the ring recursion; 100 digits run right after 30, so a
+    # conversion cached at 30 digits would show
+    with mp.workdps(dps):
+        for nvec in [(4,), (0, 4), (4, 0), (4, 6), (4, 2, 0)]:
+            got = gamma(nvec, N)
+            lhs = got.dtau()
             tail = gamma(nvec[1:], N) if len(nvec) > 1 else None
             rhs = eis_Gbb(nvec[0], N)
             if tail is not None:
                 rhs = rhs.mul(tail)
             resid = lhs.add(rhs).truncate(N - 1).max_abs_coeff()
             scale = max(mp.mpf(1), lhs.max_abs_coeff())
-            assert resid < mp.mpf("1e-20") * scale
+            assert resid < mp.mpf(10) ** (10 - dps) * scale
+            ref = _ring_gamma(nvec, N)
+            assert set(got.coeffs) == set(ref.coeffs), nvec
+            for key, c in ref.coeffs.items():
+                assert abs(got.coeffs[key] - c) <= mp.mpf(10) ** (2 - dps) * abs(c), (nvec, key)
+
+
+def _exact(nvec):
+    """gamma(nvec, N) as {(T power, q power): Fraction}, T = 2 pi i tau."""
+    rows, den = _gamma_rows(nvec, N)
+    return {(i, j): Fraction(x, den) for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+
+
+@pytest.mark.parametrize("a, b", list(itertools.product((0, 2, 4, 6, 8), repeat=2)))
+def test_gamma_rows_shuffle_exactly(a, b):
+    # gamma(a) gamma(b) = gamma(a, b) + gamma(b, a), with no tolerance
+    lhs = {}
+    for (i1, j1), x in _exact((a,)).items():
+        for (i2, j2), y in _exact((b,)).items():
+            if j1 + j2 <= N:
+                key = (i1 + i2, j1 + j2)
+                lhs[key] = lhs.get(key, 0) + x * y
+    rhs = _exact((a, b))
+    for key, x in _exact((b, a)).items():
+        rhs[key] = rhs.get(key, 0) + x
+    assert {k: v for k, v in lhs.items() if v} == {k: v for k, v in rhs.items() if v}
+
+
+def test_gamma_rows_cusp_part_exactly():
+    # the q^0 row of every word is gamma_inf's prod B_{n_i}/n_i! T^k/k!, and nothing else
+    for k in (1, 2, 3):
+        for nvec in itertools.product((0, 2, 4, 6, 8), repeat=k):
+            ref = Fraction(1, math.factorial(k))
+            for n in nvec:
+                ref *= bernoulli_number(n) / math.factorial(n)
+            assert {i: x for (i, j), x in _exact(nvec).items() if j == 0} == {k: ref}, nvec
+
+
+def test_gamma_refuses_a_non_integer_index():
+    with pytest.raises(ValueError, match="index 4.7 of nvec"):
+        gamma((4.7,), 10)
+
+
+@pytest.mark.parametrize("q_order", [2.5, -1])
+def test_gamma_refuses_a_bad_q_order(q_order):
+    with pytest.raises(ValueError, match="q_order"):
+        gamma((4,), q_order)
 
 
 def test_gamma_splits_into_left_aligned_and_cusp():

@@ -179,6 +179,12 @@ def test_B_inf_small_golden():
         assert abs(poly.coeff(3) + P**2 / 720) < mp.mpf("1e-24")
         assert abs(poly.coeff(0) + mp.zeta(3) / P) < mp.mpf("1e-24")
         assert abs(poly.coeff(-1) + 6 * mp.zeta(4) / P**2) < mp.mpf("1e-24")
+        # with no zeros the lead sum sum_k B_k/(k! (n-k)! (n-k+1)) is exactly 0,
+        # so tau^n is absent rather than a rounding residue
+        for n in (2, 4, 6, 8):
+            poly = B_inf_depth1(n, 0)
+            assert poly.exponents == [0]
+            assert abs(poly.coeff(0) + 2 * mp.zeta(n) / P ** (n - 1)) < mp.mpf("1e-24")
 
 
 def test_B_inf_guards():
