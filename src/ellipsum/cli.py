@@ -28,7 +28,7 @@ import mpmath as mp
 from . import eisenstein, emzv, genus0, mgf
 from .laurent import LaurentPoly
 from .numkernel import PrecisionCtx
-from .qseries import GuardError, QTauSeries, auto_q_order, eval_at
+from .qseries import GuardError, QTauSeries, auto_q_order
 
 __all__ = ["run", "main"]
 
@@ -395,10 +395,11 @@ def _eisenstein_e(args, ctx):
     q_order = _q_order_arg(args)
     if q_order is None:
         q_order = auto_q_order(args.tau, ctx) if args.tau is not None else 10
-    series = eisenstein.eis_E(args.k, q_order)
     if args.tau is None:
-        return series, None
-    return eval_at(series, args.tau, ctx), ctx.eps
+        return eisenstein.eis_E(args.k, q_order), None
+    # summed from eis_E's own term map, without building the series
+    terms, head = eisenstein._eis_E_terms(args.k)
+    return eisenstein._divisor_value(terms, q_order, args.tau, ctx, head)[0], ctx.eps
 
 
 def _eisenstein_nonholo(args, ctx):

@@ -19,8 +19,7 @@ import mpmath as mp
 
 from .numkernel import (PrecisionCtx, _bern, _fixed_cmul, _fixed_horner, _fixed_mpc,
                         _to_fixed, bernoulli_periodic, bernoulli_poly, zeta_int)
-from .qseries import (GuardError, QTauSeries, _log2_absq, _row_bits, _tau_poly,
-                      _truncation_bound, check_tau)
+from .qseries import GuardError, QTauSeries, _log2_absq, _row_bits, _sum_rows, check_tau
 
 __all__ = [
     "theta",
@@ -40,7 +39,7 @@ __all__ = [
     "d_ab_average",
 ]
 
-_MAX_TERMS = 200000  # iteration cap of _series_sum, _q_product and eis_nonholo's cusp sum
+_MAX_TERMS = 200000  # cap on every iteration count and q_order in this module
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +62,7 @@ def _divisor_series(terms: dict, q_order: int, head=None) -> QTauSeries:
     c (2 pi i)^p tau^i sum_{N <= q_order} sigma_{n-1}(N)/N^k q^N.  The numerator
     of c multiplies (2 pi i)^p before the division, and N**k is an exact integer:
     one rounding fewer than mpf(N)**k, the same bits wherever N**k < 2**prec."""
+    _check_q_order(q_order)
     coeffs = dict(head or {})
     sigma = {n: _sigma_table(n - 1, q_order) for n in {key[1] for key in terms}}
     for (i, n, k, p), c in terms.items():
@@ -73,6 +73,13 @@ def _divisor_series(terms: dict, q_order: int, head=None) -> QTauSeries:
             t = pref * (mp.mpf(sigma[n][N]) / N**k)
             coeffs[i, N] = coeffs[i, N] + t if (i, N) in coeffs else t
     return QTauSeries(q_order, coeffs)
+
+
+def _check_q_order(q_order: int, tau=None) -> None:
+    """Refuse by name, before any sigma table is built, a q_order above _MAX_TERMS."""
+    if q_order > _MAX_TERMS:
+        at = f" at Im(tau)={mp.nstr(mp.im(tau), 8)}" if tau is not None else ""
+        raise ValueError(f"q_order={q_order}{at} exceeds the cap of {_MAX_TERMS} terms")
 
 
 def _prefactor(c, p: int):
@@ -116,15 +123,15 @@ def _divisor_value(terms: dict, q_order: int, tau, ctx: PrecisionCtx, head=None)
     (value, truncation bound), without building the series: ``head`` maps
     (tau power, 0) to a constant, and each tau power's q-coefficients are
     Gaussian integers from the exact term map (``_divisor_fixed``), summed by
-    Horner's rule at ``qseries._row_bits(q_order + 1)`` + 2 bits (the 2 cover
-    the slack of the bit-length bound and the truncations of a coefficient).
-    The truncation guard is ``eval_with_bound``'s, with max|c| over the head and
-    the integer coefficients; the head is added to each row's sum in mpc."""
+    the guarded summation ``qseries._sum_rows`` at ``qseries._row_bits(q_order
+    + 1)`` + 2 bits (the 2 cover the slack of the bit-length bound and the
+    truncations of a coefficient)."""
     if any(j for _, j in head or {}):
         raise ValueError("the head holds constants in q, keys (i, 0)")
     head = {i: c for (i, _), c in (head or {}).items() if c}
     with ctx.workprec():
         tau = check_tau(tau)
+        _check_q_order(q_order, tau)
         rows: dict[int, list] = {}
         for (i, n, k, p), c in terms.items():
             if c and q_order:
@@ -132,19 +139,9 @@ def _divisor_value(terms: dict, q_order: int, tau, ctx: PrecisionCtx, head=None)
         sigma = {n: _sigma_table(n - 1, q_order) for n in {key[0] for row in rows.values()
                                                                for key in row}}
         log2q, bits = _log2_absq(tau), _row_bits(q_order + 1) + 2
-        fixed = {i: _divisor_fixed(row, sigma, q_order, log2q, bits) for i, row in rows.items()}
-        maxc = max(map(abs, head.values()), default=0)
-        if fixed:
-            square = max(mp.ldexp(max(re * re + im * im for re, im in coeffs), -2 * w)
-                         for coeffs, w in fixed.values())
-            maxc = max(maxc, mp.sqrt(square))
-        bound = _truncation_bound(q_order, maxc, tau, ctx)
-        q = mp.exp(2j * mp.pi * tau)
-        in_q = {i: _fixed_mpc(*_fixed_horner(coeffs, q, bits), w)
-                for i, (coeffs, w) in fixed.items()}
-        for i, c in head.items():
-            in_q[i] = in_q[i] + c if i in in_q else c
-        return _tau_poly(in_q, tau), +bound
+        fixed = {i: (*_divisor_fixed(row, sigma, q_order, log2q, bits), bits)
+                 for i, row in rows.items()}
+        return _sum_rows(fixed, head, q_order, tau, ctx)
 
 
 def _series_sum(terms, ctx, what):
@@ -407,12 +404,16 @@ def eis_Gbb(k: int, q_order: int) -> QTauSeries:
 def eis_E(k: int, q_order: int) -> QTauSeries:
     """Normalized Eisenstein series with constant term -B_k/(2 k!) and
     q-coefficients sigma_{k-1}(m) for even k (odd k vanish)."""
+    terms, head = _eis_E_terms(k)
+    return _divisor_series(terms, q_order, head)
+
+
+def _eis_E_terms(k: int):
+    """``eis_E(k)`` as (divisor-sum term map, head), the head's constant at the
+    working precision."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    head = {(0, 0): -_bern(k) / (2 * mp.factorial(k))}
-    if k % 2 == 1:
-        return QTauSeries(q_order, head)
-    return _divisor_series({(0, k, 0, 0): 1}, q_order, head)
+    return {(0, k, 0, 0): 1} if k % 2 == 0 else {}, {(0, 0): -_bern(k) / (2 * mp.factorial(k))}
 
 
 # ---------------------------------------------------------------------------

@@ -150,15 +150,10 @@ def _rows_series(rows, den: int, q_order: int) -> QTauSeries:
 
 
 def gamma_inf(nvec, q_order: int) -> QTauSeries:
-    """Polynomial (cusp-asymptotic) part: prod(B_{n_i}/n_i!) (2 pi i tau)^k / k!
-    for k = number of entries."""
-    nvec = tuple(int(n) for n in nvec)
-    k = len(nvec)
-    coeff = mp.mpf(1)
-    for n in nvec:
-        coeff *= _bern(n) / mp.factorial(n)
-    coeff *= (2j * mp.pi) ** k / mp.factorial(k)
-    return QTauSeries(q_order, {(k, 0): coeff})
+    """Polynomial (cusp-asymptotic) part of ``gamma(nvec)``: its q^0 terms,
+    prod(B_{n_i}/n_i!) (2 pi i tau)^k / k! for k entries (0 when an entry is
+    odd: Gbb_1 = 0 too), as a series truncated at q_order."""
+    return QTauSeries(q_order, gamma(nvec, 0).coeffs)
 
 
 def gammaL0(n: int, k: int, q_order: int) -> QTauSeries:

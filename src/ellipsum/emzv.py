@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .numkernel import PrecisionCtx, _bern, bernoulli_number, zeta_int
-from .qseries import GuardError, QTauSeries, auto_q_order, check_tau, eval_at
+from .qseries import GuardError, QTauSeries, auto_q_order, check_tau
 from .eisenstein import _divisor_series, _divisor_value, eis_Gbb, f_n
 from .eisint import _eichler_terms
 from .laurent import LaurentPoly
@@ -71,7 +71,7 @@ def A_inf_depth1(n: int, r: int, ctx: PrecisionCtx | None = None):
     """Constant term at the cusp of the depth-one series of length r
     (word ``(n, 0^{r-1})``), at the precision of ``ctx``.  At (1, 1) it is
     i pi/2, the length-one value that ``A_depth1(1, 1, tau)`` and
-    ``_A_word_series((1,))``, hence ``expl_diff_A`` and ``A_len2``'s
+    ``_A_word_terms((1,))``, hence ``expl_diff_A`` and ``A_len2``'s
     lambda_1 = 1/4, carry; ``A_len1(1)`` is 0."""
     with (ctx or PrecisionCtx()).workprec():
         return _A_inf_depth1(n, r)
@@ -118,7 +118,7 @@ def A_depth1(n: int, r: int, tau=None, ctx: PrecisionCtx | None = None, q_order=
         if tau is not None:
             tau = check_tau(tau)
         N = q_order if q_order is not None else (30 if tau is None else auto_q_order(tau, ctx))
-        terms, head = _A_depth1_terms(n, r), {(0, 0): A_inf_depth1(n, r, ctx)}
+        terms, head = _A_word_terms((n,) + (0,) * (r - 1))
         if tau is None:
             return _divisor_series(terms, N, head)
         return _divisor_value(terms, N, tau, ctx, head)[0]
@@ -129,32 +129,32 @@ def A_depth1_general(s: int, n: int, r: int, tau, ctx: PrecisionCtx | None = Non
     ctx = ctx or PrecisionCtx()
     with ctx.workprec():
         tau = check_tau(tau)
-        word = (0,) * s + (n,) + (0,) * r
-        return eval_at(_A_word_series(word, auto_q_order(tau, ctx)), tau, ctx)
+        terms, head = _A_word_terms((0,) * s + (n,) + (0,) * r)
+        return _divisor_value(terms, auto_q_order(tau, ctx), tau, ctx, head)[0]
 
 
-def _A_word_series(word, q_order: int) -> QTauSeries:
-    """Series for words that are all zeros or contain one nonzero entry:
+def _A_word_terms(word) -> tuple:
+    """(divisor-sum term map, head) of A(word) for a word with at most one
+    nonzero entry, the head's constant at the working precision:
     A(0^s, n, 0^r) = sum_i (2 pi i)^{s-i} (-1)^i / (s-i)! C(r+i, r) A_{n, r+i+1},
-    the divisor-sum terms of the A_{n, r+i+1} summed exactly into one map."""
+    the terms of the A_{n, r+i+1} (``_A_depth1_terms``) summed exactly into
+    one map; an all-zero word is the case n = 0, s = 0."""
     word = tuple(word)
-    nonzero = [(i, n) for i, n in enumerate(word) if n != 0]
-    if not nonzero:
-        k = len(word)
-        return QTauSeries.constant((2j * mp.pi) ** k / mp.factorial(k), q_order)
+    nonzero = [i for i, n in enumerate(word) if n != 0]
     if len(nonzero) > 1:
         raise ValueError("series form implemented for depth-one words only")
-    pos, n = nonzero[0]
-    s, r = pos, len(word) - pos - 1
-    const, terms = 0, {}
+    if not word:
+        return {}, {(0, 0): mp.mpc(1)}
+    s = nonzero[0] if nonzero else 0
+    n, r = word[s], len(word) - s - 1
+    P, const, terms = 2j * mp.pi, 0, {}
     for i in range(s + 1):
         c = Fraction((-1) ** i * math.comb(r + i, r), math.factorial(s - i))
-        const += (c.numerator * (2j * mp.pi) ** (s - i) / c.denominator
-                  * _A_inf_depth1(n, r + i + 1))
+        const += c.numerator * P ** (s - i) / c.denominator * _A_inf_depth1(n, r + i + 1)
         for (t, m, k, p), d in _A_depth1_terms(n, r + i + 1).items():
             key = (t, m, k, p + s - i)
             terms[key] = terms.get(key, 0) + c * d
-    return _divisor_series(terms, q_order, {(0, 0): const})
+    return terms, {(0, 0): const}
 
 
 def _diff_A_terms(word: tuple) -> list:
@@ -178,11 +178,13 @@ def _diff_A_terms(word: tuple) -> list:
 def expl_diff_A(word, q_order: int) -> QTauSeries:
     """tau-derivative of an A-word: the explicit combination of Eisenstein
     series Gbb_k times shorter words, each shorter word taken as the q-series
-    of ``_A_word_series`` (so every shorter word must have depth <= 1)."""
+    of its term map ``_A_word_terms`` (so every shorter word must have depth
+    <= 1)."""
     out = QTauSeries(q_order, {})
     for c, shorter, k in _diff_A_terms(tuple(word)):
         c = mp.mpf(c.numerator) / c.denominator
-        out = out.add(_A_word_series(shorter, q_order).mul(eis_Gbb(k, q_order)).scale(c))
+        terms, head = _A_word_terms(shorter)
+        out = out.add(_divisor_series(terms, q_order, head).mul(eis_Gbb(k, q_order)).scale(c))
     return out
 
 
@@ -204,7 +206,7 @@ def _A_inf_len2(n1: int, n2: int, ctx: PrecisionCtx):
 
 def _len1_over_2pii(m: int) -> Fraction:
     """lambda_m = A(m) / (2 pi i) for the length-one word (m,) as the series
-    of ``_A_word_series`` holds it: B_m/m!, and 1/4 at m = 1."""
+    of ``_A_word_terms`` holds it: B_m/m!, and 1/4 at m = 1."""
     return Fraction(1, 4) if m == 1 else bernoulli_number(m) / math.factorial(m)
 
 

@@ -702,15 +702,17 @@ def _R_extrapolate(keys, cutoff: int, layers) -> dict:
 
 
 def _R_values(keys, cutoff: int):
-    """Extrapolated R for each key (see _R_extrapolate), one _R_layers call
-    per level, and each key's convergence estimate: twice the move of its
-    extrapolated value from cutoff // 2 to cutoff.  That second extrapolation
-    reuses the levels L/4 and L/2 (and L/8 for a 1/L tail) and adds one
-    level below them.  A cutoff below 8 is refused: it would put a level of
-    the value or of its estimate at L = 0; so is one whose level L = cutoff
+    """Extrapolated R for each key (see _R_extrapolate) at L = 8 floor(cutoff/8),
+    so that the levels stand in the exact ratios the Richardson step assumes,
+    one _R_layers call per level, and each key's convergence estimate: twice
+    the move of its extrapolated value from L/2 to L.  That second
+    extrapolation reuses the levels L/4 and L/2 (and L/8 for a 1/L tail) and
+    adds one level below them.  A cutoff below 8 is refused: it would put a
+    level of the value or of its estimate at L = 0; so is one whose level L
     would hold more than _MAX_BYTES (_layers_bytes)."""
     if cutoff < 8:
         raise ValueError(f"cutoff must be >= 8 on the float R route, not {cutoff}")
+    cutoff -= cutoff % 8
     keys = list(dict.fromkeys(keys))
     if (nbytes := _layers_bytes(keys, cutoff)) > _MAX_BYTES:
         raise ValueError(f"cutoff = {cutoff} needs {nbytes:.3g} bytes on the float R route, "
@@ -747,7 +749,7 @@ def _R(key, cutoff: int, ctx: PrecisionCtx):
     (exact._R_exact) is its value at ``ctx``, within ctx.eps; ``cutoff`` is
     then unused.  Every other key, such as (2,1,3;1,1) or (1,3,3;0,0), takes
     the float route _R_values: the layered sum R = R_0 + 2 R_{>0} over the
-    coefficients c_m(l+a, l) at L = cutoff/4, cutoff/2 and cutoff,
+    coefficients c_m(l+a, l) at L/4, L/2 and L, L = 8 floor(cutoff/8),
     extrapolated (see _R_extrapolate)."""
     _check_R(*key, cutoff)
     if (combo := _R_exact(key)) is not None:
@@ -834,9 +836,10 @@ def d2pt(l: int, ctx: PrecisionCtx | None = None) -> LaurentPoly:
 def _d3pt(l, ctx: PrecisionCtx, cutoff: int):
     """d_{l1,l2,l3}(y) and its error bound: the exact rows of
     exact._d3pt_rows, within ctx.eps, plus each fallback term c R(key) with R
-    from the float route at ``cutoff``; the bound is then the largest over
-    the powers of y of the sum of |c| _float_bound over the power's terms.
-    The first graphs with fallback terms are (1,2,3) and its permutations."""
+    from the float route at 8 floor(cutoff/8) (_R_values); the bound is then
+    the largest over the powers of y of the sum of |c| _float_bound over the
+    power's terms.  The first graphs with fallback terms are (1,2,3) and its
+    permutations."""
     if min(l) < 1:
         raise ValueError("l_i must be >= 1")
     if cutoff < 1:

@@ -30,19 +30,6 @@ class GuardError(ValueError):
     """A numeric guard (convergence/precision precondition) was violated."""
 
 
-def _mag(c: mp.mpc):
-    """E with 2^(E-1) <= |c| < 2^(E+1/2): the larger binary exponent of the
-    parts of c; -inf for 0, +inf when a part is inf or nan."""
-    e = -math.inf
-    for _, man, exp, bc in c._mpc_:
-        if man:
-            if exp + bc > e:
-                e = exp + bc
-        elif bc:
-            return math.inf
-    return e
-
-
 def check_tau(tau) -> mp.mpc:
     """tau as an mpc at the working precision; GuardError unless Im(tau) > 0.
     Callers read tau inside their ``ctx.workprec()`` block."""
@@ -129,15 +116,8 @@ class QTauSeries:
         return QTauSeries(min(q_order, self.q_order), self.coeffs)
 
     def max_abs_coeff(self) -> mp.mpf:
-        """max |c|, taking ``abs`` (a square root) only of the coefficients
-        whose binary exponent E (see _mag) is within 1 of the largest, E*:
-        one with E <= E* - 2 has |c| < 2^(E* - 3/2), below every |c| with E*."""
-        if not self.coeffs:
-            return mp.mpf(0)
-        coeffs = list(self.coeffs.values())
-        mags = list(map(_mag, coeffs))
-        top = max(mags)
-        return max(abs(c) for m, c in zip(mags, coeffs) if m >= top - 1)
+        """max |c| over the coefficients, 0 for the zero series."""
+        return max(map(abs, self.coeffs.values()), default=mp.mpf(0))
 
     def coeff(self, tau_exp: int, q_exp: int) -> mp.mpc:
         return self.coeffs.get((tau_exp, q_exp), mp.mpc(0))
@@ -207,24 +187,23 @@ def _row_bits(length: int) -> int:
     return mp.mp.prec + 2 * length.bit_length() + 6
 
 
-def _eval_row(row: dict, q, log2q: float):
-    """sum_j row[j] q^j by Horner's rule in Gaussian-integer fixed point.
+def _fixed_row(row: dict, log2q: float):
+    """A q-series row {j: c} as (coefficients, W, bits): the Gaussian integers
+    c_j 2^W, j = 0..max(row), for Horner's rule at ``bits`` (``_sum_rows``).
 
-    With bits = ``_row_bits(max(row) + 1)``, the coefficients are scaled by
-    2^W, W = bits - the binary magnitude of the largest term |row[j]| |q|^j
-    (``log2q`` = log2|q|), so the sum keeps the working precision relative to
-    that term however large or small the row is. q is scaled by 2^Wq,
-    Wq = bits - mag(q), so it has as many significant bits
-    (``numkernel._fixed_horner``). Each conversion and step loses less than
-    one unit of 2^-W per part, and q's own error moves the j-th term by at most
+    With bits = ``_row_bits(max(row) + 1)``, W = bits - the binary magnitude of
+    the largest term |row[j]| |q|^j (``log2q`` = log2|q|), so the sum keeps the
+    working precision relative to that term however large or small the row is.
+    q is scaled by 2^Wq, Wq = bits - mag(q), so it has as many significant bits
+    (``numkernel._fixed_horner``). Each conversion and step loses less than one
+    unit of 2^-W per part, and q's own error moves the j-th term by at most
     about 4 j 2^-bits of itself, so the integer sum is within 2^-prec of the
     largest term; the one rounding to the working precision adds 2^-prec of
     the sum."""
     top_j = max(row)
     bits = _row_bits(top_j + 1)
     w = bits - math.ceil(max(mp.mag(c) + j * log2q for j, c in row.items()))
-    fixed = [_to_fixed(row[j], w) if j in row else (0, 0) for j in range(top_j + 1)]
-    return _fixed_mpc(*_fixed_horner(fixed, q, bits), w)
+    return [_to_fixed(row[j], w) if j in row else (0, 0) for j in range(top_j + 1)], w, bits
 
 
 def _truncation_bound(q_order: int, maxc, tau, ctx: PrecisionCtx):
@@ -246,31 +225,45 @@ def _log2_absq(tau) -> float:
     return -2 * math.pi / math.log(2) * float(mp.im(tau))
 
 
+def _sum_rows(rows: dict, head: dict, q_order: int, tau, ctx: PrecisionCtx):
+    """(value, truncation bound) of sum_i tau^i (head[i] + sum_j c_ij q^j): the
+    one guarded summation of a q-series, at the working precision and tau
+    already checked. ``rows`` maps i to (coefficients, W, bits), the c_ij
+    (j = 0, 1, ...) as Gaussian integers scaled by 2^W, summed by Horner's rule
+    with q at ``bits`` (``numkernel._fixed_horner``); ``head`` maps i to an mpc
+    constant. The guard ``_truncation_bound`` takes max|c| over the head and
+    the integers; the tau-polynomial of the row sums is evaluated in mpc."""
+    maxc = max(map(abs, head.values()), default=0)
+    if rows:
+        square = max(mp.ldexp(max(re * re + im * im for re, im in coeffs), -2 * w)
+                     for coeffs, w, _ in rows.values())
+        maxc = max(maxc, mp.sqrt(square))
+    bound = _truncation_bound(q_order, maxc, tau, ctx)
+    q = mp.exp(2j * mp.pi * tau)
+    in_q = {i: _fixed_mpc(*_fixed_horner(coeffs, q, bits), w)
+            for i, (coeffs, w, bits) in rows.items()}
+    for i, c in head.items():
+        in_q[i] = in_q[i] + c if i in in_q else c
+    total = mp.polyval([in_q.get(i, 0) for i in range(max(in_q, default=0), -1, -1)], tau)
+    return +mp.mpc(total), +bound
+
+
 def eval_with_bound(f: QTauSeries, tau, ctx: PrecisionCtx):
     """Evaluate the series at tau; returns ``(value, truncation_bound)``.
 
     Raises :class:`GuardError` if the truncation bound is not below the
     context's target error (``_truncation_bound``). Each tau power's q-series
-    is summed in block-scaled fixed point (``_eval_row``), within a few units
-    of 2^-prec of its largest term; the tau-polynomial of those sums is
-    evaluated in mpc.
+    is summed in block-scaled fixed point (``_fixed_row``), within a few units
+    of 2^-prec of its largest term, by the guarded summation ``_sum_rows``.
     """
     with ctx.workprec():
         tau = check_tau(tau)
-        bound = _truncation_bound(f.q_order, f.max_abs_coeff(), tau, ctx)
-        # Horner's rule in q within each tau power, then in tau
         rows: dict[int, dict[int, mp.mpc]] = {}
         for (i, j), c in f.coeffs.items():
             rows.setdefault(i, {})[j] = c
-        q = mp.exp(2j * mp.pi * tau)
         log2q = _log2_absq(tau)
-        return _tau_poly({i: _eval_row(row, q, log2q) for i, row in rows.items()}, tau), +bound
-
-
-def _tau_poly(in_q: dict, tau):
-    """sum_i in_q[i] tau^i in mpc, rounded once more to the working precision."""
-    total = mp.polyval([in_q.get(i, 0) for i in range(max(in_q, default=0), -1, -1)], tau)
-    return +mp.mpc(total)
+        return _sum_rows({i: _fixed_row(row, log2q) for i, row in rows.items()}, {},
+                         f.q_order, tau, ctx)
 
 
 def eval_at(f: QTauSeries, tau, ctx: PrecisionCtx):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -164,8 +165,12 @@ def test_laurent3_bound_is_exact_unless_an_r_sum_falls_back(capsys):
     for l in (["1", "1", "2"], ["2", "2", "2"]):
         rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", *l])
         assert rc == 0 and doc["error_bound"] == "1.00000e-30"
+    # the float route sums at the multiple of 8 below the cutoff, 96 for 100:
+    # there its estimate, 2.3e-3, is above the floor 10/cutoff^2
     rc, doc = _run_json(capsys, ["mgf", "laurent3", "--l", "1", "2", "3", "--cutoff", "100"])
-    assert rc == 0 and doc["error_bound"] == "0.000500000"
+    assert rc == 0 and doc["error_bound"] == "0.00116228"
+    rc, doc96 = _run_json(capsys, ["mgf", "laurent3", "--l", "1", "2", "3", "--cutoff", "96"])
+    assert rc == 0 and (doc96["laurent"], doc96["error_bound"]) == (doc["laurent"], "0.00116228")
 
 
 @pytest.mark.parametrize("l", [(1, 2, 3), (1, 2, 4)], ids=lambda l: "".join(map(str, l)))
@@ -254,6 +259,23 @@ def test_size_below_floor_is_refused_by_name(capsys, argv, floor):
     assert rc == 3
     assert doc["error"]["type"] == "ValueError"
     assert floor in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["emzv", "a", "--n", "3", "--zeros", "1", "--tau=0.3+0.00001i"],
+     "q_order=1465872 at Im(tau)=1.0e-5"),
+    (["emzv", "a", "--n", "3", "--zeros", "1", "--tau=0.3+0.00001i", "--q-order", "10000000"],
+     "q_order=10000000"),
+    (["eisenstein", "e", "--k", "4", "--tau", "i", "--q-order", "10000000"], "q_order=10000000"),
+], ids=["emzv-auto", "emzv-given", "eisenstein-given"])
+def test_q_order_above_the_term_cap_is_refused_before_any_table(capsys, argv, named):
+    # refused by name before a sigma table of q_order entries is built
+    t0 = time.monotonic()
+    rc, doc = _run_json(capsys, argv)
+    assert time.monotonic() - t0 < 0.5
+    assert rc == 3
+    assert doc["error"]["type"] == "ValueError"
+    assert named in doc["error"]["message"]
 
 
 # inputs that int() or list indexing would silently change into another

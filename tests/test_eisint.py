@@ -112,6 +112,17 @@ def test_gamma_splits_into_left_aligned_and_cusp():
             assert lhs.sub(rhs).max_abs_coeff() < mp.mpf("1e-18")
 
 
+def test_gamma_inf_is_the_q0_part_of_gamma():
+    # one formula: a word holding a 1 has the zero series (Gbb_1 = 0), not -pi i tau
+    with CTX.workprec():
+        for k in (1, 2, 3):
+            for word in itertools.product((0, 1, 2, 3, 4, 6), repeat=k):
+                cusp = {key: c for key, c in gamma(word, N).coeffs.items() if key[1] == 0}
+                got = gamma_inf(word, N)
+                assert got.q_order == N
+                assert got.coeffs == cusp, word
+
+
 def test_gamma_shuffle_numeric():
     with CTX.workprec():
         tau = mp.mpc(0, "1.3")

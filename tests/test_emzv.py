@@ -19,11 +19,12 @@ from ellipsum.emzv import (
     quadrature_oracle,
     vector_weight,
 )
-from ellipsum import emzv
-from ellipsum.eisenstein import f_n
+from ellipsum import eisenstein, emzv
+from ellipsum.cli import run
+from ellipsum.eisenstein import _divisor_series, _divisor_value, f_n
 from ellipsum.laurent import LaurentPoly
 from ellipsum.numkernel import PrecisionCtx
-from ellipsum.qseries import GuardError, QTauSeries, auto_q_order, eval_at
+from ellipsum.qseries import GuardError, QTauSeries, auto_q_order
 
 CTX = PrecisionCtx(digits=30)
 TAU = mp.mpc("0.2", "1.1")
@@ -60,33 +61,36 @@ def test_length_two_matches_odd_weight_reduction(digits):
 
 def test_length_one_word_one_has_two_pinned_values():
     # A_len1(1) = 0 is what the shuffle checks use; the series side (the cusp
-    # constant, A_depth1 and _A_word_series, hence expl_diff_A) carries i pi/2
+    # constant, A_depth1 and _A_word_terms, hence expl_diff_A) carries i pi/2
     with CTX.workprec():
         assert A_len1(1) == 0
-        series = emzv._A_word_series((1,), auto_q_order(TAU, CTX))
-        for val in (A_inf_depth1(1, 1), A_depth1(1, 1, TAU, CTX), eval_at(series, TAU, CTX)):
+        terms, head = emzv._A_word_terms((1,))
+        word_value = _divisor_value(terms, auto_q_order(TAU, CTX), TAU, CTX, head)[0]
+        for val in (A_inf_depth1(1, 1), A_depth1(1, 1, TAU, CTX), word_value):
             assert abs(val - 1j * mp.pi / 2) <= CTX.eps
 
 
 _ONE_SERIES = {
-    "A_depth1": lambda: A_depth1(5, 4, TAU, CTX),
-    "A_depth1_general": lambda: A_depth1_general(2, 3, 1, TAU, CTX),
-    "A_len2": lambda: A_len2(2, 5, TAU, CTX),
-    "hatA": lambda: hatA(6, TAU, CTX, form="direct"),
-    "B_depth1": lambda: B_depth1(5, 4, TAU, CTX),
+    "A_depth1": (emzv, lambda: A_depth1(5, 4, TAU, CTX)),
+    "A_depth1_general": (emzv, lambda: A_depth1_general(2, 3, 1, TAU, CTX)),
+    "A_len2": (emzv, lambda: A_len2(2, 5, TAU, CTX)),
+    "hatA": (emzv, lambda: hatA(6, TAU, CTX, form="direct")),
+    "B_depth1": (emzv, lambda: B_depth1(5, 4, TAU, CTX)),
+    "eisenstein e --tau": (eisenstein, lambda: run(["eisenstein", "e", "--k", "6",
+                                                    "--tau", "0.2+1.1i"])),
 }
 
 
 @pytest.mark.parametrize("name", list(_ONE_SERIES))
-def test_one_series_evaluation_per_value(monkeypatch, name):
-    # each value is one exact divisor-sum term map, evaluated once: summed in
-    # integers from the map, or for the general word as one series
+def test_one_series_evaluation_per_value(monkeypatch, capsys, name):
+    # each value is one exact divisor-sum term map, summed once in integers
+    # from the map, without building its series
     calls = []
-    spied = "eval_at" if name == "A_depth1_general" else "_divisor_value"
-    evaluate = getattr(emzv, spied)
-    monkeypatch.setattr(emzv, spied, lambda *a: calls.append(a) or evaluate(*a))
+    module, value = _ONE_SERIES[name]
+    evaluate = module._divisor_value
+    monkeypatch.setattr(module, "_divisor_value", lambda *a: calls.append(a) or evaluate(*a))
     with CTX.workprec():
-        _ONE_SERIES[name]()
+        value()
     assert len(calls) == 1
 
 
@@ -105,7 +109,8 @@ def test_explicit_derivative_matches_series_derivative(word):
     ctx = PrecisionCtx(40)
     with ctx.workprec():
         explicit = expl_diff_A(word, 12)
-        direct = emzv._A_word_series(word, 12).dtau()
+        terms, head = emzv._A_word_terms(word)
+        direct = _divisor_series(terms, 12, head).dtau()
         scale = max(explicit.max_abs_coeff(), direct.max_abs_coeff())
         for key in set(explicit.coeffs) | set(direct.coeffs):
             diff = abs(explicit.coeff(*key) - direct.coeff(*key))

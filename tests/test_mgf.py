@@ -468,6 +468,21 @@ def test_keys_that_left_the_float_route_lie_within_its_bound():
             assert error <= mgf._float_bound(errors[key], 1000), key
 
 
+@pytest.mark.parametrize("l, cutoffs", [((1, 2, 4), (21, 29, 37, 45, 53, 61)), ((1, 3, 3), (21,))],
+                         ids=["124", "133"])
+def test_float_route_bound_covers_the_move_at_cutoffs_off_multiples_of_8(l, cutoffs):
+    # the Richardson step assumes levels in the ratio 1:2:4, which hold
+    # exactly at L = 8 floor(cutoff/8); at cutoff/4, /2, /1 the bound of these
+    # cutoffs fell short of the move of a coefficient to cutoff 1000
+    fine = mgf.d3pt(*l, ctx=CTX, cutoff=1000)
+    for cutoff in cutoffs:
+        coarse, bound = mgf._d3pt(l, CTX, cutoff)
+        with CTX.workprec():
+            move = max(abs(coarse.coeff(e) - fine.coeff(e))
+                       for e in set(coarse.exponents) | set(fine.exponents))
+        assert bound >= move, cutoff
+
+
 def test_R_memory_predictions_hold_the_traced_peak():
     # the bytes each float route predicts before it runs (and refuses over
     # mgf._MAX_BYTES) are at least what it then holds
