@@ -399,7 +399,7 @@ def _eisenstein_e(args, ctx):
         return eisenstein.eis_E(args.k, q_order), None
     # summed from eis_E's own term map, without building the series
     terms, head = eisenstein._eis_E_terms(args.k)
-    return eisenstein._divisor_value(terms, q_order, args.tau, ctx, head)[0], ctx.eps
+    return eisenstein._divisor_value(terms, head, q_order, args.tau, ctx)[0], ctx.eps
 
 
 def _eisenstein_nonholo(args, ctx):

@@ -6,6 +6,9 @@ Conditionally convergent lattice sums are never summed naively: every sum
 here is either absolutely convergent after a fundamental-cell reduction, or
 replaced by an exponentially convergent Fourier representation.  Square
 cutoffs (sup-norm shells) are used wherever a cutoff appears.
+
+The holomorphic Eisenstein series are exact: a term map and a head of constants,
+rounded once per coefficient (``_divisor_series``) or summed (``_divisor_value``).
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from fractions import Fraction
 import mpmath as mp
 
 from .numkernel import (PrecisionCtx, _bern, _fixed_cmul, _fixed_horner, _fixed_mpc,
-                        _to_fixed, bernoulli_periodic, bernoulli_poly, zeta_int)
-from .qseries import GuardError, QTauSeries, _log2_absq, _row_bits, _sum_rows, check_tau
+                        _to_fixed, bernoulli_number, bernoulli_periodic, bernoulli_poly,
+                        zeta_int)
+from .qseries import (_MAX_TERMS, GuardError, QTauSeries, _check_args, _constants, _log2_absq,
+                      _row_bits, _sum_rows, check_tau)
 
 __all__ = [
     "theta",
@@ -39,9 +44,6 @@ __all__ = [
     "d_ab_average",
 ]
 
-_MAX_TERMS = 200000  # cap on every iteration count and q_order in this module
-
-
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -56,36 +58,19 @@ def _sigma_table(k: int, n_max: int) -> list[int]:
     return arr
 
 
-def _divisor_series(terms: dict, q_order: int, head=None) -> QTauSeries:
-    """``head`` (a coefficient dict) plus the Eisenstein-type q-series of the
-    exact term map ``terms``: each ``(i, n, k, p): c``, c rational, adds
-    c (2 pi i)^p tau^i sum_{N <= q_order} sigma_{n-1}(N)/N^k q^N.  The numerator
-    of c multiplies (2 pi i)^p before the division, and N**k is an exact integer:
-    one rounding fewer than mpf(N)**k, the same bits wherever N**k < 2**prec."""
-    _check_q_order(q_order)
-    coeffs = dict(head or {})
+def _divisor_series(terms: dict, head, q_order: int) -> QTauSeries:
+    """The q-series of the exact term map ``terms``, each ``(i, n, k, p): c``
+    adding c (2 pi i)^p tau^i sum_{N <= q_order} sigma_{n-1}(N)/N^k q^N, plus the
+    exact ``head``: at the working precision, each coefficient rounded once from
+    its exact parts (``qseries._constants``)."""
     sigma = {n: _sigma_table(n - 1, q_order) for n in {key[1] for key in terms}}
+    exact = {((i, 0), m, p): c for (i, m, p), c in (head or {}).items()}
     for (i, n, k, p), c in terms.items():
-        if not c:
-            continue
-        pref = _prefactor(c, p)
-        for N in range(1, q_order + 1):
-            t = pref * (mp.mpf(sigma[n][N]) / N**k)
-            coeffs[i, N] = coeffs[i, N] + t if (i, N) in coeffs else t
-    return QTauSeries(q_order, coeffs)
-
-
-def _check_q_order(q_order: int, tau=None) -> None:
-    """Refuse by name, before any sigma table is built, a q_order above _MAX_TERMS."""
-    if q_order > _MAX_TERMS:
-        at = f" at Im(tau)={mp.nstr(mp.im(tau), 8)}" if tau is not None else ""
-        raise ValueError(f"q_order={q_order}{at} exceeds the cap of {_MAX_TERMS} terms")
-
-
-def _prefactor(c, p: int):
-    """c (2 pi i)^p for a rational c, the numerator multiplied first."""
-    c = Fraction(c)
-    return c.numerator * (2j * mp.pi) ** p / c.denominator
+        for N in range(1, q_order + 1) if c else ():
+            a, b = exact.get(((i, N), None, p), (0, 1))
+            a2, b2 = c.numerator * sigma[n][N], c.denominator * N**k
+            exact[(i, N), None, p] = (a * b2 + a2 * b, b * b2)
+    return QTauSeries(q_order, _constants(exact))
 
 
 def _divisor_fixed(keys: list, sigma: dict, q_order: int, log2q: float, bits: int):
@@ -118,30 +103,32 @@ def _divisor_fixed(keys: list, sigma: dict, q_order: int, log2q: float, bits: in
     return [(0, 0), *zip([x >> s for x in re], [x >> s for x in im])], w
 
 
-def _divisor_value(terms: dict, q_order: int, tau, ctx: PrecisionCtx, head=None):
-    """``eval_with_bound(_divisor_series(terms, q_order, head), tau, ctx)``,
-    (value, truncation bound), without building the series: ``head`` maps
-    (tau power, 0) to a constant, and each tau power's q-coefficients are
-    Gaussian integers from the exact term map (``_divisor_fixed``), summed by
-    the guarded summation ``qseries._sum_rows`` at ``qseries._row_bits(q_order
-    + 1)`` + 2 bits (the 2 cover the slack of the bit-length bound and the
-    truncations of a coefficient)."""
-    if any(j for _, j in head or {}):
-        raise ValueError("the head holds constants in q, keys (i, 0)")
-    head = {i: c for (i, _), c in (head or {}).items() if c}
+def _divisor_value(terms: dict, head, q_order: int, tau, ctx: PrecisionCtx):
+    """``eval_with_bound(_divisor_series(terms, head, q_order), tau, ctx)``,
+    (value, truncation bound), without building the series: each tau power's
+    q-coefficients are Gaussian integers from the exact term map
+    (``_divisor_fixed``), summed with the head by the guarded summation
+    ``qseries._sum_rows`` at ``qseries._row_bits(q_order + 1)`` + 2 bits (the 2
+    cover the slack of the bit-length bound and the truncations of a
+    coefficient).  At q_order 0 the guard still counts the dropped q^1
+    coefficients, at most sum |c (2 pi i)^p| per tau power (sigma(1) = 1)."""
     with ctx.workprec():
         tau = check_tau(tau)
-        _check_q_order(q_order, tau)
+        _check_args(q_order, tau)
+        pref = _constants({((i, n, k), None, p): c for (i, n, k, p), c in terms.items()}, ctx)
         rows: dict[int, list] = {}
-        for (i, n, k, p), c in terms.items():
-            if c and q_order:
-                rows.setdefault(i, []).append((n, k, _prefactor(c, p)))
+        for (i, n, k), c in pref.items():
+            if c:
+                rows.setdefault(i, []).append((n, k, c))
+        dropped = 0 if q_order else max([0, *(sum(abs(c) for *_, c in row)
+                                                for row in rows.values())])
+        rows = rows if q_order else {}
         sigma = {n: _sigma_table(n - 1, q_order) for n in {key[0] for row in rows.values()
                                                                for key in row}}
         log2q, bits = _log2_absq(tau), _row_bits(q_order + 1) + 2
         fixed = {i: (*_divisor_fixed(row, sigma, q_order, log2q, bits), bits)
                  for i, row in rows.items()}
-        return _sum_rows(fixed, head, q_order, tau, ctx)
+        return _sum_rows(fixed, _constants(head or {}, ctx), q_order, tau, ctx, dropped)
 
 
 def _series_sum(terms, ctx, what):
@@ -377,43 +364,42 @@ def omega_n(n: int, xi, tau, ctx: PrecisionCtx):
 def eis_G(k: int, q_order: int) -> QTauSeries:
     """G_k = (1 + (-1)^k) (zeta(k) + (2 pi i)^k/(k-1)! sum sigma_{k-1}(N) q^N);
     G_0 is the constant -1, odd k give the zero series."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        return QTauSeries.constant(-1, q_order)
-    if k % 2 == 1:
-        return QTauSeries(q_order, {})
-    return _divisor_series({(0, k, 0, k): Fraction(2, math.factorial(k - 1))}, q_order,
-                           {(0, 0): 2 * mp.zeta(k)})
+    _check_args(q_order, k=k)
+    return _divisor_series(*_eis_G_terms(k), q_order)
 
 
 def eis_Gbb(k: int, q_order: int) -> QTauSeries:
     """Normalized series G_k / (2 pi i)^{k-1}: for even k >= 2,
     2 zeta(k) (2 pi i)^{1-k} + 2 (2 pi i)/(k-1)! sum sigma_{k-1}(N) q^N; the
     k = 0 case is -2 pi i, odd k give the zero series."""
+    _check_args(q_order, k=k)
+    return _divisor_series(*_eis_G_terms(k, 1 - k), q_order)
+
+
+def _eis_G_terms(k: int, shift: int = 0):
+    """G_k (2 pi i)^shift as (divisor-sum term map, exact head); 2 zeta(k) is
+    -B_k/k! (2 pi i)^k, and G_0 = -B_0 = -1."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return QTauSeries.constant(-2j * mp.pi, q_order)
     if k % 2 == 1:
-        return QTauSeries(q_order, {})
-    return _divisor_series({(0, k, 0, 1): Fraction(2, math.factorial(k - 1))}, q_order,
-                           {(0, 0): 2 * mp.zeta(k) * (2j * mp.pi) ** (1 - k)})
+        return {}, {}
+    return ({(0, k, 0, k + shift): Fraction(2, math.factorial(k - 1))} if k else {},
+            {(0, None, k + shift): -bernoulli_number(k) / math.factorial(k)})
 
 
 def eis_E(k: int, q_order: int) -> QTauSeries:
     """Normalized Eisenstein series with constant term -B_k/(2 k!) and
     q-coefficients sigma_{k-1}(m) for even k (odd k vanish)."""
-    terms, head = _eis_E_terms(k)
-    return _divisor_series(terms, q_order, head)
+    _check_args(q_order, k=k)
+    return _divisor_series(*_eis_E_terms(k), q_order)
 
 
 def _eis_E_terms(k: int):
-    """``eis_E(k)`` as (divisor-sum term map, head), the head's constant at the
-    working precision."""
+    """``eis_E(k)`` as (divisor-sum term map, exact head)."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    return {(0, k, 0, 0): 1} if k % 2 == 0 else {}, {(0, 0): -_bern(k) / (2 * mp.factorial(k))}
+    return ({(0, k, 0, 0): 1} if k % 2 == 0 else {},
+            {(0, None, 0): -bernoulli_number(k) / (2 * math.factorial(k))})
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ to -T^(i+1)/(i+1).  By induction on the length, the coefficient of
 tau^i q^j is a rational r_ij times (2 pi i)^i.  The rows (r_i0, ..., r_iN)
 are kept as Python integers over one common denominator and cached on
 (word, N) alone; each call converts them to mpc at the working precision,
-every coefficient rounded once.
+every coefficient rounded once (``qseries._constants``).  Entries carry about
+1.44 N len(word) bits, so N len(word) above ``_MAX_GAMMA_SIZE`` is refused before
+any row is built.  ``gammaL0``, ``gammaR0``, the Eichler series and
+``cocycle_S`` are exact maps too.
 """
 
 from __future__ import annotations
@@ -26,10 +29,9 @@ import operator
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, fzero, mpf_neg, round_nearest
 
-from .numkernel import PrecisionCtx, _bern, bernoulli_number, zeta_int
-from .qseries import QTauSeries, auto_q_order, check_tau, eval_at
+from .numkernel import PrecisionCtx, bernoulli_number
+from .qseries import QTauSeries, _check_args, _constants, auto_q_order, check_tau, eval_at
 from .eisenstein import _divisor_series, _sigma_table
 
 __all__ = [
@@ -43,23 +45,22 @@ __all__ = [
     "CocyclePoly",
 ]
 
-_GUARD_BITS = 8  # extra bits of (2 pi)^i and of each quotient before the one rounding
+_MAX_GAMMA_SIZE = 1500  # ceiling on q_order * len(nvec) of gamma's exact rows
 
 
 def gamma(nvec, q_order: int) -> QTauSeries:
     """Iterated Eisenstein integral as a q-tau series at the working
     precision, each coefficient rounded once from its exact value."""
-    nvec = list(nvec)
-    word = tuple(map(int, nvec))
-    for n, m in zip(nvec, word):
-        if m != n:
-            raise ValueError(f"index {n!r} of nvec must be an integer")
-        if m < 0:
-            raise ValueError("indices must be nonnegative")
-    if int(q_order) != q_order or q_order < 0:
-        raise ValueError(f"q_order must be a nonnegative integer, not {q_order!r}")
-    q_order = int(q_order)
-    return _rows_series(*_gamma_rows(word, q_order), q_order)
+    _check_args(q_order, nvec=tuple(nvec))
+    word, q_order = tuple(map(int, nvec)), int(q_order)
+    if min(word, default=0) < 0:
+        raise ValueError("indices must be nonnegative")
+    if q_order * len(word) > _MAX_GAMMA_SIZE:
+        raise ValueError(f"q_order={q_order} times the length {len(word)} of nvec exceeds "
+                         f"gamma's ceiling of {_MAX_GAMMA_SIZE}")
+    rows, den = _gamma_rows(word, q_order)
+    return QTauSeries(q_order, _constants({((i, j), None, i): (x, den) for i, row in enumerate(rows)
+                                           for j, x in enumerate(row) if x}))
 
 
 @functools.lru_cache(maxsize=None)
@@ -124,31 +125,6 @@ def _convolve(a, b) -> list:
     return out
 
 
-def _rows_series(rows, den: int, q_order: int) -> QTauSeries:
-    """sum_ij rows[i][j]/den (2 pi i tau)^i q^j as a QTauSeries at the working
-    precision.  (2 pi)^i carries _GUARD_BITS more bits, each numerator times its
-    mantissa is divided by den in integers to as many bits, and the quotient is
-    rounded once; i^i puts it in the real or imaginary part, with its sign."""
-    prec = mp.mp.prec
-    wp = prec + _GUARD_BITS
-    dbits = den.bit_length()
-    coeffs = {}
-    for i, row in enumerate(rows):
-        with mp.workprec(wp):
-            _, pman, pexp, _ = ((2 * mp.pi) ** i)._mpf_
-        for j, x in enumerate(row):
-            if not x:
-                continue
-            x *= pman
-            sh = wp + dbits + 1 - x.bit_length()
-            y = (x << sh) // den if sh >= 0 else x // (den << -sh)
-            part = from_man_exp(y, pexp - sh, prec, round_nearest)
-            if i % 4 >= 2:
-                part = mpf_neg(part)
-            coeffs[i, j] = mp.make_mpc((fzero, part) if i % 2 else (part, fzero))
-    return QTauSeries(q_order, coeffs)
-
-
 def gamma_inf(nvec, q_order: int) -> QTauSeries:
     """Polynomial (cusp-asymptotic) part of ``gamma(nvec)``: its q^0 terms,
     prod(B_{n_i}/n_i!) (2 pi i tau)^k / k! for k entries (0 when an entry is
@@ -161,11 +137,12 @@ def gammaL0(n: int, k: int, q_order: int) -> QTauSeries:
     (k trailing zero-columns, Eisenstein weight n):
     -(2/(n-1)!) sum_{m,p>=1} m^{n-k-1} p^{-k} q^{mp}, whose q^N coefficient
     is -(2/(n-1)!) sigma_{n-1}(N) / N^k."""
+    _check_args(q_order, n=n, k=k)
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     if n % 2 == 1:
         return QTauSeries(q_order, {})
-    return _divisor_series({(0, n, k, 0): Fraction(-2, math.factorial(n - 1))}, q_order)
+    return _divisor_series({(0, n, k, 0): Fraction(-2, math.factorial(n - 1))}, None, q_order)
 
 
 def gammaR0(n: int, k: int, q_order: int) -> QTauSeries:
@@ -175,33 +152,31 @@ def gammaR0(n: int, k: int, q_order: int) -> QTauSeries:
     R0_{n,k} = sum_{i=0}^{k-1} (-1)^{(n-k)+i-1} (2 pi i tau)^i / i! L0_{n,k-i},
     one term (i, n, k-i, i) of the divisor-sum map per i.
     """
+    _check_args(q_order, n=n, k=k)
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     if n % 2 == 1:
         return QTauSeries(q_order, {})
     return _divisor_series({(i, n, k - i, i): Fraction(2 * (-1) ** (n - k + i),
                                                        math.factorial(i) * math.factorial(n - 1))
-                            for i in range(k)}, q_order)
+                            for i in range(k)}, None, q_order)
 
 
 def eichler_E(k: int, q_order: int) -> QTauSeries:
     """Eichler-type series of weight k (even, >= 4):
     (1/2) zeta(1-k) (2 pi i tau)^{k-1}/(k-1)! + zeta(k-1)/2
     + sum_{j>=1} sigma_{1-k}(j) q^j."""
-    terms, head = _eichler_terms(k)
-    return _divisor_series(terms, q_order, head)
+    _check_args(q_order, k=k)
+    return _divisor_series(*_eichler_terms(k), q_order)
 
 
 def _eichler_terms(k: int):
-    """``eichler_E(k)`` as (divisor-sum term map, head), the head's constants
-    at the working precision."""
+    """``eichler_E(k)`` as (divisor-sum term map, exact head); zeta(1-k) is -B_k/k."""
     if k < 4 or k % 2 == 1:
         raise ValueError("k must be an even integer >= 4")
-    zeta_neg = -_bern(k) / k  # zeta(1-k)
-    return {(0, k, k - 1, 0): 1}, {
-        (k - 1, 0): zeta_neg / 2 * (2j * mp.pi) ** (k - 1) / mp.factorial(k - 1),
-        (0, 0): mp.zeta(k - 1) / 2,
-    }
+    head = {(k - 1, None, k - 1): -bernoulli_number(k) / (2 * math.factorial(k)),
+            (0, k - 1, 0): Fraction(1, 2)}
+    return {(0, k, k - 1, 0): 1}, head
 
 
 class CocyclePoly(dict):
@@ -218,31 +193,24 @@ def cocycle_S(k: int, ctx: PrecisionCtx | None = None) -> CocyclePoly:
     """
     if k < 4 or k % 2 == 1:
         raise ValueError("k must be an even integer >= 4")
-    with (ctx or PrecisionCtx()).workprec():
-        half = mp.factorial(k - 2) / 2
-        out = CocyclePoly()
-        z = mp.zeta(k - 1)
-        out[(0, k - 2)] = half * z
-        out[(k - 2, 0)] = -half * z
-        for i in range(1, k // 2):
-            c = _bern(2 * i) * _bern(k - 2 * i) / (mp.factorial(2 * i) * mp.factorial(k - 2 * i))
-            key = (2 * i - 1, k - 2 * i - 1)
-            out[key] = out.get(key, 0) - half * (2j * mp.pi) ** (k - 1) * c
-        return out
+    half = Fraction(math.factorial(k - 2), 2)
+    exact = {((0, k - 2), k - 1, 0): half, ((k - 2, 0), k - 1, 0): -half}
+    for i in range(1, k // 2):
+        exact[(2 * i - 1, k - 2 * i - 1), None, k - 1] = (
+            -half * bernoulli_number(2 * i) * bernoulli_number(k - 2 * i)
+            / (math.factorial(2 * i) * math.factorial(k - 2 * i)))
+    return CocyclePoly(_constants(exact, ctx or PrecisionCtx()))
 
 
 def b30_reference(tau, ctx: PrecisionCtx):
     """Independent reference value for the modular image of the depth-one,
-    length-two series at weight 3: explicit Laurent polynomial plus
-    (3/(pi i)) times the right-aligned depth-one q-series of weight 4."""
+    length-two series at weight 3: the explicit Laurent polynomial
+    -(2 pi i)^2 tau^3/720 - zeta(3)/(2 pi i) - 6 zeta(4)/((2 pi i)^2 tau), with
+    zeta(4) = (2 pi i)^4/1440, plus (3/(pi i)) times the right-aligned
+    depth-one q-series of weight 4."""
     with ctx.workprec():
         tv = check_tau(tau)
-        two_pi_i = 2j * mp.pi
-        laurent = (
-            -(two_pi_i**2) * tv**3 / 720
-            - zeta_int(3, ctx) / two_pi_i
-            - 6 * zeta_int(4, ctx) / (two_pi_i**2 * tv)
-        )
-        N = auto_q_order(tv, ctx)
-        qpart = eval_at(gammaR0(4, 3, N), tv, ctx)
-        return laurent + 3 / (mp.pi * 1j) * qpart
+        c = _constants({(3, None, 2): Fraction(-1, 720), (0, 3, -1): Fraction(-1),
+                        (-1, None, 2): Fraction(-1, 240), ("q", None, -1): Fraction(6)}, ctx)
+        qpart = eval_at(gammaR0(4, 3, auto_q_order(tv, ctx)), tv, ctx)
+        return c[3] * tv**3 + c[0] + c[-1] / tv + c["q"] * qpart

@@ -16,8 +16,9 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .numkernel import PrecisionCtx, _bern, bernoulli_number, zeta_int
-from .qseries import GuardError, QTauSeries, auto_q_order, check_tau
+from .numkernel import PrecisionCtx, bernoulli_number
+from .qseries import (GuardError, QTauSeries, _check_args, _combine, _constants, auto_q_order,
+                      check_tau)
 from .eisenstein import _divisor_series, _divisor_value, eis_Gbb, f_n
 from .eisint import _eichler_terms
 from .laurent import LaurentPoly
@@ -55,12 +56,10 @@ def A_len1(n: int, ctx: PrecisionCtx | None = None):
     """Length-one value 2 pi i B_n / n!, and 0 at n = 1: the value the shuffle
     checks use, A(1) A(m) = A(1, m) + A(m, 1).  The series side gives (1,)
     i pi/2 instead (see ``A_inf_depth1``)."""
+    _check_args(n=n)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 1:
-        return mp.mpc(0)
-    with (ctx or PrecisionCtx()).workprec():
-        return 2j * mp.pi * _bern(n) / mp.factorial(n)
+    return mp.mpc(0) if n == 1 else A_inf_depth1(n, 1, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -73,44 +72,35 @@ def A_inf_depth1(n: int, r: int, ctx: PrecisionCtx | None = None):
     i pi/2, the length-one value that ``A_depth1(1, 1, tau)`` and
     ``_A_word_terms((1,))``, hence ``expl_diff_A`` and ``A_len2``'s
     lambda_1 = 1/4, carry; ``A_len1(1)`` is 0."""
-    with (ctx or PrecisionCtx()).workprec():
-        return _A_inf_depth1(n, r)
+    _check_args(n=n, r=r)
+    return _constants(_A_depth1_terms(n, r)[1], ctx or PrecisionCtx())[0]
 
 
-def _A_inf_depth1(n: int, r: int):
-    """``A_inf_depth1`` at the working precision, for the q-series
-    constructors that build at it."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if n == 1:
-        # (2 pi i)^{r-1} (i pi / (2 (r-1)!) - sum zeta(2k+1)/((r-2k-1)! (2 pi i)^{2k}))
-        total = 1j * mp.pi / (2 * mp.factorial(r - 1))
-        for k in range(1, r // 2):
-            total -= mp.zeta(2 * k + 1) / (
-                mp.factorial(r - 2 * k - 1) * (2j * mp.pi) ** (2 * k)
-            )
-        return (2j * mp.pi) ** (r - 1) * total
-    return (2j * mp.pi) ** r * _bern(n) / (mp.factorial(r) * mp.factorial(n))
-
-
-def _A_depth1_terms(n: int, r: int) -> dict:
-    """Divisor-sum term map (see ``eisenstein._divisor_series``) of
-    A(n, 0^{r-1}) - A_inf_depth1(n, r).  The (n+j-1)! of the left-aligned
+def _A_depth1_terms(n: int, r: int):
+    """(divisor-sum term map, exact head) of A(n, 0^{r-1}) (see
+    ``eisenstein._divisor_series``).  The head is ``A_inf_depth1``: at n = 1,
+    (2 pi i)^r/(4 (r-1)!) - sum_{0<k<r/2} zeta(2k+1) (2 pi i)^(r-1-2k)/(r-2k-1)!,
+    else B_n/(r! n!) (2 pi i)^r.  In the terms the (n+j-1)! of the left-aligned
     integrals gammaL0(n+j, j) cancels exactly, leaving, with
     L_{m,k} = sum_N sigma_{m-1}(N) N^-k q^N,
 
         sum_{0 < j < r, n+j even} (-1)^n 2 (2 pi i)^{r-j} / ((n-1)! (r-j)!) L_{n+j,j}."""
-    if n == 0:
-        return {}
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    head = {(0, None, r): (Fraction(1, 4 * math.factorial(r - 1)) if n == 1 else
+                           bernoulli_number(n) / (math.factorial(r) * math.factorial(n)))}
+    for k in range(1, r // 2 if n == 1 else 1):
+        head[0, 2 * k + 1, r - 1 - 2 * k] = Fraction(-1, math.factorial(r - 2 * k - 1))
     return {(0, n + j, j, r - j): Fraction(2 * (-1) ** n,
                                            math.factorial(n - 1) * math.factorial(r - j))
-            for j in range(1, r) if (n + j) % 2 == 0}
+            for j in range(1, r) if n and (n + j) % 2 == 0}, head
 
 
 def A_depth1(n: int, r: int, tau=None, ctx: PrecisionCtx | None = None, q_order=None):
     """Depth-one A-value ``A(n, 0^{r-1}; tau)``; with ``tau=None`` the
     q-series, built at the working precision of ``ctx``, is returned instead
     of a number."""
+    _check_args(q_order, n=n, r=r)
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
     ctx = ctx or PrecisionCtx()
@@ -120,41 +110,38 @@ def A_depth1(n: int, r: int, tau=None, ctx: PrecisionCtx | None = None, q_order=
         N = q_order if q_order is not None else (30 if tau is None else auto_q_order(tau, ctx))
         terms, head = _A_word_terms((n,) + (0,) * (r - 1))
         if tau is None:
-            return _divisor_series(terms, N, head)
-        return _divisor_value(terms, N, tau, ctx, head)[0]
+            return _divisor_series(terms, head, N)
+        return _divisor_value(terms, head, N, tau, ctx)[0]
 
 
 def A_depth1_general(s: int, n: int, r: int, tau, ctx: PrecisionCtx | None = None):
     """General depth-one word with zeros on both sides, A(0^s, n, 0^r; tau)."""
+    _check_args(s=s, n=n, r=r)
     ctx = ctx or PrecisionCtx()
     with ctx.workprec():
         tau = check_tau(tau)
-        terms, head = _A_word_terms((0,) * s + (n,) + (0,) * r)
-        return _divisor_value(terms, auto_q_order(tau, ctx), tau, ctx, head)[0]
+        word = (0,) * s + (n,) + (0,) * r
+        return _divisor_value(*_A_word_terms(word), auto_q_order(tau, ctx), tau, ctx)[0]
 
 
-def _A_word_terms(word) -> tuple:
-    """(divisor-sum term map, head) of A(word) for a word with at most one
-    nonzero entry, the head's constant at the working precision:
+@functools.lru_cache(maxsize=None)
+def _A_word_terms(word: tuple) -> tuple:
+    """(divisor-sum term map, exact head) of A(word) for a word with at most
+    one nonzero entry, cached (not to be changed):
     A(0^s, n, 0^r) = sum_i (2 pi i)^{s-i} (-1)^i / (s-i)! C(r+i, r) A_{n, r+i+1},
-    the terms of the A_{n, r+i+1} (``_A_depth1_terms``) summed exactly into
-    one map; an all-zero word is the case n = 0, s = 0."""
-    word = tuple(word)
+    the terms and heads of the A_{n, r+i+1} (``_A_depth1_terms``) summed
+    exactly into one map each; an all-zero word is the case n = 0, s = 0."""
     nonzero = [i for i, n in enumerate(word) if n != 0]
     if len(nonzero) > 1:
         raise ValueError("series form implemented for depth-one words only")
     if not word:
-        return {}, {(0, 0): mp.mpc(1)}
+        return {}, {(0, None, 0): 1}
     s = nonzero[0] if nonzero else 0
     n, r = word[s], len(word) - s - 1
-    P, const, terms = 2j * mp.pi, 0, {}
-    for i in range(s + 1):
-        c = Fraction((-1) ** i * math.comb(r + i, r), math.factorial(s - i))
-        const += c.numerator * P ** (s - i) / c.denominator * _A_inf_depth1(n, r + i + 1)
-        for (t, m, k, p), d in _A_depth1_terms(n, r + i + 1).items():
-            key = (t, m, k, p + s - i)
-            terms[key] = terms.get(key, 0) + c * d
-    return terms, {(0, 0): const}
+    parts = [(_A_depth1_terms(n, r + i + 1),
+              Fraction((-1) ** i * math.comb(r + i, r), math.factorial(s - i)), s - i)
+             for i in range(s + 1)]
+    return tuple(_combine(*((maps[t], c, shift) for maps, c, shift in parts)) for t in (0, 1))
 
 
 def _diff_A_terms(word: tuple) -> list:
@@ -182,9 +169,8 @@ def expl_diff_A(word, q_order: int) -> QTauSeries:
     <= 1)."""
     out = QTauSeries(q_order, {})
     for c, shorter, k in _diff_A_terms(tuple(word)):
-        c = mp.mpf(c.numerator) / c.denominator
-        terms, head = _A_word_terms(shorter)
-        out = out.add(_divisor_series(terms, q_order, head).mul(eis_Gbb(k, q_order)).scale(c))
+        terms, head = (_combine((part, c, 0)) for part in _A_word_terms(shorter))
+        out = out.add(_divisor_series(terms, head, q_order).mul(eis_Gbb(k, q_order)))
     return out
 
 
@@ -192,22 +178,10 @@ def expl_diff_A(word, q_order: int) -> QTauSeries:
 # length two
 
 
-def _A_inf_len2(n1: int, n2: int, ctx: PrecisionCtx):
-    if n1 == 1 and n2 == 1:
-        return mp.mpc(0)
-    if n1 == 1 or n2 == 1:
-        n = n2 if n1 == 1 else n1
-        if n % 2 == 1:
-            raise GuardError(f"A({n1},{n2}): cusp constant not available for (1, odd)")
-        base = A_len1(n, ctx) * (1j * mp.pi / 2)
-        return base if n1 == 1 else -base
-    return -2 * mp.pi**2 * _bern(n1) * _bern(n2) / (mp.factorial(n1) * mp.factorial(n2))
-
-
 def _len1_over_2pii(m: int) -> Fraction:
     """lambda_m = A(m) / (2 pi i) for the length-one word (m,) as the series
     of ``_A_word_terms`` holds it: B_m/m!, and 1/4 at m = 1."""
-    return Fraction(1, 4) if m == 1 else bernoulli_number(m) / math.factorial(m)
+    return _A_depth1_terms(m, 1)[1][0, None, 1]
 
 
 def A_len2(n1: int, n2: int, tau, ctx: PrecisionCtx | None = None):
@@ -223,52 +197,56 @@ def A_len2(n1: int, n2: int, tau, ctx: PrecisionCtx | None = None):
     At even weight every a_k is 0 and the cusp constant is returned as it is;
     (1, odd > 1) has no cusp constant and raises GuardError.
     """
+    _check_args(n1=n1, n2=n2)
     if min(n1, n2) < 1:
         raise ValueError("length-two entries must be >= 1 (zeros via A_depth1_general)")
     ctx = ctx or PrecisionCtx()
     with ctx.workprec():
         tau = check_tau(tau)
-        const = _A_inf_len2(n1, n2, ctx)
-        terms = _A_len2_terms(n1, n2)
+        terms, head = _A_len2_terms(n1, n2)
         if not terms:
-            return const
-        return _divisor_value(terms, auto_q_order(tau, ctx), tau, ctx, {(0, 0): const})[0]
+            return _constants(head, ctx)[0]
+        return _divisor_value(terms, head, auto_q_order(tau, ctx), tau, ctx)[0]
 
 
-def _A_len2_terms(n1: int, n2: int) -> dict:
-    """Divisor-sum term map of A(n1, n2) minus its cusp constant (see ``A_len2``)."""
+def _A_len2_terms(n1: int, n2: int):
+    """(divisor-sum term map, exact head) of A(n1, n2) (see ``A_len2``), the head
+    the cusp constant: 0 at (1, 1); +-A_len1(n) i pi/2 = +-B_n/(4 n!) (2 pi i)^2 at
+    (1, n) and (n, 1), n even; else -2 pi^2 B_n1 B_n2/(n1! n2!)."""
+    if (n1, n2) == (1, 1):
+        const = 0
+    elif 1 in (n1, n2):
+        n = n1 + n2 - 1
+        if n % 2 == 1:
+            raise GuardError(f"A({n1},{n2}): cusp constant not available for (1, odd)")
+        const = (1 if n1 == 1 else -1) * bernoulli_number(n) / (4 * math.factorial(n))
+    else:
+        const = (bernoulli_number(n1) * bernoulli_number(n2)
+                 / (2 * math.factorial(n1) * math.factorial(n2)))
     a: dict[int, Fraction] = {}
     for c, (m,), k in _diff_A_terms((n1, n2)):
         if k % 2 == 0:
             a[k] = a.get(k, 0) + c * _len1_over_2pii(m)
     if sum(c * _len1_over_2pii(k) for k, c in a.items()):
         raise GuardError("derivative series has a non-vanishing cusp constant")
-    return {(0, k, 1, 1): 2 * c / math.factorial(k - 1) for k, c in a.items() if k and c}
+    return ({(0, k, 1, 1): 2 * c / math.factorial(k - 1) for k, c in a.items() if k and c},
+            {(0, None, 2): const})
 
 
 def A_len2_cordouble(n1: int, n2: int, tau, ctx: PrecisionCtx):
     """Reference, not a route of ``A_len2``: the paper's odd-weight reduction of
-    A(n1, n2) (entries >= 2) to the depth-one values A(n1 + n2, 0), A(2p + 1, 0)."""
+    A(n1, n2) (entries >= 2) to the depth-one values A(n1 + n2, 0), A(2p + 1, 0),
+    weighted by +-2 C(k-1, nb-1) zeta(k)/(2 pi i)^k = -+C(k-1, nb-1) B_k/k!."""
+    weights: dict = {}
+    for na, nb, sign in ((n1, n2, 1), (n2, n1, -1)):
+        for p in range(1, -(-(na - 3) // 2) + 1):
+            k = n1 + n2 - 2 * p - 1
+            weights[p, None, 0] = (weights.get((p, None, 0), 0) - sign * math.comb(k - 1, nb - 1)
+                                   * bernoulli_number(k) / math.factorial(k))
     with ctx.workprec():
-        def zeta_norm(k: int):
-            # zeta(k) / (2 pi i)^k, an exact rational -B_k/(2 k!) for even k
-            return -_bern(k) / (2 * mp.factorial(k))
-
         total = -((-1) ** n1) * A_depth1(n1 + n2, 2, tau, ctx)
-        # A(2p+1, 2) for each p, shared by the two mirror terms
-        odd = {}
-        for na, nb, sign in ((n1, n2, 1), (n2, n1, -1)):
-            for p in range(1, -(-(na - 3) // 2) + 1):
-                if p not in odd:
-                    odd[p] = A_depth1(2 * p + 1, 2, tau, ctx)
-                total += (
-                    sign
-                    * 2
-                    * mp.binomial(n1 + n2 - 2 * p - 2, nb - 1)
-                    * zeta_norm(n1 + n2 - 2 * p - 1)
-                    * odd[p]
-                )
-        return total
+        return total + sum(w * A_depth1(2 * p + 1, 2, tau, ctx)
+                           for p, w in _constants(weights, ctx).items())
 
 
 # ---------------------------------------------------------------------------
@@ -278,31 +256,30 @@ def A_len2_cordouble(n1: int, n2: int, tau, ctx: PrecisionCtx):
 def hatA(r: int, tau, ctx: PrecisionCtx | None = None, form: str = "direct"):
     """hat-A_{1,r} = A_{1,r} - (2 pi i)^{r-2}/(r-1)! A_{1,2}; the "eichler"
     form evaluates the equivalent Eichler-series closed expression."""
+    _check_args(r=r)
     if r < 2:
         raise ValueError("r must be >= 2")
     ctx = ctx or PrecisionCtx()
     with ctx.workprec():
         tau = check_tau(tau)
         if form == "direct":
-            # one series: A_{1,2}'s only term, L_{2,1}, cancels the j = 1 term
-            # of A_{1,r} exactly, leaving the j >= 2 terms of A_{1,r}
-            const = (A_inf_depth1(1, r, ctx)
-                     - (2j * mp.pi) ** (r - 2) / mp.factorial(r - 1) * A_inf_depth1(1, 2, ctx))
-            terms = _A_depth1_terms(1, r)
-            for (i, m, k, p), c in _A_depth1_terms(1, 2).items():
-                terms[i, m, k, p + r - 2] -= c / math.factorial(r - 1)
-            return _divisor_value(terms, auto_q_order(tau, ctx), tau, ctx, {(0, 0): const})[0]
+            # one series: A_{1,2} (its one term L_{2,1}, its cusp constant (2 pi i)^2/4)
+            # cancels A_{1,r}'s j = 1 term and the (2 pi i)^r part of its cusp constant
+            weight = Fraction(-1, math.factorial(r - 1))
+            terms, head = (_combine((a, 1, 0), (b, weight, r - 2)) for a, b in
+                           zip(_A_word_terms((1,) + (0,) * (r - 1)), _A_word_terms((1, 0))))
+            return _divisor_value(terms, head, auto_q_order(tau, ctx), tau, ctx)[0]
         if form != "eichler":
             raise ValueError("form must be 'direct' or 'eichler'")
-        N, P = auto_q_order(tau, ctx), 2j * mp.pi
-        total = mp.mpc(0)
-        for j in range(1, r - 1):
-            total -= (P**r * _bern(2 + j) / mp.factorial(2 + j) * tau ** (j + 1)
-                      / mp.factorial(r - j - 1))
-            if j % 2 == 0:
-                terms, head = _eichler_terms(2 + j)
-                e_val = _divisor_value(terms, N, tau, ctx, head)[0]
-                total -= 2 * P**r * P ** (-1 - j) / mp.factorial(r - j - 1) * e_val
+        # -sum_j ((2 pi i)^r B_{2+j}/(2+j)! tau^(j+1) + 2 (2 pi i)^(r-1-j) E_{2+j})/(r-j-1)!
+        # over even j: at odd j, B_{2+j} = 0 and there is no Eichler series
+        N, total = auto_q_order(tau, ctx), mp.mpc(0)
+        for j in range(2, r - 1, 2):
+            f = math.factorial(r - j - 1)
+            c = _constants({("tau", None, r): -bernoulli_number(2 + j) / math.factorial(2 + j) / f,
+                            ("E", None, r - 1 - j): Fraction(-2, f)}, ctx)
+            e_val = _divisor_value(*_eichler_terms(2 + j), N, tau, ctx)[0]
+            total += c["tau"] * tau ** (j + 1) + c["E"] * e_val
         return total
 
 
@@ -315,35 +292,35 @@ def B_inf_depth1(n: int, r: int, ctx: PrecisionCtx | None = None) -> LaurentPoly
     (``r`` counts the zeros); a Laurent polynomial in tau with exponents in
     [-r, n], evaluated at the precision of ``ctx`` from its exact map
     (``_B_inf_terms``)."""
+    _check_args(n=n, r=r)
     if n < 2:
         raise ValueError("n must be >= 2 (n = 1 develops a log tau term)")
     if r < 0:
         raise ValueError("r must be >= 0")
-    ctx = ctx or PrecisionCtx()
-    with ctx.workprec():
-        two_pi_i = 2j * mp.pi
-        return LaurentPoly({e: mp.mpf(c.numerator) / c.denominator
-                            * (zeta_int(m, ctx) if m else 1) * two_pi_i ** p
-                            for e, (c, m, p) in _B_inf_terms(n, r).items() if c},
-                           variable="tau")
+    return LaurentPoly(_constants(_B_inf_terms(n, r), ctx or PrecisionCtx()), variable="tau")
 
 
 @functools.lru_cache(maxsize=None)
 def _B_inf_terms(n: int, r: int) -> dict:
-    """``B_inf_depth1(n, r)`` as {exponent: (c, m, p)}: the coefficient of
-    tau^exponent is c zeta(m) (2 pi i)^p, c rational, with no zeta when m is
-    None.  With lead = sum_k B_k/(k! (n-k)! (n-k+r+1)),
+    """``B_inf_depth1(n, r)`` as the exact map {(exponent, m, p): c} of the
+    coefficients of tau^exponent (shared: not to be changed), m = n + j:
 
         (2 pi i)^(r+1) lead/r! tau^n
-        - sum_{p<r} C(n+p-1, p)/(r-p)! zeta(n+p) (2 pi i)^(r+1-n-p) tau^-p
-        - (1 + (-1)^(n+r)) C(n+r-1, r) zeta(n+r) (2 pi i)^(1-n) tau^-r."""
+        - sum_{j<r} C(m-1, j)/(r-j)! zeta(m) (2 pi i)^(r+1-m) tau^-j
+        - (1 + (-1)^m) C(m-1, r) zeta(m) (2 pi i)^(r+1-m) tau^-r (j = r),
+
+    lead = sum_k B_k/(k! (n-k)! (n-k+r+1)), an even zeta(m) as -B_m/(2 m!) (2 pi i)^m."""
     lead = sum(bernoulli_number(k) / (math.factorial(k) * math.factorial(n - k) * (n - k + r + 1))
                for k in range(n + 1))
-    terms = {n: (lead / math.factorial(r), None, r + 1)}
-    for p in range(r):
-        terms[-p] = (-_gen_binom(n + p - 1, p) / math.factorial(r - p), n + p, r + 1 - n - p)
-    terms[-r] = (-(1 + (-1) ** (n + r)) * _gen_binom(n + r - 1, r), n + r, 1 - n)
-    return terms
+    exact = {(n, None, r + 1): lead / math.factorial(r)}
+    for j, m in enumerate(range(n, n + r + 1)):
+        weight = 1 + (-1) ** m if j == r else Fraction(1, math.factorial(r - j))
+        c = -_gen_binom(m - 1, j) * weight
+        if m % 2:
+            exact[-j, m, r + 1 - m] = c
+        else:
+            exact[-j, None, r + 1] = -c * bernoulli_number(m) / (2 * math.factorial(m))
+    return exact
 
 
 def B_depth1(n: int, r: int, tau, ctx: PrecisionCtx | None = None, q_order=None):
@@ -361,6 +338,7 @@ def B_depth1(n: int, r: int, tau, ctx: PrecisionCtx | None = None, q_order=None)
     weight n + j is zero.  With gammaL0(m, k) = -2/(m-1)! L_{m,k}, the q-parts
     are one divisor-sum series, evaluated once: its tau powers are raised by
     r - 2 >= k - n to be nonnegative, and its value is multiplied by tau^{2-r}."""
+    _check_args(q_order, n=n, r=r)
     if n < 2:
         raise ValueError("n must be >= 2")
     if r < 2:
@@ -370,7 +348,7 @@ def B_depth1(n: int, r: int, tau, ctx: PrecisionCtx | None = None, q_order=None)
         tau = check_tau(tau)
         N = q_order if q_order is not None else auto_q_order(tau, ctx)
         return (B_inf_depth1(n, r - 1, ctx)(tau)
-                + tau ** (2 - r) * _divisor_value(_B_depth1_terms(n, r), N, tau, ctx)[0])
+                + tau ** (2 - r) * _divisor_value(_B_depth1_terms(n, r), None, N, tau, ctx)[0])
 
 
 def _B_depth1_terms(n: int, r: int) -> dict:
@@ -472,46 +450,41 @@ def quadrature_oracle(nvec, tau, ctx: PrecisionCtx | None = None):
 # Appendix-style vector-valued modular forms (weight 5 family)
 
 
+# the components of appendixB_vectors: each (factor, e, p, c) adds c (2 pi i)^p tau^e
+# times A_{3,2} ("a32"), A_{2,3} ("a23"), hat-A_{1,4} ("h14") or 1 (None); K = (2 pi i)^4/720
+_K = Fraction(1, 720)
+_VECTORS = {
+    "V32": [[("a32", 3, 2, 1), ("a23", 2, 1, 1), ("h14", 1, 0, 1), (None, 4, 4, -_K),
+             (None, 2, 4, -10 * _K)],
+            [("a32", 2, 2, 1), ("a23", 1, 1, Fraction(2, 3)), ("h14", 0, 0, Fraction(1, 3)),
+             (None, 3, 4, -4 * _K / 3)],
+            [("a32", 1, 2, 1), ("a23", 0, 1, Fraction(1, 3)), (None, 2, 4, -2 * _K)],
+            [("a32", 0, 2, 1)], [(None, 1, 4, _K)], [(None, 0, 4, _K)]],
+    "V23": [[("a23", 2, 1, 1), ("h14", 1, 0, 2), (None, 4, 4, _K)],
+            [("a23", 1, 1, 1), ("h14", 0, 0, 1), (None, 3, 4, 2 * _K)],
+            [("a23", 0, 1, 1)], [(None, 2, 4, _K)], [(None, 1, 4, _K)], [(None, 0, 4, _K)]],
+    "V14": [[("h14", 1, 0, 1), (None, 4, 4, -_K)], [("h14", 0, 0, 1)], [(None, 3, 4, _K)],
+            [(None, 2, 4, _K)], [(None, 1, 4, _K)], [(None, 0, 4, _K)]],
+}
+
+
 def appendixB_vectors(which: str, tau, ctx: PrecisionCtx | None = None):
     """Six-component vectors built from A_{3,2}, A_{2,3} and hat-A_{1,4} that
-    transform as vector-valued modular forms of weights -1, -2, -3."""
-    ctx = ctx or PrecisionCtx()
+    transform as vector-valued modular forms of weights -1, -2, -3, their
+    exact coefficients in ``_VECTORS``."""
+    if which not in _VECTORS:
+        raise ValueError("which must be 'V32', 'V23' or 'V14'")
+    ctx, rows = ctx or PrecisionCtx(), _VECTORS[which]
     with ctx.workprec():
         tv = check_tau(tau)
-        P = 2j * mp.pi
-        K = P**4 / 720
-        h14 = hatA(4, tv, ctx)
-        if which == "V32":
-            a32 = A_depth1(3, 2, tv, ctx)
-            a23 = A_depth1(2, 3, tv, ctx)
-            return [
-                P**2 * tv**3 * a32 + P * tv**2 * a23 + tv * h14 - K * tv**4 - 10 * K * tv**2,
-                P**2 * tv**2 * a32 + 2 * P * tv / 3 * a23 + h14 / 3 - 4 * K * tv**3 / 3,
-                P**2 * tv * a32 + P / 3 * a23 - 2 * K * tv**2,
-                P**2 * a32,
-                K * tv,
-                K + 0 * tv,
-            ]
-        if which == "V23":
-            a23 = A_depth1(2, 3, tv, ctx)
-            return [
-                P * tv**2 * a23 + 2 * tv * h14 + K * tv**4,
-                P * tv * a23 + h14 + 2 * K * tv**3,
-                P * a23,
-                K * tv**2,
-                K * tv,
-                K + 0 * tv,
-            ]
-        if which == "V14":
-            return [
-                tv * h14 - K * tv**4,
-                h14,
-                K * tv**3,
-                K * tv**2,
-                K * tv,
-                K + 0 * tv,
-            ]
-    raise ValueError("which must be 'V32', 'V23' or 'V14'")
+        build = {"a32": lambda: A_depth1(3, 2, tv, ctx), "a23": lambda: A_depth1(2, 3, tv, ctx),
+                 "h14": lambda: hatA(4, tv, ctx), None: lambda: 1}
+        factor = {f: build[f]() for f in {f for row in rows for f, *_ in row}}
+        c = _constants({((i, f, e), None, p): Fraction(x) for i, row in enumerate(rows)
+                        for f, e, p, x in row}, ctx)
+        power = [tv**e for e in range(5)]
+        return [sum(c[i, f, e] * power[e] * factor[f] for f, e, _, _ in row)
+                for i, row in enumerate(rows)]
 
 
 _WEIGHTS = {"V32": -1, "V23": -2, "V14": -3}

@@ -5,14 +5,20 @@ A :class:`QTauSeries` stores finitely many terms ``c * tau**i * q**j`` with
 supports ring arithmetic, differentiation in tau, the regularized primitive
 (antiderivative toward ``i*infinity`` with the boundary constant discarded),
 and guarded numerical evaluation.
+
+Every constant of the q-series layer is an exact map {(key, m, p): c}, worth
+c zeta(m) (2 pi i)^p summed per key, c rational, m None or odd: ``_constants``
+rounds it, and every library series, once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec, from_man_exp, fzero, round_nearest
 
 from .numkernel import PrecisionCtx, _decimal, _fixed_horner, _fixed_mpc, _to_fixed
 
@@ -28,6 +34,68 @@ __all__ = [
 
 class GuardError(ValueError):
     """A numeric guard (convergence/precision precondition) was violated."""
+
+
+_MAX_TERMS = 200000  # cap on every q_order, and on every iteration count in eisenstein
+_GUARD_BITS = 8  # bits kept beyond the working precision before the one rounding
+
+
+def _check_args(q_order=None, tau=None, **indices) -> None:
+    """Refuse by name a non-integer index (a tuple of them entry by entry), and a
+    q_order that is not a nonnegative integer or exceeds _MAX_TERMS (at Im(tau)
+    when given), with a ValueError; None is the automatic q_order."""
+    def bad(x):
+        return not (isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x)
+    for name, value in indices.items():
+        for x in value if isinstance(value, tuple) else (value,):
+            if bad(x):
+                what = f"index {x!r} of {name}" if isinstance(value, tuple) else f"{name}={x!r}"
+                raise ValueError(f"{what} must be an integer")
+    if q_order is not None and (bad(q_order) or q_order < 0):
+        raise ValueError(f"q_order must be a nonnegative integer, not {q_order!r}")
+    if q_order is not None and q_order > _MAX_TERMS:
+        at = f" at Im(tau)={mp.nstr(mp.im(tau), 8)}" if tau is not None else ""
+        raise ValueError(f"q_order={q_order}{at} exceeds the cap of {_MAX_TERMS} terms")
+
+
+def _combine(*parts) -> dict:
+    """The sum of c (2 pi i)^shift times each exact map of the (map, c, shift)
+    ``parts``: term maps or heads, whose keys end in the power of 2 pi i."""
+    out: dict = {}
+    for exact, c, shift in parts:
+        for (*key, p), x in exact.items():
+            out[(*key, p + shift)] = out.get((*key, p + shift), 0) + c * x
+    return out
+
+
+def _constants(exact: dict, ctx: PrecisionCtx | None = None) -> dict:
+    """{key: mpc} of the exact map {(key, m, p): c}, the sum of c zeta(m)
+    (2 pi i)^p over the key's entries (c rational, or an integer pair (a, b),
+    b > 0, for a/b) at the precision of ``ctx`` or the working one.  Each term
+    a/b zeta(m) (2 pi)^p, the factor taken at wp = prec + _GUARD_BITS bits, is
+    floored in integers to wp bits below its top bit (an integer is kept
+    whole) and signed by i^p; the terms of each part (real for even p) are
+    added exactly and rounded once."""
+    prec = dps_to_prec(ctx.dps) if ctx else mp.mp.prec
+    wp, factors, sums = prec + _GUARD_BITS, {}, {}
+    for (key, m, p), c in exact.items():
+        a, b = c if type(c) is tuple else (c.numerator, c.denominator)
+        factor = factors.get((m, p))
+        if factor is None:
+            with mp.workprec(wp):
+                factor = factors[m, p] = ((mp.zeta(m) if m else 1) * (2 * mp.pi) ** p)._mpf_[1:3]
+        x = a * factor[0]
+        sh = min(wp + 2 - x.bit_length(), 0) if b == 1 else wp + 1 + b.bit_length() - x.bit_length()
+        y, low = (x << sh) // b if sh >= 0 else x // (b << -sh), factor[1] - sh
+        parts, i = sums.setdefault(key, [0, 0, 0, 0]), 2 * (p % 2)
+        y = -y if p % 4 >= 2 else y
+        if parts[i]:  # a further term of the part, added at the finer scale
+            new = min(parts[i + 1], low)
+            y, low = (parts[i] << parts[i + 1] - new) + (y << low - new), new
+        parts[i:i + 2] = y, low
+    return {key: mp.make_mpc((from_man_exp(yr, lr, prec, round_nearest) if yr else fzero,
+                              from_man_exp(yi, li, prec, round_nearest) if yi else fzero))
+            for key, (yr, lr, yi, li) in sums.items()}
 
 
 def check_tau(tau) -> mp.mpc:
@@ -225,15 +293,16 @@ def _log2_absq(tau) -> float:
     return -2 * math.pi / math.log(2) * float(mp.im(tau))
 
 
-def _sum_rows(rows: dict, head: dict, q_order: int, tau, ctx: PrecisionCtx):
+def _sum_rows(rows: dict, head: dict, q_order: int, tau, ctx: PrecisionCtx, dropped=0):
     """(value, truncation bound) of sum_i tau^i (head[i] + sum_j c_ij q^j): the
     one guarded summation of a q-series, at the working precision and tau
     already checked. ``rows`` maps i to (coefficients, W, bits), the c_ij
     (j = 0, 1, ...) as Gaussian integers scaled by 2^W, summed by Horner's rule
     with q at ``bits`` (``numkernel._fixed_horner``); ``head`` maps i to an mpc
-    constant. The guard ``_truncation_bound`` takes max|c| over the head and
-    the integers; the tau-polynomial of the row sums is evaluated in mpc."""
-    maxc = max(map(abs, head.values()), default=0)
+    constant. The guard ``_truncation_bound`` takes max|c| over the head, the
+    integers and ``dropped`` (coefficients the rows leave out); the
+    tau-polynomial of the row sums is evaluated in mpc."""
+    maxc = max([dropped, *map(abs, head.values())])
     if rows:
         square = max(mp.ldexp(max(re * re + im * im for re, im in coeffs), -2 * w)
                      for coeffs, w, _ in rows.values())

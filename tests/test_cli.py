@@ -278,6 +278,20 @@ def test_q_order_above_the_term_cap_is_refused_before_any_table(capsys, argv, na
     assert named in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["emzv", "a", "--n", "3", "--zeros", "1", "--tau=0.1+1.1i", "--q-order", "0"],
+    ["emzv", "b", "--n", "3", "--zeros", "1", "--tau=0.1+1.1i", "--q-order", "0"],
+    ["eisenstein", "e", "--k", "4", "--tau=0.1+1.1i", "--q-order", "0"],
+], ids=["emzv-a", "emzv-b", "eisenstein-e"])
+def test_q_order_zero_is_guarded_by_the_terms_it_drops(capsys, argv):
+    # at q_order 0 no q-term is summed; the guard counts the dropped q^1
+    # terms, so a value whose head is 0 (odd n) is refused, not printed as 0
+    rc, doc = _run_json(capsys, argv)
+    assert rc == 3
+    assert doc["error"]["type"] == "GuardError"
+    assert "q_order=0 insufficient" in doc["error"]["message"]
+
+
 # inputs that int() or list indexing would silently change into another
 # graph or matrix
 @pytest.mark.parametrize("argv,message", [

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -103,6 +104,16 @@ def test_gamma_refuses_a_bad_q_order(q_order):
         gamma((4,), q_order)
 
 
+def test_gamma_refuses_a_word_above_its_size_ceiling():
+    # entries of the exact rows carry about 1.44 q_order len(word) bits; above
+    # the ceiling the word is refused by name before any row is built
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="q_order=2000 times the length 3 of nvec"):
+        gamma((4, 0, 6), 2000)
+    assert time.monotonic() - t0 < 0.5
+    assert len(gamma((4, 0, 6), 30).coeffs) > 0
+
+
 def test_gamma_splits_into_left_aligned_and_cusp():
     with CTX.workprec():
         for n, k in [(4, 1), (4, 2), (6, 3)]:
@@ -167,31 +178,67 @@ def test_gammaR0_is_tau_monomials_times_gammaL0(dps):
                     assert abs(got.coeffs[key] - c) <= mp.mpf(10) ** (2 - dps) * abs(c), (n, k, key)
 
 
-def test_exact_power_divisor_keeps_the_bits():
-    # q^N coefficients of all four divisor-sum series divide by the integer
-    # N**k: bit-identical to dividing by mpf(N)**k wherever N**k < 2**prec
-    for dps in (30, 100):
-        with mp.workdps(dps):
-            sig = {n: _sigma_table(n - 1, 80) for n in range(2, 13, 2)}
-            for n in range(2, 13, 2):
-                pref = -2 / mp.factorial(n - 1)
-                for k in range(1, n):
-                    f = gammaL0(n, k, 80)
-                    for N in range(1, 81):
-                        old = pref * (mp.mpf(sig[n][N]) / mp.mpf(N) ** k)
-                        assert f.coeff(0, N) == old, (dps, n, k, N)
-            for k in range(4, 13, 2):
-                f = eichler_E(k, 80)
-                for j in range(1, 81):
-                    assert f.coeff(0, j) == mp.mpf(sig[k][j]) / mp.mpf(j) ** (k - 1)
-            # eis_E and eis_G divide by N**0 = 1; sigma_{k-1}(N) < 2**prec here,
-            # so eis_G keeps the bits of pref * sigma_{k-1}(N)
-            for k in range(2, 13, 2):
-                e, g = eis_E(k, 80), eis_G(k, 80)
-                pref = 2 * (2j * mp.pi) ** k / mp.factorial(k - 1)
-                for N in range(1, 81):
-                    assert e.coeff(0, N) == mp.mpc(sig[k][N])
-                    assert g.coeff(0, N) == pref * sig[k][N]
+def _exact_coefficients(terms, head, q_order):
+    """{(i, j): mpc} of the series of an exact term map and head, at the
+    working precision, each coefficient summed from its Fractions."""
+    out = {}
+    for (i, m, p), c in (head or {}).items():
+        z = mp.zeta(m) if m else 1
+        out[i, 0] = out.get((i, 0), 0) + mp.mpf(c.numerator) / c.denominator * z * (2j * mp.pi) ** p
+    for (i, n, k, p), c in terms.items():
+        sigma = _sigma_table(n - 1, q_order)
+        for N in range(1, q_order + 1):
+            t = mp.mpf(c.numerator * sigma[N]) / (c.denominator * N**k) * (2j * mp.pi) ** p
+            out[i, N] = out.get((i, N), 0) + t
+    return out
+
+
+def _within_one_ulp(got, ref, prec):
+    """Each part of got within one unit in the last place (at prec bits) of ref's."""
+    for g, r in ((got.real, ref.real), (got.imag, ref.imag)):
+        if abs(g - r) > (mp.ldexp(1, mp.mag(r) - prec) if r else 0):
+            return False
+    return True
+
+
+def test_series_coefficients_are_rounded_once():
+    # every coefficient of the ctx-less constructors and of A_depth1's series
+    # is its exact value rounded once: within one ulp of the value summed from
+    # the Fractions at +20 digits
+    from ellipsum.eisenstein import _eis_E_terms, _eis_G_terms
+    from ellipsum.eisint import _eichler_terms
+    from ellipsum.emzv import A_depth1, _A_word_terms
+
+    q_order = 12
+    cases = []
+    for k in range(0, 13, 2):
+        cases.append((lambda k=k: eis_G(k, q_order), _eis_G_terms(k)))
+        cases.append((lambda k=k: eis_Gbb(k, q_order), _eis_G_terms(k, 1 - k)))
+    for k in range(2, 13, 2):
+        cases.append((lambda k=k: eis_E(k, q_order), _eis_E_terms(k)))
+    for k in range(4, 13, 2):
+        cases.append((lambda k=k: eichler_E(k, q_order), _eichler_terms(k)))
+    for n in range(2, 11, 2):
+        for k in range(1, n):
+            f = math.factorial(n - 1)
+            cases.append((lambda n=n, k=k: gammaL0(n, k, q_order),
+                          ({(0, n, k, 0): Fraction(-2, f)}, None)))
+            right = {(i, n, k - i, i): Fraction(2 * (-1) ** (n - k + i), math.factorial(i) * f)
+                     for i in range(k)}
+            cases.append((lambda n=n, k=k: gammaR0(n, k, q_order), (right, None)))
+    for dps in (40, 110):
+        ctx = PrecisionCtx(dps - 10)  # A_depth1 builds at ctx.dps
+        depth1 = [(lambda n=n, r=r: A_depth1(n, r, ctx=ctx, q_order=q_order),
+                   _A_word_terms((n,) + (0,) * (r - 1)))
+                  for n, r in [(0, 3), (1, 1), (1, 4), (2, 3), (3, 2), (4, 4), (5, 3)]]
+        for build, (terms, head) in cases + depth1:
+            with mp.workdps(dps):
+                got, prec = build(), mp.mp.prec
+            with mp.workdps(dps + 20):
+                ref = {key: c for key, c in _exact_coefficients(terms, head, q_order).items() if c}
+                assert set(got.coeffs) == set(ref), (dps, terms, head)
+                for key, c in ref.items():
+                    assert _within_one_ulp(got.coeffs[key], c, prec), (dps, terms, head, key)
 
 
 def test_eichler_constant_and_guard():

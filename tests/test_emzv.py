@@ -65,7 +65,7 @@ def test_length_one_word_one_has_two_pinned_values():
     with CTX.workprec():
         assert A_len1(1) == 0
         terms, head = emzv._A_word_terms((1,))
-        word_value = _divisor_value(terms, auto_q_order(TAU, CTX), TAU, CTX, head)[0]
+        word_value = _divisor_value(terms, head, auto_q_order(TAU, CTX), TAU, CTX)[0]
         for val in (A_inf_depth1(1, 1), A_depth1(1, 1, TAU, CTX), word_value):
             assert abs(val - 1j * mp.pi / 2) <= CTX.eps
 
@@ -110,7 +110,7 @@ def test_explicit_derivative_matches_series_derivative(word):
     with ctx.workprec():
         explicit = expl_diff_A(word, 12)
         terms, head = emzv._A_word_terms(word)
-        direct = _divisor_series(terms, 12, head).dtau()
+        direct = _divisor_series(terms, head, 12).dtau()
         scale = max(explicit.max_abs_coeff(), direct.max_abs_coeff())
         for key in set(explicit.coeffs) | set(direct.coeffs):
             diff = abs(explicit.coeff(*key) - direct.coeff(*key))

@@ -231,20 +231,17 @@ KERNEL_TAUS = [("-0.5", "0.6"), ("0.23", "0.6"), ("0.5", "1"), ("-0.31", "1"),
                ("0", "1.5"), ("0.41", "1.5"), ("7.3", "0.8")]
 
 
-def _library_maps(ctx):
-    """(term map, head) of divisor-sum values the library sums, the head's
-    constants at ctx: A_depth1, A_len2, B_depth1 (one tau power, and four),
-    the Eichler series of hatA's "eichler" form and eis_E(12)."""
+def _library_maps():
+    """(term map, exact head) of divisor-sum values the library sums: A_depth1,
+    A_len2, B_depth1 (one tau power, and four), the Eichler series of hatA's
+    "eichler" form and eis_E(12)."""
     from ellipsum import eisenstein, eisint, emzv
 
-    with ctx.workprec():
-        maps = [(emzv._A_depth1_terms(n, r), {(0, 0): emzv.A_inf_depth1(n, r, ctx)})
-                for n, r in [(3, 2), (2, 5)]]
-        maps += [(emzv._A_len2_terms(n1, n2), {(0, 0): emzv._A_inf_len2(n1, n2, ctx)})
-                 for n1, n2 in [(3, 2), (1, 4)]]
-        maps += [(emzv._B_depth1_terms(n, r), None) for n, r in [(3, 2), (5, 4)]]
-        maps.append(eisint._eichler_terms(6))
-        maps.append(({(0, 12, 0, 0): 1}, {(0, 0): eisenstein.eis_E(12, 0).coeff(0, 0)}))
+    maps = [emzv._A_depth1_terms(n, r) for n, r in [(3, 2), (2, 5)]]
+    maps += [emzv._A_len2_terms(n1, n2) for n1, n2 in [(3, 2), (1, 4)]]
+    maps += [(emzv._B_depth1_terms(n, r), None) for n, r in [(3, 2), (5, 4)]]
+    maps.append(eisint._eichler_terms(6))
+    maps.append(eisenstein._eis_E_terms(12))
     return maps
 
 
@@ -262,8 +259,8 @@ def _library_series(tau, ctx):
         out = [eisenstein.eis_E(k, 3 * N) for k in range(4, 25, 2)]
         out += [eisint.gamma(nvec, N) for nvec in [(4,), (8,), (0, 4), (4, 0), (4, 6)]]
         out += [out[4].scale(mp.ldexp(1, -300)), out[-1].scale(mp.ldexp(1, -150))]
-        out += [eisenstein._divisor_series(terms, N, head)
-                for terms, head in _library_maps(ctx)[:5]]  # A_depth1, A_len2, B_depth1(3, 2)
+        out += [eisenstein._divisor_series(terms, head, N)
+                for terms, head in _library_maps()[:5]]  # A_depth1, A_len2, B_depth1(3, 2)
     return out
 
 
@@ -302,24 +299,66 @@ def test_divisor_value_matches_naive_sum_and_series_route(re_tau, im_tau, digits
     ctx, ref_ctx = PrecisionCtx(digits), PrecisionCtx(digits + 20)
     tau = mp.mpc(re_tau, im_tau)
     N = auto_q_order(tau, ctx)
-    maps, trips = _library_maps(ctx), 0
+    maps, trips = _library_maps(), 0
     for terms, head in maps:
         for order in (N // 2, N, 3 * N):
             with ctx.workprec():
-                series = _divisor_series(terms, order, head)
+                series = _divisor_series(terms, head, order)
             try:
                 want, want_bound = eval_with_bound(series, tau, ctx)
             except GuardError as error:
                 with pytest.raises(GuardError) as got_error:
-                    _divisor_value(terms, order, tau, ctx, head)
+                    _divisor_value(terms, head, order, tau, ctx)
                 assert str(got_error.value) == str(error)
                 trips += order < N
                 continue
-            got, bound = _divisor_value(terms, order, tau, ctx, head)
+            got, bound = _divisor_value(terms, head, order, tau, ctx)
             with ref_ctx.workprec():
-                ref, scale = _naive_sum(_divisor_series(terms, order, head), tau, ref_ctx)
+                ref, scale = _naive_sum(_divisor_series(terms, head, order), tau, ref_ctx)
                 tol = mp.mpf(10) ** -(digits + 5) * scale
                 assert abs(got - ref) <= tol, (terms, order)
                 assert abs(got - want) <= tol, (terms, order)
                 assert abs(bound - want_bound) <= mp.mpf("1e-20") * want_bound, (terms, order)
     assert trips == len(maps)
+
+
+def _bad_arguments():
+    """(call, the name its ValueError must carry) for non-integer indices and
+    negative or non-integer q_orders of every q-series entry."""
+    from ellipsum import eisenstein, eisint, emzv
+
+    tau = mp.mpc("0.1", "1.1")
+    return {
+        "A_depth1 q_order=-1": (lambda: emzv.A_depth1(3, 2, tau, CTX, q_order=-1), "q_order"),
+        "A_depth1 q_order=2.5": (lambda: emzv.A_depth1(3, 2, tau, CTX, q_order=2.5), "q_order"),
+        "A_depth1 n": (lambda: emzv.A_depth1(2.5, 2, tau, CTX), "n=2.5"),
+        "A_depth1 series r": (lambda: emzv.A_depth1(2, 1.5), "r=1.5"),
+        "A_depth1_general s": (lambda: emzv.A_depth1_general(0.5, 2, 1, tau, CTX), "s=0.5"),
+        "A_len2 n2": (lambda: emzv.A_len2(2, 2.5, tau, CTX), "n2=2.5"),
+        "B_depth1 r": (lambda: emzv.B_depth1(3, 2.5, tau, CTX), "r=2.5"),
+        "B_depth1 q_order": (lambda: emzv.B_depth1(3, 2, tau, CTX, q_order=-2), "q_order"),
+        "B_inf_depth1 n": (lambda: emzv.B_inf_depth1(4.5, 1), "n=4.5"),
+        "A_inf_depth1 n": (lambda: emzv.A_inf_depth1(2.5, 1), "n=2.5"),
+        "A_len1 n": (lambda: emzv.A_len1(2.5), "n=2.5"),
+        "hatA r": (lambda: emzv.hatA(4.5, tau, CTX), "r=4.5"),
+        "eis_G k": (lambda: eisenstein.eis_G(4.5, 5), "k=4.5"),
+        "eis_Gbb q_order": (lambda: eisenstein.eis_Gbb(4, -1), "q_order"),
+        "eis_E k": (lambda: eisenstein.eis_E(4.5, 5), "k=4.5"),
+        "eis_E q_order": (lambda: eisenstein.eis_E(4, 2.5), "q_order"),
+        "gammaL0 k": (lambda: eisint.gammaL0(4, 1.5, 5), "k=1.5"),
+        "gammaR0 q_order": (lambda: eisint.gammaR0(4, 2, -1), "q_order"),
+        "eichler_E k": (lambda: eisint.eichler_E(4.5, 5), "k=4.5"),
+        "gamma index": (lambda: eisint.gamma((4, 0.5), 5), "index 0.5 of nvec"),
+        "gamma q_order": (lambda: eisint.gamma((4,), 2.5), "q_order"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_arguments()))
+def test_q_series_entries_refuse_bad_indices_and_orders_by_name(case):
+    # one check for every entry: a non-integer index, or a negative or
+    # non-integer q_order, is a ValueError naming the argument, never a value
+    call, name = _bad_arguments()[case]
+    with pytest.raises(ValueError) as error:
+        call()
+    assert type(error.value) is ValueError
+    assert name in str(error.value)

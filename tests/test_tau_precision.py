@@ -2,6 +2,7 @@
 its ``ctx``: its value is the same whatever the ambient mpmath precision."""
 
 import inspect
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -108,3 +109,37 @@ def test_constant_does_not_depend_on_ambient_precision(call):
     with mp.workdps(CTX.dps + 20):
         high = call()
     assert low == high
+
+
+# the exact maps of the q-series layer, rebuilt on each call (past their caches)
+EXACT_MAPS = {
+    "emzv._A_depth1_terms": lambda: emzv._A_depth1_terms(1, 6),
+    "emzv._A_word_terms": lambda: emzv._A_word_terms.__wrapped__((0, 3, 0, 0)),
+    "emzv._A_len2_terms": lambda: emzv._A_len2_terms(1, 4),
+    "emzv._B_inf_terms": lambda: emzv._B_inf_terms.__wrapped__(5, 3),
+    "emzv._B_depth1_terms": lambda: emzv._B_depth1_terms(5, 4),
+    "eisenstein._eis_G_terms": lambda: eisenstein._eis_G_terms(6, -5),
+    "eisenstein._eis_E_terms": lambda: eisenstein._eis_E_terms(8),
+    "eisint._eichler_terms": lambda: eisint._eichler_terms(6),
+    "eisint._gamma_rows": lambda: eisint._gamma_rows.__wrapped__((4, 0), 8),
+}
+
+
+def _leaves(x):
+    """Every key and value of nested dicts, tuples and lists."""
+    if isinstance(x, dict):
+        x = [*x.keys(), *x.values()]
+    if isinstance(x, (tuple, list)):
+        return [leaf for y in x for leaf in _leaves(y)]
+    return [x]
+
+
+@pytest.mark.parametrize("build", list(EXACT_MAPS.values()), ids=list(EXACT_MAPS))
+def test_exact_map_holds_exact_numbers_at_any_ambient_precision(build):
+    # only ints, Fractions and None: nothing in a map meets mpmath
+    with mp.workdps(15):
+        low = build()
+    with mp.workdps(120):
+        high = build()
+    assert low == high
+    assert {type(x) for x in _leaves(low)} <= {int, Fraction, type(None)}
