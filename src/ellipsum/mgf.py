@@ -806,7 +806,8 @@ def R_direct(m1: int, m2: int, m3: int, alpha: int, beta: int, cutoff: int) -> f
                          f"over the cap of {_MAX_BYTES} bytes")
     C = cutoff
     A = min(m1, m2, m3) * C
-    tables = {m: _k_table(m, C)[m * C - A : m * C + A + 1] for m in {m1, m2, m3}}
+    # a copy of the used rows, so that the whole table is freed
+    tables = {m: _k_table(m, C)[m * C - A : m * C + A + 1].copy() for m in {m1, m2, m3}}
     T1 = tables[m1]
 
     def coupled(T, e):

@@ -9,20 +9,25 @@ Conventions used throughout the package:
 * Binary words encode iterated-integral representations; a convergent word
   starts with the letter 0 and ends with the letter 1.
 * ``mzv_many(indices, ctx)`` is the one MZV evaluator (``mzv`` is its batch
-  of one). It makes one pass for the multiple polylogarithms at 1/2 of every
-  index not yet cached. Li_e(1/2) is memoised by (exponent tuple, dps) and
-  each MZV by (index, dps); a value depends on nothing else, so batching and
-  call order never change a bit of it.
+  of one). It makes one integer pass for the multiple polylogarithms at 1/2
+  of every index not yet cached. Li_e(1/2) is memoised as an integer scaled
+  by a power of two, by (exponent tuple, dps); each MZV sums its products of
+  those integers exactly, is rounded once and is memoised by (index, dps).
+  A value depends on nothing else, so batching and call order never change
+  a bit of it.
+* ``shuffle`` and ``stuffle`` memoise their products across calls and
+  return a new ``Counter`` on each call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import floordiv, rshift
 
 import mpmath as mp
 
@@ -259,51 +264,76 @@ def zeta_int(n: int, ctx: PrecisionCtx):
         return +val
 
 
-# Li_e(1/2) by (exponent tuple, dps); see _li_half_many
+# Li_e(1/2) * 2^prec as an int, by (exponent tuple, dps); see _li_half_many
 _li_half_cached: dict = {}
+
+
+def _li_half_scale(dps: int) -> tuple[int, int]:
+    """(n_terms, prec) of the Li(1/2) sums at ``dps``: the terms n = 1..n_terms
+    are kept and the values are integers scaled by 2^prec, 32 bits beyond
+    ``dps + 10`` digits."""
+    return int(3.33 * dps) + 25, int(3.33 * (dps + 10)) + 32
+
+
+@functools.lru_cache(maxsize=None)
+def _powers(d: int, n_terms: int) -> tuple:
+    """(1**d, 2**d, ..., n_terms**d): the divisors of one quotient step."""
+    return tuple(n**d for n in range(1, n_terms + 1))
+
+
+def _quotients(row: list, exponents, n_terms: int):
+    """(m, [row[i] // (i + 1)**m for each i]) for each m in ``exponents``,
+    increasing. Each row is the previous one divided by (i + 1)**(m - m_prev),
+    which is exact for row entries >= 0: floor(floor(a/b)/c) = floor(a/(bc))."""
+    prev = 0
+    for m in sorted(exponents):
+        row = list(map(floordiv, row, _powers(m - prev, n_terms)))
+        prev = m
+        yield m, row
 
 
 def _li_half_many(exponent_tuples: set, dps: int) -> dict:
     """Li_{m1,...,ms}(1/2) = sum over n1 > n2 > ... > ns >= 1 of
-    (1/2)^{n1} / prod(n_i^{m_i}) for each exponent tuple, keyed by tuple.
+    (1/2)^{n1} / prod(n_i^{m_i}) for each exponent tuple, keyed by tuple, as
+    an integer scaled by 2^prec (``_li_half_scale``).
 
     Cumulative-sum recursion on Python ints scaled by 2^prec: ``inner[tail]``
     holds, for n1 = 1..n_terms, the sum over chains below n1 of the product
     of the tail's factors. Tuples with the same tail share its array, and
     each array extends the one of its own tail by one exponent, so they are
-    built shortest tail first. Every floor division and the ``>> n1`` weight
-    drop less than one unit of 2^-prec; the 32 bits beyond the working
-    precision cover their sum over all terms and levels.
+    built shortest tail first. A tuple (m, *tail) reads its tail's array
+    shifted once by the weights 2^-n1. The head exponents over one tail, and
+    the first exponents of the arrays over one shorter tail, divide one
+    quotient row in turn (``_quotients``), so each divisor is a small power.
+    Every floor division and the ``>> n1`` weight drop less than one unit of
+    2^-prec; the 32 bits beyond the working precision cover their sum over
+    all terms and levels.
 
-    Values are memoised in ``_li_half_cached`` by (tuple, dps), and only the
-    tuples not yet there are computed. This keeps results bit-identical
-    whatever the batch: the value of a tuple is a function of the tuple,
-    ``n_terms`` and ``prec`` alone (its tail arrays are exact integer
-    recursions on the tuple's own tails), and both of those depend only on
-    ``dps``. Tail arrays are not kept between calls.
+    The integers are memoised in ``_li_half_cached`` by (tuple, dps), and
+    only the tuples not yet there are computed. This keeps results
+    bit-identical whatever the batch: the integer of a tuple is the exact
+    floor recursion on the tuple's own tails, a function of the tuple,
+    ``n_terms`` and ``prec`` alone, and both of those depend only on ``dps``.
+    Tail arrays are not kept between calls.
     """
     todo = {e for e in exponent_tuples if (e, dps) not in _li_half_cached}
     if todo:
-        n_terms = int(3.33 * dps) + 25
-        prec = int(3.33 * (dps + 10)) + 32
-        # powers[m][i] = (i + 1) ** m, the divisor at index n = i + 1
-        powers = {m: [j**m for j in range(1, n_terms + 1)] for m in {m for e in todo for m in e}}
-        tails = {e[k:] for e in todo for k in range(1, len(e))}
+        n_terms, prec = _li_half_scale(dps)
+        heads = defaultdict(set)  # tail -> the head exponents of its todo tuples
+        firsts = defaultdict(set)  # tail -> the first exponents of the longer tails on it
+        for e in todo:
+            heads[e[1:]].add(e[0])
+            for k in range(1, len(e)):
+                firsts[e[k + 1:]].add(e[k])
         inner = {(): [1 << prec] * n_terms}
-        for tail in sorted(tails, key=len):
-            below = inner[tail[1:]]
-            inner[tail] = [
-                0,
-                *accumulate(a // b for a, b in zip(below[:-1], powers[tail[0]])),
-            ]
-        with mp.workdps(dps + 10):
-            for e in todo:
-                # floor(floor(a / 2^n) / b) = floor(a / (b 2^n)) = floor(floor(a / b) / 2^n)
-                total = sum(
-                    (a >> n) // b
-                    for n, a, b in zip(range(1, n_terms + 1), inner[e[1:]], powers[e[0]])
-                )
-                _li_half_cached[e, dps] = mp.ldexp(mp.mpf(total), -prec)
+        for below in sorted(firsts, key=len):
+            for m, row in _quotients(inner[below][:-1], firsts[below], n_terms):
+                inner[(m, *below)] = [0, *accumulate(row)]
+        for tail, ms in heads.items():
+            # floor(floor(a / 2^n) / b) = floor(a / (b 2^n)) = floor(floor(a / b) / 2^n)
+            weighted = list(map(rshift, inner[tail], range(1, n_terms + 1)))
+            for m, row in _quotients(weighted, ms, n_terms):
+                _li_half_cached[(m, *tail), dps] = sum(row)
     return {e: _li_half_cached[e, dps] for e in exponent_tuples}
 
 
@@ -320,6 +350,15 @@ def _word_groups(w) -> tuple[int, ...]:
     if zeros:
         raise ValueError("word must end in 1")
     return tuple(parts)
+
+
+@functools.lru_cache(maxsize=None)
+def _hoelder_splits(idx: tuple) -> tuple:
+    """The (suffix, dual) exponent tuples of the n + 1 splits of the weight-n
+    word of ``idx``; () stands for the factor 1."""
+    w = word_from_index(idx)
+    return tuple((_word_groups(w[j:]), _word_groups(tuple(1 - a for a in reversed(w[:j]))))
+                 for j in range(len(w) + 1))
 
 
 def _admissible(idx) -> tuple:
@@ -347,32 +386,25 @@ def mzv_many(indices, ctx: PrecisionCtx) -> dict:
 
     The polylogarithms of every index not yet in ``_mzv_cached`` are made in
     one ``_li_half_many`` pass over the union of their exponent tuples, so
-    the batch shares the cumulative sums of common tails. Each value depends
-    only on its index and ``ctx.dps`` (never on the batch, the call order or
-    the ambient mpmath precision), so a batch, single calls and any order
-    give bit-identical results.
+    the batch shares the cumulative sums of common tails. The products of
+    each index are summed exactly on those integers and the sum is rounded
+    once, at ``ctx.dps + 10`` digits. Each value depends only on its index
+    and ``ctx.dps`` (never on the batch, the call order or the ambient mpmath
+    precision), so a batch, single calls and any order give bit-identical
+    results.
     """
     idxs = [_admissible(i) for i in indices]
     dps = ctx.dps
-    # (suffix, dual) exponent tuples of each split; () stands for the factor 1
-    splits = {}
-    for idx in idxs:
-        if (idx, dps) not in _mzv_cached and idx not in splits:
-            w = word_from_index(idx)
-            splits[idx] = [
-                (_word_groups(w[j:]), _word_groups(tuple(1 - a for a in reversed(w[:j]))))
-                for j in range(len(w) + 1)
-            ]
-    if splits:
-        li = _li_half_many({e for pairs in splits.values() for pair in pairs for e in pair if e},
+    todo = {idx: _hoelder_splits(idx) for idx in idxs if (idx, dps) not in _mzv_cached}
+    if todo:
+        li = _li_half_many({e for pairs in todo.values() for pair in pairs for e in pair if e},
                            dps)
+        prec = _li_half_scale(dps)[1]
+        li[()] = 1 << prec
         with mp.workdps(dps + 10):
-            li[()] = mp.mpf(1)
-            for idx, pairs in splits.items():
-                total = mp.mpf(0)
-                for left, right in pairs:
-                    total += li[left] * li[right]
-                _mzv_cached[idx, dps] = +total
+            for idx, pairs in todo.items():
+                total = sum(li[left] * li[right] for left, right in pairs)
+                _mzv_cached[idx, dps] = mp.ldexp(mp.mpf(total), -2 * prec)
     return {idx: _mzv_cached[idx, dps] for idx in idxs}
 
 
@@ -387,28 +419,31 @@ def polylog(k: int, z, ctx: PrecisionCtx):
         return +mp.polylog(k, z)
 
 
+@functools.lru_cache(maxsize=None)
+def _merge(a: tuple, b: tuple, collide: bool) -> tuple:
+    """The merges of ``_quasi_shuffle`` as ((word, multiplicity), ...) over
+    plain tuples, memoised across calls."""
+    if not a:
+        return ((b, 1),)
+    if not b:
+        return ((a, 1),)
+    out: Counter = Counter()
+    for word, mult in _merge(a[:-1], b, collide):
+        out[word + (a[-1],)] += mult
+    for word, mult in _merge(a, b[:-1], collide):
+        out[word + (b[-1],)] += mult
+    if collide:
+        for word, mult in _merge(a[:-1], b[:-1], collide):
+            out[word + (a[-1] + b[-1],)] += mult
+    return tuple(out.items())
+
+
 def _quasi_shuffle(kind, x, y, collide: bool) -> Counter:
     """Merge two sequences from their outermost (last) entries: the last
     entry of a merged word comes from either factor or, if ``collide``, is
-    the sum of both last entries."""
-
-    @functools.lru_cache(maxsize=None)
-    def rec(a: tuple, b: tuple) -> tuple:
-        if not a:
-            return ((b, 1),)
-        if not b:
-            return ((a, 1),)
-        out: Counter = Counter()
-        for word, mult in rec(a[:-1], b):
-            out[word + (a[-1],)] += mult
-        for word, mult in rec(a, b[:-1]):
-            out[word + (b[-1],)] += mult
-        if collide:
-            for word, mult in rec(a[:-1], b[:-1]):
-                out[word + (a[-1] + b[-1],)] += mult
-        return tuple(out.items())
-
-    return Counter({kind(word): mult for word, mult in rec(tuple(kind(x)), tuple(kind(y)))})
+    the sum of both last entries. Each call returns a new Counter."""
+    merged = _merge(tuple(kind(x)), tuple(kind(y)), collide)
+    return Counter({kind(word): mult for word, mult in merged})
 
 
 def shuffle(w1, w2) -> Counter:

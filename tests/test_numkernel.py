@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellipsum import numkernel
 from ellipsum.numkernel import (
     BinaryWord,
     MZVIndex,
@@ -248,3 +249,64 @@ def test_mzv_many_batch_single_and_order_agree_bit_for_bit(digits):
         mzv_many([(2,), (2, 1)], ctx)
     with pytest.raises(ValueError, match=r"index \(2, 1\) is not admissible"):
         mzv((2, 1), ctx)
+
+
+def _admissible_indices(max_weight):
+    return [idx for weight in range(2, max_weight + 1) for depth in range(1, weight)
+            for idx in _compositions(weight, depth) if idx[-1] >= 2]
+
+
+def _li_half_reference(e, dps, rows):
+    """Li_e(1/2) * 2^prec by the plain floor recursion: full-length cumulative
+    rows per tail (memoised in ``rows``), each term divided by n**m at once."""
+    n_terms, prec = int(3.33 * dps) + 25, int(3.33 * (dps + 10)) + 32
+
+    def cumulative(tail):
+        if not tail:
+            return [1 << prec] * n_terms
+        if tail not in rows:
+            below, out, acc = cumulative(tail[1:]), [], 0
+            for n in range(1, n_terms + 1):
+                out.append(acc)
+                acc += below[n - 1] // n ** tail[0]
+            rows[tail] = out
+        return rows[tail]
+
+    below = cumulative(e[1:])
+    return sum((below[n - 1] >> n) // n ** e[0] for n in range(1, n_terms + 1))
+
+
+@pytest.mark.parametrize("dps", [42, 70, 110])
+def test_li_half_integers_match_the_plain_recursion(dps, monkeypatch):
+    # every exponent tuple that the admissible indices of weight <= 12 reach,
+    # computed in one batch from an empty memo
+    tuples = {e for idx in _admissible_indices(12)
+              for pair in numkernel._hoelder_splits(idx) for e in pair if e}
+    monkeypatch.setattr(numkernel, "_li_half_cached", {})
+    got = numkernel._li_half_many(tuples, dps)
+    rows = {}
+    for e in sorted(tuples):
+        assert got[e] == _li_half_reference(e, dps, rows), e
+
+
+@pytest.mark.parametrize("digits", [32, 60, 100])
+def test_mzv_within_its_precision_of_more_digits(digits):
+    ctx, ref_ctx = PrecisionCtx(digits), PrecisionCtx(digits + 30)
+    indices = _admissible_indices(10)
+    values, refs = mzv_many(indices, ctx), mzv_many(indices, ref_ctx)
+    tol = mp.mpf(10) ** -(digits + 5)
+    with ref_ctx.workprec():
+        for idx in indices:
+            assert abs(values[idx] - refs[idx]) <= tol * abs(refs[idx]), idx
+        for k in range(2, 11):
+            assert abs(values[k,] - mp.zeta(k)) <= tol * mp.zeta(k), k
+
+
+def test_shuffle_and_stuffle_return_a_new_counter_each_call():
+    # the products are memoised across calls; a caller that edits its
+    # Counter must not change what the next call returns
+    for product, x, y in [(stuffle, (2,), (3, 2)), (shuffle, (0, 1), (0, 0, 1))]:
+        expected = dict(product(x, y))
+        product(x, y).clear()
+        assert product(x, y) == expected
+        assert product(x, y) is not product(x, y)
