@@ -355,10 +355,25 @@ def _word_groups(w) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=None)
 def _hoelder_splits(idx: tuple) -> tuple:
     """The (suffix, dual) exponent tuples of the n + 1 splits of the weight-n
-    word of ``idx``; () stands for the factor 1."""
-    w = word_from_index(idx)
-    return tuple((_word_groups(w[j:]), _word_groups(tuple(1 - a for a in reversed(w[:j]))))
-                 for j in range(len(w) + 1))
+    word of ``idx``; () stands for the factor 1.
+
+    Read off the exponents without building the word: the word is the blocks
+    0^(m-1) 1 for m in reversed ``idx``. A split o letters into block m has
+    the suffix (m - o, *later exponents), and its dual (the reversed
+    complement of the prefix) is o ones in front of the dual at the block's
+    start. A whole block puts 0 1^(m-1) in front of that dual: m - 1 more
+    ones, then the 0 adds one to the first exponent.
+    """
+    r = idx[::-1]
+    splits = []
+    dual = ()
+    for p, m in enumerate(r):
+        rest = r[p + 1:]
+        splits += [((m - o, *rest), (1,) * o + dual) for o in range(m)]
+        ones = (1,) * (m - 1) + dual
+        dual = (ones[0] + 1, *ones[1:])
+    splits.append(((), dual))
+    return tuple(splits)
 
 
 def _admissible(idx) -> tuple:

@@ -1,11 +1,18 @@
 """Genus-zero amplitude expansion checks."""
 
+import contextlib
+import hashlib
+import io
 import itertools
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+from ellipsum.cli import run as cli_run
 from ellipsum.genus0 import (
     ZetaLinExponent,
     closed_exponent,
@@ -62,6 +69,60 @@ def test_exponent_scale_and_call():
         assert abs(e(s, t, CTX) - ref) < mp.mpf("1e-30")
 
 
+@pytest.mark.parametrize("coeffs,entry", [
+    ({2: {(-1, 3): 1}}, r"\(-1, 3\)"),  # would read s^deg for s^-1
+    ({2: {(0.5, 1): 1}}, r"\(0\.5, 1\)"),
+    ({0: {(1, 1): 1}}, r"got 0\b"),  # zeta(0) = -1/2 is no term of the series
+    ({1: {(1, 1): 1}}, r"got 1\b"),  # zeta(1) diverges
+], ids=["negative_exponent", "non_integer_exponent", "zeta_0", "zeta_1"])
+def test_constructor_refuses_bad_entries(coeffs, entry):
+    with pytest.raises(ValueError, match=entry):
+        ZetaLinExponent(4, coeffs)
+
+
+def _fraction_exponent(order, sign_rule):
+    """The binomial exponent's coefficients built as Fractions one monomial
+    at a time (the construction before the integer rows)."""
+    return {n: {(k, n - k): Fraction(-u * math.comb(n, k), n) for k in range(1, n)}
+            for n in range(2, order + 1) if (u := sign_rule(n)) is not None}
+
+
+_RULES = {"open": (veneziano_exponent, lambda n: (-1) ** n),
+          "closed": (closed_exponent, lambda n: -2 if n % 2 == 1 else None)}
+
+
+@pytest.mark.parametrize("order", range(2, 61))
+def test_rows_match_the_fraction_construction(order):
+    for build, rule in _RULES.values():
+        e, ref = build(order), _fraction_exponent(order, rule)
+        assert e.coeffs == ref
+        assert e == ZetaLinExponent(order, ref)
+        assert all(e.coeff(n, *k) == c for n, poly in ref.items() for k, c in poly.items())
+        assert e.coeff(order + 1, 1, order) == e.coeff(2, 0, 2) == 0
+        for c in (2, Fraction(-3, 4), Fraction(5, 6), 0):
+            scaled = {n: {k: v * c for k, v in poly.items()} for n, poly in ref.items()}
+            assert e.scale(c).coeffs == {n: poly for n, poly in scaled.items() if any(poly.values())}
+        sv = {n: {k: 2 * v for k, v in poly.items()} for n, poly in ref.items() if n % 2 == 1}
+        assert sv_map_exponent(e).coeffs == sv
+        assert sv_map_exponent(e) == ZetaLinExponent(order, sv)
+
+
+def test_binomial_exponents_construct_no_fraction(monkeypatch):
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    e = sv_map_exponent(veneziano_exponent(60))
+    e(mp.mpf("0.05"), mp.mpf("0.03"), CTX)
+    closed_exponent(60)(mp.mpf("0.05"), mp.mpf("0.03"), CTX)
+    assert made == []
+    assert e.coeff(3, 2, 1) == 2 and made  # the Fraction view is counted
+
+
 def _fraction_sum(e, s, t):
     """The exponent summed as Fraction * mpf * mpf at the ambient precision
     (the evaluation before the integer sum), and the same sum of |terms|."""
@@ -80,15 +141,18 @@ def _fraction_sum(e, s, t):
 _POINTS = ["-0.02", "0.02", "0.08", "0.3", "0.45", "-1e-9"]
 
 
+def _exponents(order):
+    return {"open": veneziano_exponent(order), "closed": closed_exponent(order),
+            "sv": sv_map_exponent(veneziano_exponent(order))}
+
+
 @pytest.mark.parametrize("order,digits", [(11, 30), (40, 60), (60, 100)])
 def test_integer_sum_matches_fraction_sum(order, digits):
     # 10^-(digits+3) relative to the value, plus 10^-(digits+10) of the sum of
     # |terms| (the rounding scale of the terms at working precision) for the
     # closed exponent at s = -t, whose value is exactly 0
     ctx = PrecisionCtx(digits=digits)
-    exponents = {"open": veneziano_exponent(order), "closed": closed_exponent(order),
-                 "sv": sv_map_exponent(veneziano_exponent(order))}
-    for name, e in exponents.items():
+    for name, e in _exponents(order).items():
         for s, t in itertools.product(_POINTS, _POINTS):
             with mp.workdps(digits + 20):
                 s, t = mp.mpf(s), mp.mpf(t)
@@ -111,3 +175,78 @@ def test_integer_sum_takes_complex_arguments():
     with mp.workdps(60):
         assert abs(value - ref) < mp.mpf(10) ** -43 * abs(ref)
         assert abs(value - _fraction_sum(e, s, t)[0]) < mp.mpf(10) ** -43 * abs(ref)
+
+
+# ---------------------------------------------------------------------------
+# values pinned bit for bit
+
+_DIGESTS = Path(__file__).with_name("genus0_digests.txt")
+_ORDERS = (11, 40, 60)
+_DIGITS = (30, 60, 100)
+_COMPLEX = (("0.1", "0.05"), ("-0.07", "0.02"))
+
+
+def _raw(x):
+    return x._mpc_ if isinstance(x, mp.mpc) else x._mpf_
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _value_table(order: int, digits: int) -> dict:
+    """{label: digest} of the sha256 of repr of the raw bits of each exponent
+    at every pair of _POINTS and at the complex pair _COMPLEX."""
+    ctx = PrecisionCtx(digits=digits)
+    with ctx.workprec():
+        pairs = [(s, t, mp.mpf(s), mp.mpf(t)) for s, t in itertools.product(_POINTS, _POINTS)]
+        (sr, si), (tr, ti) = _COMPLEX
+        pairs.append((f"{sr}+{si}i", f"{tr}+{ti}i", mp.mpc(sr, si), mp.mpc(tr, ti)))
+    table = {}
+    for name, e in _exponents(order).items():
+        for s_label, t_label, s, t in pairs:
+            table[f"{order} {digits} {name} {s_label} {t_label}"] = _digest(repr(_raw(e(s, t, ctx))))
+    return table
+
+
+def _json_table() -> dict:
+    """{label: digest} of the sha256 of the JSON document (without its
+    elapsed_ms) of `genus0 exponent --order 11` for each --which."""
+    table = {}
+    for which in ("open", "closed", "sv"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli_run(["genus0", "exponent", "--order", "11", "--which", which]) == 0
+        doc = json.loads(out.getvalue())
+        del doc["elapsed_ms"]
+        table[f"json 11 {which}"] = _digest(json.dumps(doc, sort_keys=True))
+    return table
+
+
+def print_table() -> None:
+    for order in _ORDERS:
+        for digits in _DIGITS:
+            for key, digest in _value_table(order, digits).items():
+                print(key, digest)
+    for key, digest in _json_table().items():
+        print(key, digest)
+
+
+def _pinned() -> dict:
+    lines = _DIGESTS.read_text().splitlines()
+    return dict(line.rsplit(" ", 1) for line in lines if not line.startswith("#"))
+
+
+@pytest.mark.parametrize("digits", _DIGITS)
+@pytest.mark.parametrize("order", _ORDERS)
+def test_values_match_pinned_digests(order, digits):
+    got = _value_table(order, digits)
+    pinned = {key: d for key, d in _pinned().items() if key.startswith(f"{order} {digits} ")}
+    assert len(pinned) == len(got)
+    assert [key for key in got if got[key] != pinned.get(key)] == []
+
+
+def test_exponent_json_matches_pinned_digests():
+    got = _json_table()
+    pinned = {key: d for key, d in _pinned().items() if key.startswith("json ")}
+    assert got == pinned

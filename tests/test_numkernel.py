@@ -15,6 +15,7 @@ from ellipsum.numkernel import (
     PrecisionCtx,
     _li_half_cached,
     _mzv_cached,
+    _word_groups,
     bernoulli_number,
     bernoulli_periodic,
     bernoulli_poly,
@@ -274,6 +275,19 @@ def _li_half_reference(e, dps, rows):
 
     below = cumulative(e[1:])
     return sum((below[n - 1] >> n) // n ** e[0] for n in range(1, n_terms + 1))
+
+
+def _hoelder_splits_reference(idx):
+    """The splits built on the binary word: the suffix w[j:] and the reversed
+    complement of w[:j], each regrouped into exponents."""
+    w = word_from_index(idx)
+    return tuple((_word_groups(w[j:]), _word_groups(tuple(1 - a for a in reversed(w[:j]))))
+                 for j in range(len(w) + 1))
+
+
+def test_hoelder_splits_match_the_word_construction():
+    for idx in _admissible_indices(14):
+        assert numkernel._hoelder_splits.__wrapped__(idx) == _hoelder_splits_reference(idx), idx
 
 
 @pytest.mark.parametrize("dps", [42, 70, 110])
