@@ -5,10 +5,10 @@ zeta-indexed bivariate polynomials, and the single-valued map relating them
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from fractions import Fraction
+from types import MappingProxyType
 
 import mpmath as mp
 
@@ -30,8 +30,8 @@ class ZetaLinExponent:
     Stored as integer rows ``rows = {n: (den, {(a, b): numerator})}``: the
     coefficient of zeta(n) s^a t^b is numerator / den, with den > 0 and
     gcd(den, numerators) = 1, so den is the lcm of the reduced denominators
-    and equal exponents have equal rows. ``coeffs`` and ``coeff`` rebuild
-    the coefficients as Fractions.
+    and equal exponents have equal rows. ``coeffs`` (a read-only view) and
+    ``coeff`` rebuild the coefficients as Fractions.
 
     The constructor takes ``{n: {(a, b): coefficient}}``, each coefficient
     an int, a Fraction or anything ``Fraction`` takes exactly; every n must
@@ -67,10 +67,13 @@ class ZetaLinExponent:
         return e
 
     @property
-    def coeffs(self) -> dict:
-        """{n: {(a, b): Fraction}}, rebuilt from the rows."""
-        return {n: {k: Fraction(v, den) for k, v in nums.items()}
-                for n, (den, nums) in self.rows.items()}
+    def coeffs(self) -> MappingProxyType:
+        """{n: {(a, b): Fraction}}, rebuilt from the rows as a read-only view:
+        writing to it raises TypeError (change ``rows`` or build a new
+        exponent instead)."""
+        return MappingProxyType({
+            n: MappingProxyType({k: Fraction(v, den) for k, v in nums.items()})
+            for n, (den, nums) in self.rows.items()})
 
     def coeff(self, n: int, a: int, b: int) -> Fraction:
         den, nums = self.rows.get(n, (1, {}))
@@ -90,17 +93,6 @@ class ZetaLinExponent:
             and self.rows == other.rows
         )
 
-    @functools.cached_property
-    def _shape(self) -> tuple[int, int, int, int]:
-        """(lcm of the row denominators, highest exponent of s or t, lowest
-        total degree of a monomial, largest numerator bit length)."""
-        rows = self.rows.values()
-        return (math.lcm(*(den for den, _ in rows)),
-                max((max(map(max, nums)) for _, nums in rows), default=0),
-                min((min(map(sum, nums)) for _, nums in rows), default=0),
-                max((max(max(nums.values()), -min(nums.values())).bit_length()
-                     for _, nums in rows), default=0))
-
     def __call__(self, s, t, ctx: PrecisionCtx | None = None):
         """Numeric value sum_n zeta(n) * poly_n(s, t), summed in integers.
 
@@ -114,7 +106,12 @@ class ZetaLinExponent:
         only at the end.
         """
         ctx = ctx or PrecisionCtx()
-        lcm, deg, low, bits = self._shape
+        rows = self.rows.values()
+        lcm = math.lcm(*(den for den, _ in rows))
+        deg = max((max(map(max, nums)) for _, nums in rows), default=0)
+        low = min((min(map(sum, nums)) for _, nums in rows), default=0)
+        bits = max((max(max(nums.values()), -min(nums.values())).bit_length()
+                    for _, nums in rows), default=0)
         with ctx.workprec():
             s = mp.mpmathify(s)
             t = mp.mpmathify(t)

@@ -177,6 +177,34 @@ def test_integer_sum_takes_complex_arguments():
         assert abs(value - _fraction_sum(e, s, t)[0]) < mp.mpf(10) ** -43 * abs(ref)
 
 
+@pytest.mark.parametrize("st", [("0.0512", "0.0337"), ("-0.3", "0"), ("0.45", "-1e-9")])
+def test_real_arguments_sum_as_complex_ones_with_zero_imaginary_part(st):
+    s, t = map(mp.mpf, st)
+    for e in (veneziano_exponent(60), closed_exponent(40), sv_map_exponent(veneziano_exponent(11))):
+        value = e(s, t, CTX)
+        as_complex = e(mp.mpc(s, 0), mp.mpc(t, 0), CTX)
+        assert (value._mpf_, mp.mpf(0)._mpf_) == as_complex._mpc_
+
+
+def test_rows_changed_after_a_call_are_read_afresh():
+    s, t = mp.mpf("0.3"), mp.mpf("0.2")
+    e = ZetaLinExponent(4, {2: {(1, 1): 1}})
+    e(s, t, CTX)
+    e.rows[3] = (5, {(4, 3): 7, (0, 6): -3})  # a higher degree and a new denominator
+    ref = ZetaLinExponent(4, {2: {(1, 1): 1}, 3: {(4, 3): Fraction(7, 5), (0, 6): Fraction(-3, 5)}})
+    assert e == ref
+    assert e(s, t, CTX)._mpf_ == ref(s, t, CTX)._mpf_
+
+
+def test_coeffs_view_refuses_writes():
+    e = veneziano_exponent(4)
+    with pytest.raises(TypeError):
+        e.coeffs[5] = {(1, 4): 1}
+    with pytest.raises(TypeError):
+        e.coeffs[2][1, 1] = 0
+    assert e == veneziano_exponent(4)
+
+
 # ---------------------------------------------------------------------------
 # values pinned bit for bit
 
