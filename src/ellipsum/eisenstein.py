@@ -20,11 +20,11 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .numkernel import (PrecisionCtx, _bern, _fixed_cmul, _fixed_horner, _fixed_mpc,
-                        _to_fixed, bernoulli_number, bernoulli_periodic, bernoulli_poly,
-                        zeta_int)
-from .qseries import (_MAX_TERMS, GuardError, QTauSeries, _check_args, _constants, _log2_absq,
-                      _row_bits, _sum_rows, check_tau)
+from .numkernel import (_MAX_TERMS, PrecisionCtx, _bern, _check_args, _fixed_cmul,
+                        _fixed_horner, _fixed_mpc, _to_fixed, bernoulli_number,
+                        bernoulli_periodic, bernoulli_poly, zeta_int)
+from .qseries import (GuardError, QTauSeries, _constants, _log2_absq, _row_bits, _sum_rows,
+                      check_tau)
 
 __all__ = [
     "theta",

@@ -3,15 +3,15 @@ series, and the Eisenstein period cocycle.
 
 ``gamma((n1, ..., nr), N)`` is the length-r iterated integral from tau to the
 cusp of the normalized Eisenstein series Gbb_{n1} ... Gbb_{nr} (outermost
-integration first), the regularized primitive
-``gamma(n1, rest) = reg_primitive(Gbb_{n1} * gamma(rest))`` with
+integration first): gamma(n1, rest) is the primitive F with
+dF/dtau = -Gbb_{n1} gamma(rest), regularized toward the cusp, and
 ``gamma(()) = 1``.  In particular ``gamma((0,)) = 2 pi i tau``.
 
 It is built exactly, in T = 2 pi i tau.  Gbb_k = 2 pi i g_k(q) with g_k in
 Q[[q]] (constant term -B_k/k!, and g_0 = -1), and d/dtau = 2 pi i d/dT, so
-gamma(n1, rest) is minus the primitive in T of g_{n1} gamma(rest): T^i q^j
-with j > 0 goes to a rational combination of T^(i-s) q^j, s = 0..i, and T^i
-to -T^(i+1)/(i+1).  By induction on the length, the coefficient of
+gamma(n1, rest) is ``_primitive`` of g_{n1} gamma(rest), the F with
+dF/dT = -g_{n1} gamma(rest): T^i q^j with j > 0 goes to a rational
+combination of T^(i-s) q^j, s = 0..i, and T^i to -T^(i+1)/(i+1).  By induction on the length, the coefficient of
 tau^i q^j is a rational r_ij times (2 pi i)^i.  The rows (r_i0, ..., r_iN)
 are kept as Python integers over one common denominator and cached on
 (word, N) alone; each call converts them to mpc at the working precision,
@@ -30,9 +30,9 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .numkernel import PrecisionCtx, bernoulli_number
-from .qseries import QTauSeries, _check_args, _constants, auto_q_order, check_tau, eval_at
-from .eisenstein import _divisor_series, _sigma_table
+from .numkernel import PrecisionCtx, _check_args, bernoulli_number
+from .qseries import QTauSeries, _constants, auto_q_order, check_tau, eval_at
+from .eisenstein import _divisor_series, _eis_G_terms, _sigma_table
 
 __all__ = [
     "gamma",
@@ -66,44 +66,49 @@ def gamma(nvec, q_order: int) -> QTauSeries:
 @functools.lru_cache(maxsize=None)
 def _gamma_rows(nvec: tuple, q_order: int):
     """(rows, den) with gamma(nvec) = sum_ij rows[i][j]/den T^i q^j, T = 2 pi i tau,
-    j = 0..q_order; no rows when an index is odd (Gbb_odd = 0)."""
+    j = 0..q_order: gamma(n1, rest) = primitive(g_{n1} gamma(rest)); no rows when
+    an index is odd (Gbb_odd = 0)."""
     if not nvec:
         return ((1,) + (0,) * q_order,), 1
-    head = nvec[0]
     inner, den = _gamma_rows(nvec[1:], q_order)
-    if head % 2 or not inner:
+    if nvec[0] % 2 or not inner:
         return (), 1
-    g, g_den = _g_row(head, q_order)
-    m, inv = _primitive_weights(q_order, len(inner))
-    out = [[0] * (q_order + 1) for _ in range(len(inner) + 1)]
-    for i, row in enumerate(inner):
-        prod = _convolve(g, row)
-        # T^i -> -T^(i+1)/(i+1); T^i q^j -> -sum_k (-1)^k fall_k T^(i-k) q^j / j^(k+1)
-        out[i + 1][0] -= prod[0] * (m // (i + 1))
+    g, g_den = _g_row(nvec[0], q_order)
+    return _primitive([_convolve(g, row) for row in inner], den * g_den, q_order)
+
+
+def _primitive(rows, den: int, q_order: int):
+    """The primitive F of f = sum_ij rows[i][j]/den T^i q^j with dF/dT = -f,
+    regularized toward the cusp: T^i goes to -T^(i+1)/(i+1), and T^i q^j,
+    j > 0, to -sum_k (-1)^k i (i-1) ... (i-k+1) T^(i-k) q^j / j^(k+1), which
+    decays there.  Returns (rows, den) in lowest terms."""
+    m, inv = _primitive_weights(q_order, len(rows))
+    out = [[0] * (q_order + 1) for _ in range(len(rows) + 1)]
+    for i, row in enumerate(rows):
+        out[i + 1][0] -= row[0] * (m // (i + 1))
         fall = 1  # i (i-1) ... (i-k+1)
         for k in range(i + 1):
             f = fall if k % 2 else -fall
             target = out[i - k]
             target[1:] = map(operator.add, target[1:],
-                             map(f.__mul__, map(operator.mul, prod[1:], inv[k])))
+                             map(f.__mul__, map(operator.mul, row[1:], inv[k])))
             fall *= i - k
-    den *= g_den * m
+    den *= m
     common = math.gcd(den, *(x for row in out for x in row))
     return tuple(tuple(x // common for x in row) for row in out), den // common
 
 
 @functools.lru_cache(maxsize=None)
 def _g_row(n: int, q_order: int):
-    """g_n = Gbb_n/(2 pi i), n even, as (integer row over q^0..q^q_order, den):
-    -B_n/n! + 2/(n-1)! sum sigma_{n-1}(N) q^N, and -1 at n = 0."""
-    if n == 0:
-        return (-1,) + (0,) * q_order, 1
-    c0 = -bernoulli_number(n) / math.factorial(n)
-    fact = math.factorial(n - 1)
-    den = math.lcm(c0.denominator, fact)
-    scale = 2 * (den // fact)
-    return (c0.numerator * (den // c0.denominator),
-            *(scale * s for s in _sigma_table(n - 1, q_order)[1:])), den
+    """g_n = Gbb_n/(2 pi i) = G_n (2 pi i)^-n, n even, as (integer row over
+    q^0..q^q_order, den), from its exact head and divisor-sum term
+    (``eisenstein._eis_G_terms``; G_0 = -1 has no term)."""
+    terms, head = _eis_G_terms(n, -n)
+    den = math.lcm(*(c.denominator for c in (*head.values(), *terms.values())))
+    row = [int(head[0, None, 0] * den)] + [0] * q_order
+    for (_, m, _, _), c in terms.items():
+        row[1:] = map(int(c * den).__mul__, _sigma_table(m - 1, q_order)[1:])
+    return tuple(row), den
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,10 +16,9 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .numkernel import PrecisionCtx, bernoulli_number
-from .qseries import (GuardError, QTauSeries, _check_args, _combine, _constants, auto_q_order,
-                      check_tau)
-from .eisenstein import _divisor_series, _divisor_value, eis_Gbb, f_n
+from .numkernel import PrecisionCtx, _check_args, bernoulli_number
+from .qseries import GuardError, _combine, _constants, auto_q_order, check_tau
+from .eisenstein import _divisor_series, _divisor_value, f_n
 from .eisint import _eichler_terms
 from .laurent import LaurentPoly
 
@@ -30,7 +29,6 @@ __all__ = [
     "A_depth1_general",
     "A_len2",
     "A_len2_cordouble",
-    "expl_diff_A",
     "hatA",
     "B_inf_depth1",
     "B_depth1",
@@ -70,8 +68,8 @@ def A_inf_depth1(n: int, r: int, ctx: PrecisionCtx | None = None):
     """Constant term at the cusp of the depth-one series of length r
     (word ``(n, 0^{r-1})``), at the precision of ``ctx``.  At (1, 1) it is
     i pi/2, the length-one value that ``A_depth1(1, 1, tau)`` and
-    ``_A_word_terms((1,))``, hence ``expl_diff_A`` and ``A_len2``'s
-    lambda_1 = 1/4, carry; ``A_len1(1)`` is 0."""
+    ``_A_word_terms((1,))``, hence ``_diff_A_terms``' shorter words and
+    ``A_len2``'s lambda_1 = 1/4, carry; ``A_len1(1)`` is 0."""
     _check_args(n=n, r=r)
     return _constants(_A_depth1_terms(n, r)[1], ctx or PrecisionCtx())[0]
 
@@ -160,18 +158,6 @@ def _diff_A_terms(word: tuple) -> list:
         terms += [(-_gen_binom(ni + j - 1, j) * (nj - j), head + (j + ni,) + tail, nj - j + 1)
                   for j in range(nj + 2)]
     return [t for t in terms if t[0]]
-
-
-def expl_diff_A(word, q_order: int) -> QTauSeries:
-    """tau-derivative of an A-word: the explicit combination of Eisenstein
-    series Gbb_k times shorter words, each shorter word taken as the q-series
-    of its term map ``_A_word_terms`` (so every shorter word must have depth
-    <= 1)."""
-    out = QTauSeries(q_order, {})
-    for c, shorter, k in _diff_A_terms(tuple(word)):
-        terms, head = (_combine((part, c, 0)) for part in _A_word_terms(shorter))
-        out = out.add(_divisor_series(terms, head, q_order).mul(eis_Gbb(k, q_order)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import mpmath as mp
 
 from . import numkernel
 from .laurent import LaurentPoly
-from .numkernel import PrecisionCtx, _word_groups, shuffle, stuffle
+from .numkernel import PrecisionCtx, _index, _word, shuffle, stuffle
 
 __all__: list[str] = []
 
@@ -160,11 +160,6 @@ def _seq_pow(f: dict, k: int) -> dict:
     return {(m, K[:-1] + (K[-1] + k,)): c for (m, K), c in f.items()}
 
 
-def _word(K) -> tuple:
-    """Binary word of Li_K(x) = sum_n Z(n; K) x^n (entries >= 1)."""
-    return tuple(a for k in reversed(K) for a in (0,) * (k - 1) + (1,))
-
-
 def _seq_conv(f: dict, g: dict) -> dict:
     """sum over a + b = n, a, b >= 1, of f(a) g(b): the coefficient of x^n
     in the product of the generating polylogarithms, a shuffle of words."""
@@ -172,8 +167,7 @@ def _seq_conv(f: dict, g: dict) -> dict:
     for (m1, K1), c1 in f.items():
         for (m2, K2), c2 in g.items():
             for w, c in shuffle(_word(K1), _word(K2)).items():
-                K = tuple(reversed(_word_groups(w)))
-                _acc(out, (_mono(m1, m2), K), c1 * c2 * c)
+                _acc(out, (_mono(m1, m2), _index(w)), c1 * c2 * c)
     return out
 
 

@@ -7,7 +7,7 @@ import json
 
 import mpmath as mp
 
-from .numkernel import _decimal
+from .numkernel import _check_args, _decimal
 
 __all__ = ["LaurentPoly"]
 
@@ -21,10 +21,13 @@ class LaurentPoly:
         self.variable = variable
         self.coeffs = {}
         for e, c in (coeffs or {}).items():
+            if type(e) is not int:
+                _check_args(exponent=e)
+                e = int(e)
             if type(c) is not mp.mpc:
                 c = mp.mpc(c)
             if c:
-                self.coeffs[int(e)] = c
+                self.coeffs[e] = c
 
     def coeff(self, e: int) -> mp.mpc:
         return self.coeffs.get(e, mp.mpc(0))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +34,6 @@ import mpmath as mp
 
 __all__ = [
     "PrecisionCtx",
-    "Rational",
     "MZVIndex",
     "BinaryWord",
     "bernoulli_number",
@@ -50,7 +50,25 @@ __all__ = [
     "index_from_word",
 ]
 
-Rational = Fraction
+_MAX_TERMS = 200000  # cap on every q_order, and on every iteration count in eisenstein
+
+
+def _check_args(q_order=None, tau=None, **indices) -> None:
+    """Refuse by name a non-integer index (a tuple of them entry by entry), and a
+    q_order that is not a nonnegative integer or exceeds _MAX_TERMS (at Im(tau)
+    when given), with a ValueError; None is the automatic q_order."""
+    def bad(x):
+        return not (isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x)
+    for name, value in indices.items():
+        for x in value if isinstance(value, tuple) else (value,):
+            if bad(x):
+                what = f"index {x!r} of {name}" if isinstance(value, tuple) else f"{name}={x!r}"
+                raise ValueError(f"{what} must be an integer")
+    if q_order is not None and (bad(q_order) or q_order < 0):
+        raise ValueError(f"q_order must be a nonnegative integer, not {q_order!r}")
+    if q_order is not None and q_order > _MAX_TERMS:
+        at = f" at Im(tau)={mp.nstr(mp.im(tau), 8)}" if tau is not None else ""
+        raise ValueError(f"q_order={q_order}{at} exceeds the cap of {_MAX_TERMS} terms")
 
 
 @dataclass(frozen=True)
@@ -185,11 +203,7 @@ def word_from_index(idx) -> BinaryWord:
     idx = MZVIndex(idx)
     if not idx.admissible:
         raise ValueError("index is not admissible (last entry must be >= 2)")
-    letters: list[int] = []
-    for k in reversed(idx):
-        letters.extend([0] * (k - 1))
-        letters.append(1)
-    return BinaryWord(letters)
+    return BinaryWord(_word(idx))
 
 
 def index_from_word(w) -> MZVIndex:
@@ -197,7 +211,17 @@ def index_from_word(w) -> MZVIndex:
     w = BinaryWord(w)
     if not w.convergent:
         raise ValueError("word is not convergent (must start with 0, end with 1)")
-    return MZVIndex(tuple(reversed(_word_groups(w))))
+    return MZVIndex(_index(w))
+
+
+def _word(idx) -> tuple:
+    """``word_from_index`` unchecked, for any entries >= 1."""
+    return tuple(a for k in reversed(idx) for a in (0,) * (k - 1) + (1,))
+
+
+def _index(w) -> tuple:
+    """``index_from_word`` unchecked, for any word ending in 1."""
+    return tuple(reversed(_word_groups(w)))
 
 
 @functools.lru_cache(maxsize=None)

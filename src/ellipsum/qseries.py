@@ -1,10 +1,12 @@
 """Truncated series in q = exp(2 pi i tau) with polynomial tau-dependence.
 
 A :class:`QTauSeries` stores finitely many terms ``c * tau**i * q**j`` with
-``0 <= j <= q_order`` and arbitrary-precision complex coefficients.  The class
-supports ring arithmetic, differentiation in tau, the regularized primitive
-(antiderivative toward ``i*infinity`` with the boundary constant discarded),
-and guarded numerical evaluation.
+``0 <= j <= q_order`` and arbitrary-precision complex coefficients.  It is
+the value the library's series constructors return, each coefficient rounded
+once from an exact value, and it supports addition, scaling and guarded
+numerical evaluation.  The calculus of series (products, the primitive
+toward the cusp) is done exactly, on integer rows in T = 2 pi i tau
+(``eisint._convolve`` and ``eisint._primitive``).
 
 Every constant of the q-series layer is an exact map {(key, m, p): c}, worth
 c zeta(m) (2 pi i)^p summed per key, c rational, m None or odd: ``_constants``
@@ -15,17 +17,15 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, from_man_exp, fzero, round_nearest
 
-from .numkernel import PrecisionCtx, _decimal, _fixed_horner, _fixed_mpc, _to_fixed
+from .numkernel import PrecisionCtx, _check_args, _decimal, _fixed_horner, _fixed_mpc, _to_fixed
 
 __all__ = [
     "QTauSeries",
     "GuardError",
-    "reg_primitive",
     "eval_at",
     "eval_with_bound",
     "auto_q_order",
@@ -36,26 +36,7 @@ class GuardError(ValueError):
     """A numeric guard (convergence/precision precondition) was violated."""
 
 
-_MAX_TERMS = 200000  # cap on every q_order, and on every iteration count in eisenstein
 _GUARD_BITS = 8  # bits kept beyond the working precision before the one rounding
-
-
-def _check_args(q_order=None, tau=None, **indices) -> None:
-    """Refuse by name a non-integer index (a tuple of them entry by entry), and a
-    q_order that is not a nonnegative integer or exceeds _MAX_TERMS (at Im(tau)
-    when given), with a ValueError; None is the automatic q_order."""
-    def bad(x):
-        return not (isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x)
-    for name, value in indices.items():
-        for x in value if isinstance(value, tuple) else (value,):
-            if bad(x):
-                what = f"index {x!r} of {name}" if isinstance(value, tuple) else f"{name}={x!r}"
-                raise ValueError(f"{what} must be an integer")
-    if q_order is not None and (bad(q_order) or q_order < 0):
-        raise ValueError(f"q_order must be a nonnegative integer, not {q_order!r}")
-    if q_order is not None and q_order > _MAX_TERMS:
-        at = f" at Im(tau)={mp.nstr(mp.im(tau), 8)}" if tau is not None else ""
-        raise ValueError(f"q_order={q_order}{at} exceeds the cap of {_MAX_TERMS} terms")
 
 
 def _combine(*parts) -> dict:
@@ -113,11 +94,13 @@ class QTauSeries:
     __slots__ = ("q_order", "coeffs")
 
     def __init__(self, q_order: int, coeffs=None):
-        if q_order < 0:
-            raise ValueError("q_order must be nonnegative")
+        _check_args(q_order)
         self.q_order = q_order = int(q_order)
         self.coeffs = {}
         for (i, j), c in (coeffs or {}).items():
+            if type(i) is not int or type(j) is not int:
+                _check_args(tau_exp=i, q_exp=j)
+                i, j = int(i), int(j)
             if i < 0 or j < 0:
                 raise ValueError("tau and q exponents must be nonnegative")
             if j > q_order:
@@ -125,18 +108,8 @@ class QTauSeries:
             if type(c) is not mp.mpc:
                 c = mp.mpc(c)
             if c:
-                self.coeffs[int(i), int(j)] = c
+                self.coeffs[i, j] = c
 
-    # -- constructors -------------------------------------------------------
-    @classmethod
-    def constant(cls, c, q_order: int) -> "QTauSeries":
-        return cls(q_order, {(0, 0): c})
-
-    @classmethod
-    def tau_power(cls, i: int, q_order: int, c=1) -> "QTauSeries":
-        return cls(q_order, {(i, 0): c})
-
-    # -- ring operations ----------------------------------------------------
     def add(self, other: "QTauSeries") -> "QTauSeries":
         order = min(self.q_order, other.q_order)
         out = dict(self.coeffs)
@@ -147,41 +120,9 @@ class QTauSeries:
     def sub(self, other: "QTauSeries") -> "QTauSeries":
         return self.add(other.scale(-1))
 
-    def mul(self, other: "QTauSeries") -> "QTauSeries":
-        order = min(self.q_order, other.q_order)
-        out: dict = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                j = j1 + j2
-                if j > order:
-                    continue
-                key = (i1 + i2, j)
-                out[key] = out.get(key, 0) + c1 * c2
-        return QTauSeries(order, out)
-
     def scale(self, c) -> "QTauSeries":
         c = mp.mpc(c)
         return QTauSeries(self.q_order, {k: v * c for k, v in self.coeffs.items()})
-
-    __add__ = add
-    __sub__ = sub
-    __mul__ = mul
-
-    def dtau(self) -> "QTauSeries":
-        """Derivative d/dtau: tau-power rule plus q**j -> 2 pi i j q**j."""
-        out: dict = {}
-        two_pi_i = 2j * mp.pi
-        for (i, j), c in self.coeffs.items():
-            if i > 0:
-                key = (i - 1, j)
-                out[key] = out.get(key, 0) + c * i
-            if j > 0:
-                key = (i, j)
-                out[key] = out.get(key, 0) + c * two_pi_i * j
-        return QTauSeries(self.q_order, out)
-
-    def truncate(self, q_order: int) -> "QTauSeries":
-        return QTauSeries(min(q_order, self.q_order), self.coeffs)
 
     def max_abs_coeff(self) -> mp.mpf:
         """max |c| over the coefficients, 0 for the zero series."""
@@ -214,32 +155,6 @@ class QTauSeries:
 
     def __repr__(self) -> str:
         return f"QTauSeries(q_order={self.q_order}, nterms={len(self.coeffs)})"
-
-
-def reg_primitive(f: QTauSeries) -> QTauSeries:
-    """Regularized primitive toward i*infinity: the unique antiderivative F
-    with d/dtau F = -f whose tau-polynomial part has no constant of
-    integration and whose q-part decays at the cusp."""
-    out: dict = {}
-    two_pi_i = 2j * mp.pi
-
-    def put(key, c):
-        out[key] = out.get(key, 0) + c
-
-    for (i, j), c in f.coeffs.items():
-        if j == 0:
-            put((i + 1, 0), -c / (i + 1))
-        else:
-            denom = two_pi_i * j
-            fall = mp.mpc(1)  # falling factorial i*(i-1)*...*(i-s+1)
-            sign = 1
-            for s in range(i + 1):
-                put((i - s, j), -c * sign * fall / denom ** (s + 1))
-                fall *= i - s
-                sign = -sign
-                if fall == 0:
-                    break
-    return QTauSeries(f.q_order, out)
 
 
 def auto_q_order(tau, ctx: PrecisionCtx) -> int:

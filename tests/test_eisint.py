@@ -21,7 +21,7 @@ from ellipsum.eisint import (
 )
 from ellipsum.emzv import B_depth1
 from ellipsum.numkernel import PrecisionCtx, bernoulli_number
-from ellipsum.qseries import QTauSeries, eval_at, reg_primitive
+from ellipsum.qseries import QTauSeries, eval_at
 
 CTX = PrecisionCtx(digits=30)
 N = 30
@@ -33,29 +33,79 @@ def test_gamma_zero_word():
     assert abs(g.coeff(1, 0) - 2j * mp.pi) < mp.mpf("1e-14")
 
 
+def _mul(f, g):
+    """The mpc product of two series, truncated at the lower q_order."""
+    order, out = min(f.q_order, g.q_order), {}
+    for (i1, j1), c1 in f.coeffs.items():
+        for (i2, j2), c2 in g.coeffs.items():
+            if j1 + j2 <= order:
+                out[i1 + i2, j1 + j2] = out.get((i1 + i2, j1 + j2), 0) + c1 * c2
+    return QTauSeries(order, out)
+
+
+def _reg_primitive(f):
+    """The mpc primitive F of f with dF/dtau = -f, regularized toward the cusp:
+    tau^i goes to -tau^(i+1)/(i+1), and tau^i q^j, j > 0, to
+    -sum_s (-1)^s i (i-1) ... (i-s+1) tau^(i-s) q^j / (2 pi i j)^(s+1)."""
+    out, two_pi_i = {}, 2j * mp.pi
+    for (i, j), c in f.coeffs.items():
+        if j == 0:
+            out[i + 1, 0] = out.get((i + 1, 0), 0) - c / (i + 1)
+            continue
+        fall = 1  # i (i-1) ... (i-s+1)
+        for s in range(i + 1):
+            out[i - s, j] = out.get((i - s, j), 0) - c * (-1) ** s * fall / (two_pi_i * j) ** (s + 1)
+            fall *= i - s
+    return QTauSeries(f.q_order, out)
+
+
 def _ring_gamma(nvec, q_order):
-    """gamma by the mpc ring recursion reg_primitive(Gbb_{n1} * gamma(rest))."""
+    """gamma by the mpc ring recursion _reg_primitive(Gbb_{n1} * gamma(rest))."""
     if not nvec:
-        return QTauSeries.constant(1, q_order)
-    return reg_primitive(eis_Gbb(nvec[0], q_order).mul(_ring_gamma(nvec[1:], q_order)))
+        return QTauSeries(q_order, {(0, 0): 1})
+    return _reg_primitive(_mul(eis_Gbb(nvec[0], q_order), _ring_gamma(nvec[1:], q_order)))
+
+
+def _g(n):
+    """Gbb_n/(2 pi i) = -B_n/n! + 2/(n-1)! sum sigma_{n-1}(N) q^N (-1 at n = 0), n
+    even, as {(T power, q power): Fraction} up to q^N."""
+    out = {(0, 0): -bernoulli_number(n) / math.factorial(n)}
+    if n:
+        sigma = _sigma_table(n - 1, N)
+        out.update({(0, j): Fraction(2 * sigma[j], math.factorial(n - 1)) for j in range(1, N + 1)})
+    return out
+
+
+def _times(a, b):
+    """The product of two exact series, truncated at q^N."""
+    out = {}
+    for (i1, j1), x in a.items():
+        for (i2, j2), y in b.items():
+            if j1 + j2 <= N:
+                out[i1 + i2, j1 + j2] = out.get((i1 + i2, j1 + j2), 0) + x * y
+    return {key: x for key, x in out.items() if x}
+
+
+def _d_dT(f):
+    """d/dT of an exact series, q = exp(T): T^i q^j goes to i T^(i-1) q^j + j T^i q^j."""
+    out = {}
+    for (i, j), c in f.items():
+        for key, x in (((i - 1, j), i * c), ((i, j), j * c)):
+            out[key] = out.get(key, 0) + x
+    return {key: x for key, x in out.items() if x}
 
 
 @pytest.mark.parametrize("dps", [30, 100])
 def test_gamma_derivative_rule(dps):
-    # d/dtau Gamma(n1, rest) = -Gbb_{n1} * Gamma(rest), and the coefficients
-    # are those of the ring recursion; 100 digits run right after 30, so a
-    # conversion cached at 30 digits would show
+    # d/dT gamma(n1, rest) = -g_{n1} gamma(rest) exactly on the rows
+    # (T = 2 pi i tau, Gbb_n = 2 pi i g_n), and the coefficients are those of
+    # the mpc ring recursion; 100 digits run right after 30, so a conversion
+    # cached at 30 digits would show
     with mp.workdps(dps):
         for nvec in [(4,), (0, 4), (4, 0), (4, 6), (4, 2, 0)]:
+            rhs = _times(_g(nvec[0]), _exact(nvec[1:]))
+            assert _d_dT(_exact(nvec)) == {key: -x for key, x in rhs.items()}, nvec
             got = gamma(nvec, N)
-            lhs = got.dtau()
-            tail = gamma(nvec[1:], N) if len(nvec) > 1 else None
-            rhs = eis_Gbb(nvec[0], N)
-            if tail is not None:
-                rhs = rhs.mul(tail)
-            resid = lhs.add(rhs).truncate(N - 1).max_abs_coeff()
-            scale = max(mp.mpf(1), lhs.max_abs_coeff())
-            assert resid < mp.mpf(10) ** (10 - dps) * scale
             ref = _ring_gamma(nvec, N)
             assert set(got.coeffs) == set(ref.coeffs), nvec
             for key, c in ref.coeffs.items():
@@ -169,9 +219,9 @@ def test_gammaR0_is_tau_monomials_times_gammaL0(dps):
             for k in range(1, n):
                 ref = QTauSeries(N, {})
                 for i in range(k):
-                    mono = QTauSeries.tau_power(
-                        i, N, (-1) ** (n - k + i - 1) * (2j * mp.pi) ** i / mp.factorial(i))
-                    ref = ref.add(mono.mul(gammaL0(n, k - i, N)))
+                    mono = QTauSeries(
+                        N, {(i, 0): (-1) ** (n - k + i - 1) * (2j * mp.pi) ** i / mp.factorial(i)})
+                    ref = ref.add(_mul(mono, gammaL0(n, k - i, N)))
                 got = gammaR0(n, k, N)
                 assert set(got.coeffs) == set(ref.coeffs), (n, k)
                 for key, c in ref.coeffs.items():

@@ -1,5 +1,7 @@
 """A-cycle and B-cycle elliptic multiple zeta value checks."""
 
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
 
@@ -14,14 +16,13 @@ from ellipsum.emzv import (
     B_inf_depth1,
     appendixB_matrices,
     appendixB_vectors,
-    expl_diff_A,
     hatA,
     quadrature_oracle,
     vector_weight,
 )
 from ellipsum import eisenstein, emzv
 from ellipsum.cli import run
-from ellipsum.eisenstein import _divisor_series, _divisor_value, f_n
+from ellipsum.eisenstein import _divisor_value, _sigma_table, f_n
 from ellipsum.laurent import LaurentPoly
 from ellipsum.numkernel import PrecisionCtx
 from ellipsum.qseries import GuardError, QTauSeries, auto_q_order
@@ -61,7 +62,7 @@ def test_length_two_matches_odd_weight_reduction(digits):
 
 def test_length_one_word_one_has_two_pinned_values():
     # A_len1(1) = 0 is what the shuffle checks use; the series side (the cusp
-    # constant, A_depth1 and _A_word_terms, hence expl_diff_A) carries i pi/2
+    # constant, A_depth1 and _A_word_terms, hence _diff_A_terms) carries i pi/2
     with CTX.workprec():
         assert A_len1(1) == 0
         terms, head = emzv._A_word_terms((1,))
@@ -103,18 +104,53 @@ def test_length_one_constants_of_the_derivative():
             assert abs(lhs - A_inf_depth1(m, 1)) <= CTX.eps, m
 
 
+def _exact_series(terms, head, q_order):
+    """{(tau power, q power, m, p): Fraction} of an exact term map and head, the
+    terms c tau^i q^j zeta(m) (2 pi i)^p up to q^q_order (m None for 1)."""
+    out = {}
+    for (i, m, p), c in head.items():
+        out[i, 0, m, p] = out.get((i, 0, m, p), 0) + c
+    for (i, n, k, p), c in terms.items():
+        sigma = _sigma_table(n - 1, q_order)
+        for j in range(1, q_order + 1):
+            out[i, j, None, p] = out.get((i, j, None, p), 0) + c * Fraction(sigma[j], j**k)
+    return out
+
+
+def _d_dtau(f):
+    """d/dtau of an exact series: tau^i q^j goes to i tau^(i-1) q^j + 2 pi i j tau^i q^j."""
+    out = {}
+    for (i, j, m, p), c in f.items():
+        for key, x in (((i - 1, j, m, p), i * c), ((i, j, m, p + 1), j * c)):
+            out[key] = out.get(key, 0) + x
+    return {key: x for key, x in out.items() if x}
+
+
+def _times(f, g, q_order):
+    """The product of two exact series, the second free of zeta values,
+    truncated at q^q_order."""
+    out = {}
+    for (i1, j1, m, p1), x in f.items():
+        for (i2, j2, m2, p2), y in g.items():
+            assert m2 is None
+            if j1 + j2 <= q_order:
+                key = (i1 + i2, j1 + j2, m, p1 + p2)
+                out[key] = out.get(key, 0) + x * y
+    return out
+
+
 @pytest.mark.parametrize("word", [(2, 0), (0, 3), (1, 0), (3, 0, 0), (0, 2, 0), (0, 0, 3), (5, 0, 0)],
                          ids=str)
 def test_explicit_derivative_matches_series_derivative(word):
-    ctx = PrecisionCtx(40)
-    with ctx.workprec():
-        explicit = expl_diff_A(word, 12)
-        terms, head = emzv._A_word_terms(word)
-        direct = _divisor_series(terms, head, 12).dtau()
-        scale = max(explicit.max_abs_coeff(), direct.max_abs_coeff())
-        for key in set(explicit.coeffs) | set(direct.coeffs):
-            diff = abs(explicit.coeff(*key) - direct.coeff(*key))
-            assert diff <= mp.mpf(10) ** -(ctx.dps - 5) * scale, key
+    # d/dtau A(word) = sum c A(shorter) Gbb_k over _diff_A_terms, with no
+    # tolerance, on the exact series of the term maps up to q^12
+    explicit = {}
+    for c, shorter, k in emzv._diff_A_terms(word):
+        gbb = _exact_series(*eisenstein._eis_G_terms(k, 1 - k), 12)
+        for key, x in _times(_exact_series(*emzv._A_word_terms(shorter), 12), gbb, 12).items():
+            explicit[key] = explicit.get(key, 0) + c * x
+    direct = _d_dtau(_exact_series(*emzv._A_word_terms(word), 12))
+    assert {key: x for key, x in explicit.items() if x} == direct
 
 
 def test_even_length_two_is_constant():

@@ -1,6 +1,7 @@
 """Laurent polynomial container checks."""
 
 import mpmath as mp
+import pytest
 
 from ellipsum.laurent import LaurentPoly
 
@@ -37,3 +38,10 @@ def test_json_roundtrip():
     assert q.exponents == p.exponents
     for e in p.exponents:
         assert abs(p.coeff(e) - q.coeff(e)) < mp.mpf("1e-12")
+
+
+def test_non_integer_exponent_is_refused():
+    # x^1.5 was kept as x^1, and x^-0.5 as x^0
+    with pytest.raises(ValueError, match="exponent=1.5 must be an integer"):
+        LaurentPoly({1.5: 1, -0.5: 2})
+    assert LaurentPoly({-2.0: 3}).coeffs == {-2: 3}  # an integral float is kept

@@ -1,12 +1,15 @@
-"""Truncated q/tau series ring and regularized primitive checks."""
+"""Truncated q/tau series and the exact regularized primitive checks."""
 
+import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellipsum.eisint import _primitive
 from ellipsum.numkernel import PrecisionCtx
 from ellipsum.qseries import (
     GuardError,
@@ -15,7 +18,6 @@ from ellipsum.qseries import (
     check_tau,
     eval_at,
     eval_with_bound,
-    reg_primitive,
 )
 
 CTX = PrecisionCtx(digits=30)
@@ -33,63 +35,54 @@ def test_tau_guard():
     assert check_tau(mp.mpc(0, 1)) == mp.mpc(0, 1)
 
 
-def test_ring_example():
-    one_plus_q = QTauSeries(10, {(0, 0): mp.mpc(1), (0, 1): mp.mpc(1)})
-    one_minus_q = QTauSeries(10, {(0, 0): mp.mpc(1), (0, 1): mp.mpc(-1)})
-    prod = one_plus_q * one_minus_q
-    assert abs(prod.coeff(0, 0) - 1) < mp.mpf("1e-25")
-    assert abs(prod.coeff(0, 1)) < mp.mpf("1e-25")
-    assert abs(prod.coeff(0, 2) + 1) < mp.mpf("1e-25")
+def _primitive_terms(f: dict, q_order: int = 20) -> dict:
+    """``eisint._primitive`` of f, both as {(T power, q power): Fraction}."""
+    den = math.lcm(*(c.denominator for c in f.values()))
+    rows = [[int(f.get((i, j), 0) * den) for j in range(q_order + 1)]
+            for i in range(max(i for i, _ in f) + 1)]
+    rows, den = _primitive(rows, den, q_order)
+    return {(i, j): Fraction(x, den) for i, row in enumerate(rows) for j, x in enumerate(row) if x}
 
 
-def test_mul_truncates_to_min_order():
-    f = QTauSeries(5, {(0, 3): mp.mpc(1)})
-    g = QTauSeries(10, {(0, 4): mp.mpc(1)})
-    prod = f * g
-    assert prod.q_order == 5
-    assert prod.coeff(0, 7) == 0
+def _d_dT(f: dict) -> dict:
+    """d/dT of {(T power, q power): Fraction}, q = exp(T): T^i q^j goes to
+    i T^(i-1) q^j + j T^i q^j."""
+    out = {}
+    for (i, j), c in f.items():
+        for key, x in (((i - 1, j), i * c), ((i, j), j * c)):
+            out[key] = out.get(key, 0) + x
+    return {key: x for key, x in out.items() if x}
 
 
-def test_dtau_rules():
-    # d/dtau tau^2 = 2 tau ; d/dtau q^m = 2 pi i m q^m
-    f = QTauSeries.tau_power(2, 10)
-    assert abs(f.dtau().coeff(1, 0) - 2) < mp.mpf("1e-25")
-    g = _q(3)
-    assert abs(g.dtau().coeff(0, 3) - 6j * mp.pi) < mp.mpf("1e-24")
+def test_primitive_examples():
+    # c goes to -c T, q^m to -q^m/m, T q^m to -T q^m/m + q^m/m^2, and T^2 q^m
+    # to -T^2 q^m/m + 2 T q^m/m^2 - 2 q^m/m^3, exactly
+    c = Fraction(-7, 3)
+    assert _primitive_terms({(0, 0): c}) == {(1, 0): -c}
+    assert _primitive_terms({(0, 4): 1}) == {(0, 4): Fraction(-1, 4)}
+    assert _primitive_terms({(1, 2): 1}) == {(1, 2): Fraction(-1, 2), (0, 2): Fraction(1, 4)}
+    assert _primitive_terms({(2, 3): 1}) == {(2, 3): Fraction(-1, 3), (1, 3): Fraction(2, 9),
+                                             (0, 3): Fraction(-2, 27)}
 
 
-def test_reg_primitive_examples():
-    two_pi_i = 2j * mp.pi
-    # constant c integrates to -c tau
-    f = QTauSeries.constant(mp.mpc(2, 1), 10)
-    F = reg_primitive(f)
-    assert abs(F.coeff(1, 0) + mp.mpc(2, 1)) < mp.mpf("1e-25")
-    assert F.coeff(0, 0) == 0
-    # q^m integrates to -q^m/(2 pi i m)
-    F = reg_primitive(_q(4))
-    assert abs(F.coeff(0, 4) + 1 / (4 * two_pi_i)) < mp.mpf("1e-25")
-    # tau q^m picks up the extra 1/(2 pi i m)^2 correction
-    f = QTauSeries(10, {(1, 2): mp.mpc(1)})
-    F = reg_primitive(f)
-    assert abs(F.coeff(1, 2) + 1 / (2 * two_pi_i)) < mp.mpf("1e-25")
-    assert abs(F.coeff(0, 2) - 1 / (2 * two_pi_i) ** 2) < mp.mpf("1e-25")
-
-
-def test_reg_primitive_linear():
-    f, g = _q(2, mp.mpc(1, 3)), QTauSeries.tau_power(1, 20, mp.mpc(-2))
-    lhs = reg_primitive(f.add(g.scale(3)))
-    rhs = reg_primitive(f).add(reg_primitive(g).scale(3))
-    assert lhs.sub(rhs).max_abs_coeff() < mp.mpf("1e-24")
+def test_primitive_linear():
+    f = {(0, 2): Fraction(1, 3), (2, 0): Fraction(-5), (3, 7): Fraction(2, 7)}
+    g = {(1, 0): Fraction(-2), (2, 0): Fraction(5, 2), (1, 5): Fraction(9, 4)}
+    a, b = Fraction(3, 5), Fraction(-2)
+    combined = {key: a * f.get(key, 0) + b * g.get(key, 0) for key in f | g}
+    pf, pg = _primitive_terms(f), _primitive_terms(g)
+    want = {key: a * pf.get(key, 0) + b * pg.get(key, 0) for key in pf | pg}
+    assert _primitive_terms(combined) == {key: x for key, x in want.items() if x}
 
 
 def test_eval_respects_arithmetic():
     with CTX.workprec():
         tau = mp.mpc("0.3", "1.4")
+        c = mp.mpc("-1.5", "0.25")
         f = QTauSeries(25, {(0, 1): mp.mpc(2), (1, 0): mp.mpc(0, 1)})
-        g = QTauSeries(25, {(0, 2): mp.mpc(-1), (0, 0): mp.mpc(3)})
-        lhs = eval_at(f * g, tau, CTX)
-        rhs = eval_at(f, tau, CTX) * eval_at(g, tau, CTX)
-        # product truncation only drops terms beyond the shared order
+        g = QTauSeries(25, {(0, 2): mp.mpc(-1), (0, 0): mp.mpc(3), (1, 0): mp.mpc(1)})
+        lhs = eval_at(f.sub(g.scale(c)), tau, CTX)
+        rhs = eval_at(f, tau, CTX) - c * eval_at(g, tau, CTX)
         assert abs(lhs - rhs) < mp.mpf("1e-20")
 
 
@@ -160,11 +153,12 @@ def _series(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_series())
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 10)),
+                       st.fractions(-4, 4, max_denominator=60).filter(bool),
+                       min_size=1, max_size=5))
 def test_primitive_inverts_dtau(f):
-    with CTX.workprec():
-        resid = reg_primitive(f).dtau().add(f).max_abs_coeff()
-        assert resid < mp.mpf("1e-18") * (1 + f.max_abs_coeff())
+    # d/dT of the primitive gives back -f, with no tolerance
+    assert _d_dT(_primitive_terms(f, 12)) == {key: -c for key, c in f.items()}
 
 
 @settings(max_examples=25, deadline=None)
@@ -186,6 +180,7 @@ def test_constructor_keeps_what_it_is_given():
     # int, mpf and mpc inputs are all stored as mpc, an mpc as the same object
     assert all(type(c) is mp.mpc for c in f.coeffs.values())
     assert f.coeffs[2, 3] is c
+    assert QTauSeries(3.0, {(2.0, 1.0): 2}).coeffs == {(2, 1): 2}  # integral floats are kept
     for key in [(-1, 0), (0, -1)]:
         with pytest.raises(ValueError):
             QTauSeries(3, {key: 1})
@@ -324,7 +319,8 @@ def test_divisor_value_matches_naive_sum_and_series_route(re_tau, im_tau, digits
 
 def _bad_arguments():
     """(call, the name its ValueError must carry) for non-integer indices and
-    negative or non-integer q_orders of every q-series entry."""
+    negative or non-integer q_orders of every q-series entry, and non-integer
+    exponents and q_order of the series constructor."""
     from ellipsum import eisenstein, eisint, emzv
 
     tau = mp.mpc("0.1", "1.1")
@@ -350,6 +346,9 @@ def _bad_arguments():
         "eichler_E k": (lambda: eisint.eichler_E(4.5, 5), "k=4.5"),
         "gamma index": (lambda: eisint.gamma((4, 0.5), 5), "index 0.5 of nvec"),
         "gamma q_order": (lambda: eisint.gamma((4,), 2.5), "q_order"),
+        "QTauSeries q_order": (lambda: QTauSeries(2.5, {(0, 1): 1}), "q_order"),
+        "QTauSeries tau exponent": (lambda: QTauSeries(3, {(1.5, 2): 1}), "tau_exp=1.5"),
+        "QTauSeries q exponent": (lambda: QTauSeries(3, {(0, 1.9): 2}), "q_exp=1.9"),
     }
 
 
