@@ -347,6 +347,11 @@ def _mgf_s(args, ctx):
 def _mgf_r(args, ctx):
     key = (*args.m, args.alpha, args.beta)
     if args.method == "direct":
+        # the truncation error at alpha beta = 0 falls off far more slowly:
+        # 1252/cutoff at (1,2,3;0,0)
+        if args.alpha * args.beta == 0:
+            raise ValueError(f"the direct R route has no bound at alpha={args.alpha}, "
+                             f"beta={args.beta}: its 10/cutoff needs alpha, beta >= 1")
         return mgf.R_direct(*key, args.cutoff), 10.0 / args.cutoff
     return mgf._R(key, args.cutoff, ctx)
 

@@ -17,7 +17,7 @@ import mpmath as mp
 import numpy as np
 from numpy.random import default_rng
 
-from .numkernel import PrecisionCtx, bernoulli_number
+from .numkernel import _MAX_BYTES, PrecisionCtx, bernoulli_number
 
 __all__ = [
     "ConeMatrix",
@@ -362,6 +362,21 @@ def _check_rows(A: ConeMatrix) -> None:
             raise ValueError(f"row {i} is zero (its linear form vanishes identically)")
 
 
+def _shell_bytes(groups, elim, keep, cutoff: int) -> int:
+    """Bytes zeta_A holds at ``cutoff`` with the coordinates ``keep`` left
+    after the elimination ``elim``: on the cube of cutoff^(d-1) points (the
+    axis at d = 1), the running sum, the slab, the slab-free product, one
+    factor and an offset per form, and six more for a digamma factor's
+    sorted offsets; tables of t^-m per power and three of the closed form,
+    each up to the largest offset; and three lists of cutoff Python numbers
+    (the shells), 128 bytes a shell."""
+    d = len(keep)
+    cube = cutoff ** max(d - 1, 1) if d else 0
+    arrays = 4 + len(groups) + (6 if elim is not None and elim[0] == "psi" else 0)
+    top = cutoff * max(sum(f[j] for j in keep) for f, _ in groups) + 2
+    return 8 * (arrays * cube + (len({m for _, m in groups}) + 3) * top) + 128 * cutoff
+
+
 def zeta_A(A: ConeMatrix, cutoff: int = 200, ctx: PrecisionCtx | None = None,
            with_bound: bool = False):
     """Direct evaluation of the conical sum of A.
@@ -373,7 +388,8 @@ def zeta_A(A: ConeMatrix, cutoff: int = 200, ctx: PrecisionCtx | None = None,
     tail extrapolated from a (log k)/k^m fit.  Raises if the empirical shell
     decay is slower than k^-1.2 (divergence guard), and for cutoff < 12, where
     the fit's window of cutoff // 2 shells is shorter than its 6 basis
-    functions.
+    functions, and for a cutoff whose arrays would hold more than _MAX_BYTES
+    (_shell_bytes), before any is built.
 
     The shells are summed slab by slab (see ``_shell_sums``): every factor
     free of the slab coordinate is built once on the cube of the others, and
@@ -400,10 +416,12 @@ def zeta_A(A: ConeMatrix, cutoff: int = 200, ctx: PrecisionCtx | None = None,
     ctx = ctx or PrecisionCtx()
     groups = _grouped_forms(A)
     elim = _pick_elimination(groups, A.n)
-    keep = list(range(A.n))
+    keep = [j for j in range(A.n) if elim is None or j != elim[1]]
+    if (nbytes := _shell_bytes(groups, elim, keep, cutoff)) > _MAX_BYTES:
+        raise ValueError(f"cutoff = {cutoff} needs {nbytes:.3g} bytes on the shell sums, "
+                         f"over the cap of {_MAX_BYTES} bytes")
     if elim is not None:
         jvar = elim[1]
-        keep.remove(jvar)
         rest_groups = [(f, m) for f, m in groups if f[jvar] == 0]
         closed = _closed_form(elim, keep, cutoff, ctx)
     else:
@@ -487,8 +505,11 @@ def zeta_A_integral(A: ConeMatrix, samples: int = 1 << 16,
     give the reported error: the standard error of the batch mean, a
     statistical estimate and not a bound (at small ``samples`` the true error
     can be several standard errors).  The mean is a float64.  Raises for
-    samples < 128, below the floor of 8 batches of 16 points, and for samples
-    that the 8 batches cannot share equally."""
+    samples < 128, below the floor of 8 batches of 16 points, for samples
+    that the 8 batches cannot share equally, and for samples whose batch
+    would hold more than _MAX_BYTES: samples/8 points of 5 r + 2 n + 8
+    floats (the Halton columns, the substituted points and their logarithms,
+    the products of the n forms, and the per-point factors)."""
     _check_rows(A)
     nbatch = 8
     if samples < nbatch * 16:
@@ -497,6 +518,9 @@ def zeta_A_integral(A: ConeMatrix, samples: int = 1 << 16,
     if samples % nbatch:
         raise ValueError(f"samples must be a multiple of 8 (8 equal batches), not {samples}")
     r, n = A.r, A.n
+    if (nbytes := 8 * (samples // nbatch) * (5 * r + 2 * n + 8)) > _MAX_BYTES:
+        raise ValueError(f"samples = {samples} needs {nbytes:.3g} bytes per batch, "
+                         f"over the cap of {_MAX_BYTES} bytes")
     srow = np.array(A.row_sums(), dtype=float)
     a = np.array(A.data, dtype=float)  # (r, n)
     per = samples // nbatch

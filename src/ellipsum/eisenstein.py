@@ -20,11 +20,10 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .numkernel import (_MAX_TERMS, PrecisionCtx, _bern, _check_args, _fixed_cmul,
+from .numkernel import (_MAX_TERMS, PrecisionCtx, _bern, _check_args, _constants, _fixed_cmul,
                         _fixed_horner, _fixed_mpc, _to_fixed, bernoulli_number,
                         bernoulli_periodic, bernoulli_poly, zeta_int)
-from .qseries import (GuardError, QTauSeries, _constants, _log2_absq, _row_bits, _sum_rows,
-                      check_tau)
+from .qseries import GuardError, QTauSeries, _log2_absq, _row_bits, _sum_rows, check_tau
 
 __all__ = [
     "theta",
@@ -62,14 +61,14 @@ def _divisor_series(terms: dict, head, q_order: int) -> QTauSeries:
     """The q-series of the exact term map ``terms``, each ``(i, n, k, p): c``
     adding c (2 pi i)^p tau^i sum_{N <= q_order} sigma_{n-1}(N)/N^k q^N, plus the
     exact ``head``: at the working precision, each coefficient rounded once from
-    its exact parts (``qseries._constants``)."""
+    its exact parts (``numkernel._constants``)."""
     sigma = {n: _sigma_table(n - 1, q_order) for n in {key[1] for key in terms}}
-    exact = {((i, 0), m, p): c for (i, m, p), c in (head or {}).items()}
+    exact = {((i, 0), mono, p): c for (i, mono, p), c in (head or {}).items()}
     for (i, n, k, p), c in terms.items():
         for N in range(1, q_order + 1) if c else ():
-            a, b = exact.get(((i, N), None, p), (0, 1))
+            a, b = exact.get(((i, N), (), p), (0, 1))
             a2, b2 = c.numerator * sigma[n][N], c.denominator * N**k
-            exact[(i, N), None, p] = (a * b2 + a2 * b, b * b2)
+            exact[(i, N), (), p] = (a * b2 + a2 * b, b * b2)
     return QTauSeries(q_order, _constants(exact))
 
 
@@ -115,7 +114,7 @@ def _divisor_value(terms: dict, head, q_order: int, tau, ctx: PrecisionCtx):
     with ctx.workprec():
         tau = check_tau(tau)
         _check_args(q_order, tau)
-        pref = _constants({((i, n, k), None, p): c for (i, n, k, p), c in terms.items()}, ctx)
+        pref = _constants({((i, n, k), (), p): c for (i, n, k, p), c in terms.items()}, ctx)
         rows: dict[int, list] = {}
         for (i, n, k), c in pref.items():
             if c:
@@ -384,7 +383,7 @@ def _eis_G_terms(k: int, shift: int = 0):
     if k % 2 == 1:
         return {}, {}
     return ({(0, k, 0, k + shift): Fraction(2, math.factorial(k - 1))} if k else {},
-            {(0, None, k + shift): -bernoulli_number(k) / math.factorial(k)})
+            {(0, (), k + shift): -bernoulli_number(k) / math.factorial(k)})
 
 
 def eis_E(k: int, q_order: int) -> QTauSeries:
@@ -399,7 +398,7 @@ def _eis_E_terms(k: int):
     if k < 2:
         raise ValueError("k must be >= 2")
     return ({(0, k, 0, 0): 1} if k % 2 == 0 else {},
-            {(0, None, 0): -bernoulli_number(k) / (2 * math.factorial(k))})
+            {(0, (), 0): -bernoulli_number(k) / (2 * math.factorial(k))})
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ combination of T^(i-s) q^j, s = 0..i, and T^i to -T^(i+1)/(i+1).  By induction o
 tau^i q^j is a rational r_ij times (2 pi i)^i.  The rows (r_i0, ..., r_iN)
 are kept as Python integers over one common denominator and cached on
 (word, N) alone; each call converts them to mpc at the working precision,
-every coefficient rounded once (``qseries._constants``).  Entries carry about
+every coefficient rounded once (``numkernel._constants``).  Entries carry about
 1.44 N len(word) bits, so N len(word) above ``_MAX_GAMMA_SIZE`` is refused before
 any row is built.  ``gammaL0``, ``gammaR0``, the Eichler series and
 ``cocycle_S`` are exact maps too.
@@ -30,8 +30,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .numkernel import PrecisionCtx, _check_args, bernoulli_number
-from .qseries import QTauSeries, _constants, auto_q_order, check_tau, eval_at
+from .numkernel import PrecisionCtx, _check_args, _constants, bernoulli_number
+from .qseries import QTauSeries, auto_q_order, check_tau, eval_at
 from .eisenstein import _divisor_series, _eis_G_terms, _sigma_table
 
 __all__ = [
@@ -59,7 +59,7 @@ def gamma(nvec, q_order: int) -> QTauSeries:
         raise ValueError(f"q_order={q_order} times the length {len(word)} of nvec exceeds "
                          f"gamma's ceiling of {_MAX_GAMMA_SIZE}")
     rows, den = _gamma_rows(word, q_order)
-    return QTauSeries(q_order, _constants({((i, j), None, i): (x, den) for i, row in enumerate(rows)
+    return QTauSeries(q_order, _constants({((i, j), (), i): (x, den) for i, row in enumerate(rows)
                                            for j, x in enumerate(row) if x}))
 
 
@@ -105,7 +105,7 @@ def _g_row(n: int, q_order: int):
     (``eisenstein._eis_G_terms``; G_0 = -1 has no term)."""
     terms, head = _eis_G_terms(n, -n)
     den = math.lcm(*(c.denominator for c in (*head.values(), *terms.values())))
-    row = [int(head[0, None, 0] * den)] + [0] * q_order
+    row = [int(head[0, (), 0] * den)] + [0] * q_order
     for (_, m, _, _), c in terms.items():
         row[1:] = map(int(c * den).__mul__, _sigma_table(m - 1, q_order)[1:])
     return tuple(row), den
@@ -179,8 +179,8 @@ def _eichler_terms(k: int):
     """``eichler_E(k)`` as (divisor-sum term map, exact head); zeta(1-k) is -B_k/k."""
     if k < 4 or k % 2 == 1:
         raise ValueError("k must be an even integer >= 4")
-    head = {(k - 1, None, k - 1): -bernoulli_number(k) / (2 * math.factorial(k)),
-            (0, k - 1, 0): Fraction(1, 2)}
+    head = {(k - 1, (), k - 1): -bernoulli_number(k) / (2 * math.factorial(k)),
+            (0, ((k - 1,),), 0): Fraction(1, 2)}
     return {(0, k, k - 1, 0): 1}, head
 
 
@@ -199,9 +199,9 @@ def cocycle_S(k: int, ctx: PrecisionCtx | None = None) -> CocyclePoly:
     if k < 4 or k % 2 == 1:
         raise ValueError("k must be an even integer >= 4")
     half = Fraction(math.factorial(k - 2), 2)
-    exact = {((0, k - 2), k - 1, 0): half, ((k - 2, 0), k - 1, 0): -half}
+    exact = {((0, k - 2), ((k - 1,),), 0): half, ((k - 2, 0), ((k - 1,),), 0): -half}
     for i in range(1, k // 2):
-        exact[(2 * i - 1, k - 2 * i - 1), None, k - 1] = (
+        exact[(2 * i - 1, k - 2 * i - 1), (), k - 1] = (
             -half * bernoulli_number(2 * i) * bernoulli_number(k - 2 * i)
             / (math.factorial(2 * i) * math.factorial(k - 2 * i)))
     return CocyclePoly(_constants(exact, ctx or PrecisionCtx()))
@@ -215,7 +215,7 @@ def b30_reference(tau, ctx: PrecisionCtx):
     depth-one q-series of weight 4."""
     with ctx.workprec():
         tv = check_tau(tau)
-        c = _constants({(3, None, 2): Fraction(-1, 720), (0, 3, -1): Fraction(-1),
-                        (-1, None, 2): Fraction(-1, 240), ("q", None, -1): Fraction(6)}, ctx)
+        c = _constants({(3, (), 2): Fraction(-1, 720), (0, ((3,),), -1): Fraction(-1),
+                        (-1, (), 2): Fraction(-1, 240), ("q", (), -1): Fraction(6)}, ctx)
         qpart = eval_at(gammaR0(4, 3, auto_q_order(tv, ctx)), tv, ctx)
         return c[3] * tv**3 + c[0] + c[-1] / tv + c["q"] * qpart

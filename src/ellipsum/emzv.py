@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .numkernel import PrecisionCtx, _check_args, bernoulli_number
-from .qseries import GuardError, _combine, _constants, auto_q_order, check_tau
+from .numkernel import PrecisionCtx, _check_args, _constants, bernoulli_number
+from .qseries import GuardError, _combine, auto_q_order, check_tau
 from .eisenstein import _divisor_series, _divisor_value, f_n
 from .eisint import _eichler_terms
 from .laurent import LaurentPoly
@@ -85,10 +85,10 @@ def _A_depth1_terms(n: int, r: int):
         sum_{0 < j < r, n+j even} (-1)^n 2 (2 pi i)^{r-j} / ((n-1)! (r-j)!) L_{n+j,j}."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    head = {(0, None, r): (Fraction(1, 4 * math.factorial(r - 1)) if n == 1 else
+    head = {(0, (), r): (Fraction(1, 4 * math.factorial(r - 1)) if n == 1 else
                            bernoulli_number(n) / (math.factorial(r) * math.factorial(n)))}
     for k in range(1, r // 2 if n == 1 else 1):
-        head[0, 2 * k + 1, r - 1 - 2 * k] = Fraction(-1, math.factorial(r - 2 * k - 1))
+        head[0, ((2 * k + 1,),), r - 1 - 2 * k] = Fraction(-1, math.factorial(r - 2 * k - 1))
     return {(0, n + j, j, r - j): Fraction(2 * (-1) ** n,
                                            math.factorial(n - 1) * math.factorial(r - j))
             for j in range(1, r) if n and (n + j) % 2 == 0}, head
@@ -133,7 +133,7 @@ def _A_word_terms(word: tuple) -> tuple:
     if len(nonzero) > 1:
         raise ValueError("series form implemented for depth-one words only")
     if not word:
-        return {}, {(0, None, 0): 1}
+        return {}, {(0, (), 0): 1}
     s = nonzero[0] if nonzero else 0
     n, r = word[s], len(word) - s - 1
     parts = [(_A_depth1_terms(n, r + i + 1),
@@ -167,7 +167,7 @@ def _diff_A_terms(word: tuple) -> list:
 def _len1_over_2pii(m: int) -> Fraction:
     """lambda_m = A(m) / (2 pi i) for the length-one word (m,) as the series
     of ``_A_word_terms`` holds it: B_m/m!, and 1/4 at m = 1."""
-    return _A_depth1_terms(m, 1)[1][0, None, 1]
+    return _A_depth1_terms(m, 1)[1][0, (), 1]
 
 
 def A_len2(n1: int, n2: int, tau, ctx: PrecisionCtx | None = None):
@@ -216,7 +216,7 @@ def _A_len2_terms(n1: int, n2: int):
     if sum(c * _len1_over_2pii(k) for k, c in a.items()):
         raise GuardError("derivative series has a non-vanishing cusp constant")
     return ({(0, k, 1, 1): 2 * c / math.factorial(k - 1) for k, c in a.items() if k and c},
-            {(0, None, 2): const})
+            {(0, (), 2): const})
 
 
 def A_len2_cordouble(n1: int, n2: int, tau, ctx: PrecisionCtx):
@@ -227,7 +227,7 @@ def A_len2_cordouble(n1: int, n2: int, tau, ctx: PrecisionCtx):
     for na, nb, sign in ((n1, n2, 1), (n2, n1, -1)):
         for p in range(1, -(-(na - 3) // 2) + 1):
             k = n1 + n2 - 2 * p - 1
-            weights[p, None, 0] = (weights.get((p, None, 0), 0) - sign * math.comb(k - 1, nb - 1)
+            weights[p, (), 0] = (weights.get((p, (), 0), 0) - sign * math.comb(k - 1, nb - 1)
                                    * bernoulli_number(k) / math.factorial(k))
     with ctx.workprec():
         total = -((-1) ** n1) * A_depth1(n1 + n2, 2, tau, ctx)
@@ -262,8 +262,8 @@ def hatA(r: int, tau, ctx: PrecisionCtx | None = None, form: str = "direct"):
         N, total = auto_q_order(tau, ctx), mp.mpc(0)
         for j in range(2, r - 1, 2):
             f = math.factorial(r - j - 1)
-            c = _constants({("tau", None, r): -bernoulli_number(2 + j) / math.factorial(2 + j) / f,
-                            ("E", None, r - 1 - j): Fraction(-2, f)}, ctx)
+            c = _constants({("tau", (), r): -bernoulli_number(2 + j) / math.factorial(2 + j) / f,
+                            ("E", (), r - 1 - j): Fraction(-2, f)}, ctx)
             e_val = _divisor_value(*_eichler_terms(2 + j), N, tau, ctx)[0]
             total += c["tau"] * tau ** (j + 1) + c["E"] * e_val
         return total
@@ -288,7 +288,7 @@ def B_inf_depth1(n: int, r: int, ctx: PrecisionCtx | None = None) -> LaurentPoly
 
 @functools.lru_cache(maxsize=None)
 def _B_inf_terms(n: int, r: int) -> dict:
-    """``B_inf_depth1(n, r)`` as the exact map {(exponent, m, p): c} of the
+    """``B_inf_depth1(n, r)`` as the exact map {(exponent, mono, p): c} of the
     coefficients of tau^exponent (shared: not to be changed), m = n + j:
 
         (2 pi i)^(r+1) lead/r! tau^n
@@ -298,14 +298,14 @@ def _B_inf_terms(n: int, r: int) -> dict:
     lead = sum_k B_k/(k! (n-k)! (n-k+r+1)), an even zeta(m) as -B_m/(2 m!) (2 pi i)^m."""
     lead = sum(bernoulli_number(k) / (math.factorial(k) * math.factorial(n - k) * (n - k + r + 1))
                for k in range(n + 1))
-    exact = {(n, None, r + 1): lead / math.factorial(r)}
+    exact = {(n, (), r + 1): lead / math.factorial(r)}
     for j, m in enumerate(range(n, n + r + 1)):
         weight = 1 + (-1) ** m if j == r else Fraction(1, math.factorial(r - j))
         c = -_gen_binom(m - 1, j) * weight
         if m % 2:
-            exact[-j, m, r + 1 - m] = c
+            exact[-j, ((m,),), r + 1 - m] = c
         else:
-            exact[-j, None, r + 1] = -c * bernoulli_number(m) / (2 * math.factorial(m))
+            exact[-j, (), r + 1] = -c * bernoulli_number(m) / (2 * math.factorial(m))
     return exact
 
 
@@ -466,7 +466,7 @@ def appendixB_vectors(which: str, tau, ctx: PrecisionCtx | None = None):
         build = {"a32": lambda: A_depth1(3, 2, tv, ctx), "a23": lambda: A_depth1(2, 3, tv, ctx),
                  "h14": lambda: hatA(4, tv, ctx), None: lambda: 1}
         factor = {f: build[f]() for f in {f for row in rows for f, *_ in row}}
-        c = _constants({((i, f, e), None, p): Fraction(x) for i, row in enumerate(rows)
+        c = _constants({((i, f, e), (), p): Fraction(x) for i, row in enumerate(rows)
                         for f, e, p, x in row}, ctx)
         power = [tv**e for e in range(5)]
         return [sum(c[i, f, e] * power[e] * factor[f] for f, e, _, _ in row)

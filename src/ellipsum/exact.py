@@ -1,6 +1,8 @@
 """Exact results as {MZV monomial: Fraction}, a monomial being a sorted tuple of
 MZV indices (their product): S-sums, R-sums with an exact reduction and the
-Laurent polynomials, built without numpy and summed by ``value``/``laurent``."""
+Laurent polynomials, built without numpy.  ``value``/``laurent`` evaluate them
+through ``numkernel._constants``, the one evaluator of exact constants: one
+MZV pass and one rounding per value."""
 
 from __future__ import annotations
 
@@ -11,9 +13,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from . import numkernel
 from .laurent import LaurentPoly
-from .numkernel import PrecisionCtx, _index, _word, shuffle, stuffle
+from .numkernel import PrecisionCtx, _constants, _index, _word, shuffle, stuffle
 
 __all__: list[str] = []
 
@@ -22,22 +23,9 @@ __all__: list[str] = []
 # evaluation
 
 
-def _zeta(indices: set, ctx: PrecisionCtx) -> dict:
-    """The MZVs of ``indices`` from one ``mzv_many`` pass, each read back through
-    ``mzv`` (a cache hit): a trace of mzv (bench/tracer.py) sees one call per MZV."""
-    numkernel.mzv_many(indices, ctx)
-    return {idx: numkernel.mzv(idx, ctx) for idx in indices}
-
-
-def _terms(combo: dict, zeta: dict) -> list:
-    """c * prod(zeta[I] for I in mono) of each term, multiplied left to right."""
-    return [mp.fprod([mp.mpf(c.numerator) / c.denominator, *map(zeta.get, mono)])
-            for mono, c in combo.items()]
-
-
-# Terms carry a relative error of a few units in 10^-ctx.dps, so the ten guard
-# digits of PrecisionCtx hold the absolute error of a sum of terms of total
-# size up to 10^_GUARD below ctx.eps; larger sums take the difference in digits.
+# _constants leaves each term within a few units of 2^-(prec + 8) of itself,
+# so the ten guard digits of PrecisionCtx hold the absolute error of terms of
+# total size up to 10^_GUARD below ctx.eps; larger sums take more digits.
 _GUARD = 8
 
 
@@ -48,35 +36,31 @@ def _size_bound(combo: dict) -> float:
     return sum(abs(c.numerator) / c.denominator * zeta2 ** len(mono) for mono, c in combo.items())
 
 
-def _row_terms(rows: dict, ctx: PrecisionCtx):
-    """The terms of each row {key: combination}; the absolute sum of each
-    row's terms; and the context they were made at: ``ctx``, or ctx with
-    ceil(log10 size) - _GUARD more digits when a row's _size_bound exceeds
-    10^_GUARD, fixed before one mzv_many pass."""
+def _row_values(rows: dict, ctx: PrecisionCtx):
+    """The value of each row {key: combination}, from one ``_constants`` call,
+    and the context it was made at: ``ctx``, or ctx with ceil(log10 size) -
+    _GUARD more digits when a row's _size_bound exceeds 10^_GUARD."""
     size = max(map(_size_bound, rows.values()), default=0)
     if size > 10 ** _GUARD:
         ctx = PrecisionCtx(ctx.digits + math.ceil(math.log10(size)) - _GUARD)
-    zeta = _zeta({idx for row in rows.values() for mono in row for idx in mono}, ctx)
-    with ctx.workprec():
-        terms = {e: _terms(row, zeta) for e, row in rows.items()}
-        return terms, {e: mp.fsum(ts, absolute=True) for e, ts in terms.items()}, ctx
+    values = _constants({(e, mono, 0): c for e, row in rows.items()
+                         for mono, c in row.items()}, ctx)
+    return {e: values[e].real if e in values else mp.mpf(0) for e in rows}, ctx
 
 
 def value(combo: dict, ctx: PrecisionCtx):
-    """The combination summed by one ``fsum``, within the absolute bound
-    ctx.eps (at more digits than ``ctx`` for large terms, see _row_terms)."""
-    terms, _, ctx = _row_terms({0: combo}, ctx)
-    with ctx.workprec():
-        return mp.fsum(terms[0])
+    """The combination's value within the absolute bound ctx.eps (_row_values)."""
+    return _row_values({0: combo}, ctx)[0][0]
 
 
 def laurent(rows: dict, ctx: PrecisionCtx) -> LaurentPoly:
     """The polynomial in y with ``rows[e]`` at y^e, each coefficient within
-    the absolute bound ctx.eps; a coefficient within rounding of 0 is 0."""
-    terms, sizes, ctx = _row_terms(rows, ctx)
+    the absolute bound ctx.eps; a coefficient within rounding of 0, at most
+    ctx.eps times its row's _size_bound, is 0."""
+    coeffs, ctx = _row_values(rows, ctx)
     with ctx.workprec():
-        coeffs = {e: mp.fsum(ts) for e, ts in terms.items()}
-        return LaurentPoly({e: c for e, c in coeffs.items() if abs(c) > ctx.eps * sizes[e]}, "y")
+        return LaurentPoly({e: c for e, c in coeffs.items()
+                            if abs(c) > ctx.eps * _size_bound(rows[e])}, "y")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Genus-zero four-point amplitude expansions: the log-Gamma zeta series,
 the open-string (Veneziano) and closed-string exponents as exact
 zeta-indexed bivariate polynomials, and the single-valued map relating them
-(zeta(even) -> 0, zeta(odd) -> 2 zeta(odd))."""
+(zeta(even) -> 0, zeta(odd) -> 2 zeta(odd), as ``numkernel._sv_exact`` has it)."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from types import MappingProxyType
 
 import mpmath as mp
 
-from .numkernel import PrecisionCtx, _fixed_cmul, _to_fixed
+from .numkernel import PrecisionCtx, _fixed_cmul, _sv_exact, _to_fixed
 
 __all__ = [
     "ZetaLinExponent",
@@ -226,7 +226,10 @@ def closed_exponent(order: int) -> ZetaLinExponent:
 
 
 def sv_map_exponent(e: ZetaLinExponent) -> ZetaLinExponent:
-    """Coefficient-wise single-valued map: zeta(even) -> 0,
-    zeta(odd) -> 2 zeta(odd)."""
-    odd = ((n, row) for n, row in e.rows.items() if n % 2 == 1)
-    return ZetaLinExponent._from_rows(e.order, _scaled_rows(odd, 2, 1))
+    """Coefficient-wise single-valued map zeta(n) -> zeta_sv(n), the scale of
+    each zeta(n) read from ``numkernel._sv_exact``: 0 for even n, 2 for odd n."""
+    rows = {}
+    for n, row in e.rows.items():
+        if scale := _sv_exact((n,)).get(((n,),)):
+            rows.update(_scaled_rows([(n, row)], scale, 1))
+    return ZetaLinExponent._from_rows(e.order, rows)

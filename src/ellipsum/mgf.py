@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exact import _d2pt_rows, _d3pt_rows, _R_exact, _S_combo, laurent, value
 from .laurent import LaurentPoly
-from .numkernel import PrecisionCtx, zeta_int
+from .numkernel import _MAX_BYTES, PrecisionCtx, zeta_int
 
 __all__ = [
     "MultiGraph",
@@ -350,10 +350,6 @@ def _row_transforms(w: np.ndarray, N: int) -> np.ndarray:
 
 # rows per block of the two middle stages of a depth-2 sum
 _D2_BLOCK = 32
-
-# the most bytes a lattice block (_lattice_bytes) or a float R route
-# (_layers_bytes, _direct_bytes) may predict before it runs
-_MAX_BYTES = 2**30
 
 
 def _lattice_bytes(groups, d: int, M: int) -> int:

@@ -15,6 +15,9 @@ Conventions used throughout the package:
   those integers exactly, is rounded once and is memoised by (index, dps).
   A value depends on nothing else, so batching and call order never change
   a bit of it.
+* ``_constants(exact, ctx)`` is the one evaluator of exact constants, maps
+  {(key, MZV monomial, power of 2 pi i): c}: one ``mzv_many`` pass, and one
+  integer sum per key, rounded once.
 * ``shuffle`` and ``stuffle`` memoise their products across calls and
   return a new ``Counter`` on each call.
 """
@@ -31,6 +34,7 @@ from itertools import accumulate
 from operator import floordiv, rshift
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec, from_man_exp, fzero, round_nearest
 
 __all__ = [
     "PrecisionCtx",
@@ -51,6 +55,9 @@ __all__ = [
 ]
 
 _MAX_TERMS = 200000  # cap on every q_order, and on every iteration count in eisenstein
+# the most bytes a float64 route (mgf's lattice and R sums, conical's shell
+# sums and quasi-Monte-Carlo batches) may predict before it runs
+_MAX_BYTES = 2**30
 
 
 def _check_args(q_order=None, tau=None, **indices) -> None:
@@ -275,17 +282,13 @@ def bernoulli_periodic(n: int, x):
 
 
 def zeta_int(n: int, ctx: PrecisionCtx):
-    """zeta(n) for integer n >= 2; even arguments use the exact Bernoulli
-    closed form, odd arguments are delegated to mpmath."""
+    """zeta(n) for integer n >= 2 by ``_constants``: for even n the exact
+    -B_n (2 pi i)^n / (2 n!), for odd n the depth-one MZV."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    with ctx.workprec():
-        if n % 2 == 0:
-            # zeta(2k) = -B_{2k} (2 pi i)^{2k} / (2 (2k)!)
-            val = -_bern(n) * (2 * mp.pi) ** n * (-1) ** (n // 2) / (2 * mp.factorial(n))
-        else:
-            val = mp.zeta(n)
-        return +val
+    exact = ({(0, ((n,),), 0): 1} if n % 2
+             else {(0, (), n): -bernoulli_number(n) / (2 * math.factorial(n))})
+    return _constants(exact, ctx)[0].real
 
 
 # Li_e(1/2) * 2^prec as an int, by (exponent tuple, dps); see _li_half_many
@@ -447,6 +450,49 @@ def mzv_many(indices, ctx: PrecisionCtx) -> dict:
     return {idx: _mzv_cached[idx, dps] for idx in idxs}
 
 
+_GUARD_BITS = 8  # bits kept beyond the working precision before the one rounding
+
+
+def _constants(exact: dict, ctx: PrecisionCtx | None = None) -> dict:
+    """{key: mpc} of the exact map {(key, mono, p): c}, the sum of c mono
+    (2 pi i)^p over the key's entries at the precision of ``ctx`` or the
+    working one: the one evaluator of exact constants.  c is rational, or
+    an integer pair (a, b), b > 0, for a/b; mono is an MZV monomial, a
+    sorted tuple of admissible indices (() for 1).
+
+    The MZVs come from one ``mzv_many`` pass (at the working precision's
+    digits without ``ctx``), each read back through ``mzv`` and rounded to
+    wp = prec + _GUARD_BITS bits.  Each term a/b mono (2 pi)^p, the factor
+    taken at wp, is floored in integers to wp bits below its top bit (an
+    integer is kept whole) and signed by i^p; the terms of each part (real
+    for even p) are added exactly and rounded once."""
+    prec = dps_to_prec(ctx.dps) if ctx else mp.mp.prec
+    wp, factors, sums = prec + _GUARD_BITS, {}, {}
+    zctx = ctx or PrecisionCtx(max(mp.mp.dps - 10, 10))
+    if len(indices := {idx for _, mono, _ in exact for idx in mono}) > 1:
+        mzv_many(indices, zctx)  # the pass; mzv reads each value back (one index: its pass)
+    with mp.workprec(wp):
+        zeta = {idx: +mzv(idx, zctx) for idx in indices}
+        for (key, mono, p), c in exact.items():
+            a, b = c if type(c) is tuple else (c.numerator, c.denominator)
+            if (factor := factors.get((mono, p))) is None:
+                factor = factors[mono, p] = math.prod(map(zeta.get, mono),
+                                                      start=(2 * mp.pi) ** p)._mpf_[1:3]
+            x = a * factor[0]
+            sh = (min(wp + 2 - x.bit_length(), 0) if b == 1
+                  else wp + 1 + b.bit_length() - x.bit_length())
+            y, low = (x << sh) // b if sh >= 0 else x // (b << -sh), factor[1] - sh
+            parts, i = sums.setdefault(key, [0, 0, 0, 0]), 2 * (p % 2)
+            y = -y if p % 4 >= 2 else y
+            if parts[i]:  # a further term of the part, added at the finer scale
+                new = min(parts[i + 1], low)
+                y, low = (parts[i] << parts[i + 1] - new) + (y << low - new), new
+            parts[i:i + 2] = y, low
+    return {key: mp.make_mpc((from_man_exp(yr, lr, prec, round_nearest) if yr else fzero,
+                              from_man_exp(yi, li, prec, round_nearest) if yi else fzero))
+            for key, (yr, lr, yi, li) in sums.items()}
+
+
 def polylog(k: int, z, ctx: PrecisionCtx):
     """Classical polylogarithm Li_k(z) for positive integer k."""
     if k < 1:
@@ -495,26 +541,27 @@ def stuffle(i1, i2) -> Counter:
     return _quasi_shuffle(MZVIndex, i1, i2, collide=True)
 
 
-def sv_mzv(idx, ctx: PrecisionCtx):
-    """Single-valued image of the catalogued multiple zeta values.
+# single-valued images {MZV monomial: c} (Brown, arXiv:1309.5309) of the
+# catalogued MZVs of depth > 1; _sv_exact holds the rule at depth one
+_SV_CATALOGUE = {
+    (3, 5): {((3,), (5,)): -10},
+    (3, 5, 3): {((3, 5, 3),): 2, ((3,), (3, 5)): -2, ((3,), (3,), (5,)): -10},
+}
 
-    Covered: even single zetas (0), odd single zetas (doubled), the depth-two
-    value (3,5) and the depth-three value (3,5,3).
-    """
-    idx = MZVIndex(idx)
-    with ctx.workprec():
-        if idx.depth == 1:
-            n = idx[0]
-            if n < 2:
-                raise ValueError("single zeta argument must be >= 2")
-            if n % 2 == 0:
-                return mp.mpf(0)
-            return 2 * zeta_int(n, ctx)
-        if tuple(idx) == (3, 5):
-            return -10 * zeta_int(3, ctx) * zeta_int(5, ctx)
-        if tuple(idx) == (3, 5, 3):
-            z3 = zeta_int(3, ctx)
-            mzv_many([(3, 5, 3), (3, 5)], ctx)  # one pass; the mzv calls read its cache
-            return (2 * mzv((3, 5, 3), ctx) - 2 * z3 * mzv((3, 5), ctx)
-                    - 10 * z3**2 * zeta_int(5, ctx))
-    raise KeyError(f"single-valued value for {tuple(idx)} is not catalogued")
+
+def _sv_exact(idx) -> dict:
+    """The single-valued image of zeta(idx) as {MZV monomial: c}: 2 zeta(n)
+    for odd n, 0 ({}) for even n, else the catalogue's entry."""
+    idx = _admissible(idx)
+    if len(idx) == 1:
+        return {(idx,): 2} if idx[0] % 2 else {}
+    if idx not in _SV_CATALOGUE:
+        raise KeyError(f"single-valued value for {idx} is not catalogued")
+    return _SV_CATALOGUE[idx]
+
+
+def sv_mzv(idx, ctx: PrecisionCtx):
+    """Single-valued image of a catalogued multiple zeta value (``_sv_exact``:
+    single zetas, (3,5) and (3,5,3)), evaluated by ``_constants``."""
+    values = _constants({(0, mono, 0): c for mono, c in _sv_exact(idx).items()}, ctx)
+    return values[0].real if values else mp.mpf(0)

@@ -8,9 +8,10 @@ numerical evaluation.  The calculus of series (products, the primitive
 toward the cusp) is done exactly, on integer rows in T = 2 pi i tau
 (``eisint._convolve`` and ``eisint._primitive``).
 
-Every constant of the q-series layer is an exact map {(key, m, p): c}, worth
-c zeta(m) (2 pi i)^p summed per key, c rational, m None or odd: ``_constants``
-rounds it, and every library series, once.
+Every constant of the q-series layer is an exact map {(key, mono, p): c},
+worth c mono (2 pi i)^p summed per key, c rational and mono an MZV monomial
+(() for 1, ((m,),) for zeta(m)): ``numkernel._constants`` rounds it, and
+every library series, once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import math
 
 import mpmath as mp
-from mpmath.libmp import dps_to_prec, from_man_exp, fzero, round_nearest
 
 from .numkernel import PrecisionCtx, _check_args, _decimal, _fixed_horner, _fixed_mpc, _to_fixed
 
@@ -36,9 +36,6 @@ class GuardError(ValueError):
     """A numeric guard (convergence/precision precondition) was violated."""
 
 
-_GUARD_BITS = 8  # bits kept beyond the working precision before the one rounding
-
-
 def _combine(*parts) -> dict:
     """The sum of c (2 pi i)^shift times each exact map of the (map, c, shift)
     ``parts``: term maps or heads, whose keys end in the power of 2 pi i."""
@@ -47,36 +44,6 @@ def _combine(*parts) -> dict:
         for (*key, p), x in exact.items():
             out[(*key, p + shift)] = out.get((*key, p + shift), 0) + c * x
     return out
-
-
-def _constants(exact: dict, ctx: PrecisionCtx | None = None) -> dict:
-    """{key: mpc} of the exact map {(key, m, p): c}, the sum of c zeta(m)
-    (2 pi i)^p over the key's entries (c rational, or an integer pair (a, b),
-    b > 0, for a/b) at the precision of ``ctx`` or the working one.  Each term
-    a/b zeta(m) (2 pi)^p, the factor taken at wp = prec + _GUARD_BITS bits, is
-    floored in integers to wp bits below its top bit (an integer is kept
-    whole) and signed by i^p; the terms of each part (real for even p) are
-    added exactly and rounded once."""
-    prec = dps_to_prec(ctx.dps) if ctx else mp.mp.prec
-    wp, factors, sums = prec + _GUARD_BITS, {}, {}
-    for (key, m, p), c in exact.items():
-        a, b = c if type(c) is tuple else (c.numerator, c.denominator)
-        factor = factors.get((m, p))
-        if factor is None:
-            with mp.workprec(wp):
-                factor = factors[m, p] = ((mp.zeta(m) if m else 1) * (2 * mp.pi) ** p)._mpf_[1:3]
-        x = a * factor[0]
-        sh = min(wp + 2 - x.bit_length(), 0) if b == 1 else wp + 1 + b.bit_length() - x.bit_length()
-        y, low = (x << sh) // b if sh >= 0 else x // (b << -sh), factor[1] - sh
-        parts, i = sums.setdefault(key, [0, 0, 0, 0]), 2 * (p % 2)
-        y = -y if p % 4 >= 2 else y
-        if parts[i]:  # a further term of the part, added at the finer scale
-            new = min(parts[i + 1], low)
-            y, low = (parts[i] << parts[i + 1] - new) + (y << low - new), new
-        parts[i:i + 2] = y, low
-    return {key: mp.make_mpc((from_man_exp(yr, lr, prec, round_nearest) if yr else fzero,
-                              from_man_exp(yi, li, prec, round_nearest) if yi else fzero))
-            for key, (yr, lr, yi, li) in sums.items()}
 
 
 def check_tau(tau) -> mp.mpc:

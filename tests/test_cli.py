@@ -393,6 +393,30 @@ def test_mgf_r_refuses_a_cutoff_over_the_memory_cap_by_name(capsys, argv, named)
     assert peak < 2**20
 
 
+_A3 = "[[1,1,0,0],[1,1,1,0],[0,1,1,1],[1,1,0,1],[1,1,0,1]]"
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["zeta", "--matrix", _A3, "--cutoff", "100000"],
+     "cutoff = 100000 needs 1.12e+12 bytes on the shell sums"),
+    (["integral", "--matrix", _A3, "--samples", str(1 << 40)],
+     f"samples = {1 << 40} needs 4.51e+13 bytes per batch"),
+], ids=["zeta", "integral"])
+def test_conical_refuses_an_input_over_the_memory_cap_by_name(capsys, argv, named):
+    # zeta_A of A3 at cutoff 10^5 would hold cubes of 10^10 floats, and a
+    # batch of 2^37 Halton points about 4.5e13 bytes: refused before any
+    # array is built
+    tracemalloc.start()
+    try:
+        rc, doc = _run_json(capsys, ["conical", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3 and doc["error"]["type"] == "ValueError"
+    assert doc["error"]["message"].startswith(named)
+    assert peak < 2**20
+
+
 # One cheap argv per subcommand (plus the branches with other bounds) and the
 # frozen envelope it must print: (argv, kind, error_bound).
 _TAU = "0.2+1.1i"
@@ -501,6 +525,31 @@ def test_direct_s_bound_holds(capsys, m, n):
         assert rc == 0
         err = abs(mp.mpf(doc["value"]) - exact)
         assert mp.mpf(doc["error_bound"]) >= err, (cutoff, err)
+
+
+_R_DIRECT_SHAPES = [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 1, 3), (2, 1, 2), (1, 2, 3),
+                    (2, 2, 1)]
+
+
+def test_direct_r_bound_holds(capsys):
+    # the printed 10/cutoff covers the exact value at alpha, beta >= 1; at
+    # alpha beta = 0 it did not ((2,2,2;0,0) at cutoff 50 printed 164.079 with
+    # bound 0.2 against 180.807), so the route refuses it by name
+    ctx = PrecisionCtx(20)
+    for m, alpha, beta in itertools.product(_R_DIRECT_SHAPES, (1, 2), (1, 2)):
+        exact_value = exact.value(exact._R_exact((*m, alpha, beta)), ctx)
+        for cutoff in (20, 50):
+            rc, doc = _run_json(capsys, ["mgf", "r", "--m", *map(str, m), "--alpha", str(alpha),
+                                         "--beta", str(beta), "--method", "direct",
+                                         "--cutoff", str(cutoff)])
+            assert rc == 0
+            err = abs(mp.mpf(doc["value"]) - exact_value)
+            assert mp.mpf(doc["error_bound"]) >= err, (m, alpha, beta, cutoff)
+    for alpha, beta in [(0, 0), (0, 2), (1, 0)]:
+        rc, doc = _run_json(capsys, ["mgf", "r", "--m", "2", "2", "2", "--alpha", str(alpha),
+                                     "--beta", str(beta), "--method", "direct", "--cutoff", "50"])
+        assert rc == 3 and doc["error"]["type"] == "ValueError"
+        assert f"alpha={alpha}, beta={beta}" in doc["error"]["message"]
 
 
 def test_series_json_reads_back(capsys):

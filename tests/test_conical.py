@@ -3,6 +3,7 @@ predicates."""
 
 import itertools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -237,6 +238,29 @@ def test_zeta_A_matches_frozen_values(rows, cutoff, value, bound):
     with CTX.workprec():
         assert abs(got - mp.mpf(value)) <= mp.mpf("1e-12") * mp.mpf(value)
         assert abs(got_bound - mp.mpf(bound)) <= mp.mpf("1e-9") * mp.mpf(bound)
+
+
+def test_memory_predictions_hold_the_traced_peak():
+    # the bytes zeta_A and zeta_A_integral predict before they run (and
+    # refuse over _MAX_BYTES) are at least what they then hold, for the bench
+    # matrices at their bench cutoffs and samples
+    def peak(f, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            f(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for rows, cutoff, _, _ in CONE_REGRESSION[:3]:
+        A = ConeMatrix(rows)
+        groups = conical._grouped_forms(A)
+        elim = conical._pick_elimination(groups, A.n)
+        keep = [j for j in range(A.n) if elim is None or j != elim[1]]
+        predicted = conical._shell_bytes(groups, elim, keep, cutoff)
+        assert predicted >= peak(zeta_A, A, cutoff=cutoff, ctx=CTX), rows
+        predicted = 8 * (1 << 12) * (5 * A.r + 2 * A.n + 8)
+        assert predicted >= peak(zeta_A_integral, A, samples=1 << 15), rows
 
 
 @pytest.mark.parametrize("K", [12, 13, 150, 175, 225, 400])

@@ -232,8 +232,8 @@ def _exact_coefficients(terms, head, q_order):
     """{(i, j): mpc} of the series of an exact term map and head, at the
     working precision, each coefficient summed from its Fractions."""
     out = {}
-    for (i, m, p), c in (head or {}).items():
-        z = mp.zeta(m) if m else 1
+    for (i, mono, p), c in (head or {}).items():
+        z = mp.fprod(mp.zeta(m) for (m,) in mono)  # a head's monomial: single zetas
         out[i, 0] = out.get((i, 0), 0) + mp.mpf(c.numerator) / c.denominator * z * (2j * mp.pi) ** p
     for (i, n, k, p), c in terms.items():
         sigma = _sigma_table(n - 1, q_order)

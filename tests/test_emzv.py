@@ -105,23 +105,24 @@ def test_length_one_constants_of_the_derivative():
 
 
 def _exact_series(terms, head, q_order):
-    """{(tau power, q power, m, p): Fraction} of an exact term map and head, the
-    terms c tau^i q^j zeta(m) (2 pi i)^p up to q^q_order (m None for 1)."""
+    """{(tau power, q power, mono, p): Fraction} of an exact term map and head,
+    the terms c tau^i q^j mono (2 pi i)^p up to q^q_order, mono an MZV
+    monomial (() for 1)."""
     out = {}
-    for (i, m, p), c in head.items():
-        out[i, 0, m, p] = out.get((i, 0, m, p), 0) + c
+    for (i, mono, p), c in head.items():
+        out[i, 0, mono, p] = out.get((i, 0, mono, p), 0) + c
     for (i, n, k, p), c in terms.items():
         sigma = _sigma_table(n - 1, q_order)
         for j in range(1, q_order + 1):
-            out[i, j, None, p] = out.get((i, j, None, p), 0) + c * Fraction(sigma[j], j**k)
+            out[i, j, (), p] = out.get((i, j, (), p), 0) + c * Fraction(sigma[j], j**k)
     return out
 
 
 def _d_dtau(f):
     """d/dtau of an exact series: tau^i q^j goes to i tau^(i-1) q^j + 2 pi i j tau^i q^j."""
     out = {}
-    for (i, j, m, p), c in f.items():
-        for key, x in (((i - 1, j, m, p), i * c), ((i, j, m, p + 1), j * c)):
+    for (i, j, mono, p), c in f.items():
+        for key, x in (((i - 1, j, mono, p), i * c), ((i, j, mono, p + 1), j * c)):
             out[key] = out.get(key, 0) + x
     return {key: x for key, x in out.items() if x}
 
@@ -130,11 +131,11 @@ def _times(f, g, q_order):
     """The product of two exact series, the second free of zeta values,
     truncated at q^q_order."""
     out = {}
-    for (i1, j1, m, p1), x in f.items():
-        for (i2, j2, m2, p2), y in g.items():
-            assert m2 is None
+    for (i1, j1, mono, p1), x in f.items():
+        for (i2, j2, mono2, p2), y in g.items():
+            assert mono2 == ()
             if j1 + j2 <= q_order:
-                key = (i1 + i2, j1 + j2, m, p1 + p2)
+                key = (i1 + i2, j1 + j2, mono, p1 + p2)
                 out[key] = out.get(key, 0) + x * y
     return out
 

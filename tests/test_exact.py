@@ -64,11 +64,11 @@ def test_R_exact_is_equal_on_orders_of_equal_value():
     assert len(pairs) == 238
     assert sum(exact._R_exact(a) != exact._R_exact(b) for a, b in pairs) == 72
     ctx = PrecisionCtx(digits=40)
-    terms, _, ctx = exact._row_terms({key: exact._R_exact(key) for pair in pairs
-                                      for key in pair}, ctx)
+    values, ctx = exact._row_values({key: exact._R_exact(key) for pair in pairs
+                                     for key in pair}, ctx)
     with ctx.workprec():
         for a, b in pairs:
-            assert abs(mp.fsum(terms[a]) - mp.fsum(terms[b])) < mp.mpf("1e-35"), (a, b)
+            assert abs(values[a] - values[b]) < mp.mpf("1e-35"), (a, b)
 
 
 def _rows():
@@ -86,10 +86,12 @@ def _rows():
 
 def test_size_bound_is_at_least_the_actual_size():
     # the a-priori size fixes the digits before any MZV is evaluated, so it
-    # must not fall below the absolute sum of the terms; a row of rationals
-    # meets it, up to the float rounding of the bound
+    # must not fall below the absolute sum of the terms, the value of the
+    # row of |c|; a row of rationals meets it, up to the float rounding of
+    # the bound
     rows = _rows()
-    _, sizes, _ = exact._row_terms(rows, PrecisionCtx(digits=10))
+    sizes, _ = exact._row_values({name: {mono: abs(c) for mono, c in row.items()}
+                                  for name, row in rows.items()}, PrecisionCtx(digits=10))
     for name, row in rows.items():
         assert sizes[name] <= exact._size_bound(row) * (1 + 1e-12), name
 
@@ -113,3 +115,36 @@ def test_value_and_laurent_make_one_mzv_pass(monkeypatch):
     calls.clear()
     exact.laurent(exact._d3pt_rows((1, 1, 2))[0], ctx)
     assert calls == [ctx]
+
+
+def _fsum_reference(row: dict, ctx: PrecisionCtx):
+    """The row summed as the exact layer once did, each term c prod(MZVs) an
+    mpf product and the terms one fsum, at 30 more digits than ``ctx``."""
+    ref = PrecisionCtx(ctx.digits + 30)
+    zeta = numkernel.mzv_many({idx for mono in row for idx in mono}, ref)
+    with ref.workprec():
+        return mp.fsum(mp.fprod([mp.mpf(c.numerator) / c.denominator, *map(zeta.get, mono)])
+                       for mono, c in row.items())
+
+
+_SV_REFERENCES = {
+    (2,): {}, (8,): {}, (3,): {((3,),): 2}, (11,): {((11,),): 2},
+    (3, 5): {((3,), (5,)): -10},
+    (3, 5, 3): {((3, 5, 3),): 2, ((3,), (3, 5)): -2, ((3,), (3,), (5,)): -10},
+}
+
+
+def test_values_lie_within_eps_of_the_fsum_reference():
+    # one rounding of one integer sum per value against the former mpf
+    # products and fsum at +30 digits: every row, and every sv_mzv case
+    rows = _rows()
+    for digits in (30, 60):
+        ctx = PrecisionCtx(digits)
+        for name, row in rows.items():
+            got = exact.value(row, ctx)
+            with mp.workdps(ctx.dps + 40):
+                assert abs(got - _fsum_reference(row, ctx)) <= ctx.eps, (digits, name)
+        for idx, row in _SV_REFERENCES.items():
+            got = numkernel.sv_mzv(idx, ctx)
+            with mp.workdps(ctx.dps + 40):
+                assert abs(got - _fsum_reference(row, ctx)) <= ctx.eps, (digits, idx)
